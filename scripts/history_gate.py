@@ -1,0 +1,129 @@
+"""Bit-identity gate: run a fixed grid of solves in two source trees and
+compare their convergence histories bit for bit.
+
+    python scripts/history_gate.py OLD_SRC NEW_SRC
+
+Each tree is imported in its own subprocess (PYTHONPATH=<tree>).  Either
+argument may instead be a JSON file written earlier by
+`python scripts/history_gate.py --dump OUT.json` (run with PYTHONPATH set),
+which saves rerunning an unchanged tree.  The grid:
+
+* optim.solve for all six preconditioners under pg and pcg, on
+  - 1D: harmonic + lattice trap, eta = 250, L = 32, M = 1024, Thomas-Fermi
+    guess, omega = 0, tol 1e-12;
+  - 2D: half-square trap, eta = 100, omega = 0.5, L = 8, M = 64, guess d,
+    tol 1e-11;
+  each with the energy_diff stop and with residual_inf at tol 1e-7;
+* classic.run_imaginary_time with be_lambda, cn_lambda and fe_lambda on a
+  small 1D lattice problem under each of the three stops.
+
+Every numeric IterationRecord column, the iteration count, the stop reason,
+the final energy, multiplier and residual, and fft_total must agree.  Floats
+are compared through repr(), so NaN equals NaN and -0.0 differs from 0.0.
+The final field is compared too and reported separately.  Exit code 0 when
+everything agrees, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+COLUMNS = ("energy", "lam", "r_inf", "step_inf", "theta", "beta", "backtracks",
+           "fft_count", "energy_delta", "restarted", "inner_iters")
+KINDS = ("identity", "kinetic", "potential", "c1", "c2", "sym")
+
+
+def _summarize(result) -> dict:
+    return {
+        "records": [[repr(getattr(r, c)) for c in COLUMNS] for r in result.records],
+        "iterations": result.iterations,
+        "stop_reason": result.stop_reason,
+        "energy": repr(float(result.energy)),
+        "lam": repr(float(result.lam)),
+        "r_inf": repr(float(result.r_inf)),
+        "fft_total": result.fft_total,
+        "field_sha256": hashlib.sha256(result.phi.values.tobytes()).hexdigest(),
+    }
+
+
+def dump(out_path: str) -> None:
+    import warnings
+
+    import numpy as np
+    from gpesolve import classic, model, optim
+    from gpesolve.model import ModelParams
+    from gpesolve.spectral import Grid
+
+    lattice = model.harmonic_lattice(1.0, 25.0, np.pi / 2)
+    problems = {
+        "1d": (Grid(1, 32.0, 1024), ModelParams(eta=250.0, omega=0.0, potential=lattice), "tf", 1e-12),
+        "2d": (Grid(2, 8.0, 64), ModelParams(eta=100.0, omega=0.5, potential=model.half_square()), "d", 1e-11),
+    }
+    runs = {}
+    warnings.simplefilter("ignore")
+    for pname, (grid, params, guess, tol) in problems.items():
+        phi0 = model.initial_guess(guess, grid, params)
+        for stop, stop_tol in (("energy_diff", tol), ("residual_inf", 1e-7)):
+            for kind in KINDS:
+                for method in ("pg", "pcg"):
+                    cfg = optim.SolverConfig(method=method, precond=kind, stop=stop, tol=stop_tol)
+                    runs[f"optim/{pname}/{stop}/{kind}/{method}"] = _summarize(optim.solve(phi0, params, cfg))
+    grid = Grid(1, 16.0, 128)
+    params = ModelParams(eta=250.0, omega=0.0, potential=lattice)
+    phi0 = model.thomas_fermi_initial(grid, params)
+    schemes = (("be_lambda", 0.01, "sym"), ("cn_lambda", 0.01, "sym"), ("fe_lambda", 0.002, "identity"))
+    for scheme, dt, kind in schemes:
+        for stop, tol in (("energy_diff", 1e-12), ("iterate_diff", 1e-9), ("residual_inf", 1e-7)):
+            res = classic.run_imaginary_time(phi0, classic.SchemeKind(scheme=scheme, dt=dt), params,
+                                             precond_kind=kind, stop=stop, tol=tol, max_iter=3000)
+            runs[f"classic/{scheme}/{stop}"] = _summarize(res)
+    with open(out_path, "w") as fh:
+        json.dump(runs, fh)
+
+
+def _run_tree(src: str, out_path: str) -> dict:
+    if src.endswith(".json"):
+        out_path = src
+    else:
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        subprocess.run([sys.executable, os.path.abspath(__file__), "--dump", out_path], env=env, check=True)
+    with open(out_path) as fh:
+        return json.load(fh)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[1] == "--dump":
+        dump(argv[2])
+        return 0
+    if len(argv) != 3:
+        print(__doc__)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        old = _run_tree(argv[1], os.path.join(tmp, "old.json"))
+        new = _run_tree(argv[2], os.path.join(tmp, "new.json"))
+    failures = 0
+    field_diffs = 0
+    for name in sorted(set(old) | set(new)):
+        a, b = old.get(name), new.get(name)
+        if a is None or b is None:
+            print(f"MISSING {name}")
+            failures += 1
+            continue
+        bad = [k for k in a if k != "field_sha256" and a[k] != b[k]]
+        field_diffs += a["field_sha256"] != b["field_sha256"]
+        status = "DIFF " + ",".join(bad) if bad else "same"
+        failures += bool(bad)
+        print(f"{status:<12} {name}: {a['iterations']} iterations, {a['stop_reason']}, "
+              f"fft_total {a['fft_total']}")
+    print(f"{len(old)} runs, {failures} differ in the history; "
+          f"{field_diffs} final fields differ bitwise")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

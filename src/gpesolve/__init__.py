@@ -39,13 +39,9 @@ from .optim import (
     SolveResult,
     SolverConfig,
     check_stop,
-    linesearch_full,
     residual,
     solve_pcg,
     solve_pg,
-    step,
-    tangent_project,
-    theta_opt,
 )
 
 __version__ = "0.1.0"
@@ -60,7 +56,6 @@ __all__ = [
     "thomas_fermi_initial",
     "Preconditioner", "build_preconditioner",
     "IterationRecord", "SolveResult", "SolverConfig", "check_stop",
-    "linesearch_full", "residual", "solve_pcg", "solve_pg", "step",
-    "tangent_project", "theta_opt",
+    "residual", "solve_pcg", "solve_pg",
     "__version__",
 ]

@@ -9,7 +9,6 @@ runtime guarantee).
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 
 import numpy as np
@@ -176,24 +175,14 @@ _SUITE_FN = {
 }
 
 
-def run_benchmark(suite: str, paper_scale: bool = False, workers: int = 1) -> list[dict]:
-    """Run one suite (or 'all'); deterministic for a fixed seed and workers=1."""
+def run_benchmark(suite: str, paper_scale: bool = False) -> list[dict]:
+    """Run one suite (or 'all'); deterministic for a fixed seed."""
     if suite == "all":
         names = list(SUITES)
     elif suite in _SUITE_FN:
         names = [suite]
     else:
         raise ValueError(f"unknown benchmark suite {suite!r}; choose from {SUITES} or 'all'")
-    if workers > 1 and len(names) > 1:
-        rows: list[dict] = []
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_SUITE_FN[name], paper_scale): name for name in names}
-            results = {}
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
-        for name in names:
-            rows.extend(results[name])
-        return rows
     rows = []
     for name in names:
         rows.extend(_SUITE_FN[name](paper_scale))

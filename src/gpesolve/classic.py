@@ -20,7 +20,7 @@ from scipy.sparse.linalg import LinearOperator, minres
 
 from . import model, precond, spectral
 from .model import ModelParams
-from .optim import IterationRecord, STOP_ENERGY, STOP_KINDS, SolveResult
+from .optim import IterationRecord, STOP_ENERGY, STOP_KINDS, SolveResult, check_stop, residual
 from .spectral import FFTCounter, WaveField
 
 FE = "fe"
@@ -237,10 +237,8 @@ def run_imaginary_time(
             break
         inner_total += inner_iters
         step_inf = float(np.max(np.abs(phi_next.values - phi.values)))
-        h_next = model.apply_hamiltonian(phi_next, phi_next, params, counter)
-        lam = spectral.inner(h_next, phi_next).real
-        r_vals = h_next.values - lam * phi_next.values
-        r_inf = float(np.max(np.abs(r_vals)))
+        r_next, lam = residual(phi_next, params, counter)
+        r_inf = float(np.max(np.abs(r_next.values)))
         e_next = model.energy(phi_next, params).total
         if not np.isfinite(e_next) or e_next > e0 + 10.0 * (abs(e0) + 1.0):
             stop_reason = "diverged"
@@ -255,19 +253,11 @@ def run_imaginary_time(
             energy_delta=d_e, inner_iters=inner_iters,
         ))
         e_prev = e_next
-        if stop == STOP_ENERGY and abs(d_e) <= tol:
+        if check_stop(records[-1], stop, tol):
             converged = True
-            stop_reason = "energy_diff"
+            stop_reason = stop
             break
-        if stop == "iterate_diff" and step_inf <= tol:
-            converged = True
-            stop_reason = "iterate_diff"
-            break
-        if stop == "residual_inf" and r_inf <= tol:
-            converged = True
-            stop_reason = "residual_inf"
-            break
-    final_r, final_lam = _final_residual(phi, params)
+    final_r, final_lam = residual(phi, params)
     return SolveResult(
         phi=phi, records=records, converged=converged, stop_reason=stop_reason,
         energy=float(model.energy(phi, params).total), lam=float(final_lam),
@@ -275,12 +265,6 @@ def run_imaginary_time(
         fft_total=counter.count, wall_time=time.perf_counter() - t0,
         inner_total=inner_total,
     )
-
-
-def _final_residual(phi: WaveField, params: ModelParams) -> tuple[WaveField, float]:
-    h = model.apply_hamiltonian(phi, phi, params)
-    lam = spectral.inner(h, phi).real
-    return WaveField(phi.grid, h.values - lam * phi.values), lam
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +435,7 @@ def precond_hessian_condition(
     if 2 * g.size > 8192:
         raise ValueError("dense conditioning diagnostic is limited to 4096 unknowns")
     warning = None
-    r, lam = _final_residual(phi_star, params)
+    r, lam = residual(phi_star, params)
     r_inf = float(np.max(np.abs(r.values)))
     if r_inf > 1e-6:
         warning = f"iterate is not stationary (residual sup-norm {r_inf:.2e}); sigma is unreliable"

@@ -44,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", default=None, help="output directory")
     p_bench.add_argument("--paper-scale", action="store_true",
                          help="use the published (large) problem sizes; no runtime bound")
-    p_bench.add_argument("--workers", type=int, default=1,
-                         help="parallel suite workers (results are deterministic for 1)")
 
     p_an = sub.add_parser("analyze", help="spectral diagnostics")
     an_sub = p_an.add_subparsers(dest="analysis", required=True)
@@ -75,7 +73,7 @@ def _cmd_solve(args, multigrid: bool) -> int:
 
 
 def _cmd_bench(args) -> int:
-    rows = bench.run_benchmark(args.suite, paper_scale=args.paper_scale, workers=args.workers)
+    rows = bench.run_benchmark(args.suite, paper_scale=args.paper_scale)
     outdir = args.out or "gpesolve_bench"
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, f"{args.suite}.csv")

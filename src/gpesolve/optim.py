@@ -7,12 +7,17 @@ Iterates move along great circles, phi_{n+1} = cos(theta) phi_n
 minimizes the second-order expansion of the energy along the arc and is
 halved until the energy decreases.
 
-The expensive transforms of an iteration are fused: the Laplacian,
-angular-momentum and Fourier images of the iterate are carried across
-iterations by the same trigonometric combination that updates the iterate
-itself, so one iteration costs 3 transform units (forward + Laplacian +
-angular momentum) plus 0/0/0/1/1/2 units for the
-identity/kinetic/potential/c1/c2/sym preconditioners.
+The expensive transforms of an iteration are fused in one engine: the
+Laplacian, angular-momentum and Fourier images of the iterate are carried
+across iterations by the same trigonometric combination that updates the
+iterate itself.  The residual is placed in real space, or in Fourier space
+for the preconditioners that start with their Fourier diagonal
+(precond.FOURIER_FIRST: kinetic, c1).  One iteration costs 3 transform
+units (forward + Laplacian + angular momentum) plus 0/0/0/1/1/2 units for
+the identity/kinetic/potential/c1/c2/sym preconditioners, so 3/3/3/4/4/5
+with rotation and 2/2/2/3/3/4 without.  The one exception is c1 under pcg,
+which spends one more unit bringing its residual to real space for the
+Polak-Ribiere inner products.
 """
 
 from __future__ import annotations
@@ -111,53 +116,21 @@ class SolveResult:
         return len(self.records)
 
 
-# ---------------------------------------------------------------------------
-# standalone operations (simple, unfused; used by tests and small callers)
-# ---------------------------------------------------------------------------
-
-def residual(phi: WaveField, params: ModelParams) -> tuple[WaveField, float]:
+def residual(phi: WaveField, params: ModelParams,
+             counter: FFTCounter | None = None) -> tuple[WaveField, float]:
     """Tangent residual r = H_phi phi - lambda phi and the multiplier lambda."""
-    h = model.apply_hamiltonian(phi, phi, params)
+    h = model.apply_hamiltonian(phi, phi, params, counter)
     lam = spectral.inner(h, phi).real
     return WaveField(phi.grid, h.values - lam * phi.values), lam
 
 
-def tangent_project(d: WaveField, phi: WaveField) -> WaveField:
-    """Project onto the tangent space at phi: d - Re<phi, d> phi."""
-    c = spectral.inner(phi, d).real
-    return WaveField(d.grid, d.values - c * phi.values)
-
-
-def theta_opt(
-    phi: WaveField,
-    p_dir: WaveField,
-    grad: WaveField,
-    params: ModelParams,
-    lam: float,
-) -> tuple[float, float]:
-    """Second-order optimal arc angle along the normalized direction.
-
-    Returns (theta, denom) where denom is the curvature of the energy
-    along the retraction arc, E''(0) = hessian_quadratic_form(phi, p_hat)
-    - 2*lambda; callers must fall back to a default angle when denom <= 0.
-    """
-    pnorm = spectral.norm(p_dir)
-    if pnorm == 0.0:
-        raise ValueError("zero search direction")
-    p_hat = WaveField(p_dir.grid, p_dir.values / pnorm)
-    slope = spectral.inner(grad, p_hat).real
-    denom = model.hessian_quadratic_form(phi, p_hat, params) - 2.0 * lam
-    theta = -slope / denom if denom != 0.0 else np.inf
-    return theta, denom
-
-
-def step(phi: WaveField, p_dir: WaveField, theta: float) -> WaveField:
-    """Great-circle update cos(theta) phi + sin(theta) p_hat, renormalized."""
-    pnorm = spectral.norm(p_dir)
-    if pnorm == 0.0:
-        return phi.copy()
-    values = np.cos(theta) * phi.values + np.sin(theta) * (p_dir.values / pnorm)
-    return WaveField(phi.grid, values).normalized()
+def check_stop(record: IterationRecord, stop: str, tol: float) -> bool:
+    """Whether the latest record meets the stopping criterion `stop` at `tol`."""
+    if stop == STOP_ENERGY:
+        return abs(record.energy_delta) <= tol
+    if stop == STOP_ITERATE:
+        return record.step_inf <= tol
+    return bool(record.r_inf <= tol)
 
 
 @dataclass
@@ -229,64 +202,8 @@ def _minimize_arc(arc: _Arc) -> float:
     return float(res.x)
 
 
-def _arc_from_fields(phi: WaveField, p_hat: WaveField, params: ModelParams) -> _Arc:
-    """Arc coefficients computed with the plain (unfused) operators."""
-    g = phi.grid
-    hd = g.cell_volume
-    v = model.sample_potential(params.potential, g)
-    u = phi.values
-    p = p_hat.values
-    du = spectral.apply_laplacian(phi).values
-    dp = spectral.apply_laplacian(p_hat).values
-    qa = -0.5 * hd * np.vdot(u, du).real + hd * float(np.sum(v * np.abs(u) ** 2))
-    qb = -0.5 * hd * np.vdot(p, dp).real + hd * float(np.sum(v * np.abs(p) ** 2))
-    qc = -0.5 * hd * np.vdot(u, dp).real + hd * float(np.sum(v * (np.conj(u) * p).real))
-    if params.omega != 0.0:
-        lu = spectral.apply_lz(phi).values
-        lp = spectral.apply_lz(p_hat).values
-        qa += -params.omega * hd * np.vdot(u, lu).real
-        qb += -params.omega * hd * np.vdot(p, lp).real
-        qc += -params.omega * hd * np.vdot(u, lp).real
-    a0 = np.abs(u) ** 2
-    a1 = np.abs(p) ** 2
-    a2 = (np.conj(u) * p).real
-    return _Arc(
-        qa=qa, qb=qb, qc=qc,
-        q40=float(np.sum(a0 * a0)), q04=float(np.sum(a1 * a1)),
-        q22a=float(np.sum(a0 * a1)), q22b=float(np.sum(a2 * a2)),
-        q31=float(np.sum(a0 * a2)), q13=float(np.sum(a1 * a2)),
-        eta_hd=params.eta * hd,
-    )
-
-
-def linesearch_full(phi: WaveField, p_dir: WaveField, params: ModelParams) -> float:
-    """Exact one-dimensional energy minimization along the arc.
-
-    The quadratic part of E(theta) reduces to three cached inner products
-    and the quartic part to six pointwise sums, so the minimization costs
-    no transforms beyond those needed for the coefficients.
-    """
-    pnorm = spectral.norm(p_dir)
-    if pnorm == 0.0:
-        raise ValueError("zero search direction")
-    p_hat = WaveField(p_dir.grid, p_dir.values / pnorm)
-    return _minimize_arc(_arc_from_fields(phi, p_hat, params))
-
-
-def check_stop(history: list[IterationRecord], cfg: SolverConfig) -> bool:
-    """Evaluate the configured stopping criterion on the recorded history."""
-    if not history:
-        return False
-    last = history[-1]
-    if cfg.stop == STOP_ENERGY:
-        return abs(last.energy_delta) <= cfg.tol
-    if cfg.stop == STOP_ITERATE:
-        return last.step_inf <= cfg.tol
-    return bool(last.r_inf <= cfg.tol)
-
-
 # ---------------------------------------------------------------------------
-# fused iteration engines
+# fused iteration engine
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -296,18 +213,25 @@ class _Bundle:
     arc: _Arc
     p_hat: np.ndarray
     p_hat_hat: np.ndarray
-    dp_hat: np.ndarray | None  # Laplacian of p_hat (engine A only)
-    lp_hat: np.ndarray | None  # Lz of p_hat (None when omega == 0)
+    dp: np.ndarray | None  # Laplacian of p_hat (real-space residual only)
+    lp: np.ndarray | None  # Lz of p_hat (None when omega == 0)
     p_norm: float
     beta: float
     restarted: bool
-    r_real: np.ndarray | None
-    r_hat: np.ndarray | None
+    r: np.ndarray | None  # residual in the space the CG mixing ran in
     prp: float  # <r, P r>
 
 
-class _EngineBase:
-    """Shared state and update rule of the fused solvers."""
+class _Engine:
+    """State and update rule of the fused PG/PCG iteration.
+
+    The residual is kept in real space, next to the Laplacian of the
+    iterate, so it and its sup norm come without transforms.  Kinds that
+    start with the Fourier diagonal (precond.FOURIER_FIRST) instead get the
+    residual assembled in Fourier space from one forward transform of its
+    pointwise part; their kinetic inner products come from Parseval and the
+    Laplacian of the iterate is never formed.
+    """
 
     def __init__(self, phi0: WaveField, params: ModelParams, cfg: SolverConfig,
                  counter: FFTCounter) -> None:
@@ -315,7 +239,6 @@ class _EngineBase:
         if params.omega != 0.0 and g.d < 2:
             raise ValueError("rotation requires d >= 2")
         self.grid = g
-        self.params = params
         self.cfg = cfg
         self.counter = counter
         self.hd = g.cell_volume
@@ -330,7 +253,15 @@ class _EngineBase:
         self.u = u / n
         self.uhat = g.fft(self.u, counter)
         self.lu = spectral.lz_from_hat(g, self.uhat, counter) if self.omega != 0.0 else None
-        # iterate-dependent scalars, refreshed by _begin
+        self.fourier = cfg.precond in precond.FOURIER_FIRST
+        self.du = None if self.fourier else spectral.laplacian_from_hat(g, self.uhat, counter)
+        # a Fourier-space residual is brought to real space only for the
+        # residual stop and for c1 under pcg (its PR inner products)
+        self.need_r_real = cfg.stop == STOP_RESIDUAL or (
+            cfg.precond == precond.COMBINED1 and cfg.method == "pcg")
+        self.r: np.ndarray | None = None
+        self.r_hat: np.ndarray | None = None
+        # iterate-dependent scalars, refreshed by begin
         self.lam = 0.0
         self.qa = 0.0
         self.q40 = 0.0
@@ -339,35 +270,41 @@ class _EngineBase:
         self.dens = None
         # CG memory
         self.prp_prev: float | None = None
-        self._last_prp: float = np.nan
         self.p_prev_real: np.ndarray | None = None
         self.p_prev_hat: np.ndarray | None = None
-        self.r_prev_real: np.ndarray | None = None
-        self.r_prev_hat: np.ndarray | None = None
+        self.r_prev: np.ndarray | None = None
 
-    # -- helpers -----------------------------------------------------------
     def _rdot(self, a: np.ndarray, b: np.ndarray) -> float:
         return self.hd * np.vdot(a, b).real
 
-    def _rdot_hat(self, a: np.ndarray, b: np.ndarray) -> float:
-        return self.scale * np.vdot(a, b).real
-
-    def _pointwise_scalars(self) -> tuple[float, float, float]:
-        """(potential, 2*interaction, rotation) quadratic pieces of the iterate."""
+    def begin(self) -> float | None:
+        """Refresh the iterate's scalars and residual; returns the residual
+        sup norm, or None when the residual stays in Fourier space."""
+        g = self.grid
         self.dens = np.abs(self.u) ** 2
         pot = self.hd * float(np.sum(self.v * self.dens))
         self.q40 = float(np.sum(self.dens * self.dens))
         inter2 = self.eta * self.hd * self.q40
         rot = -self.omega * self._rdot(self.u, self.lu) if self.lu is not None else 0.0
-        return pot, inter2, rot
-
-    def _finish_scalars(self, kin: float, pot: float, inter2: float, rot: float) -> None:
+        if self.fourier:
+            kin = 0.5 * self.scale * float(np.sum(g.k2 * np.abs(self.uhat) ** 2))
+        else:
+            kin = -0.5 * self._rdot(self.u, self.du)
         self.qa = kin + pot + rot
         self.lam = self.qa + self.eta * self.hd * self.q40
         self.alpha = kin + pot + inter2  # characteristic energy, shift of the preconditioner
-
-    def _shift(self) -> float:
-        return self.alpha if self.cfg.shift == "adaptive" else float(self.cfg.shift)
+        if self.fourier:
+            gvec = (self.v + self.eta * self.dens - self.lam) * self.u
+            if self.lu is not None:
+                gvec -= self.omega * self.lu
+            self.r_hat = 0.5 * g.k2 * self.uhat + g.fft(gvec, self.counter)
+            self.r = g.ifft(self.r_hat, self.counter) if self.need_r_real else None
+        else:
+            hu = -0.5 * self.du + (self.v + self.eta * self.dens) * self.u
+            if self.lu is not None:
+                hu -= self.omega * self.lu
+            self.r = hu - self.lam * self.u
+        return float(np.max(np.abs(self.r))) if self.r is not None else None
 
     def _arc(self, p_hat: np.ndarray, kin_p: float, kin_c: float,
              lp: np.ndarray | None) -> _Arc:
@@ -386,22 +323,28 @@ class _EngineBase:
             eta_hd=self.eta * self.hd,
         )
 
-    def _mix_cg(self, pr: np.ndarray, r: np.ndarray, r_prev: np.ndarray | None,
-                p_prev: np.ndarray | None, u_rep: np.ndarray, rdot,
-                force_restart: bool) -> tuple[np.ndarray, float, bool]:
-        """Polak-Ribiere direction -Pr + beta p_prev with descent safeguard.
+    def _mix_cg(self, pr: np.ndarray, r: np.ndarray, p_prev: np.ndarray | None,
+                u_rep: np.ndarray, w: float,
+                force_restart: bool) -> tuple[np.ndarray, float, bool, float]:
+        """Polak-Ribiere direction -Pr + beta p_prev with descent safeguard;
+        returns (direction, beta, restarted, <r, Pr>).
 
         All arrays must live in the same representation (real space or
         Fourier coefficients); `u_rep` is the iterate in that
-        representation and `rdot` the matching real inner product.
+        representation and w Re<a, b> the matching real inner product.
         """
+        if self.cfg.method == "pg":
+            return -pr, 0.0, force_restart, np.nan
+
+        def rdot(a: np.ndarray, b: np.ndarray) -> float:
+            return w * np.vdot(a, b).real
+
         prp = rdot(r, pr)
         beta = 0.0
         restarted = force_restart
-        if (self.cfg.method == "pcg" and not force_restart and r_prev is not None
-                and p_prev is not None and self.prp_prev is not None
-                and self.prp_prev > 0.0):
-            beta = max(0.0, rdot(r - r_prev, pr) / self.prp_prev)
+        if (not force_restart and self.r_prev is not None and p_prev is not None
+                and self.prp_prev is not None and self.prp_prev > 0.0):
+            beta = max(0.0, rdot(r - self.r_prev, pr) / self.prp_prev)
         if beta > 0.0:
             dvec = -pr + beta * p_prev
             # descent check on the projected direction:
@@ -414,8 +357,56 @@ class _EngineBase:
                 restarted = True
         else:
             dvec = -pr
-        self._last_prp = prp
-        return dvec, beta, restarted
+        return dvec, beta, restarted, prp
+
+    def direction(self, force_restart: bool) -> _Bundle | None:
+        g = self.grid
+        shift = self.alpha if self.cfg.shift == "adaptive" else float(self.cfg.shift)
+        p = precond.from_density(self.cfg.precond, g, shift, self.v, self.eta, self.dens)
+        pr, pr_hat = p.apply_pair(self.r_hat if self.fourier else self.r, self.counter,
+                                  transformed=self.fourier)
+        # mix and project in the space Pr came back in
+        mix_hat = pr is None
+        if mix_hat:
+            pr, r, p_prev, u_rep, w = pr_hat, self.r_hat, self.p_prev_hat, self.uhat, self.scale
+        else:
+            r, p_prev, u_rep, w = self.r, self.p_prev_real, self.u, self.hd
+        dvec, beta, restarted, prp = self._mix_cg(pr, r, p_prev, u_rep, w, force_restart)
+        c_u = w * np.vdot(u_rep, dvec).real
+        p_dir = dvec - c_u * u_rep
+        p_norm = float(np.sqrt(w) * np.linalg.norm(p_dir.ravel()))
+        if not np.isfinite(p_norm) or p_norm == 0.0:
+            return None
+        if mix_hat:
+            p_hat_hat = p_dir / p_norm
+            p_hat = g.ifft(p_hat_hat, self.counter)
+        else:
+            p_hat = p_dir / p_norm
+            if pr_hat is not None:
+                # c2 forms the transform of Pr (and so of p_prev) on the
+                # way, hence that of p_hat by linearity
+                dvec_hat = -pr_hat if beta == 0.0 else -pr_hat + beta * self.p_prev_hat
+                p_hat_hat = (dvec_hat - c_u * self.uhat) / p_norm
+            else:
+                p_hat_hat = g.fft(p_hat, self.counter)
+        lp = spectral.lz_from_hat(g, p_hat_hat, self.counter) if self.lu is not None else None
+        if self.fourier:
+            dp = None
+            kin_p = 0.5 * self.scale * float(np.sum(g.k2 * np.abs(p_hat_hat) ** 2))
+            kin_c = 0.5 * self.scale * np.vdot(self.uhat, g.k2 * p_hat_hat).real
+        else:
+            dp = spectral.laplacian_from_hat(g, p_hat_hat, self.counter)
+            kin_p = -0.5 * self._rdot(p_hat, dp)
+            kin_c = -0.5 * self._rdot(self.u, dp)
+        arc = self._arc(p_hat, kin_p, kin_c, lp)
+        if arc.slope0 > 0.0:
+            p_hat = -p_hat
+            p_hat_hat = -p_hat_hat
+            dp = -dp if dp is not None else None
+            lp = -lp if lp is not None else None
+            arc.flip()
+        return _Bundle(arc=arc, p_hat=p_hat, p_hat_hat=p_hat_hat, dp=dp, lp=lp,
+                       p_norm=p_norm, beta=beta, restarted=restarted, r=r, prp=prp)
 
     def accept(self, theta: float, bundle: _Bundle) -> float:
         """Apply the great-circle update; returns the sup-norm of the step."""
@@ -428,207 +419,16 @@ class _EngineBase:
         self.u /= nn
         self.uhat = (c * self.uhat + s * bundle.p_hat_hat) / nn
         if self.lu is not None:
-            self.lu = (c * self.lu + s * bundle.lp_hat) / nn
-        self._accept_extra(c, s, nn, bundle)
+            self.lu = (c * self.lu + s * bundle.lp) / nn
+        if self.du is not None:
+            self.du = (c * self.du + s * bundle.dp) / nn
         self.energy += bundle.arc.delta_energy(theta)
         # CG memory
         self.prp_prev = bundle.prp
-        self.p_prev_real = bundle.p_hat * bundle.p_norm if bundle.p_hat is not None else None
-        self.p_prev_hat = bundle.p_hat_hat * bundle.p_norm if bundle.p_hat_hat is not None else None
-        self.r_prev_real = bundle.r_real
-        self.r_prev_hat = bundle.r_hat
+        self.p_prev_real = bundle.p_hat * bundle.p_norm
+        self.p_prev_hat = bundle.p_hat_hat * bundle.p_norm
+        self.r_prev = bundle.r
         return step_inf
-
-    def _accept_extra(self, c: float, s: float, nn: float, bundle: _Bundle) -> None:
-        pass
-
-    def final_residual(self) -> tuple[np.ndarray, float]:
-        raise NotImplementedError
-
-
-class _EngineA(_EngineBase):
-    """Real-space residual engine: identity, potential, c2 and sym kinds.
-
-    Maintains the Laplacian of the iterate in real space, so the residual
-    and its sup norm are available without transforms.
-    """
-
-    def __init__(self, phi0, params, cfg, counter):
-        super().__init__(phi0, params, cfg, counter)
-        self.du = spectral.laplacian_from_hat(self.grid, self.uhat, counter)
-        self.r = None
-
-    def begin(self) -> float | None:
-        pot, inter2, rot = self._pointwise_scalars()
-        kin = -0.5 * self._rdot(self.u, self.du)
-        self._finish_scalars(kin, pot, inter2, rot)
-        hu = -0.5 * self.du + (self.v + self.eta * self.dens) * self.u
-        if self.lu is not None:
-            hu -= self.omega * self.lu
-        self.r = hu - self.lam * self.u
-        return float(np.max(np.abs(self.r)))
-
-    def direction(self, force_restart: bool) -> _Bundle | None:
-        g = self.grid
-        kind = self.cfg.precond
-        alpha = self._shift()
-        pr_hat = None
-        if kind == precond.IDENTITY:
-            pr = self.r
-        elif kind == precond.POTENTIAL:
-            pr = self.r / (alpha + self.v + self.eta * self.dens)
-        elif kind == precond.COMBINED2:  # P_Delta P_V
-            t = self.r / (alpha + self.v + self.eta * self.dens)
-            pr_hat = g.fft(t, self.counter) / (alpha + 0.5 * g.k2)
-            pr = g.ifft(pr_hat, self.counter)
-        else:  # symmetrized combination
-            sq = np.sqrt(1.0 / (alpha + self.v + self.eta * self.dens))
-            t_hat = g.fft(sq * self.r, self.counter) / (alpha + 0.5 * g.k2)
-            pr = sq * g.ifft(t_hat, self.counter)
-        dvec, beta, restarted = self._mix_cg(
-            pr, self.r, self.r_prev_real, self.p_prev_real, self.u, self._rdot,
-            force_restart)
-        c_u = self._rdot(self.u, dvec)
-        p = dvec - c_u * self.u
-        p_norm = float(np.sqrt(self.hd) * np.linalg.norm(p.ravel()))
-        if not np.isfinite(p_norm) or p_norm == 0.0:
-            return None
-        p_hat = p / p_norm
-        if pr_hat is not None:
-            # c2 keeps the Fourier image of Pr (and of p_prev), hence p_hat
-            # comes for free by linearity
-            dvec_hat = -pr_hat if beta == 0.0 else -pr_hat + beta * self.p_prev_hat
-            p_hat_hat = (dvec_hat - c_u * self.uhat) / p_norm
-        else:
-            p_hat_hat = g.fft(p_hat, self.counter)
-        dp = spectral.laplacian_from_hat(g, p_hat_hat, self.counter)
-        lp = spectral.lz_from_hat(g, p_hat_hat, self.counter) if self.lu is not None else None
-        kin_p = -0.5 * self._rdot(p_hat, dp)
-        kin_c = -0.5 * self._rdot(self.u, dp)
-        arc = self._arc(p_hat, kin_p, kin_c, lp)
-        if arc.slope0 > 0.0:
-            p_hat = -p_hat
-            p_hat_hat = -p_hat_hat
-            dp = -dp
-            lp = -lp if lp is not None else None
-            arc.flip()
-        return _Bundle(arc=arc, p_hat=p_hat, p_hat_hat=p_hat_hat, dp_hat=dp,
-                       lp_hat=lp, p_norm=p_norm, beta=beta, restarted=restarted,
-                       r_real=self.r, r_hat=None, prp=self._last_prp)
-
-    def _accept_extra(self, c, s, nn, bundle):
-        self.du = (c * self.du + s * bundle.dp_hat) / nn
-
-    def final_residual(self):
-        r_inf = self.begin()
-        return self.r, r_inf
-
-
-class _EngineB(_EngineBase):
-    """Fourier-space residual engine: kinetic and c1 kinds.
-
-    The residual is assembled in Fourier space (one forward transform of
-    the pointwise part), kinetic inner products are evaluated by Parseval,
-    and the Laplacian of the iterate is never materialized.
-    """
-
-    def __init__(self, phi0, params, cfg, counter):
-        super().__init__(phi0, params, cfg, counter)
-        self.r_hat = None
-        self.r_real = None
-        self.kin_u = 0.0
-        # c1 under pcg needs the residual pointwise for the PR inner products
-        self.need_r_real = (
-            cfg.stop == STOP_RESIDUAL
-            or (cfg.precond == precond.COMBINED1 and cfg.method == "pcg")
-        )
-
-    def begin(self) -> float | None:
-        g = self.grid
-        pot, inter2, rot = self._pointwise_scalars()
-        self.kin_u = 0.5 * self.scale * float(np.sum(g.k2 * np.abs(self.uhat) ** 2))
-        self._finish_scalars(self.kin_u, pot, inter2, rot)
-        gvec = (self.v + self.eta * self.dens - self.lam) * self.u
-        if self.lu is not None:
-            gvec -= self.omega * self.lu
-        self.r_hat = 0.5 * g.k2 * self.uhat + g.fft(gvec, self.counter)
-        if self.need_r_real:
-            self.r_real = g.ifft(self.r_hat, self.counter)
-            return float(np.max(np.abs(self.r_real)))
-        self.r_real = None
-        return None
-
-    def direction(self, force_restart: bool) -> _Bundle | None:
-        g = self.grid
-        alpha = self._shift()
-        fdiag = 1.0 / (alpha + 0.5 * g.k2)
-        if self.cfg.precond == precond.KINETIC:
-            pr_hat = fdiag * self.r_hat
-            dvec_hat, beta, restarted = self._mix_cg(
-                pr_hat, self.r_hat, self.r_prev_hat, self.p_prev_hat,
-                self.uhat, self._rdot_hat, force_restart)
-            c_u = self._rdot_hat(self.uhat, dvec_hat)
-            p_hat_fourier = dvec_hat - c_u * self.uhat
-            p_norm = float(np.sqrt(self.scale) * np.linalg.norm(p_hat_fourier.ravel()))
-            if not np.isfinite(p_norm) or p_norm == 0.0:
-                return None
-            p_hat_hat = p_hat_fourier / p_norm
-            p_hat = g.ifft(p_hat_hat, self.counter)
-        else:  # c1: P_V P_Delta
-            s_real = g.ifft(fdiag * self.r_hat, self.counter)
-            pr = s_real / (alpha + self.v + self.eta * self.dens)
-            dvec, beta, restarted = self._mix_cg_c1(pr, force_restart)
-            c_u = self._rdot(self.u, dvec)
-            p = dvec - c_u * self.u
-            p_norm = float(np.sqrt(self.hd) * np.linalg.norm(p.ravel()))
-            if not np.isfinite(p_norm) or p_norm == 0.0:
-                return None
-            p_hat = p / p_norm
-            p_hat_hat = g.fft(p_hat, self.counter)
-        lp = spectral.lz_from_hat(g, p_hat_hat, self.counter) if self.lu is not None else None
-        kin_p = 0.5 * self.scale * float(np.sum(g.k2 * np.abs(p_hat_hat) ** 2))
-        kin_c = 0.5 * self.scale * np.vdot(self.uhat, g.k2 * p_hat_hat).real
-        arc = self._arc(p_hat, kin_p, kin_c, lp)
-        if arc.slope0 > 0.0:
-            p_hat = -p_hat
-            p_hat_hat = -p_hat_hat
-            lp = -lp if lp is not None else None
-            arc.flip()
-        return _Bundle(arc=arc, p_hat=p_hat, p_hat_hat=p_hat_hat, dp_hat=None,
-                       lp_hat=lp, p_norm=p_norm, beta=beta, restarted=restarted,
-                       r_real=self.r_real, r_hat=self.r_hat, prp=self._last_prp)
-
-    def _mix_cg_c1(self, pr: np.ndarray, force_restart: bool):
-        """PR mixing for c1, where Pr lives in real space."""
-        if self.cfg.method == "pcg" and self.r_real is None:
-            # needed for the beta inner products; counted honestly
-            self.r_real = self.grid.ifft(self.r_hat, self.counter)
-        if self.r_real is not None:
-            return self._mix_cg(pr, self.r_real, self.r_prev_real,
-                                self.p_prev_real, self.u, self._rdot,
-                                force_restart)
-        # plain gradient direction
-        self._last_prp = np.nan
-        return -pr, 0.0, force_restart
-
-    def final_residual(self):
-        self.need_r_real = True
-        self.begin()
-        return self.r_real, float(np.max(np.abs(self.r_real)))
-
-    @property
-    def kinetic_of_iterate(self) -> float:
-        return self.kin_u
-
-
-_ENGINE_FOR_KIND = {
-    precond.IDENTITY: _EngineA,
-    precond.POTENTIAL: _EngineA,
-    precond.COMBINED2: _EngineA,
-    precond.COMBINED_SYM: _EngineA,
-    precond.KINETIC: _EngineB,
-    precond.COMBINED1: _EngineB,
-}
 
 
 def solve(phi0: WaveField, params: ModelParams, cfg: SolverConfig,
@@ -636,21 +436,17 @@ def solve(phi0: WaveField, params: ModelParams, cfg: SolverConfig,
     """Run the configured PG/PCG ground-state iteration from phi0."""
     t0 = time.perf_counter()
     counter = counter if counter is not None else FFTCounter()
-    engine_cls = _ENGINE_FOR_KIND[cfg.precond]
-    engine = engine_cls(phi0, params, cfg, counter)
+    engine = _Engine(phi0, params, cfg, counter)
     records: list[IterationRecord] = []
     converged = False
     stop_reason = "max_iter"
     force_restart = False
-    r_inf = None
-    first = True
     while len(records) < cfg.max_iter:
         count0 = counter.count
         r_inf = engine.begin()
-        if first:
+        if not records:
             # energy of the initial iterate, from the bootstrapped state
             engine.energy = engine.qa + 0.5 * engine.eta * engine.hd * engine.q40
-            first = False
         if not np.isfinite(engine.energy) or not np.isfinite(engine.lam):
             stop_reason = "diverged"
             break
@@ -705,16 +501,13 @@ def solve(phi0: WaveField, params: ModelParams, cfg: SolverConfig,
             energy_delta=d_e,
             restarted=bundle.restarted,
         ))
-        if cfg.stop == STOP_ENERGY and abs(d_e) <= cfg.tol:
+        if check_stop(records[-1], cfg.stop, cfg.tol):
             converged = True
-            stop_reason = "energy_diff"
-            break
-        if cfg.stop == STOP_ITERATE and step_inf <= cfg.tol:
-            converged = True
-            stop_reason = "iterate_diff"
+            stop_reason = cfg.stop
             break
     phi = WaveField(engine.grid, engine.u)
-    _, final_r_inf = engine.final_residual()
+    engine.need_r_real = True
+    final_r_inf = engine.begin()
     breakdown = model.energy(phi, params)
     return SolveResult(
         phi=phi,

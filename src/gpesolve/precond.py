@@ -5,7 +5,9 @@ combination.
 All kinds are built from two diagonals refreshed at the current iterate:
 a Fourier diagonal 1/(alpha + |xi|^2/2) and a real-space diagonal
 1/(alpha + V + eta |phi_n|^2).  The shift alpha defaults to the
-characteristic energy of the iterate (adaptive policy).
+characteristic energy of the iterate (adaptive policy).  This module is the
+only place the diagonals are built and applied; the optimizer, the MINRES
+baselines and the conditioning diagnostic all go through it.
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ COMBINED_SYM = "sym"
 
 KINDS = (IDENTITY, KINETIC, POTENTIAL, COMBINED1, COMBINED2, COMBINED_SYM)
 
-# cost-model surcharge in transform units on top of the 3-transform
-# (forward + Laplacian + angular momentum) optimizer iteration
-FFT_SURCHARGE = {IDENTITY: 0, KINETIC: 0, POTENTIAL: 0, COMBINED1: 1, COMBINED2: 1, COMBINED_SYM: 2}
+# kinds whose first factor is the Fourier diagonal: they act on the
+# transform of the residual, so the optimizer assembles the residual there
+FOURIER_FIRST = (KINETIC, COMBINED1)
+_FOURIER_DIAG = (KINETIC, COMBINED1, COMBINED2, COMBINED_SYM)
+_REAL_DIAG = (POTENTIAL, COMBINED1, COMBINED2, COMBINED_SYM)
 
 
 @dataclass
@@ -48,25 +52,51 @@ class Preconditioner:
     fourier_diag: np.ndarray | None = None
     real_diag: np.ndarray | None = None
 
-    @property
-    def sqrt_real_diag(self) -> np.ndarray:
-        return np.sqrt(self.real_diag)
+    def apply_pair(
+        self, r: np.ndarray, counter: FFTCounter | None = None, transformed: bool = False,
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Apply to grid values r, or to their transform when `transformed`.
+
+        Returns (Pr, transform of Pr).  The transform is returned only where
+        it is formed on the way (kinetic, c2), else None.  Pr is None only
+        for the kinetic kind applied to a transform: its result is left in
+        Fourier space.  The identity returns r itself.
+        """
+        g = self.grid
+        if self.kind in FOURIER_FIRST:
+            pr_hat = self.fourier_diag * (r if transformed else g.fft(r, counter))
+            if self.kind == COMBINED1:  # P_V P_Delta
+                return self.real_diag * g.ifft(pr_hat, counter), None
+            return (None if transformed else g.ifft(pr_hat, counter)), pr_hat
+        if transformed:
+            r = g.ifft(r, counter)
+        if self.kind == IDENTITY:
+            return r, None
+        if self.kind == POTENTIAL:
+            return self.real_diag * r, None
+        if self.kind == COMBINED2:  # P_Delta P_V
+            pr_hat = self.fourier_diag * g.fft(self.real_diag * r, counter)
+            return g.ifft(pr_hat, counter), pr_hat
+        sq = np.sqrt(self.real_diag)
+        return sq * g.ifft(self.fourier_diag * g.fft(sq * r, counter), counter), None
 
     def apply_values(self, r: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
-        """Apply to raw grid values (used by the solvers and tests)."""
-        g = self.grid
-        if self.kind == IDENTITY:
-            return r.copy()
-        if self.kind == POTENTIAL:
-            return self.real_diag * r
-        if self.kind == KINETIC:
-            return g.ifft(self.fourier_diag * g.fft(r, counter), counter)
-        if self.kind == COMBINED1:  # P_V P_Delta
-            return self.real_diag * g.ifft(self.fourier_diag * g.fft(r, counter), counter)
-        if self.kind == COMBINED2:  # P_Delta P_V
-            return g.ifft(self.fourier_diag * g.fft(self.real_diag * r, counter), counter)
-        sq = self.sqrt_real_diag
-        return sq * g.ifft(self.fourier_diag * g.fft(sq * r, counter), counter)
+        """Pr for raw grid values (MINRES baselines, conditioning diagnostic)."""
+        pr, _ = self.apply_pair(r, counter)
+        return r.copy() if pr is r else pr
+
+
+def from_density(
+    kind: str, grid: Grid, alpha: float, v: np.ndarray | None, eta: float,
+    dens: np.ndarray | None,
+) -> Preconditioner:
+    """Preconditioner of `kind` with shift alpha at an iterate of density
+    dens = |phi_n|^2 in the sampled potential v.  The identity and kinetic
+    kinds read neither, so v and dens may be None for them."""
+    fourier_diag = 1.0 / (alpha + 0.5 * grid.k2) if kind in _FOURIER_DIAG else None
+    real_diag = 1.0 / (alpha + v + eta * dens) if kind in _REAL_DIAG else None
+    return Preconditioner(kind=kind, grid=grid, alpha=alpha, fourier_diag=fourier_diag,
+                          real_diag=real_diag)
 
 
 def build(
@@ -90,14 +120,11 @@ def build(
         alpha = float(shift)
     if alpha <= 0:
         raise ValueError(f"preconditioner shift must be positive, got {alpha}")
-    fourier_diag = None
-    real_diag = None
-    if kind in (KINETIC, COMBINED1, COMBINED2, COMBINED_SYM):
-        fourier_diag = 1.0 / (alpha + 0.5 * g.k2)
-    if kind in (POTENTIAL, COMBINED1, COMBINED2, COMBINED_SYM):
+    v = dens = None
+    if kind in _REAL_DIAG:
         v = model.sample_potential(params.potential, g)
-        real_diag = 1.0 / (alpha + v + params.eta * np.abs(phi_n.values) ** 2)
-    return Preconditioner(kind=kind, grid=g, alpha=alpha, fourier_diag=fourier_diag, real_diag=real_diag)
+        dens = np.abs(phi_n.values) ** 2
+    return from_density(kind, g, alpha, v, params.eta, dens)
 
 
 def apply(p: Preconditioner, r: WaveField, counter: FFTCounter | None = None) -> WaveField:

@@ -7,8 +7,6 @@ import dataclasses
 import os
 import time
 
-import numpy as np
-
 from . import classic, io, model, optim, spectral
 from .config import RunConfig
 from .optim import SolveResult
@@ -70,7 +68,6 @@ def _summary_dict(cfg: RunConfig, result: SolveResult, grid: Grid) -> dict:
 def run_single(cfg: RunConfig, outdir: str) -> dict:
     """Solve one configuration and write convergence CSV, field dump,
     density CSV, and a key = value summary."""
-    np.random.seed(cfg.seed % 2**32)
     grid = cfg.grid()
     params = cfg.model_params()
     phi0 = initial_field(cfg, grid, params)
@@ -95,7 +92,6 @@ def run_multigrid(cfg: RunConfig, outdir: str) -> dict:
     schedule = cfg.multigrid_schedule()
     if not schedule:
         return run_single(cfg, outdir)
-    np.random.seed(cfg.seed % 2**32)
     params = cfg.model_params()
     os.makedirs(outdir, exist_ok=True)
     t0 = time.perf_counter()

@@ -1,11 +1,18 @@
-"""Independent dense oracles used by the tests.
+"""Independent oracles used by the tests.
 
-Everything here is built from explicit DFT matrices and direct summation,
-not from the package's transform helpers, so oracle and implementation
-stay on separate code paths.
+The dense oracles are built from explicit DFT matrices and direct
+summation, not from the package's transform helpers, so oracle and
+implementation stay on separate code paths.  The unfused sphere operators
+at the end (tangent projection, second-order angle, arc step, exact line
+search) are composed from the package's plain operators rather than from
+the fused iteration engine that the solvers run.
 """
 
 import numpy as np
+
+from gpesolve import model, spectral
+from gpesolve.optim import _Arc, _minimize_arc
+from gpesolve.spectral import WaveField
 
 
 def dft_matrix(m: int) -> np.ndarray:
@@ -78,3 +85,84 @@ def trig_interpolant(values: np.ndarray, box: float, targets: np.ndarray) -> np.
         else:
             out += coeff[j] * np.exp(1j * p * np.pi / box * (targets + box))
     return out
+
+
+# ---------------------------------------------------------------------------
+# unfused sphere operators
+# ---------------------------------------------------------------------------
+
+def tangent_project(d: WaveField, phi: WaveField) -> WaveField:
+    """Project onto the tangent space at phi: d - Re<phi, d> phi."""
+    c = spectral.inner(phi, d).real
+    return WaveField(d.grid, d.values - c * phi.values)
+
+
+def theta_opt(phi: WaveField, p_dir: WaveField, grad: WaveField,
+              params: model.ModelParams, lam: float) -> tuple[float, float]:
+    """Second-order optimal arc angle along the normalized direction.
+
+    Returns (theta, denom) where denom is the curvature of the energy
+    along the retraction arc, E''(0) = hessian_quadratic_form(phi, p_hat)
+    - 2*lambda; callers must fall back to a default angle when denom <= 0.
+    """
+    pnorm = spectral.norm(p_dir)
+    if pnorm == 0.0:
+        raise ValueError("zero search direction")
+    p_hat = WaveField(p_dir.grid, p_dir.values / pnorm)
+    slope = spectral.inner(grad, p_hat).real
+    denom = model.hessian_quadratic_form(phi, p_hat, params) - 2.0 * lam
+    theta = -slope / denom if denom != 0.0 else np.inf
+    return theta, denom
+
+
+def step(phi: WaveField, p_dir: WaveField, theta: float) -> WaveField:
+    """Great-circle update cos(theta) phi + sin(theta) p_hat, renormalized."""
+    pnorm = spectral.norm(p_dir)
+    if pnorm == 0.0:
+        return phi.copy()
+    values = np.cos(theta) * phi.values + np.sin(theta) * (p_dir.values / pnorm)
+    return WaveField(phi.grid, values).normalized()
+
+
+def _arc_from_fields(phi: WaveField, p_hat: WaveField, params: model.ModelParams) -> _Arc:
+    """Arc coefficients computed with the plain (unfused) operators."""
+    g = phi.grid
+    hd = g.cell_volume
+    v = model.sample_potential(params.potential, g)
+    u = phi.values
+    p = p_hat.values
+    du = spectral.apply_laplacian(phi).values
+    dp = spectral.apply_laplacian(p_hat).values
+    qa = -0.5 * hd * np.vdot(u, du).real + hd * float(np.sum(v * np.abs(u) ** 2))
+    qb = -0.5 * hd * np.vdot(p, dp).real + hd * float(np.sum(v * np.abs(p) ** 2))
+    qc = -0.5 * hd * np.vdot(u, dp).real + hd * float(np.sum(v * (np.conj(u) * p).real))
+    if params.omega != 0.0:
+        lu = spectral.apply_lz(phi).values
+        lp = spectral.apply_lz(p_hat).values
+        qa += -params.omega * hd * np.vdot(u, lu).real
+        qb += -params.omega * hd * np.vdot(p, lp).real
+        qc += -params.omega * hd * np.vdot(u, lp).real
+    a0 = np.abs(u) ** 2
+    a1 = np.abs(p) ** 2
+    a2 = (np.conj(u) * p).real
+    return _Arc(
+        qa=qa, qb=qb, qc=qc,
+        q40=float(np.sum(a0 * a0)), q04=float(np.sum(a1 * a1)),
+        q22a=float(np.sum(a0 * a1)), q22b=float(np.sum(a2 * a2)),
+        q31=float(np.sum(a0 * a2)), q13=float(np.sum(a1 * a2)),
+        eta_hd=params.eta * hd,
+    )
+
+
+def linesearch_full(phi: WaveField, p_dir: WaveField, params: model.ModelParams) -> float:
+    """Exact one-dimensional energy minimization along the arc.
+
+    The quadratic part of E(theta) reduces to three cached inner products
+    and the quartic part to six pointwise sums, so the minimization costs
+    no transforms beyond those needed for the coefficients.
+    """
+    pnorm = spectral.norm(p_dir)
+    if pnorm == 0.0:
+        raise ValueError("zero search direction")
+    p_hat = WaveField(p_dir.grid, p_dir.values / pnorm)
+    return _minimize_arc(_arc_from_fields(phi, p_hat, params))

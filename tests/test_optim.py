@@ -17,20 +17,16 @@ from gpesolve import (
     harmonic_lattice,
     half_square,
     inner,
-    linesearch_full,
     norm,
     residual,
     solve_pcg,
     solve_pg,
-    step,
-    tangent_project,
-    theta_opt,
     thomas_fermi_initial,
 )
 from gpesolve import model
 from gpesolve.optim import IterationRecord, SolverConfig, check_stop, solve
 
-from oracles import dense_hamiltonian_1d
+from oracles import dense_hamiltonian_1d, linesearch_full, step, tangent_project, theta_opt
 
 
 def random_normalized(grid, seed=0):
@@ -315,8 +311,7 @@ class TestCheckStop:
 
     def test_zero_energy_change_stops(self):
         cfg = SolverConfig(stop="energy_diff", tol=1e-12)
-        history = [self._record(energy_delta=0.0)]
-        assert check_stop(history, cfg)
+        assert check_stop(self._record(energy_delta=0.0), cfg.stop, cfg.tol)
 
     def test_zero_tolerance_never_stops(self):
         cfg = SolverConfig(stop="energy_diff", tol=0.0)
@@ -328,8 +323,8 @@ class TestCheckStop:
             res = solve(phi0, params, SolverConfig(method="pcg", precond="sym", tol=0.0,
                                                    max_iter=120))
         assert res.stop_reason in ("max_iter", "backtracking_exhausted")
-        assert not any(check_stop(res.records[: k + 1], cfg) and res.records[k].energy_delta != 0
-                       for k in range(len(res.records)))
+        assert not any(check_stop(rec, cfg.stop, cfg.tol) and rec.energy_delta != 0
+                       for rec in res.records)
 
     def test_energy_triggers_before_iterate_on_linear_run(self):
         g = Grid(1, 16.0, 128)
@@ -343,8 +338,28 @@ class TestCheckStop:
         assert res_e.converged and res_i.converged
         assert res_e.iterations < res_i.iterations
 
-    def test_empty_history(self):
-        assert not check_stop([], SolverConfig())
+
+class TestTransformBudget:
+    # per-iteration transform units with the default energy_diff stop;
+    # c1 under pcg brings its residual to real space for one unit more
+    UNITS_2D = {"identity": 3, "kinetic": 3, "potential": 3, "c1": 4, "c2": 4, "sym": 5}
+
+    @pytest.mark.parametrize("method", ["pg", "pcg"])
+    @pytest.mark.parametrize("kind", list(UNITS_2D))
+    def test_units_per_iteration(self, kind, method):
+        extra = 1 if (kind, method) == ("c1", "pcg") else 0
+        cases = (
+            # rotating 2D: forward + Laplacian + angular momentum
+            (Grid(2, 8.0, 32), ModelParams(eta=100.0, omega=0.5, potential=half_square()), "d", 0),
+            # no rotation: one unit fewer
+            (Grid(1, 16.0, 128), ModelParams(eta=250.0, omega=0.0,
+                                             potential=harmonic_lattice(1.0, 25.0, np.pi / 2)), "tf", -1),
+        )
+        for grid, params, guess, offset in cases:
+            phi0 = model.initial_guess(guess, grid, params)
+            res = solve(phi0, params, SolverConfig(method=method, precond=kind, max_iter=30))
+            assert res.records
+            assert {r.fft_count for r in res.records} == {self.UNITS_2D[kind] + offset + extra}
 
 
 class TestSolverInvariants:

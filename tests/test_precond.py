@@ -135,6 +135,29 @@ class TestOperatorProperties:
             # positive definiteness on a nonzero vector
             assert inner(u, pu).real > 0
 
+    @pytest.mark.parametrize("kind", ["identity", "kinetic", "potential", "c1", "c2", "sym"])
+    def test_one_apply_on_values_and_transform(self, kind):
+        # apply_pair on grid values and on their transform agrees with
+        # apply_values; a transform it returns is the transform of Pr
+        for d, m in ((1, 32), (2, 16)):
+            g = Grid(d, 6.0, m)
+            params = ModelParams(eta=15.0, omega=0.0, potential=harmonic(1.0))
+            p = build_preconditioner(kind, random_normalized(g, m + d), params)
+            rng = np.random.default_rng(60 + m)
+            r = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+            expected = p.apply_values(r)
+            for transformed, arg in ((False, r), (True, np.fft.fftn(r))):
+                pr, pr_hat = p.apply_pair(arg, transformed=transformed)
+                if pr is None:  # left in Fourier space
+                    assert (kind, transformed) == ("kinetic", True)
+                    pr = np.fft.ifftn(pr_hat)
+                assert np.max(np.abs(pr - expected)) <= 1e-14 * np.max(np.abs(expected))
+                if kind == "c2":
+                    assert pr_hat is not None
+                if pr_hat is not None:
+                    err = np.max(np.abs(pr_hat - np.fft.fftn(pr)))
+                    assert err <= 1e-14 * np.max(np.abs(pr_hat))
+
     def test_sym_hermitian_random(self, setup_1d):
         g, params, phi = setup_1d
         p = build_preconditioner("sym", phi, params)
