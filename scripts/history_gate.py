@@ -20,8 +20,9 @@ which saves rerunning an unchanged tree.  The grid:
 Every numeric IterationRecord column, the iteration count, the stop reason,
 the final energy, multiplier and residual, and fft_total must agree.  Floats
 are compared through repr(), so NaN equals NaN and -0.0 differs from 0.0.
-The final field is compared too and reported separately.  Exit code 0 when
-everything agrees, 1 otherwise.
+The final field is compared too and reported separately, and so is the
+largest relative difference of the final energy over the runs where it
+differs.  Exit code 0 when everything agrees, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -108,6 +109,7 @@ def main(argv: list[str]) -> int:
         new = _run_tree(argv[2], os.path.join(tmp, "new.json"))
     failures = 0
     field_diffs = 0
+    energy_diffs = []  # relative differences of the final energy, where it differs
     for name in sorted(set(old) | set(new)):
         a, b = old.get(name), new.get(name)
         if a is None or b is None:
@@ -116,12 +118,18 @@ def main(argv: list[str]) -> int:
             continue
         bad = [k for k in a if k != "field_sha256" and a[k] != b[k]]
         field_diffs += a["field_sha256"] != b["field_sha256"]
+        if a["energy"] != b["energy"]:
+            e_a, e_b = float(a["energy"]), float(b["energy"])
+            energy_diffs.append(abs(e_b - e_a) / abs(e_a))
         status = "DIFF " + ",".join(bad) if bad else "same"
         failures += bool(bad)
         print(f"{status:<12} {name}: {a['iterations']} iterations, {a['stop_reason']}, "
               f"fft_total {a['fft_total']}")
     print(f"{len(old)} runs, {failures} differ in the history; "
           f"{field_diffs} final fields differ bitwise")
+    if energy_diffs:
+        print(f"final energy differs on {len(energy_diffs)} runs; "
+              f"largest relative difference {max(energy_diffs):.3e}")
     return 1 if failures else 0
 
 

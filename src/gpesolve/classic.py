@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, minres
 
-from . import model, precond, spectral
+from . import model, precond
 from .model import ModelParams
 from .optim import IterationRecord, STOP_ENERGY, STOP_KINDS, SolveResult, check_stop, residual
 from .spectral import FFTCounter, WaveField
@@ -124,23 +124,6 @@ def krylov_solve(
     return WaveField(grid, x), iters
 
 
-def _hamiltonian_applier(phi_n: WaveField, params: ModelParams, counter: FFTCounter | None):
-    """Matrix-free H_{phi_n} with the nonlinear density frozen at phi_n."""
-    g = phi_n.grid
-    v = model.sample_potential(params.potential, g)
-    w = v + params.eta * np.abs(phi_n.values) ** 2
-    omega = params.omega
-
-    def apply_h(values: np.ndarray) -> np.ndarray:
-        hat = g.fft(values, counter)
-        out = -0.5 * spectral.laplacian_from_hat(g, hat, counter) + w * values
-        if omega != 0.0:
-            out -= omega * spectral.lz_from_hat(g, hat, counter)
-        return out
-
-    return apply_h
-
-
 def imaginary_time_step(
     phi_n: WaveField,
     scheme: SchemeKind,
@@ -157,7 +140,7 @@ def imaginary_time_step(
     """
     g = phi_n.grid
     dt = scheme.dt
-    apply_h = _hamiltonian_applier(phi_n, params, counter)
+    apply_h = model.hamiltonian(params, g, np.abs(phi_n.values) ** 2, counter)
     h_phi = apply_h(phi_n.values)
     lam = g.cell_volume * np.vdot(phi_n.values, h_phi).real
     name = scheme.scheme
@@ -439,23 +422,10 @@ def precond_hessian_condition(
     r_inf = float(np.max(np.abs(r.values)))
     if r_inf > 1e-6:
         warning = f"iterate is not stationary (residual sup-norm {r_inf:.2e}); sigma is unreliable"
-    v = model.sample_potential(params.potential, g)
-    w = v + params.eta * np.abs(phi_star.values) ** 2
-    eta = params.eta
-    phi_sq = phi_star.values**2
-
-    def half_hessian_shifted(x: np.ndarray) -> np.ndarray:
-        """(1/2 Hess - lambda) x = (H_phi - lambda) x + eta(|phi|^2 x + phi^2 conj(x))."""
-        hat = g.fft(x)
-        out = -0.5 * spectral.laplacian_from_hat(g, hat) + w * x
-        if params.omega != 0.0:
-            out -= params.omega * spectral.lz_from_hat(g, hat)
-        out += eta * (np.abs(phi_star.values) ** 2 * x + phi_sq * np.conj(x))
-        return out - lam * x
-
+    half_hess = model.half_hessian(params, g, phi_star.values)
     n = g.size
-    b_mat = _real_linear_matrix(half_hessian_shifted, g.shape)
-    p_mat = _real_linear_matrix(lambda x: p.apply_values(x), g.shape)
+    b_mat = _real_linear_matrix(lambda x: half_hess(x) - lam * x, g.shape)  # 1/2 Hess - lambda
+    p_mat = _real_linear_matrix(p.apply_values, g.shape)
     q = _realify(phi_star.values)
     pi = np.eye(2 * n) - g.cell_volume * np.outer(q, q)
     m = pi @ p_mat @ b_mat @ pi

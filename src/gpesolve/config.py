@@ -77,9 +77,6 @@ _DEFAULTS: dict[str, str] = {
     "solver.stop": "energy_diff",
     "solver.tol": "1e-12",
     "solver.max_iter": "10000",
-    "solver.theta_default": "0.1",
-    "solver.backtrack_factor": "0.5",
-    "solver.max_backtracks": "30",
     "solver.full_linesearch": "false",
     "solver.dt": "0.01",
     "solver.inner_tol": "1e-10",
@@ -87,7 +84,6 @@ _DEFAULTS: dict[str, str] = {
     "init.kind": "auto",
     "multigrid.levels": "",
     "output.dir": "",
-    "seed": "0",
 }
 
 _REQUIRED = ("grid.d", "grid.L", "grid.M")
@@ -174,10 +170,6 @@ class RunConfig:
         return self.mapping["solver.method"]
 
     @property
-    def seed(self) -> int:
-        return _to_int(self.mapping["seed"], "seed")
-
-    @property
     def output_dir(self) -> str:
         return self.mapping["output.dir"]
 
@@ -229,9 +221,6 @@ class RunConfig:
                 stop=m["solver.stop"],
                 tol=_to_float(m["solver.tol"], "solver.tol"),
                 max_iter=_to_int(m["solver.max_iter"], "solver.max_iter"),
-                theta_default=_to_float(m["solver.theta_default"], "solver.theta_default"),
-                backtrack_factor=_to_float(m["solver.backtrack_factor"], "solver.backtrack_factor"),
-                max_backtracks=_to_int(m["solver.max_backtracks"], "solver.max_backtracks"),
                 full_linesearch=_to_bool(m["solver.full_linesearch"], "solver.full_linesearch"),
             )
         except ValueError as err:

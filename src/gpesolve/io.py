@@ -20,6 +20,7 @@ from .spectral import Grid, WaveField
 
 MAGIC = b"GPEF"
 VERSION = 1
+HEADER_BYTES = 32  # magic, version, then d, M, L
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -50,19 +51,28 @@ def save_field(path: str, phi: WaveField) -> None:
 
 
 def load_field(path: str) -> WaveField:
+    """Read a GPEF dump; a malformed file raises ValueError naming `path`."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MAGIC:
         raise ValueError(f"{path}: not a GPEF field dump")
+    if len(data) < HEADER_BYTES:
+        raise ValueError(f"{path}: truncated header ({len(data)} of {HEADER_BYTES} bytes)")
     (version,) = struct.unpack_from("<I", data, 4)
     if version != VERSION:
         raise ValueError(f"{path}: unsupported GPEF version {version}")
     d_f, m_f, box = struct.unpack_from("<3d", data, 8)
-    d, m = int(d_f), int(m_f)
-    grid = Grid(d, box, m)
-    flat = np.frombuffer(data, dtype="<c16", offset=32)
-    if flat.size != grid.size:
-        raise ValueError(f"{path}: payload has {flat.size} values, expected {grid.size}")
+    payload = len(data) - HEADER_BYTES
+    if payload % 16:
+        raise ValueError(f"{path}: payload of {payload} bytes is not a multiple of 16")
+    flat = np.frombuffer(data, dtype="<c16", offset=HEADER_BYTES)
+    try:
+        d, m = int(d_f), int(m_f)
+        if d not in (1, 2, 3) or flat.size != m**d:  # checked first: a corrupt M must not allocate
+            raise ValueError(f"payload has {flat.size} values, header gives d = {d}, M = {m}")
+        grid = Grid(d, box, m)
+    except (ValueError, OverflowError) as err:
+        raise ValueError(f"{path}: {err}") from None
     return WaveField(grid, flat.reshape(grid.shape).astype(np.complex128))
 
 

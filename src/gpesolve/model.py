@@ -6,8 +6,10 @@ The energy of a normalized field phi is
                    - omega * conj(phi) Lz phi ],
 
 with mean-field Hamiltonian H_phi = -1/2 Laplacian + V + eta |phi|^2
-- omega Lz, gradient grad E = 2 H_phi phi, and chemical potential
-lambda = <H_phi phi, phi>.
+- omega Lz, gradient grad E = 2 H_phi phi, chemical potential
+lambda = <H_phi phi, phi> and half Hessian x -> H_phi x + eta (|phi|^2 x
++ phi^2 conj(x)).  `hamiltonian` and `half_hessian` are the only places
+these operators are composed.
 """
 
 from __future__ import annotations
@@ -174,27 +176,62 @@ class EnergyBreakdown:
         return self.kinetic + self.potential + self.interaction + self.rotation
 
 
-def _check_finite(phi: WaveField) -> None:
+def energy(phi: WaveField, params: ModelParams, counter: FFTCounter | None = None) -> EnergyBreakdown:
+    """Energy of `phi` split into kinetic/potential/interaction/rotation parts.
+
+    One forward transform feeds both the Laplacian and (when omega != 0)
+    the angular momentum: 2 transform units, 3 with rotation.
+    """
     if not np.all(np.isfinite(phi.values)):
         raise ValueError("field contains NaN or Inf")
-
-
-def energy(phi: WaveField, params: ModelParams, counter: FFTCounter | None = None) -> EnergyBreakdown:
-    """Energy of `phi` split into kinetic/potential/interaction/rotation parts."""
-    _check_finite(phi)
     g = phi.grid
     hd = g.cell_volume
     v = sample_potential(params.potential, g)
-    kinetic = -0.5 * spectral.inner(phi, spectral.apply_laplacian(phi, counter)).real
+    phi_hat = g.fft(phi.values, counter)
+    lap = WaveField(g, spectral.laplacian_from_hat(g, phi_hat, counter))
+    kinetic = -0.5 * spectral.inner(phi, lap).real
     dens = np.abs(phi.values) ** 2
     potential = hd * float(np.sum(v * dens))
     interaction = 0.5 * params.eta * hd * float(np.sum(dens**2))
     rotation = 0.0
     if params.omega != 0.0:
-        if g.d < 2:
-            raise ValueError("rotation requires d >= 2")
-        rotation = -params.omega * spectral.inner(phi, spectral.apply_lz(phi, counter)).real
+        lz = WaveField(g, spectral.lz_from_hat(g, phi_hat, counter))
+        rotation = -params.omega * spectral.inner(phi, lz).real
     return EnergyBreakdown(kinetic, potential, interaction, rotation)
+
+
+def hamiltonian(params: ModelParams, grid: Grid, density: np.ndarray,
+                counter: FFTCounter | None = None):
+    """H = -1/2 Lap + V + eta density - omega Lz with the density frozen, as a
+    map on grid values: one forward transform, the Laplacian and (omega != 0) Lz."""
+    w = sample_potential(params.potential, grid) + params.eta * density
+
+    def apply_h(values: np.ndarray) -> np.ndarray:
+        hat = grid.fft(values, counter)
+        out = -0.5 * spectral.laplacian_from_hat(grid, hat, counter)
+        out += w * values
+        if params.omega != 0.0:
+            out -= params.omega * spectral.lz_from_hat(grid, hat, counter)
+        return out
+
+    return apply_h
+
+
+def half_hessian(params: ModelParams, grid: Grid, phi: np.ndarray,
+                 counter: FFTCounter | None = None):
+    """Half the energy Hessian at grid values phi, as a map on grid values:
+    x -> H_phi x + eta (|phi|^2 x + phi^2 conj(x)).  It is real-linear, not
+    complex-linear, and symmetric under Re<., .>."""
+    dens = np.abs(phi) ** 2
+    apply_h = hamiltonian(params, grid, dens, counter)
+    phi_sq = phi**2
+
+    def apply_b(x: np.ndarray) -> np.ndarray:
+        out = apply_h(x)
+        out += params.eta * (dens * x + phi_sq * np.conj(x))
+        return out
+
+    return apply_b
 
 
 def apply_hamiltonian(
@@ -203,22 +240,10 @@ def apply_hamiltonian(
     params: ModelParams,
     counter: FFTCounter | None = None,
 ) -> WaveField:
-    """Apply H_density = -1/2 Lap + V + eta |density|^2 - omega Lz to phi.
-
-    Uses one forward transform of phi, one inverse transform for the
-    Laplacian and (when omega != 0) one angular-momentum derivative pass.
-    """
+    """Apply H_density = -1/2 Lap + V + eta |density|^2 - omega Lz to phi."""
     spectral.check_same_grid(phi, density)
     g = phi.grid
-    v = sample_potential(params.potential, g)
-    phi_hat = g.fft(phi.values, counter)
-    out = -0.5 * spectral.laplacian_from_hat(g, phi_hat, counter)
-    out += (v + params.eta * np.abs(density.values) ** 2) * phi.values
-    if params.omega != 0.0:
-        if g.d < 2:
-            raise ValueError("rotation requires d >= 2")
-        out -= params.omega * spectral.lz_from_hat(g, phi_hat, counter)
-    return WaveField(g, out)
+    return WaveField(g, hamiltonian(params, g, np.abs(density.values) ** 2, counter)(phi.values))
 
 
 def gradient(phi: WaveField, params: ModelParams, counter: FFTCounter | None = None) -> WaveField:
@@ -228,20 +253,11 @@ def gradient(phi: WaveField, params: ModelParams, counter: FFTCounter | None = N
 
 
 def hessian_quadratic_form(phi: WaveField, f: WaveField, params: ModelParams) -> float:
-    """Second derivative of the energy at phi along f: d^2/dt^2 E(phi + t f).
-
-    Equals 2 Re<f, H_phi f> + 2 eta h^d sum(|phi|^2 |f|^2)
-    + 2 eta Re<phi^2, f^2>; the middle term is required for consistency
-    with finite differences of the gradient.
-    """
+    """Second derivative of the energy at phi along f: d^2/dt^2 E(phi + t f),
+    which is 2 Re<f, half_hessian f>."""
     spectral.check_same_grid(phi, f)
-    hd = phi.grid.cell_volume
-    hf = apply_hamiltonian(f, phi, params)
-    out = 2.0 * spectral.inner(f, hf).real
-    if params.eta != 0.0:
-        out += 2.0 * params.eta * hd * float(np.sum(np.abs(phi.values) ** 2 * np.abs(f.values) ** 2))
-        out += 2.0 * params.eta * hd * float(np.sum((np.conj(phi.values) ** 2 * f.values**2).real))
-    return out
+    bf = half_hessian(params, phi.grid, phi.values)(f.values)
+    return 2.0 * spectral.inner(f, WaveField(f.grid, bf)).real
 
 
 def _require_normalized(phi: WaveField, tol: float = 1e-8) -> None:

@@ -38,6 +38,12 @@ STOP_RESIDUAL = "residual_inf"
 STOP_ITERATE = "iterate_diff"
 STOP_KINDS = (STOP_ENERGY, STOP_RESIDUAL, STOP_ITERATE)
 
+# line search: fallback angle when the arc has no positive curvature, and
+# the step halving applied at most MAX_BACKTRACKS times until E decreases
+THETA_DEFAULT = 0.1
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 30
+
 
 @dataclass
 class SolverConfig:
@@ -49,9 +55,6 @@ class SolverConfig:
     stop: str = STOP_ENERGY
     tol: float = 1e-12
     max_iter: int = 10000
-    theta_default: float = 0.1
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 30
     full_linesearch: bool = False
 
     def __post_init__(self) -> None:
@@ -63,10 +66,8 @@ class SolverConfig:
             raise ValueError(f"unknown stopping criterion {self.stop!r}")
         if self.tol < 0:
             raise ValueError("tol must be nonnegative")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if self.theta_default <= 0:
-            raise ValueError("theta_default must be positive")
+        if self.shift != "adaptive":
+            precond.check_shift(self.shift)
 
 
 @dataclass
@@ -467,21 +468,21 @@ def solve(phi0: WaveField, params: ModelParams, cfg: SolverConfig,
             if curv > 0.0:
                 theta = -arc.slope0 / curv
             else:
-                theta = cfg.theta_default
+                theta = THETA_DEFAULT
             theta = min(theta, 0.5 * np.pi)
             if theta <= 0.0:
-                theta = cfg.theta_default
+                theta = THETA_DEFAULT
         backtracks = 0
         d_e = arc.delta_energy(theta)
-        while d_e >= 0.0 and backtracks < cfg.max_backtracks:
-            theta *= cfg.backtrack_factor
+        while d_e >= 0.0 and backtracks < MAX_BACKTRACKS:
+            theta *= BACKTRACK_FACTOR
             d_e = arc.delta_energy(theta)
             backtracks += 1
         if d_e >= 0.0:
             stop_reason = "backtracking_exhausted"
             warnings.warn(
                 "energy could not be decreased after "
-                f"{cfg.max_backtracks} step halvings (tolerance at roundoff floor?)",
+                f"{MAX_BACKTRACKS} step halvings (tolerance at roundoff floor?)",
                 RuntimeWarning,
             )
             break

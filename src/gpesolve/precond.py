@@ -12,6 +12,8 @@ baselines and the conditioning diagnostic all go through it.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +88,14 @@ class Preconditioner:
         return r.copy() if pr is r else pr
 
 
+def check_shift(shift) -> float:
+    """A preconditioner shift as a float; it must be finite and positive."""
+    alpha = float(shift) if isinstance(shift, numbers.Real) else math.nan
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"preconditioner shift must be positive, got {shift!r}")
+    return alpha
+
+
 def from_density(
     kind: str, grid: Grid, alpha: float, v: np.ndarray | None, eta: float,
     dens: np.ndarray | None,
@@ -109,17 +119,14 @@ def build(
 
     With the adaptive policy the shift is frozen to the characteristic
     energy of phi_n, which is positive for nonnegative traps; a fixed
-    float shift must be positive.
+    shift must be a finite positive number.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown preconditioner kind {kind!r}")
     g = phi_n.grid
     if shift == "adaptive":
-        alpha = model.characteristic_energy(phi_n, params)
-    else:
-        alpha = float(shift)
-    if alpha <= 0:
-        raise ValueError(f"preconditioner shift must be positive, got {alpha}")
+        shift = model.characteristic_energy(phi_n, params)
+    alpha = check_shift(shift)
     v = dens = None
     if kind in _REAL_DIAG:
         v = model.sample_potential(params.potential, g)

@@ -52,7 +52,6 @@ def _summary_dict(cfg: RunConfig, result: SolveResult, grid: Grid) -> dict:
         "eta": cfg.mapping["model.eta"],
         "omega": cfg.mapping["model.omega"],
         "init": cfg.init_kind(),
-        "seed": cfg.seed,
         "converged": str(result.converged).lower(),
         "stop_reason": result.stop_reason,
         "iterations": result.iterations,

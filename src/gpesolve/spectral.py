@@ -18,10 +18,11 @@ class FFTCounter:
     """Tracks the spectral-transform budget of a solver run.
 
     One unit is charged per full d-dimensional forward or inverse
-    transform.  An angular-momentum application (the x*d_y and y*d_x
-    directional-derivative pair) is charged as a single unit: that is the
-    cost-model convention used for the per-iteration budget accounting of
-    the optimizers, where the pair is evaluated in one derivative pass.
+    transform.  The angular momentum Lz is formed from the full transform
+    by two inverse transforms (d_y and d_x), and is charged one unit by
+    convention: that is the cost model of the optimizers' per-iteration
+    budget, so a rotating run executes one more transform per Lz than it
+    is charged.
     """
 
     __slots__ = ("count",)
@@ -100,13 +101,6 @@ class Grid:
         shape[axis] = self.M
         return self.x1.reshape(shape)
 
-    def axis_freqs(self, axis: int, first_derivative: bool = False) -> np.ndarray:
-        """Fourier frequencies along `axis`, broadcastable to the grid shape."""
-        shape = [1] * self.d
-        shape[axis] = self.M
-        freqs = self.freqs_first if first_derivative else self.freqs
-        return freqs.reshape(shape)
-
     def fft(self, values: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
         if counter is not None:
             counter.add()
@@ -175,48 +169,32 @@ def inner_hat(grid: Grid, u_hat: np.ndarray, v_hat: np.ndarray) -> complex:
 def apply_laplacian(phi: WaveField, counter: FFTCounter | None = None) -> WaveField:
     """Apply the periodic Laplacian by Fourier multiplication with -|xi|^2."""
     g = phi.grid
-    out = g.ifft(-g.k2 * g.fft(phi.values, counter), counter)
-    return WaveField(g, out)
+    return WaveField(g, laplacian_from_hat(g, g.fft(phi.values, counter), counter))
 
 
 def laplacian_from_hat(grid: Grid, phi_hat: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
     return grid.ifft(-grid.k2 * phi_hat, counter)
 
 
-def _axis_derivative(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
-    """One-axis spectral derivative: inverse(i*xi * forward) along `axis`."""
-    hat = np.fft.fft(values, axis=axis)
-    return np.fft.ifft(1j * grid.axis_freqs(axis, first_derivative=True) * hat, axis=axis)
-
-
 def apply_lz(phi: WaveField, counter: FFTCounter | None = None) -> WaveField:
-    """Apply the angular-momentum operator -i(x d_y - y d_x).
-
-    Each partial derivative is evaluated by one-axis FFT differentiation;
-    the coordinate products are taken in real space.  Requires d >= 2.
-    """
+    """Apply the angular-momentum operator -i(x d_y - y d_x); requires d >= 2.
+    Charged 2 units: the forward transform and the Lz pass."""
     g = phi.grid
-    if g.d < 2:
-        raise ValueError("the angular-momentum operator requires d >= 2")
-    if counter is not None:
-        counter.add()
-    dy = _axis_derivative(g, phi.values, 1)
-    dx = _axis_derivative(g, phi.values, 0)
-    x = g.coordinate(0)
-    y = g.coordinate(1)
-    return WaveField(g, -1j * (x * dy - y * dx))
+    return WaveField(g, lz_from_hat(g, g.fft(phi.values, counter), counter))
 
 
 def lz_from_hat(grid: Grid, phi_hat: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
-    """Angular-momentum application given the full Fourier transform."""
+    """Angular-momentum application -i(x d_y - y d_x) given the full Fourier
+    transform: two inverse transforms (d_y and d_x), then the coordinate
+    products in real space.  Charged one unit (see FFTCounter)."""
     if grid.d < 2:
         raise ValueError("the angular-momentum operator requires d >= 2")
     if counter is not None:
         counter.add()
-    dy = np.fft.ifftn(1j * grid.axis_freqs(1, first_derivative=True) * phi_hat)
-    dx = np.fft.ifftn(1j * grid.axis_freqs(0, first_derivative=True) * phi_hat)
     x = grid.coordinate(0)
     y = grid.coordinate(1)
+    dy = np.fft.ifftn(1j * grid.freqs_first.reshape(y.shape) * phi_hat)
+    dx = np.fft.ifftn(1j * grid.freqs_first.reshape(x.shape) * phi_hat)
     return -1j * (x * dy - y * dx)
 
 

@@ -140,10 +140,9 @@ class TestImaginaryTimeStep:
     def test_implicit_norm_defect_orders(self):
         # same check through the solver path, via the unnormalized solve
         g, params, phi = linear_harmonic()
-        from gpesolve.classic import _hamiltonian_applier
 
         def defect(scheme_name, dt):
-            apply_h = _hamiltonian_applier(phi, params, None)
+            apply_h = model.hamiltonian(params, g, np.abs(phi.values) ** 2)
             h_phi = apply_h(phi.values)
             lam = g.cell_volume * np.vdot(phi.values, h_phi).real
             if scheme_name == "be":

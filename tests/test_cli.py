@@ -57,6 +57,14 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg]) == 2
         assert "typo.key" in capsys.readouterr().err
 
+    def test_nonpositive_shift_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, HARMONIC_1D)
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", cfg, "--set", "solver.shift=0", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "shift must be positive" in err
+        assert not os.path.exists(out)
+
     def test_unconverged_run_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, HARMONIC_1D + "solver.max_iter = 2\n")
         out = str(tmp_path / "out")

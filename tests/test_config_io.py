@@ -67,6 +67,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="increasing"):
             RunConfig.from_text(MINIMAL + "multigrid.levels = 128,64\n")
 
+    @pytest.mark.parametrize("key", ["solver.theta_default", "solver.backtrack_factor",
+                                     "solver.max_backtracks", "seed"])
+    def test_removed_keys_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_text(MINIMAL + f"{key} = 1\n")
+
     def test_init_kind_validation(self):
         with pytest.raises(ConfigError, match="init.kind"):
             RunConfig.from_text(MINIMAL + "init.kind = vortexlattice\n")
@@ -100,6 +106,30 @@ class TestFieldDump:
         open(path, "wb").write(b"NOPE" + b"\0" * 64)
         with pytest.raises(ValueError, match="GPEF"):
             io.load_field(path)
+
+
+    @pytest.mark.parametrize("cut", [20, -3])
+    def test_truncated_file_names_the_path(self, tmp_path, cut):
+        # cut inside the 32-byte header, and inside the last complex value
+        g = Grid(2, 8.0, 8)
+        path = str(tmp_path / "field.gpef")
+        io.save_field(path, WaveField(g, np.ones(g.shape, dtype=complex)))
+        raw = open(path, "rb").read()
+        open(path, "wb").write(raw[:cut])
+        with pytest.raises(ValueError) as info:
+            io.load_field(path)
+        assert str(info.value).startswith(path + ": ")
+
+    def test_corrupt_grid_size_names_the_path(self, tmp_path):
+        import struct
+        path = str(tmp_path / "field.gpef")
+        io.save_field(path, WaveField(Grid(1, 4.0, 16), np.zeros(16, dtype=complex)))
+        raw = bytearray(open(path, "rb").read())
+        struct.pack_into("<d", raw, 16, 1e12)  # M
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(ValueError, match="payload has 16 values") as info:
+            io.load_field(path)
+        assert str(info.value).startswith(path + ": ")
 
 
 class TestCsvOutputs:

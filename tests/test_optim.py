@@ -418,3 +418,16 @@ class TestSolverInvariants:
         for rec in res.records:
             if rec.beta > 0:
                 assert rec.energy_delta < 0
+
+
+class TestSolverConfigValidation:
+    @pytest.mark.parametrize("shift", [0.0, -1.0, float("nan"), float("inf"), "large"])
+    def test_bad_fixed_shift_rejected(self, shift):
+        # shift 0 once gave converged=True, stop zero_direction, after 0 iterations
+        with pytest.raises(ValueError, match="preconditioner shift must be positive"):
+            SolverConfig(precond="kinetic", shift=shift)
+
+    def test_positive_and_adaptive_shift_accepted(self):
+        assert SolverConfig(precond="kinetic", shift=2.5).shift == 2.5
+        assert SolverConfig(precond="kinetic").shift == "adaptive"
+
