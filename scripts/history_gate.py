@@ -14,6 +14,9 @@ which saves rerunning an unchanged tree.  The grid:
   - 2D: half-square trap, eta = 100, omega = 0.5, L = 8, M = 64, guess d,
     tol 1e-11;
   each with the energy_diff stop and with residual_inf at tol 1e-7;
+* optim.solve for all six preconditioners under pg and pcg on a 3D rotating
+  problem: harmonic trap, eta = 100, omega = 0.5, L = 8, M = 16,
+  Thomas-Fermi guess, energy_diff stop at tol 1e-11;
 * classic.run_imaginary_time with be_lambda, cn_lambda and fe_lambda on a
   small 1D lattice problem under each of the three stops.
 
@@ -74,6 +77,13 @@ def dump(out_path: str) -> None:
                 for method in ("pg", "pcg"):
                     cfg = optim.SolverConfig(method=method, precond=kind, stop=stop, tol=stop_tol)
                     runs[f"optim/{pname}/{stop}/{kind}/{method}"] = _summarize(optim.solve(phi0, params, cfg))
+    grid = Grid(3, 8.0, 16)
+    params = ModelParams(eta=100.0, omega=0.5, potential=model.harmonic())
+    phi0 = model.thomas_fermi_initial(grid, params)
+    for kind in KINDS:
+        for method in ("pg", "pcg"):
+            cfg = optim.SolverConfig(method=method, precond=kind, stop="energy_diff", tol=1e-11)
+            runs[f"optim/3d/energy_diff/{kind}/{method}"] = _summarize(optim.solve(phi0, params, cfg))
     grid = Grid(1, 16.0, 128)
     params = ModelParams(eta=250.0, omega=0.0, potential=lattice)
     phi0 = model.thomas_fermi_initial(grid, params)

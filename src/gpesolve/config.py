@@ -8,7 +8,7 @@ the parsed mapping before typing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import classic, model, optim, precond
 from .model import ModelParams, PotentialSpec
@@ -138,6 +138,7 @@ class RunConfig:
         # eager validation of the typed views
         self.grid()
         self.model_params()
+        self.shift()
         if self.method in OPTIM_METHODS:
             self.solver_config()
         elif self.method in SCHEME_METHODS:
@@ -210,21 +211,36 @@ class RunConfig:
         except ValueError as err:
             raise ConfigError(f"model: {err}", "model.eta") from None
 
+    def shift(self) -> str | float:
+        """`solver.shift`: "adaptive" or a finite positive number, for every method."""
+        shift = self.mapping["solver.shift"]
+        if shift == "adaptive":
+            return shift
+        value = _to_float(shift, "solver.shift")
+        try:
+            return precond.check_shift(value)
+        except ValueError as err:
+            raise ConfigError(f"solver.shift: {err}", "solver.shift") from None
+
     def solver_config(self) -> optim.SolverConfig:
         m = self.mapping
-        shift = m["solver.shift"]
-        try:
-            return optim.SolverConfig(
-                method=m["solver.method"],
-                precond=m["solver.precond"],
-                shift="adaptive" if shift == "adaptive" else _to_float(shift, "solver.shift"),
-                stop=m["solver.stop"],
-                tol=_to_float(m["solver.tol"], "solver.tol"),
-                max_iter=_to_int(m["solver.max_iter"], "solver.max_iter"),
-                full_linesearch=_to_bool(m["solver.full_linesearch"], "solver.full_linesearch"),
-            )
-        except ValueError as err:
-            raise ConfigError(f"solver: {err}", "solver.method") from None
+        fields = {
+            "method": m["solver.method"],
+            "precond": m["solver.precond"],
+            "shift": self.shift(),
+            "stop": m["solver.stop"],
+            "tol": _to_float(m["solver.tol"], "solver.tol"),
+            "max_iter": _to_int(m["solver.max_iter"], "solver.max_iter"),
+            "full_linesearch": _to_bool(m["solver.full_linesearch"], "solver.full_linesearch"),
+        }
+        # set the fields one at a time from valid defaults, so an error names its key
+        cfg = optim.SolverConfig()
+        for name, value in fields.items():
+            try:
+                cfg = replace(cfg, **{name: value})
+            except ValueError as err:
+                raise ConfigError(f"solver.{name}: {err}", f"solver.{name}") from None
+        return cfg
 
     def scheme(self) -> classic.SchemeKind:
         m = self.mapping

@@ -203,9 +203,46 @@ def _minimize_arc(arc: _Arc) -> float:
     return float(res.x)
 
 
+def _line_search(arc: _Arc, full: bool) -> tuple[float, int, float]:
+    """Trial angle (the arc minimizer when `full`, else the second-order
+    one), halved until the energy decreases; returns (theta, halvings,
+    E(theta) - E(0)).  The energy change is still >= 0 when the halvings
+    ran out."""
+    if full:
+        theta = _minimize_arc(arc)
+    else:
+        curv = arc.curvature0
+        if curv > 0.0:
+            theta = -arc.slope0 / curv
+        else:
+            theta = THETA_DEFAULT
+        theta = min(theta, 0.5 * np.pi)
+        if theta <= 0.0:
+            theta = THETA_DEFAULT
+    backtracks = 0
+    d_e = arc.delta_energy(theta)
+    while d_e >= 0.0 and backtracks < MAX_BACKTRACKS:
+        theta *= BACKTRACK_FACTOR
+        d_e = arc.delta_energy(theta)
+        backtracks += 1
+    return theta, backtracks, d_e
+
+
 # ---------------------------------------------------------------------------
 # fused iteration engine
 # ---------------------------------------------------------------------------
+
+def _divide_by_real(x: np.ndarray, d: float) -> None:
+    """x /= d in place, for a contiguous complex array x and a real d > 0.
+
+    numpy divides re + i im by d + 0i as ((re + im*0) * s, (im - re*0) * s)
+    with s = 1/d (Smith's algorithm), so scaling both float64 halves by s
+    gives the same values, apart from the sign of an exact zero, without
+    numpy's complex-division loop (about 7x the cost of a multiply).
+    """
+    halves = x.view(np.float64)
+    halves *= 1.0 / d
+
 
 @dataclass
 class _Bundle:
@@ -282,7 +319,8 @@ class _Engine:
         """Refresh the iterate's scalars and residual; returns the residual
         sup norm, or None when the residual stays in Fourier space."""
         g = self.grid
-        self.dens = np.abs(self.u) ** 2
+        self.dens = np.abs(self.u)
+        np.square(self.dens, out=self.dens)
         pot = self.hd * float(np.sum(self.v * self.dens))
         self.q40 = float(np.sum(self.dens * self.dens))
         inter2 = self.eta * self.hd * self.q40
@@ -298,19 +336,26 @@ class _Engine:
             gvec = (self.v + self.eta * self.dens - self.lam) * self.u
             if self.lu is not None:
                 gvec -= self.omega * self.lu
-            self.r_hat = 0.5 * g.k2 * self.uhat + g.fft(gvec, self.counter)
+            self.r_hat = g.fft(gvec, self.counter)
+            self.r_hat += g.half_k2 * self.uhat
             self.r = g.ifft(self.r_hat, self.counter) if self.need_r_real else None
         else:
-            hu = -0.5 * self.du + (self.v + self.eta * self.dens) * self.u
+            # H u - lam u accumulated in one fresh array (r_prev keeps the last one)
+            r = self.du * -0.5
+            r += (self.v + self.eta * self.dens) * self.u
             if self.lu is not None:
-                hu -= self.omega * self.lu
-            self.r = hu - self.lam * self.u
+                r -= self.omega * self.lu
+            r -= self.lam * self.u
+            self.r = r
         return float(np.max(np.abs(self.r))) if self.r is not None else None
 
     def _arc(self, p_hat: np.ndarray, kin_p: float, kin_c: float,
              lp: np.ndarray | None) -> _Arc:
-        a1 = np.abs(p_hat) ** 2
-        a2 = (np.conj(self.u) * p_hat).real
+        a1 = np.abs(p_hat)
+        np.square(a1, out=a1)
+        a2 = np.conj(self.u)
+        a2 *= p_hat
+        a2 = a2.real
         qb = kin_p + self.hd * float(np.sum(self.v * a1))
         qc = kin_c + self.hd * float(np.sum(self.v * a2))
         if lp is not None:
@@ -373,16 +418,18 @@ class _Engine:
         else:
             r, p_prev, u_rep, w = self.r, self.p_prev_real, self.u, self.hd
         dvec, beta, restarted, prp = self._mix_cg(pr, r, p_prev, u_rep, w, force_restart)
+        # dvec is a fresh array: project and normalize it in place
         c_u = w * np.vdot(u_rep, dvec).real
-        p_dir = dvec - c_u * u_rep
-        p_norm = float(np.sqrt(w) * np.linalg.norm(p_dir.ravel()))
+        dvec -= c_u * u_rep
+        p_norm = float(np.sqrt(w) * np.linalg.norm(dvec.ravel()))
         if not np.isfinite(p_norm) or p_norm == 0.0:
             return None
+        _divide_by_real(dvec, p_norm)
         if mix_hat:
-            p_hat_hat = p_dir / p_norm
+            p_hat_hat = dvec
             p_hat = g.ifft(p_hat_hat, self.counter)
         else:
-            p_hat = p_dir / p_norm
+            p_hat = dvec
             if pr_hat is not None:
                 # c2 forms the transform of Pr (and so of p_prev) on the
                 # way, hence that of p_hat by linearity
@@ -401,33 +448,39 @@ class _Engine:
             kin_c = -0.5 * self._rdot(self.u, dp)
         arc = self._arc(p_hat, kin_p, kin_c, lp)
         if arc.slope0 > 0.0:
-            p_hat = -p_hat
-            p_hat_hat = -p_hat_hat
-            dp = -dp if dp is not None else None
-            lp = -lp if lp is not None else None
+            for a in (p_hat, p_hat_hat, dp, lp):
+                if a is not None:
+                    np.negative(a, out=a)
             arc.flip()
         return _Bundle(arc=arc, p_hat=p_hat, p_hat_hat=p_hat_hat, dp=dp, lp=lp,
                        p_norm=p_norm, beta=beta, restarted=restarted, r=r, prp=prp)
 
     def accept(self, theta: float, bundle: _Bundle) -> float:
-        """Apply the great-circle update; returns the sup-norm of the step."""
+        """Apply the great-circle update in place; returns the sup-norm of
+        the step.  Consumes the bundle: its arrays are reused."""
         c = np.cos(theta)
         s = np.sin(theta)
-        delta = (c - 1.0) * self.u + s * bundle.p_hat
+        scratch = np.multiply(bundle.p_hat, s)
+        delta = np.multiply(self.u, c - 1.0)
+        delta += scratch
         step_inf = float(np.max(np.abs(delta)))
-        self.u = self.u + delta
+        self.u += delta
         nn = np.sqrt(self.hd) * np.linalg.norm(self.u.ravel())
-        self.u /= nn
-        self.uhat = (c * self.uhat + s * bundle.p_hat_hat) / nn
-        if self.lu is not None:
-            self.lu = (c * self.lu + s * bundle.lp) / nn
-        if self.du is not None:
-            self.du = (c * self.du + s * bundle.dp) / nn
+        _divide_by_real(self.u, nn)
+        # the images follow by the same combination: x <- (c x + s x_p) / nn
+        for x, xp in ((self.uhat, bundle.p_hat_hat), (self.lu, bundle.lp),
+                      (self.du, bundle.dp)):
+            if x is not None:
+                x *= c
+                x += np.multiply(xp, s, out=scratch)
+                _divide_by_real(x, nn)
         self.energy += bundle.arc.delta_energy(theta)
         # CG memory
         self.prp_prev = bundle.prp
-        self.p_prev_real = bundle.p_hat * bundle.p_norm
-        self.p_prev_hat = bundle.p_hat_hat * bundle.p_norm
+        bundle.p_hat *= bundle.p_norm
+        bundle.p_hat_hat *= bundle.p_norm
+        self.p_prev_real = bundle.p_hat
+        self.p_prev_hat = bundle.p_hat_hat
         self.r_prev = bundle.r
         return step_inf
 
@@ -460,24 +513,7 @@ def solve(phi0: WaveField, params: ModelParams, cfg: SolverConfig,
             converged = True
             stop_reason = "zero_direction"
             break
-        arc = bundle.arc
-        if cfg.full_linesearch:
-            theta = _minimize_arc(arc)
-        else:
-            curv = arc.curvature0
-            if curv > 0.0:
-                theta = -arc.slope0 / curv
-            else:
-                theta = THETA_DEFAULT
-            theta = min(theta, 0.5 * np.pi)
-            if theta <= 0.0:
-                theta = THETA_DEFAULT
-        backtracks = 0
-        d_e = arc.delta_energy(theta)
-        while d_e >= 0.0 and backtracks < MAX_BACKTRACKS:
-            theta *= BACKTRACK_FACTOR
-            d_e = arc.delta_energy(theta)
-            backtracks += 1
+        theta, backtracks, d_e = _line_search(bundle.arc, cfg.full_linesearch)
         if d_e >= 0.0:
             stop_reason = "backtracking_exhausted"
             warnings.warn(

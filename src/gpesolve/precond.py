@@ -103,7 +103,7 @@ def from_density(
     """Preconditioner of `kind` with shift alpha at an iterate of density
     dens = |phi_n|^2 in the sampled potential v.  The identity and kinetic
     kinds read neither, so v and dens may be None for them."""
-    fourier_diag = 1.0 / (alpha + 0.5 * grid.k2) if kind in _FOURIER_DIAG else None
+    fourier_diag = 1.0 / (alpha + grid.half_k2) if kind in _FOURIER_DIAG else None
     real_diag = 1.0 / (alpha + v + eta * dens) if kind in _REAL_DIAG else None
     return Preconditioner(kind=kind, grid=grid, alpha=alpha, fourier_diag=fourier_diag,
                           real_diag=real_diag)

@@ -38,6 +38,7 @@ def _solve_once(
         stop=cfg.mapping["solver.stop"],
         tol=tol if tol is not None else float(cfg.mapping["solver.tol"]),
         max_iter=int(cfg.mapping["solver.max_iter"]),
+        shift=cfg.shift(),
     )
 
 

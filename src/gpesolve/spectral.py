@@ -45,6 +45,12 @@ class Grid:
         h: Mesh size 2L/M.
         x1: 1-D coordinate samples, x_k = -L + k*h.
         freqs: 1-D Fourier frequencies p*pi/L in FFT ordering.
+        k2: |xi|^2 on the grid; half_k2 is 0.5*k2 (the kinetic symbol).
+
+    fft and ifft are the only full transforms of the package.  Each writes
+    into a fresh complex array through `out=`, which lets numpy run its
+    passes after the first in place rather than into new strided arrays;
+    the result is the same bit for bit.
     """
 
     d: int
@@ -55,6 +61,7 @@ class Grid:
     freqs: np.ndarray = field(init=False, compare=False, repr=False)
     freqs_first: np.ndarray = field(init=False, compare=False, repr=False)
     k2: np.ndarray = field(init=False, compare=False, repr=False)
+    half_k2: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.d not in (1, 2, 3):
@@ -82,6 +89,7 @@ class Grid:
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "freqs_first", freqs_first)
         object.__setattr__(self, "k2", k2)
+        object.__setattr__(self, "half_k2", 0.5 * k2)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -104,12 +112,12 @@ class Grid:
     def fft(self, values: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
         if counter is not None:
             counter.add()
-        return np.fft.fftn(values)
+        return np.fft.fftn(values, out=np.empty(self.shape, np.complex128))
 
     def ifft(self, values_hat: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
         if counter is not None:
             counter.add()
-        return np.fft.ifftn(values_hat)
+        return np.fft.ifftn(values_hat, out=np.empty(self.shape, np.complex128))
 
 
 @dataclass
@@ -193,9 +201,13 @@ def lz_from_hat(grid: Grid, phi_hat: np.ndarray, counter: FFTCounter | None = No
         counter.add()
     x = grid.coordinate(0)
     y = grid.coordinate(1)
-    dy = np.fft.ifftn(1j * grid.freqs_first.reshape(y.shape) * phi_hat)
-    dx = np.fft.ifftn(1j * grid.freqs_first.reshape(x.shape) * phi_hat)
-    return -1j * (x * dy - y * dx)
+    dy = grid.ifft(1j * grid.freqs_first.reshape(y.shape) * phi_hat)
+    dx = grid.ifft(1j * grid.freqs_first.reshape(x.shape) * phi_hat)
+    dy *= x
+    dx *= y
+    dy -= dx
+    dy *= -1j
+    return dy
 
 
 def spectral_interpolate(phi: WaveField, target: Grid) -> WaveField:
@@ -213,7 +225,7 @@ def spectral_interpolate(phi: WaveField, target: Grid) -> WaveField:
     if target.M == g.M:
         return phi.normalized()
     M, M2, d = g.M, target.M, g.d
-    coarse = np.fft.fftshift(np.fft.fftn(phi.values))
+    coarse = np.fft.fftshift(g.fft(phi.values))
     fine = np.zeros(target.shape, dtype=np.complex128)
     off = (M2 - M) // 2
     block = tuple(slice(off, off + M) for _ in range(d))
@@ -226,5 +238,6 @@ def spectral_interpolate(phi: WaveField, target: Grid) -> WaveField:
         nyquist = fine[tuple(lo)].copy()
         fine[tuple(lo)] = 0.5 * nyquist
         fine[tuple(hi)] = fine[tuple(hi)] + 0.5 * nyquist
-    values = np.fft.ifftn(np.fft.ifftshift(fine)) * (M2 / M) ** d
+    values = target.ifft(np.fft.ifftshift(fine))
+    values *= (M2 / M) ** d
     return WaveField(target, values).normalized()

@@ -2,7 +2,9 @@
 
 The dense oracles are built from explicit DFT matrices and direct
 summation, not from the package's transform helpers, so oracle and
-implementation stay on separate code paths.  The unfused sphere operators
+implementation stay on separate code paths.  The plain transforms are
+numpy.fft calls with no output arrays, the reference the package's
+transforms must match bit for bit.  The unfused sphere operators
 at the end (tangent projection, second-order angle, arc step, exact line
 search) are composed from the package's plain operators rather than from
 the fused iteration engine that the solvers run.
@@ -56,6 +58,30 @@ def dense_lz_matrix(m: int, box: float) -> np.ndarray:
     x_dy = np.kron(np.diag(x1), d1)
     y_dx = np.kron(d1, np.diag(x1))
     return -1j * (x_dy - y_dx)
+
+
+# plain numpy.fft transforms with the package's arithmetic, computed out of
+# place: Grid.fft/ifft, laplacian_from_hat and lz_from_hat must equal them
+# bit for bit
+
+def fft_plain(values: np.ndarray) -> np.ndarray:
+    return np.fft.fftn(values)
+
+
+def ifft_plain(values_hat: np.ndarray) -> np.ndarray:
+    return np.fft.ifftn(values_hat)
+
+
+def laplacian_plain(grid, phi_hat: np.ndarray) -> np.ndarray:
+    return np.fft.ifftn(-grid.k2 * phi_hat)
+
+
+def lz_plain(grid, phi_hat: np.ndarray) -> np.ndarray:
+    x = grid.coordinate(0)
+    y = grid.coordinate(1)
+    dy = np.fft.ifftn(1j * grid.freqs_first.reshape(y.shape) * phi_hat)
+    dx = np.fft.ifftn(1j * grid.freqs_first.reshape(x.shape) * phi_hat)
+    return -1j * (x * dy - y * dx)
 
 
 def dense_hamiltonian_1d(m: int, box: float, v: np.ndarray, eta: float = 0.0,

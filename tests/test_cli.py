@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from gpesolve import precond
 from gpesolve.cli import main
 from gpesolve.config import RunConfig
 from gpesolve.runs import run_multigrid, run_single
@@ -64,6 +65,31 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "configuration error" in err and "shift must be positive" in err
         assert not os.path.exists(out)
+
+    def test_imaginary_time_nonpositive_shift_exits_2(self, tmp_path, capsys):
+        text = HARMONIC_1D.replace("solver.method = pcg", "solver.method = be_lambda")
+        cfg = write_cfg(tmp_path, text)
+        out = str(tmp_path / "out")
+        for shift in ("0", "-5"):
+            assert main(["solve", "--config", cfg, "--set", f"solver.shift={shift}",
+                         "--out", out]) == 2
+            assert "shift must be positive" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_imaginary_time_fixed_shift_reaches_preconditioner(self, tmp_path, monkeypatch):
+        text = HARMONIC_1D.replace("solver.method = pcg", "solver.method = be_lambda")
+        cfg = write_cfg(tmp_path, text + "solver.tol = 1e-9\n")
+        shifts = []
+        build = precond.build
+
+        def spy(kind, phi_n, params, shift="adaptive"):
+            shifts.append(shift)
+            return build(kind, phi_n, params, shift)
+
+        monkeypatch.setattr(precond, "build", spy)
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", cfg, "--set", "solver.shift=1e6", "--out", out]) == 0
+        assert shifts and set(shifts) == {1e6}
 
     def test_unconverged_run_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, HARMONIC_1D + "solver.max_iter = 2\n")

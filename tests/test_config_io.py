@@ -73,6 +73,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=key):
             RunConfig.from_text(MINIMAL + f"{key} = 1\n")
 
+    @pytest.mark.parametrize("key,value", [
+        ("solver.stop", "bogus"), ("solver.shift", "0"), ("solver.shift", "-5"),
+        ("solver.shift", "small"), ("solver.tol", "-1"), ("solver.tol", "tiny"),
+        ("solver.precond", "bogus"), ("solver.method", "bogus"),
+        ("solver.max_iter", "many"), ("solver.full_linesearch", "maybe"),
+    ])
+    def test_solver_error_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=key) as info:
+            RunConfig.from_text(MINIMAL, overrides=[f"{key}={value}"])
+        assert info.value.key == key
+
+    @pytest.mark.parametrize("method", ["be_lambda", "cn_lambda", "fe_lambda"])
+    def test_shift_checked_for_imaginary_time(self, method):
+        with pytest.raises(ConfigError, match="shift must be positive") as info:
+            RunConfig.from_text(MINIMAL, overrides=[f"solver.method={method}", "solver.shift=0"])
+        assert info.value.key == "solver.shift"
+        cfg = RunConfig.from_text(MINIMAL, overrides=[f"solver.method={method}", "solver.shift=2.5"])
+        assert cfg.shift() == 2.5
+
     def test_init_kind_validation(self):
         with pytest.raises(ConfigError, match="init.kind"):
             RunConfig.from_text(MINIMAL + "init.kind = vortexlattice\n")

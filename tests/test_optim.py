@@ -23,7 +23,7 @@ from gpesolve import (
     solve_pg,
     thomas_fermi_initial,
 )
-from gpesolve import model
+from gpesolve import model, optim, spectral
 from gpesolve.optim import IterationRecord, SolverConfig, check_stop, solve
 
 from oracles import dense_hamiltonian_1d, linesearch_full, step, tangent_project, theta_opt
@@ -418,6 +418,46 @@ class TestSolverInvariants:
         for rec in res.records:
             if rec.beta > 0:
                 assert rec.energy_delta < 0
+
+
+def test_divide_by_real_matches_numpy_division():
+    # the engine's normalization must keep the iterates bit for bit
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    x[0, :3] = [0.0, -0.0, 1.0]  # exact zeros: equal values, sign may differ
+    for d in (1.0, 1.0 + 2.0**-52, 0.7, 3.1e5):
+        y = x.copy()
+        optim._divide_by_real(y, np.float64(d))
+        assert np.array_equal(y, x / d)
+        assert np.array_equal(y[1:].view(np.uint64), (x[1:] / d).view(np.uint64))
+
+
+class TestFusedImageDrift:
+    """The engine carries the transform, Lz and Laplacian of the iterate by
+    the in-place great-circle update instead of recomputing them; after
+    2000 pg steps they still agree with fresh transforms of the iterate."""
+
+    @pytest.mark.parametrize("kind", ["sym", "kinetic"])
+    def test_images_track_fresh_transforms(self, kind):
+        g = Grid(2, 8.0, 64)
+        params = ModelParams(eta=100.0, omega=0.5, potential=half_square())
+        phi0 = model.initial_guess("d", g, params)
+        engine = optim._Engine(phi0, params, SolverConfig(method="pg", precond=kind),
+                               spectral.FFTCounter())
+        for _ in range(2000):
+            engine.begin()
+            bundle = engine.direction(False)
+            assert bundle is not None
+            theta, _, _ = optim._line_search(bundle.arc, False)
+            engine.accept(theta, bundle)
+        uhat = g.fft(engine.u)
+        fresh = [(engine.uhat, uhat), (engine.lu, spectral.lz_from_hat(g, uhat))]
+        if kind == "sym":  # kinetic keeps its residual in Fourier space: no Laplacian
+            fresh.append((engine.du, spectral.laplacian_from_hat(g, uhat)))
+        else:
+            assert engine.du is None
+        for carried, exact in fresh:
+            assert np.max(np.abs(carried - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 class TestSolverConfigValidation:

@@ -6,7 +6,15 @@ import pytest
 from gpesolve import Grid, WaveField, apply_laplacian, apply_lz, inner, norm, spectral_interpolate
 from gpesolve import spectral
 
-from oracles import dense_lz_matrix, second_derivative_matrix, trig_interpolant
+from oracles import (
+    dense_lz_matrix,
+    fft_plain,
+    ifft_plain,
+    laplacian_plain,
+    lz_plain,
+    second_derivative_matrix,
+    trig_interpolant,
+)
 
 
 def random_field(grid, seed=0):
@@ -158,6 +166,43 @@ class TestLz:
         a = apply_lz(u).values
         b = spectral.lz_from_hat(g, np.fft.fftn(u.values))
         assert np.max(np.abs(a - b)) <= 1e-11 * np.max(np.abs(a))
+
+
+class TestTransforms:
+    """Each transform writes into a fresh output array: the result equals
+    plain numpy.fft bit for bit and the input is left alone."""
+
+    CASES = [(d, real) for d in (1, 2, 3) for real in (True, False)]
+
+    @staticmethod
+    def operators(g):
+        ops = [("fft", g.fft, fft_plain), ("ifft", g.ifft, ifft_plain),
+               ("laplacian", lambda a: spectral.laplacian_from_hat(g, a),
+                lambda a: laplacian_plain(g, a))]
+        if g.d >= 2:
+            ops.append(("lz", lambda a: spectral.lz_from_hat(g, a), lambda a: lz_plain(g, a)))
+        return ops
+
+    @pytest.mark.parametrize("d,real", CASES)
+    def test_matches_plain_numpy_and_keeps_input(self, d, real):
+        g = Grid(d, 5.0, {1: 64, 2: 16, 3: 8}[d])
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal(g.shape)
+        if not real:
+            a = a + 1j * rng.standard_normal(g.shape)
+        before = a.copy()
+        for name, op, plain in self.operators(g):
+            out = op(a)
+            assert out.dtype == np.complex128 and out.shape == g.shape, name
+            assert np.array_equal(out, plain(a)), name
+            assert np.array_equal(a, before), name
+            assert not np.shares_memory(out, a), name
+
+    def test_lz_charges_one_unit(self):
+        g = Grid(2, 5.0, 16)
+        counter = spectral.FFTCounter()
+        spectral.lz_from_hat(g, g.fft(random_field(g).values), counter)
+        assert counter.count == 1
 
 
 class TestInterpolation:
