@@ -232,18 +232,6 @@ def _line_search(arc: _Arc, full: bool) -> tuple[float, int, float]:
 # fused iteration engine
 # ---------------------------------------------------------------------------
 
-def _divide_by_real(x: np.ndarray, d: float) -> None:
-    """x /= d in place, for a contiguous complex array x and a real d > 0.
-
-    numpy divides re + i im by d + 0i as ((re + im*0) * s, (im - re*0) * s)
-    with s = 1/d (Smith's algorithm), so scaling both float64 halves by s
-    gives the same values, apart from the sign of an exact zero, without
-    numpy's complex-division loop (about 7x the cost of a multiply).
-    """
-    halves = x.view(np.float64)
-    halves *= 1.0 / d
-
-
 @dataclass
 class _Bundle:
     """Direction data produced once per iteration."""
@@ -284,7 +272,7 @@ class _Engine:
         self.v = model.sample_potential(params.potential, g)
         self.eta = params.eta
         self.omega = params.omega
-        u = phi0.values.astype(np.complex128)
+        u = np.ascontiguousarray(phi0.values, dtype=np.complex128)
         n = np.sqrt(self.hd) * np.linalg.norm(u.ravel())
         if n == 0:
             raise ValueError("initial field is zero")
@@ -424,7 +412,9 @@ class _Engine:
         p_norm = float(np.sqrt(w) * np.linalg.norm(dvec.ravel()))
         if not np.isfinite(p_norm) or p_norm == 0.0:
             return None
-        _divide_by_real(dvec, p_norm)
+        # numpy divides a complex by a real d as a multiply by 1/d, so this
+        # equals dvec / p_norm bit for bit at the cost of a multiply
+        dvec *= 1.0 / p_norm
         if mix_hat:
             p_hat_hat = dvec
             p_hat = g.ifft(p_hat_hat, self.counter)
@@ -466,14 +456,14 @@ class _Engine:
         step_inf = float(np.max(np.abs(delta)))
         self.u += delta
         nn = np.sqrt(self.hd) * np.linalg.norm(self.u.ravel())
-        _divide_by_real(self.u, nn)
+        self.u *= 1.0 / nn  # == self.u / nn, as in direction
         # the images follow by the same combination: x <- (c x + s x_p) / nn
         for x, xp in ((self.uhat, bundle.p_hat_hat), (self.lu, bundle.lp),
                       (self.du, bundle.dp)):
             if x is not None:
                 x *= c
                 x += np.multiply(xp, s, out=scratch)
-                _divide_by_real(x, nn)
+                x *= 1.0 / nn
         self.energy += bundle.arc.delta_energy(theta)
         # CG memory
         self.prp_prev = bundle.prp
