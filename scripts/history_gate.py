@@ -18,7 +18,10 @@ which saves rerunning an unchanged tree.  The grid:
   problem: harmonic trap, eta = 100, omega = 0.5, L = 8, M = 16,
   Thomas-Fermi guess, energy_diff stop at tol 1e-11;
 * classic.run_imaginary_time with be_lambda, cn_lambda and fe_lambda on a
-  small 1D lattice problem under each of the three stops.
+  small 1D lattice problem under each of the three stops;
+* the config path: RunConfig.from_text and runs._solve_once for pcg/sym and
+  be_lambda/sym on a 1D lattice problem, each with the adaptive shift and
+  with a fixed solver.shift.
 
 Every numeric IterationRecord column, the iteration count, the stop reason,
 the final energy, multiplier and residual, and fft_total must agree.  Floats
@@ -41,6 +44,24 @@ COLUMNS = ("energy", "lam", "r_inf", "step_inf", "theta", "beta", "backtracks",
            "fft_count", "energy_delta", "restarted", "inner_iters")
 KINDS = ("identity", "kinetic", "potential", "c1", "c2", "sym")
 
+CONFIG_1D = """\
+grid.d = 1
+grid.L = 16
+grid.M = 128
+model.eta = 250
+potential.kind = harmonic_plus_lattice
+potential.kappa = 25
+potential.q = 1.5707963267948966
+solver.precond = sym
+solver.max_iter = 3000
+"""
+CONFIG_RUNS = {
+    "pcg/sym": ["solver.method=pcg", "solver.tol=1e-12"],
+    "pcg/sym/shift": ["solver.method=pcg", "solver.tol=1e-12", "solver.shift=50"],
+    "be_lambda/sym": ["solver.method=be_lambda", "solver.tol=1e-10"],
+    "be_lambda/sym/shift": ["solver.method=be_lambda", "solver.tol=1e-10", "solver.shift=150"],
+}
+
 
 def _summarize(result) -> dict:
     return {
@@ -60,7 +81,9 @@ def dump(out_path: str) -> None:
 
     import numpy as np
     from gpesolve import classic, model, optim
+    from gpesolve.config import RunConfig
     from gpesolve.model import ModelParams
+    from gpesolve.runs import _solve_once, initial_field
     from gpesolve.spectral import Grid
 
     lattice = model.harmonic_lattice(1.0, 25.0, np.pi / 2)
@@ -93,6 +116,11 @@ def dump(out_path: str) -> None:
             res = classic.run_imaginary_time(phi0, classic.SchemeKind(scheme=scheme, dt=dt), params,
                                              precond_kind=kind, stop=stop, tol=tol, max_iter=3000)
             runs[f"classic/{scheme}/{stop}"] = _summarize(res)
+    for name, overrides in CONFIG_RUNS.items():
+        cfg = RunConfig.from_text(CONFIG_1D, overrides)
+        grid, params = cfg.grid(), cfg.model_params()
+        res = _solve_once(cfg, grid, params, initial_field(cfg, grid, params))
+        runs[f"config/{name}"] = _summarize(res)
     with open(out_path, "w") as fh:
         json.dump(runs, fh)
 

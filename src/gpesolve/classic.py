@@ -20,7 +20,7 @@ from scipy.sparse.linalg import LinearOperator, minres
 
 from . import model, precond
 from .model import ModelParams
-from .optim import IterationRecord, STOP_ENERGY, STOP_KINDS, SolveResult, check_stop, residual
+from .optim import IterationRecord, STOP_ENERGY, SolveResult, check_options, check_stop, residual
 from .spectral import FFTCounter, WaveField
 
 FE = "fe"
@@ -44,10 +44,12 @@ class SchemeKind:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.inner_tol <= 0:
+        if not self.inner_tol > 0:
             raise ValueError("inner_tol must be positive")
+        if self.inner_max_iter < 1:
+            raise ValueError("inner_max_iter must be positive")
 
 
 class KrylovError(RuntimeError):
@@ -197,8 +199,7 @@ def run_imaginary_time(
     Divergence (energy blow-up or non-finite values, e.g. forward Euler
     beyond its stability bound) is detected and aborts the run.
     """
-    if stop not in STOP_KINDS:
-        raise ValueError(f"unknown stopping criterion {stop!r}")
+    check_options(precond_kind, shift, stop, tol, max_iter)
     t0 = time.perf_counter()
     counter = FFTCounter()
     phi = phi0.normalized()
@@ -352,27 +353,6 @@ def amplification_analysis(
         observed_rate=observed, degenerate=degenerate,
         iterations=len(errors), final_error=errors[-1] if errors else np.nan,
     )
-
-
-def rayleigh_quotient_iteration(h: np.ndarray, phi0: np.ndarray, n_iter: int = 10) -> list[float]:
-    """Demonstration-only RQI trace on a dense Hermitian matrix.
-
-    Returns the Rayleigh quotient per iteration; converges cubically near
-    an eigenpair but needs globalization to be a practical solver.
-    """
-    h = np.asarray(h)
-    n = h.shape[0]
-    x = phi0 / np.linalg.norm(phi0)
-    rhos = []
-    for _ in range(n_iter):
-        rho = float(np.real(np.vdot(x, h @ x)))
-        rhos.append(rho)
-        try:
-            y = np.linalg.solve(h - rho * np.eye(n), x)
-        except np.linalg.LinAlgError:
-            break
-        x = y / np.linalg.norm(y)
-    return rhos
 
 
 # ---------------------------------------------------------------------------

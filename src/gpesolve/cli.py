@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_amp.add_argument("--iters", type=int, default=300)
     p_cond = an_sub.add_parser("condition", help="preconditioned Hessian conditioning at the solution")
     _add_config_args(p_cond)
-    p_cond.add_argument("--precond", default=None,
+    p_cond.add_argument("--precond", default=None, choices=precond.KINDS,
                         help="preconditioner to analyze (default: the configured one)")
     return parser
 
@@ -108,7 +108,7 @@ def _cmd_analyze(args) -> int:
     from .runs import initial_field, _solve_once
 
     result = _solve_once(cfg, grid, params, initial_field(cfg, grid, params))
-    kind = args.precond or cfg.precond_kind()
+    kind = args.precond or cfg.solver_config().precond
     p = precond.build(kind, result.phi, params)
     report = classic.precond_hessian_condition(result.phi, params, p)
     print(f"precond = {kind}")

@@ -10,11 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from . import classic, model, optim, precond
+from . import classic, model, optim
 from .model import ModelParams, PotentialSpec
 from .spectral import Grid
 
-OPTIM_METHODS = ("pg", "pcg")
 SCHEME_METHODS = classic.SCHEMES
 
 
@@ -119,6 +118,30 @@ def _to_floats(value: str, key: str) -> tuple[float, ...]:
         raise ConfigError(f"{key}: expected comma-separated numbers, got {value!r}", key) from None
 
 
+def _check(key: str, rule, *args, **kwargs):
+    """rule(*args, **kwargs), with a ValueError turned into a ConfigError naming key."""
+    try:
+        return rule(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{key}: {err}", key) from None
+
+
+def _text(value: str, key: str) -> str:
+    return value
+
+
+def _to_shift(value: str, key: str) -> str | float:
+    return value if value == "adaptive" else _to_float(value, key)
+
+
+def _to_axes(fill: float):
+    return lambda value, key: _pad3(_to_floats(value, key), fill)
+
+
+def _to_coeffs(value: str, key: str) -> tuple[float, ...] | None:
+    return _to_floats(value, key) or None
+
+
 @dataclass
 class RunConfig:
     """Typed view of one run's configuration."""
@@ -135,19 +158,14 @@ class RunConfig:
         merged = dict(_DEFAULTS)
         merged.update(self.mapping)
         self.mapping = merged
-        # eager validation of the typed views
-        self.grid()
-        self.model_params()
-        self.shift()
-        if self.method in OPTIM_METHODS:
-            self.solver_config()
-        elif self.method in SCHEME_METHODS:
+        # eager validation of the typed views and the rules that join them
+        grid = self.grid()
+        params = self.model_params()
+        _check("model.omega", params.check_dimension, grid.d)
+        self.solver_config()
+        if self.method in SCHEME_METHODS:
             self.scheme()
-        else:
-            raise ConfigError(f"solver.method: unknown method {self.method!r}", "solver.method")
-        if self.mapping["init.kind"] not in model.GUESS_KINDS + ("auto",):
-            raise ConfigError(
-                f"init.kind: unknown initial guess {self.mapping['init.kind']!r}", "init.kind")
+        _check("init.kind", model.check_guess, self.init_kind(), grid.d, params)
         self.multigrid_schedule()
 
     @classmethod
@@ -174,85 +192,58 @@ class RunConfig:
     def output_dir(self) -> str:
         return self.mapping["output.dir"]
 
+    def _typed(self, obj, **fields):
+        """Set obj's fields one key at a time, starting from obj's valid
+        values, so any error names the key that caused it.  Each field is
+        given as (key, parse), parse turning the key's text into the value."""
+        for name, (key, parse) in fields.items():
+            obj = _check(key, replace, obj, **{name: parse(self.mapping[key], key)})
+        return obj
+
     def grid(self) -> Grid:
-        try:
-            return Grid(
-                _to_int(self.mapping["grid.d"], "grid.d"),
-                _to_float(self.mapping["grid.L"], "grid.L"),
-                _to_int(self.mapping["grid.M"], "grid.M"),
-            )
-        except ValueError as err:
-            raise ConfigError(f"grid: {err}", "grid.M") from None
+        return self._typed(Grid(1, 1.0, 4), d=("grid.d", _to_int), L=("grid.L", _to_float),
+                           M=("grid.M", _to_int))
 
     def potential(self) -> PotentialSpec:
-        m = self.mapping
-        coeffs = _to_floats(m["potential.harmonic_coeffs"], "potential.harmonic_coeffs")
-        try:
-            return PotentialSpec(
-                kind=m["potential.kind"],
-                gamma=_pad3(_to_floats(m["potential.gamma"], "potential.gamma"), 1.0),
-                kappa=_pad3(_to_floats(m["potential.kappa"], "potential.kappa"), 0.0),
-                q=_pad3(_to_floats(m["potential.q"], "potential.q"), 0.0),
-                alpha=_to_float(m["potential.alpha"], "potential.alpha"),
-                kappa_quartic=_to_float(m["potential.kappa_quartic"], "potential.kappa_quartic"),
-                lattice_argument=m["potential.lattice_argument"],
-                harmonic_coeffs=coeffs if coeffs else None,
-            )
-        except ValueError as err:
-            raise ConfigError(f"potential: {err}", "potential.kind") from None
+        return self._typed(
+            PotentialSpec(),
+            kind=("potential.kind", _text),
+            gamma=("potential.gamma", _to_axes(1.0)),
+            kappa=("potential.kappa", _to_axes(0.0)),
+            q=("potential.q", _to_axes(0.0)),
+            alpha=("potential.alpha", _to_float),
+            kappa_quartic=("potential.kappa_quartic", _to_float),
+            lattice_argument=("potential.lattice_argument", _text),
+            harmonic_coeffs=("potential.harmonic_coeffs", _to_coeffs),
+        )
 
     def model_params(self) -> ModelParams:
-        try:
-            return ModelParams(
-                eta=_to_float(self.mapping["model.eta"], "model.eta"),
-                omega=_to_float(self.mapping["model.omega"], "model.omega"),
-                potential=self.potential(),
-            )
-        except ValueError as err:
-            raise ConfigError(f"model: {err}", "model.eta") from None
-
-    def shift(self) -> str | float:
-        """`solver.shift`: "adaptive" or a finite positive number, for every method."""
-        shift = self.mapping["solver.shift"]
-        if shift == "adaptive":
-            return shift
-        value = _to_float(shift, "solver.shift")
-        try:
-            return precond.check_shift(value)
-        except ValueError as err:
-            raise ConfigError(f"solver.shift: {err}", "solver.shift") from None
+        return self._typed(ModelParams(potential=self.potential()),
+                           eta=("model.eta", _to_float), omega=("model.omega", _to_float))
 
     def solver_config(self) -> optim.SolverConfig:
-        m = self.mapping
-        fields = {
-            "method": m["solver.method"],
-            "precond": m["solver.precond"],
-            "shift": self.shift(),
-            "stop": m["solver.stop"],
-            "tol": _to_float(m["solver.tol"], "solver.tol"),
-            "max_iter": _to_int(m["solver.max_iter"], "solver.max_iter"),
-            "full_linesearch": _to_bool(m["solver.full_linesearch"], "solver.full_linesearch"),
-        }
-        # set the fields one at a time from valid defaults, so an error names its key
-        cfg = optim.SolverConfig()
-        for name, value in fields.items():
-            try:
-                cfg = replace(cfg, **{name: value})
-            except ValueError as err:
-                raise ConfigError(f"solver.{name}: {err}", f"solver.{name}") from None
-        return cfg
+        """The options every method shares, checked for every method; the
+        `method` field is set only for pg/pcg."""
+        method = {} if self.method in SCHEME_METHODS else {"method": ("solver.method", _text)}
+        return self._typed(
+            optim.SolverConfig(),
+            **method,
+            precond=("solver.precond", _text),
+            shift=("solver.shift", _to_shift),
+            stop=("solver.stop", _text),
+            tol=("solver.tol", _to_float),
+            max_iter=("solver.max_iter", _to_int),
+            full_linesearch=("solver.full_linesearch", _to_bool),
+        )
 
     def scheme(self) -> classic.SchemeKind:
-        m = self.mapping
-        try:
-            return classic.SchemeKind(
-                scheme=m["solver.method"],
-                dt=_to_float(m["solver.dt"], "solver.dt"),
-                inner_tol=_to_float(m["solver.inner_tol"], "solver.inner_tol"),
-                inner_max_iter=_to_int(m["solver.inner_max_iter"], "solver.inner_max_iter"),
-            )
-        except ValueError as err:
-            raise ConfigError(f"solver: {err}", "solver.dt") from None
+        return self._typed(
+            classic.SchemeKind(),
+            scheme=("solver.method", _text),
+            dt=("solver.dt", _to_float),
+            inner_tol=("solver.inner_tol", _to_float),
+            inner_max_iter=("solver.inner_max_iter", _to_int),
+        )
 
     def init_kind(self) -> str:
         kind = self.mapping["init.kind"]
@@ -286,12 +277,6 @@ class RunConfig:
                 raise ConfigError(
                     "multigrid.levels: grid sizes must be strictly increasing", "multigrid.levels")
         return schedule
-
-    def precond_kind(self) -> str:
-        kind = self.mapping["solver.precond"]
-        if kind not in precond.KINDS:
-            raise ConfigError(f"solver.precond: unknown kind {kind!r}", "solver.precond")
-        return kind
 
 
 def _pad3(values: tuple[float, ...], fill: float) -> tuple[float, ...]:

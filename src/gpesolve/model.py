@@ -144,8 +144,15 @@ class ModelParams:
     potential: PotentialSpec = PotentialSpec()
 
     def __post_init__(self) -> None:
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError(f"eta must be a finite nonnegative number, got {self.eta!r}")
+        if not math.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega!r}")
+
+    def check_dimension(self, d: int) -> None:
+        """Raise ValueError unless the model is defined in dimension d."""
+        if self.omega != 0.0 and d < 2:
+            raise ValueError("rotation requires d >= 2")
 
 
 _potential_cache: dict[tuple[PotentialSpec, Grid], np.ndarray] = {}
@@ -310,21 +317,29 @@ def thomas_fermi_initial(grid: Grid, params: ModelParams) -> WaveField:
 GUESS_KINDS = ("a", "b", "bbar", "c", "cbar", "d", "dbar", "e", "ebar", "tf", "gauss")
 
 
+def check_guess(kind: str, d: int, params: ModelParams) -> None:
+    """Raise ValueError unless the initial guess `kind` is defined in
+    dimension d for params."""
+    if kind not in GUESS_KINDS:
+        raise ValueError(f"unknown initial guess kind {kind!r}")
+    if kind == "tf":
+        thomas_fermi_mu(params, d)  # needs eta > 0
+    elif kind != "gauss" and d != 2:
+        raise ValueError(f"initial guess {kind!r} is defined for d = 2 only")
+
+
 def initial_guess(kind: str, grid: Grid, params: ModelParams) -> WaveField:
     """Named initial data; `a`-`ebar` are the standard 2D Gaussian/vortex mixes.
 
     `tf` is the Thomas-Fermi profile (any dimension, eta > 0) and `gauss`
     an isotropic Gaussian (any dimension).
     """
-    if kind not in GUESS_KINDS:
-        raise ValueError(f"unknown initial guess kind {kind!r}")
+    check_guess(kind, grid.d, params)
     if kind == "tf":
         return thomas_fermi_initial(grid, params)
     if kind == "gauss":
         r2 = sum(grid.coordinate(ax) ** 2 for ax in range(grid.d))
         return WaveField(grid, np.exp(-r2 / 2.0).astype(np.complex128)).normalized()
-    if grid.d != 2:
-        raise ValueError(f"initial guess {kind!r} is defined for d = 2 only")
     x = grid.coordinate(0)
     y = grid.coordinate(1)
     conjugate = kind.endswith("bar")

@@ -23,6 +23,7 @@ Polak-Ribiere inner products.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -60,14 +61,22 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.method not in ("pg", "pcg"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.precond not in precond.KINDS:
-            raise ValueError(f"unknown preconditioner {self.precond!r}")
-        if self.stop not in STOP_KINDS:
-            raise ValueError(f"unknown stopping criterion {self.stop!r}")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
-        if self.shift != "adaptive":
-            precond.check_shift(self.shift)
+        check_options(self.precond, self.shift, self.stop, self.tol, self.max_iter)
+
+
+def check_options(kind: str, shift: str | float, stop: str, tol: float, max_iter: int) -> None:
+    """Check the options every ground-state method shares, PG/PCG and the
+    imaginary-time schemes alike; raise ValueError naming the first bad one."""
+    if kind not in precond.KINDS:
+        raise ValueError(f"unknown preconditioner {kind!r}")
+    if shift != "adaptive":
+        precond.check_shift(shift)
+    if stop not in STOP_KINDS:
+        raise ValueError(f"unknown stopping criterion {stop!r}")
+    if not (isinstance(tol, numbers.Real) and tol >= 0):
+        raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
+        raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
 
 
 @dataclass
@@ -262,8 +271,7 @@ class _Engine:
     def __init__(self, phi0: WaveField, params: ModelParams, cfg: SolverConfig,
                  counter: FFTCounter) -> None:
         g = phi0.grid
-        if params.omega != 0.0 and g.d < 2:
-            raise ValueError("rotation requires d >= 2")
+        params.check_dimension(g.d)
         self.grid = g
         self.cfg = cfg
         self.counter = counter

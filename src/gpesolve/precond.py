@@ -133,9 +133,3 @@ def build(
         dens = np.abs(phi_n.values) ** 2
     return from_density(kind, g, alpha, v, params.eta, dens)
 
-
-def apply(p: Preconditioner, r: WaveField, counter: FFTCounter | None = None) -> WaveField:
-    """Apply the preconditioner: the descent direction is -apply(P, r)."""
-    if r.grid != p.grid:
-        raise ValueError("field grid does not match the preconditioner grid")
-    return WaveField(r.grid, p.apply_values(r.values, counter))

@@ -24,21 +24,14 @@ def _solve_once(
     phi0: WaveField,
     tol: float | None = None,
 ) -> SolveResult:
+    solver_cfg = cfg.solver_config()
+    if tol is not None:
+        solver_cfg = dataclasses.replace(solver_cfg, tol=tol)
     if cfg.method in ("pg", "pcg"):
-        solver_cfg = cfg.solver_config()
-        if tol is not None:
-            solver_cfg = dataclasses.replace(solver_cfg, tol=tol)
         return optim.solve(phi0, params, solver_cfg)
-    scheme = cfg.scheme()
     return classic.run_imaginary_time(
-        phi0,
-        scheme,
-        params,
-        precond_kind=cfg.precond_kind(),
-        stop=cfg.mapping["solver.stop"],
-        tol=tol if tol is not None else float(cfg.mapping["solver.tol"]),
-        max_iter=int(cfg.mapping["solver.max_iter"]),
-        shift=cfg.shift(),
+        phi0, cfg.scheme(), params, precond_kind=solver_cfg.precond, stop=solver_cfg.stop,
+        tol=solver_cfg.tol, max_iter=solver_cfg.max_iter, shift=solver_cfg.shift,
     )
 
 
@@ -93,21 +86,20 @@ def run_multigrid(cfg: RunConfig, outdir: str) -> dict:
     if not schedule:
         return run_single(cfg, outdir)
     params = cfg.model_params()
+    grid = cfg.grid()
     os.makedirs(outdir, exist_ok=True)
     t0 = time.perf_counter()
     phi: WaveField | None = None
     level_summaries = []
     result: SolveResult | None = None
-    final_grid: Grid | None = None
     for level, (level_m, eps) in enumerate(schedule):
-        grid = Grid(int(cfg.mapping["grid.d"]), float(cfg.mapping["grid.L"]), level_m)
+        grid = dataclasses.replace(grid, M=level_m)
         if phi is None:
             phi0 = initial_field(cfg, grid, params)
         else:
             phi0 = spectral.spectral_interpolate(phi, grid)
         result = _solve_once(cfg, grid, params, phi0, tol=eps)
         phi = result.phi
-        final_grid = grid
         elapsed = time.perf_counter() - t0
         inner = cfg.method not in ("pg", "pcg")
         io.write_records_csv(
@@ -124,7 +116,7 @@ def run_multigrid(cfg: RunConfig, outdir: str) -> dict:
         })
     io.save_field(os.path.join(outdir, "field.gpef"), phi)
     io.write_density_csv(os.path.join(outdir, "density.csv"), phi)
-    summary = _summary_dict(cfg, result, final_grid)
+    summary = _summary_dict(cfg, result, grid)
     summary["levels"] = ",".join(str(m) for m, _ in schedule)
     summary["wall_time"] = repr(time.perf_counter() - t0)
     for ls in level_summaries:

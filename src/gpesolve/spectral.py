@@ -150,9 +150,6 @@ class WaveField:
             raise ValueError("cannot normalize the zero field")
         return WaveField(self.grid, self.values / n)
 
-    def is_normalized(self, tol: float = 1e-13) -> bool:
-        return abs(norm(self) - 1.0) <= tol
-
 
 def check_same_grid(u: WaveField, v: WaveField) -> None:
     if u.grid != v.grid:
@@ -167,11 +164,6 @@ def inner(u: WaveField, v: WaveField) -> complex:
 
 def norm(u: WaveField) -> float:
     return float(np.sqrt(u.grid.cell_volume) * np.linalg.norm(u.values.ravel()))
-
-
-def inner_hat(grid: Grid, u_hat: np.ndarray, v_hat: np.ndarray) -> complex:
-    """Inner product evaluated from Fourier coefficients (Parseval)."""
-    return grid.cell_volume / grid.size * np.vdot(u_hat, v_hat)
 
 
 def apply_laplacian(phi: WaveField, counter: FFTCounter | None = None) -> WaveField:

@@ -27,7 +27,6 @@ from gpesolve.classic import (
     imaginary_time_step,
     krylov_solve,
     precond_hessian_condition,
-    rayleigh_quotient_iteration,
     run_imaginary_time,
 )
 from gpesolve.optim import SolverConfig, solve
@@ -48,6 +47,9 @@ class TestSchemeKind:
             SchemeKind(dt=0.0)
         with pytest.raises(ValueError, match="inner_tol"):
             SchemeKind(inner_tol=0.0)
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="inner_max_iter"):
+                SchemeKind(inner_max_iter=bad)
 
 
 class TestKrylovSolve:
@@ -207,6 +209,23 @@ class TestRunImaginaryTime:
         assert all(r.inner_iters is not None and r.inner_iters >= 0 for r in res.records)
         assert res.inner_total == sum(r.inner_iters for r in res.records)
 
+    @pytest.mark.parametrize("option,match", [
+        ({"precond_kind": "bogus"}, "preconditioner"),
+        ({"tol": -1.0}, "tol"),
+        ({"tol": float("nan")}, "tol"),
+        ({"max_iter": -1}, "max_iter"),
+        ({"shift": 0.0}, "shift must be positive"),
+    ])
+    def test_options_checked_before_first_step(self, option, match, monkeypatch):
+        # fe_lambda builds no preconditioner, so only the up-front check sees a bad
+        # kind or shift; the spy shows that no step ran
+        g, params, phi = linear_harmonic(32)
+        steps = []
+        monkeypatch.setattr(model, "hamiltonian", lambda *a: steps.append(a))
+        with pytest.raises(ValueError, match=match):
+            run_imaginary_time(phi, SchemeKind("fe_lambda", 1e-3), params, **option)
+        assert steps == []
+
     def test_unpreconditioned_growth_laws(self):
         # the CFL-limited gradient method grows like h^-2 while the
         # Krylov-backed BE only grows like h^-1 (so BE overtakes PG on fine
@@ -268,16 +287,6 @@ class TestAmplification:
         rep = amplification_analysis(h, "fe", 0.1)
         assert rep.degenerate
         assert rep.observed_rate is None
-
-    def test_rqi_cubic_convergence(self):
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((12, 12))
-        h = 0.5 * (a + a.T)
-        evals = np.linalg.eigvalsh(h)
-        v0 = np.linalg.eigh(h)[1][:, 0] + 0.05 * rng.standard_normal(12)
-        rhos = rayleigh_quotient_iteration(h, v0, n_iter=6)
-        errs = [min(abs(r - ev) for ev in evals) for r in rhos]
-        assert errs[-1] <= 1e-10
 
 
 class TestConditioning:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from gpesolve import precond
+from gpesolve import classic, precond, runs
 from gpesolve.cli import main
 from gpesolve.config import RunConfig
 from gpesolve.runs import run_multigrid, run_single
@@ -76,6 +76,17 @@ class TestSolveCommand:
             assert "shift must be positive" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("override", ["solver.stop=bogus", "solver.max_iter=many"])
+    def test_imaginary_time_bad_option_exits_2(self, tmp_path, capsys, override):
+        text = HARMONIC_1D.replace("solver.method = pcg", "solver.method = be_lambda")
+        cfg = write_cfg(tmp_path, text)
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", cfg, "--set", override, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and override.split("=")[0] in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
+
     def test_imaginary_time_fixed_shift_reaches_preconditioner(self, tmp_path, monkeypatch):
         text = HARMONIC_1D.replace("solver.method = pcg", "solver.method = be_lambda")
         cfg = write_cfg(tmp_path, text + "solver.tol = 1e-9\n")
@@ -90,6 +101,17 @@ class TestSolveCommand:
         out = str(tmp_path / "out")
         assert main(["solve", "--config", cfg, "--set", "solver.shift=1e6", "--out", out]) == 0
         assert shifts and set(shifts) == {1e6}
+
+    def test_imaginary_time_gets_the_configured_options(self, monkeypatch):
+        cfg = RunConfig.from_text(HARMONIC_1D, [
+            "solver.method=be_lambda", "solver.precond=kinetic", "solver.shift=3",
+            "solver.stop=residual_inf", "solver.tol=1e-7", "solver.max_iter=17"])
+        seen = {}
+        monkeypatch.setattr(classic, "run_imaginary_time",
+                            lambda phi0, scheme, params, **options: seen.update(options))
+        runs._solve_once(cfg, cfg.grid(), cfg.model_params(), None)
+        assert seen == {"precond_kind": "kinetic", "shift": 3.0, "stop": "residual_inf",
+                        "tol": 1e-7, "max_iter": 17}
 
     def test_unconverged_run_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, HARMONIC_1D + "solver.max_iter = 2\n")

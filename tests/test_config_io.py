@@ -78,6 +78,7 @@ class TestConfigParsing:
         ("solver.shift", "small"), ("solver.tol", "-1"), ("solver.tol", "tiny"),
         ("solver.precond", "bogus"), ("solver.method", "bogus"),
         ("solver.max_iter", "many"), ("solver.full_linesearch", "maybe"),
+        ("solver.tol", "nan"), ("solver.max_iter", "-3"),
     ])
     def test_solver_error_names_its_key(self, key, value):
         with pytest.raises(ConfigError, match=key) as info:
@@ -90,7 +91,39 @@ class TestConfigParsing:
             RunConfig.from_text(MINIMAL, overrides=[f"solver.method={method}", "solver.shift=0"])
         assert info.value.key == "solver.shift"
         cfg = RunConfig.from_text(MINIMAL, overrides=[f"solver.method={method}", "solver.shift=2.5"])
-        assert cfg.shift() == 2.5
+        assert cfg.solver_config().shift == 2.5
+
+    @pytest.mark.parametrize("overrides,key", [
+        # the options every method shares, for an imaginary-time method
+        (["solver.method=be_lambda", "solver.stop=bogus"], "solver.stop"),
+        (["solver.method=be_lambda", "solver.max_iter=many"], "solver.max_iter"),
+        (["solver.method=be_lambda", "solver.max_iter=-3"], "solver.max_iter"),
+        (["solver.method=be_lambda", "solver.tol=-1"], "solver.tol"),
+        (["solver.method=fe_lambda", "solver.tol=nan"], "solver.tol"),
+        (["solver.method=be_lambda", "solver.precond=bogus"], "solver.precond"),
+        (["solver.method=be_lambda", "solver.inner_tol=0"], "solver.inner_tol"),
+        (["solver.method=be_lambda", "solver.inner_max_iter=0"], "solver.inner_max_iter"),
+        (["solver.method=cn_lambda", "solver.inner_max_iter=-3"], "solver.inner_max_iter"),
+        # each field of the grid, the trap and the model under its own key
+        (["grid.d=4"], "grid.d"),
+        (["grid.L=-1"], "grid.L"),
+        (["grid.M=7"], "grid.M"),
+        (["potential.gamma=-1"], "potential.gamma"),
+        (["potential.kappa=-1"], "potential.kappa"),
+        (["potential.kind=box"], "potential.kind"),
+        (["potential.lattice_argument=x"], "potential.lattice_argument"),
+        (["model.eta=-1"], "model.eta"),
+        (["model.omega=nan"], "model.omega"),
+        # rules that join two keys
+        (["model.omega=0.5"], "model.omega"),  # rotation in 1D
+        (["init.kind=a"], "init.kind"),  # 2D-only guess in 1D
+        (["init.kind=ebar", "grid.d=3", "grid.M=8"], "init.kind"),
+        (["init.kind=tf", "model.eta=0"], "init.kind"),
+    ])
+    def test_error_names_its_key(self, overrides, key):
+        with pytest.raises(ConfigError, match=key) as info:
+            RunConfig.from_text(MINIMAL, overrides=overrides)
+        assert info.value.key == key
 
     def test_init_kind_validation(self):
         with pytest.raises(ConfigError, match="init.kind"):

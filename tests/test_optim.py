@@ -483,6 +483,14 @@ class TestSolverConfigValidation:
         with pytest.raises(ValueError, match="preconditioner shift must be positive"):
             SolverConfig(precond="kinetic", shift=shift)
 
+    @pytest.mark.parametrize("option,match", [
+        ({"tol": float("nan")}, "tol"), ({"max_iter": -1}, "max_iter"),
+        ({"max_iter": 2.5}, "max_iter"),
+    ])
+    def test_bad_tol_and_max_iter_rejected(self, option, match):
+        with pytest.raises(ValueError, match=match):
+            SolverConfig(**option)
+
     def test_positive_and_adaptive_shift_accepted(self):
         assert SolverConfig(precond="kinetic", shift=2.5).shift == 2.5
         assert SolverConfig(precond="kinetic").shift == "adaptive"

@@ -82,7 +82,8 @@ class TestInner:
                 u = random_field(g, seed=m + d)
                 v = random_field(g, seed=m + d + 100)
                 direct = inner(u, v)
-                viahat = spectral.inner_hat(g, np.fft.fftn(u.values), np.fft.fftn(v.values))
+                u_hat, v_hat = np.fft.fftn(u.values), np.fft.fftn(v.values)
+                viahat = g.cell_volume / g.size * np.vdot(u_hat, v_hat)
                 assert abs(direct - viahat) <= 1e-12 * abs(direct)
 
 
@@ -256,5 +257,5 @@ class TestWaveField:
     def test_normalized_flag(self):
         g = Grid(1, 4.0, 16)
         u = random_field(g).normalized()
-        assert u.is_normalized()
+        assert abs(g.cell_volume * np.sum(np.abs(u.values) ** 2) - 1.0) <= 1e-13
         assert abs(norm(u) - 1.0) <= 1e-13
