@@ -26,9 +26,10 @@ which saves rerunning an unchanged tree.  The grid:
 Every numeric IterationRecord column, the iteration count, the stop reason,
 the final energy, multiplier and residual, and fft_total must agree.  Floats
 are compared through repr(), so NaN equals NaN and -0.0 differs from 0.0.
-The final field is compared too and reported separately, and so is the
-largest relative difference of the final energy over the runs where it
-differs.  Exit code 0 when everything agrees, 1 otherwise.
+A differing run prints its iteration counts as old→new, and the summary
+counts the runs whose iteration count changed.  The final field is
+compared too and reported separately, and so is the largest relative
+difference of the final energy over the runs where it differs.  Exit code 0 when everything agrees, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -146,6 +147,7 @@ def main(argv: list[str]) -> int:
         old = _run_tree(argv[1], os.path.join(tmp, "old.json"))
         new = _run_tree(argv[2], os.path.join(tmp, "new.json"))
     failures = 0
+    iteration_diffs = 0
     field_diffs = 0
     energy_diffs = []  # relative differences of the final energy, where it differs
     for name in sorted(set(old) | set(new)):
@@ -161,10 +163,13 @@ def main(argv: list[str]) -> int:
             energy_diffs.append(abs(e_b - e_a) / abs(e_a))
         status = "DIFF " + ",".join(bad) if bad else "same"
         failures += bool(bad)
-        print(f"{status:<12} {name}: {a['iterations']} iterations, {a['stop_reason']}, "
+        iteration_diffs += a["iterations"] != b["iterations"]
+        iterations = (f"iterations {a['iterations']}→{b['iterations']}" if bad
+                      else f"{a['iterations']} iterations")
+        print(f"{status:<12} {name}: {iterations}, {a['stop_reason']}, "
               f"fft_total {a['fft_total']}")
-    print(f"{len(old)} runs, {failures} differ in the history; "
-          f"{field_diffs} final fields differ bitwise")
+    print(f"{len(old)} runs, {failures} differ in the history, "
+          f"{iteration_diffs} in iteration count; {field_diffs} final fields differ bitwise")
     if energy_diffs:
         print(f"final energy differs on {len(energy_diffs)} runs; "
               f"largest relative difference {max(energy_diffs):.3e}")

@@ -11,12 +11,12 @@ step without it at the effective stepsize dt/(1 - dt*lambda).
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, minres
 
 from . import model, precond
 from .model import ModelParams
@@ -66,9 +66,9 @@ def _realify(z: np.ndarray) -> np.ndarray:
     return np.concatenate([z.real.ravel(), z.imag.ravel()])
 
 
-def _complexify(v: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    n = v.size // 2
-    return (v[:n] + 1j * v[n:]).reshape(shape)
+def _rdot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re <a, b>, the real part of the Euclidean inner product."""
+    return float(np.vdot(a, b).real)
 
 
 def krylov_solve(
@@ -83,47 +83,98 @@ def krylov_solve(
 
     `apply_a` maps grid values to grid values and must be Hermitian under
     the discrete inner product; the preconditioner must be Hermitian
-    positive definite.  The complex system is solved in its real
-    representation, which is symmetric exactly when A is Hermitian.
-    Returns (x, iteration count); raises KrylovError on breakdown or
-    when max_iter is reached with relative residual above tol.
+    positive definite.  Then the Lanczos coefficients alpha = Re<v, Av> and
+    beta = sqrt(Re<r, Pr>) are real, and MINRES (Paige & Saunders 1975)
+    runs on the complex vectors with its real Givens recursion.
+
+    One Krylov run, from x = 0: whenever the recursive estimate of the
+    P-norm residual falls to its target, first tol times its start value,
+    the true relative residual ||b - Ax|| / ||b|| is computed.  At or below
+    tol the solve returns; otherwise the target is tightened in proportion
+    and the same recursion goes on.  Returns (x, iteration count), the count
+    excluding those checks.  Raises KrylovError on a non-finite value or a
+    preconditioner that is not positive definite, and when the run ends
+    (max_iter, or an invariant Krylov subspace) with the relative residual
+    above max(10 tol, 1e-12).
     """
     grid = b.grid
-    shape = grid.shape
+    rhs = b.values
+    x = np.zeros(grid.shape, dtype=np.complex128)
+    b_norm = float(np.linalg.norm(rhs))
+    if b_norm == 0.0:
+        return WaveField(grid, x), 0
+    if p is not None and p.kind == precond.IDENTITY:
+        p = None
 
-    def matvec(v: np.ndarray) -> np.ndarray:
-        return _realify(apply_a(_complexify(v, shape)))
+    def psolve(r: np.ndarray) -> np.ndarray:
+        return r if p is None else p.apply_values(r, counter)
 
-    n2 = 2 * grid.size
-    a_op = LinearOperator((n2, n2), matvec=matvec, dtype=np.float64)
-    m_op = None
-    if p is not None and p.kind != precond.IDENTITY:
-        def pvec(v: np.ndarray) -> np.ndarray:
-            return _realify(p.apply_values(_complexify(v, shape), counter))
-        m_op = LinearOperator((n2, n2), matvec=pvec, dtype=np.float64)
-    b_real = _realify(b.values)
-    b_norm = np.linalg.norm(b_real)
+    def fail(why: str, res: float):
+        return KrylovError(f"MINRES did not converge ({why} after {iters} iterations, "
+                           f"rel residual={res:.3e})", best=x, residual=res, iterations=iters)
+
     iters = 0
-
-    def cb(_xk):
-        nonlocal iters
+    r1 = r2 = rhs
+    y = psolve(r2)
+    beta = _rdot(r2, y)
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise fail("preconditioned norm of b is not positive", 1.0)
+    beta = math.sqrt(beta)
+    old_beta = 0.0
+    eps = dbar = 0.0
+    cs, sn = -1.0, 0.0
+    phibar = beta
+    target = tol * beta
+    w = w2 = np.zeros_like(x)
+    res = 1.0  # true relative residual of the current x
+    while iters < max_iter:
         iters += 1
-
-    x_real, info = minres(a_op, b_real, rtol=tol, maxiter=max_iter, M=m_op, callback=cb)
-    res_vec = b_real - a_op.matvec(x_real)
-    res = np.linalg.norm(res_vec) / b_norm if b_norm > 0 else 0.0
-    if info == 0 and np.isfinite(res) and res > tol:
-        # one refinement pass recovers tolerances near the roundoff floor
-        dx, info = minres(a_op, res_vec, rtol=1e-6, maxiter=max_iter, M=m_op, callback=cb)
-        x_real = x_real + dx
-        res = np.linalg.norm(b_real - a_op.matvec(x_real)) / b_norm if b_norm > 0 else 0.0
-    x = _complexify(x_real, shape)
-    if info != 0 or not np.isfinite(res) or res > max(10.0 * tol, 1e-12):
-        raise KrylovError(
-            f"MINRES did not converge (info={info}, rel residual={res:.3e})",
-            best=x, residual=float(res), iterations=iters,
-        )
-    return WaveField(grid, x), iters
+        # Lanczos step: v_k, and the next residual r2 = beta_{k+1} P^-1 v_{k+1}
+        v = y * (1.0 / beta)
+        y = apply_a(v)  # may be v itself, so not updated in place
+        if iters >= 2:
+            y = y - (beta / old_beta) * r1
+        alpha = _rdot(v, y)
+        y = y - (alpha / beta) * r2
+        r1, r2 = r2, y
+        y = psolve(r2)
+        old_beta = beta
+        beta = _rdot(r2, y)
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise fail("non-finite value", math.nan)
+        if beta < 0.0:
+            raise fail("preconditioner not positive definite", res)
+        beta = math.sqrt(beta)
+        # apply the previous rotation, then form the next one
+        old_eps = eps
+        delta = cs * dbar + sn * alpha
+        gbar = sn * dbar - cs * alpha
+        eps = sn * beta
+        dbar = -cs * beta
+        gamma = math.hypot(gbar, beta)
+        if gamma == 0.0:
+            raise fail("singular operator", res)
+        cs, sn = gbar / gamma, beta / gamma
+        phi = cs * phibar
+        phibar *= sn
+        w1, w2 = w2, w
+        w = (v - old_eps * w1 - delta * w2) * (1.0 / gamma)
+        x += phi * w
+        res = math.nan
+        if phibar <= target:
+            res = float(np.linalg.norm(rhs - apply_a(x))) / b_norm
+            if not math.isfinite(res):
+                raise fail("non-finite value", res)
+            if res <= tol:
+                return WaveField(grid, x), iters
+            if beta == 0.0:
+                break  # invariant Krylov subspace: the run cannot go on
+            target = phibar * min(0.5, 0.5 * tol / res)
+    if math.isnan(res):
+        res = float(np.linalg.norm(rhs - apply_a(x))) / b_norm
+    if math.isfinite(res) and res <= max(10.0 * tol, 1e-12):
+        return WaveField(grid, x), iters
+    raise fail("breakdown" if iters < max_iter else f"max_iter={max_iter} reached", res)
 
 
 def imaginary_time_step(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 from . import classic, model, optim
 from .model import ModelParams, PotentialSpec
-from .spectral import Grid
+from .spectral import Grid, check_points
 
 SCHEME_METHODS = classic.SCHEMES
 
@@ -76,7 +76,6 @@ _DEFAULTS: dict[str, str] = {
     "solver.stop": "energy_diff",
     "solver.tol": "1e-12",
     "solver.max_iter": "10000",
-    "solver.full_linesearch": "false",
     "solver.dt": "0.01",
     "solver.inner_tol": "1e-10",
     "solver.inner_max_iter": "2000",
@@ -86,15 +85,6 @@ _DEFAULTS: dict[str, str] = {
 }
 
 _REQUIRED = ("grid.d", "grid.L", "grid.M")
-
-
-def _to_bool(value: str, key: str) -> bool:
-    low = value.lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}", key)
 
 
 def _to_float(value: str, key: str) -> float:
@@ -162,6 +152,11 @@ class RunConfig:
         grid = self.grid()
         params = self.model_params()
         _check("model.omega", params.check_dimension, grid.d)
+        try:
+            params.potential.check_dimension(grid.d)
+        except model.DimensionError as err:
+            key = f"potential.{err.field}"
+            raise ConfigError(f"{key}: {err}", key) from None
         self.solver_config()
         if self.method in SCHEME_METHODS:
             self.scheme()
@@ -233,7 +228,6 @@ class RunConfig:
             stop=("solver.stop", _text),
             tol=("solver.tol", _to_float),
             max_iter=("solver.max_iter", _to_int),
-            full_linesearch=("solver.full_linesearch", _to_bool),
         )
 
     def scheme(self) -> classic.SchemeKind:
@@ -269,6 +263,7 @@ class RunConfig:
                 m_str = item
                 eps = _to_float(self.mapping["solver.tol"], "solver.tol")
             level_m = _to_int(m_str, "multigrid.levels")
+            _check("multigrid.levels", check_points, level_m)
             if eps <= 0 or math.isnan(eps):
                 raise ConfigError("multigrid.levels: tolerances must be positive", "multigrid.levels")
             schedule.append((level_m, eps))

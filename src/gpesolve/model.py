@@ -30,12 +30,21 @@ HALF_SQUARE = "isotropic_half_square"
 _KINDS = (HARMONIC, HARMONIC_LATTICE, HARMONIC_QUARTIC, HALF_SQUARE)
 
 
+class DimensionError(ValueError):
+    """A trap that is not defined in the grid's dimension; `field` names the
+    PotentialSpec field at fault."""
+
+    def __init__(self, message: str, field: str):
+        super().__init__(message)
+        self.field = field
+
+
 def _axis_tuple(value, d: int, name: str) -> tuple[float, ...]:
     if np.isscalar(value):
         return (float(value),) * d
     out = tuple(float(v) for v in value)
     if len(out) < d:
-        raise ValueError(f"{name} needs at least {d} entries, got {len(out)}")
+        raise DimensionError(f"{name} needs at least {d} entries, got {len(out)}", name)
     return out
 
 
@@ -70,6 +79,23 @@ class PotentialSpec:
         if any(k < 0 for k in self.kappa) or self.kappa_quartic < 0:
             raise ValueError("lattice/quartic amplitudes must be nonnegative")
 
+    def check_dimension(self, d: int) -> None:
+        """Raise DimensionError unless the trap is defined in dimension d:
+        the quartic trap needs d >= 2, and each per-axis field the kind
+        reads needs at least d entries."""
+        if self.kind == HALF_SQUARE:
+            return
+        if self.kind == HARMONIC_QUARTIC:
+            if d < 2:
+                raise DimensionError("the harmonic-plus-quartic trap requires d >= 2", "kind")
+            fields = ("gamma",)
+        else:
+            fields = ("gamma",) if self.harmonic_coeffs is None else ("harmonic_coeffs",)
+            if self.kind == HARMONIC_LATTICE:
+                fields += ("kappa", "q")
+        for name in fields:
+            _axis_tuple(getattr(self, name), d, name)
+
     def _harmonic(self, grid: Grid) -> np.ndarray:
         if self.harmonic_coeffs is not None:
             coeffs = _axis_tuple(self.harmonic_coeffs, grid.d, "harmonic_coeffs")
@@ -81,6 +107,7 @@ class PotentialSpec:
 
     def sample(self, grid: Grid) -> np.ndarray:
         """Evaluate the potential on the grid nodes."""
+        self.check_dimension(grid.d)
         if self.kind == HALF_SQUARE:
             return 0.5 * sum(grid.coordinate(ax) ** 2 for ax in range(grid.d))
         if self.kind == HARMONIC:
@@ -95,8 +122,6 @@ class PotentialSpec:
                 v = v + kappa[ax] * np.sin(arg) ** 2
             return v
         # harmonic plus quartic, d = 2 or 3
-        if grid.d < 2:
-            raise ValueError("the harmonic-plus-quartic trap requires d >= 2")
         gamma = _axis_tuple(self.gamma, grid.d, "gamma")
         x = grid.coordinate(0)
         y = grid.coordinate(1)

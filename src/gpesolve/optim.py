@@ -56,7 +56,6 @@ class SolverConfig:
     stop: str = STOP_ENERGY
     tol: float = 1e-12
     max_iter: int = 10000
-    full_linesearch: bool = False
 
     def __post_init__(self) -> None:
         if self.method not in ("pg", "pcg"):
@@ -193,41 +192,18 @@ class _Arc:
         self.q13 = -self.q13
 
 
-def _minimize_arc(arc: _Arc) -> float:
-    """Arc angle minimizing E(theta) over (0, pi)."""
-    if arc.eta_hd == 0.0:
-        # closed form for a + b cos(2 theta) + c sin(2 theta)
-        theta = 0.5 * np.arctan2(-2.0 * arc.qc, arc.qb - arc.qa)
-        if theta <= 0.0:
-            theta += 0.5 * np.pi
-        other = theta + 0.5 * np.pi
-        candidates = [t for t in (theta, other) if 0.0 < t < np.pi]
-        return min(candidates, key=arc.delta_energy)
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(
-        arc.delta_energy, bounds=(1e-14, np.pi - 1e-14), method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return float(res.x)
-
-
-def _line_search(arc: _Arc, full: bool) -> tuple[float, int, float]:
-    """Trial angle (the arc minimizer when `full`, else the second-order
-    one), halved until the energy decreases; returns (theta, halvings,
-    E(theta) - E(0)).  The energy change is still >= 0 when the halvings
-    ran out."""
-    if full:
-        theta = _minimize_arc(arc)
+def _line_search(arc: _Arc) -> tuple[float, int, float]:
+    """Second-order trial angle, halved until the energy decreases; returns
+    (theta, halvings, E(theta) - E(0)).  The energy change is still >= 0
+    when the halvings ran out."""
+    curv = arc.curvature0
+    if curv > 0.0:
+        theta = -arc.slope0 / curv
     else:
-        curv = arc.curvature0
-        if curv > 0.0:
-            theta = -arc.slope0 / curv
-        else:
-            theta = THETA_DEFAULT
-        theta = min(theta, 0.5 * np.pi)
-        if theta <= 0.0:
-            theta = THETA_DEFAULT
+        theta = THETA_DEFAULT
+    theta = min(theta, 0.5 * np.pi)
+    if theta <= 0.0:
+        theta = THETA_DEFAULT
     backtracks = 0
     d_e = arc.delta_energy(theta)
     while d_e >= 0.0 and backtracks < MAX_BACKTRACKS:
@@ -511,7 +487,7 @@ def solve(phi0: WaveField, params: ModelParams, cfg: SolverConfig,
             converged = True
             stop_reason = "zero_direction"
             break
-        theta, backtracks, d_e = _line_search(bundle.arc, cfg.full_linesearch)
+        theta, backtracks, d_e = _line_search(bundle.arc)
         if d_e >= 0.0:
             stop_reason = "backtracking_exhausted"
             warnings.warn(

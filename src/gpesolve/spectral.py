@@ -34,6 +34,12 @@ class FFTCounter:
         self.count += n
 
 
+def check_points(m: int) -> None:
+    """Raise ValueError unless m is a valid number of grid points per axis."""
+    if m < 4 or m % 2 != 0:
+        raise ValueError(f"M must be an even integer >= 4, got {m}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Isotropic periodic grid on [-L, L]^d.
@@ -66,8 +72,7 @@ class Grid:
     def __post_init__(self) -> None:
         if self.d not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
-        if self.M < 4 or self.M % 2 != 0:
-            raise ValueError(f"M must be an even integer >= 4, got {self.M}")
+        check_points(self.M)
         if self.L <= 0:
             raise ValueError(f"L must be positive, got {self.L}")
         object.__setattr__(self, "L", float(self.L))

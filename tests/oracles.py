@@ -5,15 +5,15 @@ summation, not from the package's transform helpers, so oracle and
 implementation stay on separate code paths.  The plain transforms are
 numpy.fft calls with no output arrays, the reference the package's
 transforms must match bit for bit.  The unfused sphere operators
-at the end (tangent projection, second-order angle, arc step, exact line
-search) are composed from the package's plain operators rather than from
+at the end (tangent projection, second-order angle, arc step, arc energy
+coefficients) are composed from the package's plain operators rather than from
 the fused iteration engine that the solvers run.
 """
 
 import numpy as np
 
 from gpesolve import model, spectral
-from gpesolve.optim import _Arc, _minimize_arc
+from gpesolve.optim import _Arc
 from gpesolve.spectral import WaveField
 
 
@@ -150,7 +150,7 @@ def step(phi: WaveField, p_dir: WaveField, theta: float) -> WaveField:
     return WaveField(phi.grid, values).normalized()
 
 
-def _arc_from_fields(phi: WaveField, p_hat: WaveField, params: model.ModelParams) -> _Arc:
+def arc_from_fields(phi: WaveField, p_hat: WaveField, params: model.ModelParams) -> _Arc:
     """Arc coefficients computed with the plain (unfused) operators."""
     g = phi.grid
     hd = g.cell_volume
@@ -179,16 +179,3 @@ def _arc_from_fields(phi: WaveField, p_hat: WaveField, params: model.ModelParams
         eta_hd=params.eta * hd,
     )
 
-
-def linesearch_full(phi: WaveField, p_dir: WaveField, params: model.ModelParams) -> float:
-    """Exact one-dimensional energy minimization along the arc.
-
-    The quadratic part of E(theta) reduces to three cached inner products
-    and the quartic part to six pointwise sums, so the minimization costs
-    no transforms beyond those needed for the coefficients.
-    """
-    pnorm = spectral.norm(p_dir)
-    if pnorm == 0.0:
-        raise ValueError("zero search direction")
-    p_hat = WaveField(p_dir.grid, p_dir.values / pnorm)
-    return _minimize_arc(_arc_from_fields(phi, p_hat, params))

@@ -1,5 +1,7 @@
 """Imaginary-time schemes, the MINRES inner solver, and spectral analysis."""
 
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -18,7 +20,7 @@ from gpesolve import (
     norm,
     thomas_fermi_initial,
 )
-from gpesolve import model
+from gpesolve import classic, model, precond
 from gpesolve.classic import (
     KrylovError,
     SchemeKind,
@@ -37,6 +39,18 @@ def linear_harmonic(grid_m=64, box=16.0):
     params = ModelParams(eta=0.0, omega=0.0, potential=harmonic(1.0))
     phi = initial_guess("gauss", g, params)
     return g, params, phi
+
+
+def lattice_system(scheme):
+    """(apply_a, b, P) of one implicit step of `scheme` on a small 1D lattice
+    problem, taken from the call imaginary_time_step makes."""
+    g = Grid(1, 16.0, 256)
+    params = ModelParams(eta=250.0, omega=0.0, potential=harmonic_lattice(1.0, 25.0, np.pi / 2))
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classic, "krylov_solve", lambda *a, **kw: calls.append(a) or (a[1], 0))
+        imaginary_time_step(thomas_fermi_initial(g, params), SchemeKind(scheme, 0.01), params, "sym")
+    return calls[0][:3]
 
 
 class TestSchemeKind:
@@ -87,6 +101,70 @@ class TestKrylovSolve:
         x, iters = krylov_solve(apply_a, b, p, tol=1e-10)
         assert iters <= 3
         assert np.max(np.abs(apply_a(x.values) - b.values)) <= 1e-9
+
+    def test_dense_indefinite_complex_oracle(self):
+        # Hermitian with eigenvalues of both signs, positive diagonal preconditioner
+        g = Grid(1, 8.0, 16)
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+        eigs = np.concatenate([np.linspace(-6.0, -0.5, 7), np.linspace(0.7, 40.0, 9)])
+        a = (q * eigs) @ q.conj().T
+        p = precond.Preconditioner(kind="potential", grid=g, alpha=1.0,
+                                   real_diag=1.0 / (1.0 + np.abs(np.diag(a))))
+        b = WaveField(g, rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        x, _ = krylov_solve(lambda v: a @ v, b, p, tol=1e-12)
+        expected = np.linalg.solve(a, b.values)
+        assert np.max(np.abs(x.values - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    @pytest.mark.parametrize("scheme", ["be_lambda", "cn_lambda"])
+    def test_true_residual_within_tol(self, scheme, tol):
+        apply_a, b, p = lattice_system(scheme)
+        x, iters = krylov_solve(apply_a, b, p, tol=tol)
+        assert iters > 0
+        assert np.linalg.norm(b.values - apply_a(x.values)) <= tol * np.linalg.norm(b.values)
+
+    def test_failed_check_continues_the_krylov_run(self):
+        # every A apply is a Lanczos step or a true-residual check.  Each
+        # Lanczos vector after the first continues the three-term recurrence,
+        # v_{k+1} in span(P A v_k, v_k, v_{k-1}), so a failed check goes on
+        # with the same run instead of starting again from x = 0
+        apply_a, b, p = lattice_system("cn_lambda")
+        args = []
+        x, iters = krylov_solve(lambda v: args.append(v.copy()) or apply_a(v), b, p, tol=1e-10)
+        lanczos = [args[0]]
+        for v in args[1:]:
+            span = np.stack([p.apply_values(apply_a(lanczos[-1])), *lanczos[-2:]], axis=1)
+            coef = np.linalg.lstsq(span, v, rcond=None)[0]
+            if np.linalg.norm(span @ coef - v) <= 1e-8 * np.linalg.norm(v):
+                lanczos.append(v)
+        checks = len(args) - len(lanczos)
+        assert len(lanczos) == iters
+        assert checks >= 2  # the first check failed and the run went on
+        assert np.array_equal(args[-1], x.values)  # the last apply checked the answer
+        start = p.apply_values(b.values)
+        assert np.allclose(args[0] * (np.vdot(args[0], start) / np.vdot(args[0], args[0])), start)
+
+    def test_non_finite_operator_raises(self):
+        g = Grid(1, 8.0, 16)
+        b = WaveField(g, np.ones(16, dtype=complex))
+        with pytest.raises(KrylovError, match="MINRES did not converge") as err:
+            krylov_solve(lambda v: np.full_like(v, np.nan), b, tol=1e-10)
+        assert err.value.iterations == 1
+
+    def test_zero_rhs_returns_zero(self):
+        g = Grid(1, 8.0, 16)
+        calls = []
+        x, iters = krylov_solve(lambda v: calls.append(v) or v, WaveField.zeros(g), tol=1e-10)
+        assert iters == 0 and calls == []
+        assert not np.any(x.values)
+
+    def test_package_imports_no_scipy(self):
+        code = ("import sys, gpesolve, gpesolve.classic, gpesolve.config, gpesolve.runs, "
+                "gpesolve.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.strip() == "[]"
 
     def test_failure_carries_best_iterate(self):
         g = Grid(1, 8.0, 16)

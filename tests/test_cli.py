@@ -87,6 +87,22 @@ class TestSolveCommand:
         assert "Traceback" not in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("verb,overrides,key", [
+        ("solve", ["potential.kind=harmonic_plus_quartic"], "potential.kind"),
+        ("solve", ["grid.d=2", "grid.M=16", "potential.harmonic_coeffs=1"],
+         "potential.harmonic_coeffs"),
+        ("multigrid", ["multigrid.levels=5:1e-8,32:1e-8"], "multigrid.levels"),
+    ])
+    def test_trap_and_level_errors_exit_2(self, tmp_path, capsys, verb, overrides, key):
+        cfg = write_cfg(tmp_path, HARMONIC_1D)
+        out = str(tmp_path / "out")
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert main([verb, "--config", cfg, *sets, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {key}:" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
+
     def test_imaginary_time_fixed_shift_reaches_preconditioner(self, tmp_path, monkeypatch):
         text = HARMONIC_1D.replace("solver.method = pcg", "solver.method = be_lambda")
         cfg = write_cfg(tmp_path, text + "solver.tol = 1e-9\n")

@@ -68,7 +68,7 @@ class TestConfigParsing:
             RunConfig.from_text(MINIMAL + "multigrid.levels = 128,64\n")
 
     @pytest.mark.parametrize("key", ["solver.theta_default", "solver.backtrack_factor",
-                                     "solver.max_backtracks", "seed"])
+                                     "solver.max_backtracks", "solver.full_linesearch", "seed"])
     def test_removed_keys_rejected(self, key):
         with pytest.raises(ConfigError, match=key):
             RunConfig.from_text(MINIMAL + f"{key} = 1\n")
@@ -77,8 +77,7 @@ class TestConfigParsing:
         ("solver.stop", "bogus"), ("solver.shift", "0"), ("solver.shift", "-5"),
         ("solver.shift", "small"), ("solver.tol", "-1"), ("solver.tol", "tiny"),
         ("solver.precond", "bogus"), ("solver.method", "bogus"),
-        ("solver.max_iter", "many"), ("solver.full_linesearch", "maybe"),
-        ("solver.tol", "nan"), ("solver.max_iter", "-3"),
+        ("solver.max_iter", "many"), ("solver.tol", "nan"), ("solver.max_iter", "-3"),
     ])
     def test_solver_error_names_its_key(self, key, value):
         with pytest.raises(ConfigError, match=key) as info:
@@ -119,6 +118,11 @@ class TestConfigParsing:
         (["init.kind=a"], "init.kind"),  # 2D-only guess in 1D
         (["init.kind=ebar", "grid.d=3", "grid.M=8"], "init.kind"),
         (["init.kind=tf", "model.eta=0"], "init.kind"),
+        (["potential.kind=harmonic_plus_quartic"], "potential.kind"),  # quartic in 1D
+        (["grid.d=2", "grid.M=16", "potential.harmonic_coeffs=1"], "potential.harmonic_coeffs"),
+        # each multigrid level size under the rule the grid uses
+        (["multigrid.levels=5:1e-8,32:1e-8"], "multigrid.levels"),
+        (["multigrid.levels=2,64"], "multigrid.levels"),
     ])
     def test_error_names_its_key(self, overrides, key):
         with pytest.raises(ConfigError, match=key) as info:

@@ -91,6 +91,19 @@ class TestPotentials:
         v = PotentialSpec(kind="harmonic", harmonic_coeffs=(3.0,)).sample(g)
         assert np.allclose(v, 3.0 * g.x1**2)
 
+    @pytest.mark.parametrize("spec,d,field", [
+        (PotentialSpec(kind="harmonic_plus_quartic"), 1, "kind"),
+        (PotentialSpec(harmonic_coeffs=(1.0,)), 2, "harmonic_coeffs"),
+        (PotentialSpec(kind="harmonic_plus_lattice", gamma=(1.0,) * 3, kappa=(1.0, 1.0),
+                       q=(1.0,) * 3), 3, "kappa"),
+    ])
+    def test_dimension_rule(self, spec, d, field):
+        with pytest.raises(model.DimensionError) as info:
+            spec.check_dimension(d)
+        assert info.value.field == field
+        with pytest.raises(model.DimensionError):
+            spec.sample(Grid(d, 4.0, 8))
+
     def test_invalid(self):
         with pytest.raises(ValueError, match="kind"):
             PotentialSpec(kind="box")

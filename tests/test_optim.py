@@ -26,7 +26,7 @@ from gpesolve import (
 from gpesolve import model, optim, spectral
 from gpesolve.optim import IterationRecord, SolverConfig, check_stop, solve
 
-from oracles import dense_hamiltonian_1d, linesearch_full, step, tangent_project, theta_opt
+from oracles import arc_from_fields, dense_hamiltonian_1d, step, tangent_project, theta_opt
 
 
 def random_normalized(grid, seed=0):
@@ -245,61 +245,19 @@ class TestSolvePCG:
 
 
 class TestLinesearch:
-    def test_closed_form_quadratic_case(self):
-        g = Grid(1, 8.0, 32)
-        params = ModelParams(eta=0.0, omega=0.0, potential=harmonic(1.0))
-        phi = random_normalized(g, 13)
-        p = tangent_project(random_normalized(g, 14), phi)
-        theta = linesearch_full(phi, p, params)
-        # closed-form argmin of a + b cos 2theta + c sin 2theta
-        p_hat = WaveField(g, p.values / norm(p))
-        hp = model.apply_hamiltonian(p_hat, phi, params)
-        hu = model.apply_hamiltonian(phi, phi, params)
-        qa = inner(phi, hu).real
-        qb = inner(p_hat, hp).real
-        qc = inner(phi, hp).real
-        scan = np.linspace(1e-6, np.pi - 1e-6, 200001)
-        vals = (qa * np.cos(scan) ** 2 + qb * np.sin(scan) ** 2 + 2 * qc * np.sin(scan) * np.cos(scan))
-        assert theta == pytest.approx(scan[np.argmin(vals)], abs=1e-4)
-        e_at = float(qa * np.cos(theta) ** 2 + qb * np.sin(theta) ** 2 + qc * np.sin(2 * theta))
-        assert e_at <= vals.min() + 1e-10
-
-    def test_not_worse_than_heuristic(self):
-        g = Grid(1, 8.0, 64)
-        params = ModelParams(eta=80.0, omega=0.0, potential=harmonic(1.0))
-        for seed in range(5):
-            phi = random_normalized(g, seed)
-            r, lam = residual(phi, params)
-            p = tangent_project(WaveField(g, -r.values), phi)
-            theta_ls = linesearch_full(phi, p, params)
-            theta_h, denom = theta_opt(phi, p, gradient(phi, params), params, lam)
-            if denom <= 0 or not 0 < theta_h < np.pi:
-                continue
-            e_ls = energy(step(phi, p, theta_ls), params).total
-            e_h = energy(step(phi, p, theta_h), params).total
-            assert e_ls <= e_h + 1e-12
-
-    def test_matches_dense_scan(self):
-        g = Grid(1, 8.0, 32)
-        params = ModelParams(eta=50.0, omega=0.0, potential=harmonic(1.0))
+    @pytest.mark.parametrize("eta,omega,d", [(0.0, 0.0, 1), (50.0, 0.0, 1), (80.0, 0.6, 2)])
+    def test_arc_energy_matches_step(self, eta, omega, d):
+        # the closed form the line search evaluates, against the energy of
+        # the stepped iterate at sampled angles
+        g = Grid(d, 8.0, 32 if d == 1 else 16)
+        params = ModelParams(eta=eta, omega=omega, potential=harmonic(1.0))
         phi = random_normalized(g, 15)
         p = tangent_project(random_normalized(g, 16), phi)
-        theta = linesearch_full(phi, p, params)
-        thetas = np.linspace(1e-4, np.pi - 1e-4, 10000)
-        energies = [energy(step(phi, p, t), params).total for t in thetas]
-        best = thetas[int(np.argmin(energies))]
-        e_theta = energy(step(phi, p, theta), params).total
-        assert e_theta <= min(energies) + 1e-8
-
-    def test_solver_with_full_linesearch(self):
-        g = Grid(1, 16.0, 128)
-        params = ModelParams(eta=0.0, omega=0.0, potential=harmonic(1.0))
-        phi0 = model.initial_guess("gauss", g, params)
-        cfg = SolverConfig(method="pcg", precond="sym", tol=1e-13, max_iter=200,
-                           full_linesearch=True)
-        res = solve(phi0, params, cfg)
-        assert res.converged
-        assert abs(res.energy - np.sqrt(2) / 2) <= 1e-10
+        arc = arc_from_fields(phi, WaveField(g, p.values / norm(p)), params)
+        e0 = energy(phi, params).total
+        for theta in np.linspace(-np.pi, np.pi, 13):
+            expected = energy(step(phi, p, theta), params).total - e0
+            assert arc.delta_energy(theta) == pytest.approx(expected, abs=1e-10 * (1.0 + abs(e0)))
 
 
 class TestCheckStop:
@@ -464,7 +422,7 @@ class TestFusedImageDrift:
             engine.begin()
             bundle = engine.direction(False)
             assert bundle is not None
-            theta, _, _ = optim._line_search(bundle.arc, False)
+            theta, _, _ = optim._line_search(bundle.arc)
             engine.accept(theta, bundle)
         uhat = g.fft(engine.u)
         fresh = [(engine.uhat, uhat), (engine.lu, spectral.lz_from_hat(g, uhat))]
