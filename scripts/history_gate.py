@@ -26,8 +26,9 @@ which saves rerunning an unchanged tree.  The grid:
 Every numeric IterationRecord column, the iteration count, the stop reason,
 the final energy, multiplier and residual, and fft_total must agree.  Floats
 are compared through repr(), so NaN equals NaN and -0.0 differs from 0.0.
-A differing run prints its iteration counts as old→new, and the summary
-counts the runs whose iteration count changed.  The final field is
+A differing run prints its iteration counts as old→new and the relative
+difference of its final energy, and the summary counts the runs whose
+iteration count changed.  The final field is
 compared too and reported separately, and so is the largest relative
 difference of the final energy over the runs where it differs.  Exit code 0 when everything agrees, 1 otherwise.
 """
@@ -158,13 +159,14 @@ def main(argv: list[str]) -> int:
             continue
         bad = [k for k in a if k != "field_sha256" and a[k] != b[k]]
         field_diffs += a["field_sha256"] != b["field_sha256"]
+        e_a, e_b = float(a["energy"]), float(b["energy"])
+        rel = abs(e_b - e_a) / abs(e_a)
         if a["energy"] != b["energy"]:
-            e_a, e_b = float(a["energy"]), float(b["energy"])
-            energy_diffs.append(abs(e_b - e_a) / abs(e_a))
+            energy_diffs.append(rel)
         status = "DIFF " + ",".join(bad) if bad else "same"
         failures += bool(bad)
         iteration_diffs += a["iterations"] != b["iterations"]
-        iterations = (f"iterations {a['iterations']}→{b['iterations']}" if bad
+        iterations = (f"iterations {a['iterations']}→{b['iterations']}, energy {rel:.2e}" if bad
                       else f"{a['iterations']} iterations")
         print(f"{status:<12} {name}: {iterations}, {a['stop_reason']}, "
               f"fft_total {a['fft_total']}")

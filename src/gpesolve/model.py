@@ -211,8 +211,8 @@ class EnergyBreakdown:
 def energy(phi: WaveField, params: ModelParams, counter: FFTCounter | None = None) -> EnergyBreakdown:
     """Energy of `phi` split into kinetic/potential/interaction/rotation parts.
 
-    One forward transform feeds both the Laplacian and (when omega != 0)
-    the angular momentum: 2 transform units, 3 with rotation.
+    One forward transform feeds both the kinetic operator and (when
+    omega != 0) the angular momentum: 2 transform units, 3 with rotation.
     """
     if not np.all(np.isfinite(phi.values)):
         raise ValueError("field contains NaN or Inf")
@@ -220,8 +220,8 @@ def energy(phi: WaveField, params: ModelParams, counter: FFTCounter | None = Non
     hd = g.cell_volume
     v = sample_potential(params.potential, g)
     phi_hat = g.fft(phi.values, counter)
-    lap = WaveField(g, spectral.laplacian_from_hat(g, phi_hat, counter))
-    kinetic = -0.5 * spectral.inner(phi, lap).real
+    kin = WaveField(g, spectral.kinetic_from_hat(g, phi_hat, counter))
+    kinetic = spectral.inner(phi, kin).real
     dens = np.abs(phi.values) ** 2
     potential = hd * float(np.sum(v * dens))
     interaction = 0.5 * params.eta * hd * float(np.sum(dens**2))
@@ -235,12 +235,13 @@ def energy(phi: WaveField, params: ModelParams, counter: FFTCounter | None = Non
 def hamiltonian(params: ModelParams, grid: Grid, density: np.ndarray,
                 counter: FFTCounter | None = None):
     """H = -1/2 Lap + V + eta density - omega Lz with the density frozen, as a
-    map on grid values: one forward transform, the Laplacian and (omega != 0) Lz."""
+    map on grid values: one forward transform, the kinetic operator and
+    (omega != 0) Lz."""
     w = sample_potential(params.potential, grid) + params.eta * density
 
     def apply_h(values: np.ndarray) -> np.ndarray:
         hat = grid.fft(values, counter)
-        out = -0.5 * spectral.laplacian_from_hat(grid, hat, counter)
+        out = spectral.kinetic_from_hat(grid, hat, counter)
         out += w * values
         if params.omega != 0.0:
             out -= params.omega * spectral.lz_from_hat(grid, hat, counter)

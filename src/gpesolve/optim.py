@@ -217,14 +217,20 @@ def _line_search(arc: _Arc) -> tuple[float, int, float]:
 # fused iteration engine
 # ---------------------------------------------------------------------------
 
+# kinds that read the Fourier image of the iterate after set-up: those with
+# a Fourier-space residual, and c2, which forms the transform of p_hat from
+# that of Pr
+_READS_HAT = (precond.KINETIC, precond.COMBINED1, precond.COMBINED2)
+
+
 @dataclass
 class _Bundle:
     """Direction data produced once per iteration."""
 
     arc: _Arc
     p_hat: np.ndarray
-    p_hat_hat: np.ndarray
-    dp: np.ndarray | None  # Laplacian of p_hat (real-space residual only)
+    p_hat_hat: np.ndarray | None  # transform of p_hat (kinds that carry uhat)
+    kp: np.ndarray | None  # -Lap/2 of p_hat (real-space residual only)
     lp: np.ndarray | None  # Lz of p_hat (None when omega == 0)
     p_norm: float
     beta: float
@@ -236,12 +242,14 @@ class _Bundle:
 class _Engine:
     """State and update rule of the fused PG/PCG iteration.
 
-    The residual is kept in real space, next to the Laplacian of the
-    iterate, so it and its sup norm come without transforms.  Kinds that
-    start with the Fourier diagonal (precond.FOURIER_FIRST) instead get the
-    residual assembled in Fourier space from one forward transform of its
-    pointwise part; their kinetic inner products come from Parseval and the
-    Laplacian of the iterate is never formed.
+    The residual is kept in real space, next to -Lap/2 of the iterate, so
+    it and its sup norm come without transforms.  Kinds that start with
+    the Fourier diagonal (precond.FOURIER_FIRST) instead get the residual
+    assembled in Fourier space from one forward transform of its pointwise
+    part; their kinetic inner products come from Parseval and -Lap/2 of
+    the iterate is never formed.  The Fourier image of the iterate is
+    carried only for the kinds that read it (_READS_HAT), and the CG
+    memory only under pcg, in the representations the kind mixes in.
     """
 
     def __init__(self, phi0: WaveField, params: ModelParams, cfg: SolverConfig,
@@ -257,14 +265,17 @@ class _Engine:
         self.eta = params.eta
         self.omega = params.omega
         u = np.ascontiguousarray(phi0.values, dtype=np.complex128)
+        if not np.all(np.isfinite(u)):
+            raise ValueError("initial field contains NaN or Inf")
         n = np.sqrt(self.hd) * np.linalg.norm(u.ravel())
         if n == 0:
             raise ValueError("initial field is zero")
         self.u = u / n
-        self.uhat = g.fft(self.u, counter)
-        self.lu = spectral.lz_from_hat(g, self.uhat, counter) if self.omega != 0.0 else None
+        uhat = g.fft(self.u, counter)
+        self.lu = spectral.lz_from_hat(g, uhat, counter) if self.omega != 0.0 else None
         self.fourier = cfg.precond in precond.FOURIER_FIRST
-        self.du = None if self.fourier else spectral.laplacian_from_hat(g, self.uhat, counter)
+        self.ku = None if self.fourier else spectral.kinetic_from_hat(g, uhat, counter)
+        self.uhat = uhat if cfg.precond in _READS_HAT else None
         # a Fourier-space residual is brought to real space only for the
         # residual stop and for c1 under pcg (its PR inner products)
         self.need_r_real = cfg.stop == STOP_RESIDUAL or (
@@ -278,7 +289,13 @@ class _Engine:
         self.alpha = 0.0
         self.energy = 0.0
         self.dens = None
-        # CG memory
+        self.vd = None
+        # CG memory: the previous direction is kept in real space unless the
+        # kind mixes in Fourier space (kinetic), and also in Fourier space
+        # where the transform of the next direction is formed from it (c2)
+        self.pcg = cfg.method == "pcg"
+        self.keep_real = self.pcg and cfg.precond != precond.KINETIC
+        self.keep_hat = self.pcg and cfg.precond in (precond.KINETIC, precond.COMBINED2)
         self.prp_prev: float | None = None
         self.p_prev_real: np.ndarray | None = None
         self.p_prev_hat: np.ndarray | None = None
@@ -293,66 +310,73 @@ class _Engine:
         g = self.grid
         self.dens = np.abs(self.u)
         np.square(self.dens, out=self.dens)
-        pot = self.hd * float(np.sum(self.v * self.dens))
-        self.q40 = float(np.sum(self.dens * self.dens))
+        dens = self.dens.reshape(-1)
+        pot = self.hd * float(np.dot(self.v.reshape(-1), dens))
+        self.q40 = float(np.dot(dens, dens))
         inter2 = self.eta * self.hd * self.q40
         rot = -self.omega * self._rdot(self.u, self.lu) if self.lu is not None else 0.0
         if self.fourier:
             kin = 0.5 * self.scale * float(np.sum(g.k2 * np.abs(self.uhat) ** 2))
         else:
-            kin = -0.5 * self._rdot(self.u, self.du)
+            kin = self._rdot(self.u, self.ku)
         self.qa = kin + pot + rot
         self.lam = self.qa + self.eta * self.hd * self.q40
         self.alpha = kin + pot + inter2  # characteristic energy, shift of the preconditioner
+        # V + eta |u|^2, shared with the preconditioner's real-space diagonal
+        self.vd = np.multiply(self.dens, self.eta)
+        self.vd += self.v
+        # (vd - lam) u - omega Lz u, plus -Lap/2 u in the space the residual lives in
+        r = (self.vd - self.lam) * self.u
+        if self.lu is not None:
+            r -= self.omega * self.lu
         if self.fourier:
-            gvec = (self.v + self.eta * self.dens - self.lam) * self.u
-            if self.lu is not None:
-                gvec -= self.omega * self.lu
-            self.r_hat = g.fft(gvec, self.counter)
+            self.r_hat = g.fft(r, self.counter, out=r)
             self.r_hat += g.half_k2 * self.uhat
             self.r = g.ifft(self.r_hat, self.counter) if self.need_r_real else None
         else:
-            # H u - lam u accumulated in one fresh array (r_prev keeps the last one)
-            r = self.du * -0.5
-            r += (self.v + self.eta * self.dens) * self.u
-            if self.lu is not None:
-                r -= self.omega * self.lu
-            r -= self.lam * self.u
+            r += self.ku  # a fresh array each iteration: r_prev keeps the last one
             self.r = r
         return float(np.max(np.abs(self.r))) if self.r is not None else None
 
     def _arc(self, p_hat: np.ndarray, kin_p: float, kin_c: float,
              lp: np.ndarray | None) -> _Arc:
+        # the nine pointwise sums as BLAS dot products of flat real vectors:
+        # |p|^2 and Re(conj(u) p), the latter a strided view
         a1 = np.abs(p_hat)
         np.square(a1, out=a1)
+        a1 = a1.reshape(-1)
         a2 = np.conj(self.u)
         a2 *= p_hat
-        a2 = a2.real
-        qb = kin_p + self.hd * float(np.sum(self.v * a1))
-        qc = kin_c + self.hd * float(np.sum(self.v * a2))
+        a2 = a2.real.reshape(-1)
+        v = self.v.reshape(-1)
+        dens = self.dens.reshape(-1)
+        qb = kin_p + self.hd * float(np.dot(v, a1))
+        qc = kin_c + self.hd * float(np.dot(v, a2))
         if lp is not None:
             qb += -self.omega * self._rdot(p_hat, lp)
             qc += -self.omega * self._rdot(self.u, lp)
         return _Arc(
             qa=self.qa, qb=qb, qc=qc,
-            q40=self.q40, q04=float(np.sum(a1 * a1)),
-            q22a=float(np.sum(self.dens * a1)), q22b=float(np.sum(a2 * a2)),
-            q31=float(np.sum(self.dens * a2)), q13=float(np.sum(a1 * a2)),
+            q40=self.q40, q04=float(np.dot(a1, a1)),
+            q22a=float(np.dot(dens, a1)), q22b=float(np.dot(a2, a2)),
+            q31=float(np.dot(dens, a2)), q13=float(np.dot(a1, a2)),
             eta_hd=self.eta * self.hd,
         )
 
     def _mix_cg(self, pr: np.ndarray, r: np.ndarray, p_prev: np.ndarray | None,
-                u_rep: np.ndarray, w: float,
-                force_restart: bool) -> tuple[np.ndarray, float, bool, float]:
-        """Polak-Ribiere direction -Pr + beta p_prev with descent safeguard;
-        returns (direction, beta, restarted, <r, Pr>).
+                u_rep: np.ndarray, w: float, force_restart: bool,
+                ) -> tuple[np.ndarray, float, bool, float, float | None]:
+        """Polak-Ribiere direction beta p_prev - Pr with descent safeguard;
+        returns (direction, beta, restarted, <r, Pr>, c_u), where c_u is
+        w Re<u_rep, direction> when the descent check formed it, else None.
+        The direction is a fresh array or p_prev itself, updated in place.
 
         All arrays must live in the same representation (real space or
         Fourier coefficients); `u_rep` is the iterate in that
         representation and w Re<a, b> the matching real inner product.
         """
-        if self.cfg.method == "pg":
-            return -pr, 0.0, force_restart, np.nan
+        if not self.pcg:
+            return _negated(pr, r), 0.0, force_restart, np.nan, None
 
         def rdot(a: np.ndarray, b: np.ndarray) -> float:
             return w * np.vdot(a, b).real
@@ -364,23 +388,25 @@ class _Engine:
                 and self.prp_prev is not None and self.prp_prev > 0.0):
             beta = max(0.0, rdot(r - self.r_prev, pr) / self.prp_prev)
         if beta > 0.0:
-            dvec = -pr + beta * p_prev
+            dvec = np.multiply(p_prev, beta, out=p_prev)
+            dvec -= pr
             # descent check on the projected direction:
             # Re<grad E, proj dvec> = 2(Re<r, dvec> - Re<u, dvec> Re<r, u>)
             c_u = rdot(u_rep, dvec)
             slope = 2.0 * (rdot(r, dvec) - c_u * rdot(r, u_rep))
-            if slope >= 0.0:
-                dvec = -pr
-                beta = 0.0
-                restarted = True
-        else:
-            dvec = -pr
-        return dvec, beta, restarted, prp
+            if slope < 0.0:
+                return dvec, beta, restarted, prp, c_u
+            beta = 0.0
+            restarted = True
+        return _negated(pr, r), beta, restarted, prp, None
 
-    def direction(self, force_restart: bool) -> _Bundle | None:
+    def direction(self, force_restart: bool) -> _Bundle | str:
+        """The next search direction, or the stop reason when there is none:
+        zero_direction for a zero projected direction, diverged for a
+        non-finite one."""
         g = self.grid
         shift = self.alpha if self.cfg.shift == "adaptive" else float(self.cfg.shift)
-        p = precond.from_density(self.cfg.precond, g, shift, self.v, self.eta, self.dens)
+        p = precond.from_density(self.cfg.precond, g, shift, self.vd)
         pr, pr_hat = p.apply_pair(self.r_hat if self.fourier else self.r, self.counter,
                                   transformed=self.fourier)
         # mix and project in the space Pr came back in
@@ -389,13 +415,16 @@ class _Engine:
             pr, r, p_prev, u_rep, w = pr_hat, self.r_hat, self.p_prev_hat, self.uhat, self.scale
         else:
             r, p_prev, u_rep, w = self.r, self.p_prev_real, self.u, self.hd
-        dvec, beta, restarted, prp = self._mix_cg(pr, r, p_prev, u_rep, w, force_restart)
-        # dvec is a fresh array: project and normalize it in place
-        c_u = w * np.vdot(u_rep, dvec).real
+        dvec, beta, restarted, prp, c_u = self._mix_cg(pr, r, p_prev, u_rep, w, force_restart)
+        # dvec is fresh or the dead p_prev: project and normalize it in place
+        if c_u is None:
+            c_u = w * np.vdot(u_rep, dvec).real
         dvec -= c_u * u_rep
         p_norm = float(np.sqrt(w) * np.linalg.norm(dvec.ravel()))
-        if not np.isfinite(p_norm) or p_norm == 0.0:
-            return None
+        if not np.isfinite(p_norm):
+            return "diverged"
+        if p_norm == 0.0:
+            return "zero_direction"
         # numpy divides a complex by a real d as a multiply by 1/d, so this
         # equals dvec / p_norm bit for bit at the cost of a multiply
         dvec *= 1.0 / p_norm
@@ -407,26 +436,33 @@ class _Engine:
             if pr_hat is not None:
                 # c2 forms the transform of Pr (and so of p_prev) on the
                 # way, hence that of p_hat by linearity
-                dvec_hat = -pr_hat if beta == 0.0 else -pr_hat + beta * self.p_prev_hat
-                p_hat_hat = (dvec_hat - c_u * self.uhat) / p_norm
+                if beta == 0.0:
+                    dvec_hat = _negated(pr_hat)
+                else:
+                    dvec_hat = np.multiply(self.p_prev_hat, beta, out=self.p_prev_hat)
+                    dvec_hat -= pr_hat
+                dvec_hat -= c_u * self.uhat
+                p_hat_hat = np.divide(dvec_hat, p_norm, out=dvec_hat)
             else:
                 p_hat_hat = g.fft(p_hat, self.counter)
         lp = spectral.lz_from_hat(g, p_hat_hat, self.counter) if self.lu is not None else None
         if self.fourier:
-            dp = None
+            kp = None
             kin_p = 0.5 * self.scale * float(np.sum(g.k2 * np.abs(p_hat_hat) ** 2))
             kin_c = 0.5 * self.scale * np.vdot(self.uhat, g.k2 * p_hat_hat).real
         else:
-            dp = spectral.laplacian_from_hat(g, p_hat_hat, self.counter)
-            kin_p = -0.5 * self._rdot(p_hat, dp)
-            kin_c = -0.5 * self._rdot(self.u, dp)
+            kp = spectral.kinetic_from_hat(g, p_hat_hat, self.counter)
+            kin_p = self._rdot(p_hat, kp)
+            kin_c = self._rdot(self.u, kp)
+        if self.uhat is None:
+            p_hat_hat = None  # read by nothing after this
         arc = self._arc(p_hat, kin_p, kin_c, lp)
         if arc.slope0 > 0.0:
-            for a in (p_hat, p_hat_hat, dp, lp):
+            for a in (p_hat, p_hat_hat, kp, lp):
                 if a is not None:
-                    np.negative(a, out=a)
+                    _negated(a)
             arc.flip()
-        return _Bundle(arc=arc, p_hat=p_hat, p_hat_hat=p_hat_hat, dp=dp, lp=lp,
+        return _Bundle(arc=arc, p_hat=p_hat, p_hat_hat=p_hat_hat, kp=kp, lp=lp,
                        p_norm=p_norm, beta=beta, restarted=restarted, r=r, prp=prp)
 
     def accept(self, theta: float, bundle: _Bundle) -> float:
@@ -443,20 +479,31 @@ class _Engine:
         self.u *= 1.0 / nn  # == self.u / nn, as in direction
         # the images follow by the same combination: x <- (c x + s x_p) / nn
         for x, xp in ((self.uhat, bundle.p_hat_hat), (self.lu, bundle.lp),
-                      (self.du, bundle.dp)):
+                      (self.ku, bundle.kp)):
             if x is not None:
-                x *= c
-                x += np.multiply(xp, s, out=scratch)
-                x *= 1.0 / nn
+                x *= c / nn
+                x += np.multiply(xp, s / nn, out=scratch)
         self.energy += bundle.arc.delta_energy(theta)
         # CG memory
-        self.prp_prev = bundle.prp
-        bundle.p_hat *= bundle.p_norm
-        bundle.p_hat_hat *= bundle.p_norm
-        self.p_prev_real = bundle.p_hat
-        self.p_prev_hat = bundle.p_hat_hat
-        self.r_prev = bundle.r
+        if self.pcg:
+            self.prp_prev = bundle.prp
+            self.r_prev = bundle.r
+        if self.keep_real:
+            bundle.p_hat *= bundle.p_norm
+            self.p_prev_real = bundle.p_hat
+        if self.keep_hat:
+            bundle.p_hat_hat *= bundle.p_norm
+            self.p_prev_hat = bundle.p_hat_hat
         return step_inf
+
+
+def _negated(a: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    """-a, in place unless a is `keep` (the identity preconditioner returns
+    the residual itself).  The sign flips run on the float64 view: the same
+    values as complex negation, several times faster."""
+    out = np.empty_like(a) if a is keep else a
+    np.negative(a.view(np.float64), out=out.view(np.float64))
+    return out
 
 
 def solve(phi0: WaveField, params: ModelParams, cfg: SolverConfig,
@@ -469,6 +516,7 @@ def solve(phi0: WaveField, params: ModelParams, cfg: SolverConfig,
     converged = False
     stop_reason = "max_iter"
     force_restart = False
+    bundle = None
     while len(records) < cfg.max_iter:
         count0 = counter.count
         r_inf = engine.begin()
@@ -483,9 +531,9 @@ def solve(phi0: WaveField, params: ModelParams, cfg: SolverConfig,
             stop_reason = "residual_inf"
             break
         bundle = engine.direction(force_restart)
-        if bundle is None:
-            converged = True
-            stop_reason = "zero_direction"
+        if isinstance(bundle, str):
+            converged = bundle == "zero_direction"
+            stop_reason = bundle
             break
         theta, backtracks, d_e = _line_search(bundle.arc)
         if d_e >= 0.0:
@@ -519,6 +567,10 @@ def solve(phi0: WaveField, params: ModelParams, cfg: SolverConfig,
     phi = WaveField(engine.grid, engine.u)
     engine.need_r_real = True
     final_r_inf = engine.begin()
+    lam = engine.lam
+    # only the iterate outlives the engine: free the rest before the
+    # fresh energy evaluation
+    engine = bundle = None
     breakdown = model.energy(phi, params)
     return SolveResult(
         phi=phi,
@@ -526,7 +578,7 @@ def solve(phi0: WaveField, params: ModelParams, cfg: SolverConfig,
         converged=converged,
         stop_reason=stop_reason,
         energy=float(breakdown.total),
-        lam=float(engine.lam),
+        lam=float(lam),
         r_inf=float(final_r_inf),
         fft_total=counter.count,
         wall_time=time.perf_counter() - t0,

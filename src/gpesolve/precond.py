@@ -64,11 +64,19 @@ class Preconditioner:
         for the kinetic kind applied to a transform: its result is left in
         Fourier space.  The identity returns r itself.
         """
+        # r is left alone; every array formed from it is transformed and
+        # scaled in place
         g = self.grid
         if self.kind in FOURIER_FIRST:
-            pr_hat = self.fourier_diag * (r if transformed else g.fft(r, counter))
+            if transformed:
+                pr_hat = self.fourier_diag * r
+            else:
+                pr_hat = g.fft(r, counter)
+                pr_hat *= self.fourier_diag
             if self.kind == COMBINED1:  # P_V P_Delta
-                return self.real_diag * g.ifft(pr_hat, counter), None
+                pr = g.ifft(pr_hat, counter, out=pr_hat)
+                pr *= self.real_diag
+                return pr, None
             return (None if transformed else g.ifft(pr_hat, counter)), pr_hat
         if transformed:
             r = g.ifft(r, counter)
@@ -77,10 +85,17 @@ class Preconditioner:
         if self.kind == POTENTIAL:
             return self.real_diag * r, None
         if self.kind == COMBINED2:  # P_Delta P_V
-            pr_hat = self.fourier_diag * g.fft(self.real_diag * r, counter)
+            pr_hat = self.real_diag * r
+            g.fft(pr_hat, counter, out=pr_hat)
+            pr_hat *= self.fourier_diag
             return g.ifft(pr_hat, counter), pr_hat
         sq = np.sqrt(self.real_diag)
-        return sq * g.ifft(self.fourier_diag * g.fft(sq * r, counter), counter), None
+        pr = sq * r
+        g.fft(pr, counter, out=pr)
+        pr *= self.fourier_diag
+        g.ifft(pr, counter, out=pr)
+        pr *= sq
+        return pr, None
 
     def apply_values(self, r: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
         """Pr for raw grid values (MINRES baselines, conditioning diagnostic)."""
@@ -96,15 +111,12 @@ def check_shift(shift) -> float:
     return alpha
 
 
-def from_density(
-    kind: str, grid: Grid, alpha: float, v: np.ndarray | None, eta: float,
-    dens: np.ndarray | None,
-) -> Preconditioner:
-    """Preconditioner of `kind` with shift alpha at an iterate of density
-    dens = |phi_n|^2 in the sampled potential v.  The identity and kinetic
-    kinds read neither, so v and dens may be None for them."""
+def from_density(kind: str, grid: Grid, alpha: float, vd: np.ndarray | None) -> Preconditioner:
+    """Preconditioner of `kind` with shift alpha at an iterate phi_n, given
+    vd = V + eta |phi_n|^2 on the grid.  The identity and kinetic kinds do
+    not read vd, so it may be None for them."""
     fourier_diag = 1.0 / (alpha + grid.half_k2) if kind in _FOURIER_DIAG else None
-    real_diag = 1.0 / (alpha + v + eta * dens) if kind in _REAL_DIAG else None
+    real_diag = 1.0 / (alpha + vd) if kind in _REAL_DIAG else None
     return Preconditioner(kind=kind, grid=grid, alpha=alpha, fourier_diag=fourier_diag,
                           real_diag=real_diag)
 
@@ -127,9 +139,8 @@ def build(
     if shift == "adaptive":
         shift = model.characteristic_energy(phi_n, params)
     alpha = check_shift(shift)
-    v = dens = None
+    vd = None
     if kind in _REAL_DIAG:
-        v = model.sample_potential(params.potential, g)
-        dens = np.abs(phi_n.values) ** 2
-    return from_density(kind, g, alpha, v, params.eta, dens)
+        vd = model.sample_potential(params.potential, g) + params.eta * np.abs(phi_n.values) ** 2
+    return from_density(kind, g, alpha, vd)
 

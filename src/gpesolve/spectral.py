@@ -54,9 +54,10 @@ class Grid:
         k2: |xi|^2 on the grid; half_k2 is 0.5*k2 (the kinetic symbol).
 
     fft and ifft are the only full transforms of the package.  Each writes
-    into a fresh complex array through `out=`, which lets numpy run its
-    passes after the first in place rather than into new strided arrays;
-    the result is the same bit for bit.
+    into a complex output array through `out=`, fresh unless the caller
+    passes one (the input itself for an in-place transform), which lets
+    numpy run its passes after the first in place rather than into new
+    strided arrays; the result is the same bit for bit.
     """
 
     d: int
@@ -114,15 +115,21 @@ class Grid:
         shape[axis] = self.M
         return self.x1.reshape(shape)
 
-    def fft(self, values: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
+    def fft(self, values: np.ndarray, counter: FFTCounter | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
         if counter is not None:
             counter.add()
-        return np.fft.fftn(values, out=np.empty(self.shape, np.complex128))
+        if out is None:
+            out = np.empty(self.shape, np.complex128)
+        return np.fft.fftn(values, out=out)
 
-    def ifft(self, values_hat: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
+    def ifft(self, values_hat: np.ndarray, counter: FFTCounter | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
         if counter is not None:
             counter.add()
-        return np.fft.ifftn(values_hat, out=np.empty(self.shape, np.complex128))
+        if out is None:
+            out = np.empty(self.shape, np.complex128)
+        return np.fft.ifftn(values_hat, out=out)
 
 
 @dataclass
@@ -174,11 +181,15 @@ def norm(u: WaveField) -> float:
 def apply_laplacian(phi: WaveField, counter: FFTCounter | None = None) -> WaveField:
     """Apply the periodic Laplacian by Fourier multiplication with -|xi|^2."""
     g = phi.grid
-    return WaveField(g, laplacian_from_hat(g, g.fft(phi.values, counter), counter))
+    return WaveField(g, g.ifft(-g.k2 * g.fft(phi.values, counter), counter))
 
 
-def laplacian_from_hat(grid: Grid, phi_hat: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
-    return grid.ifft(-grid.k2 * phi_hat, counter)
+def kinetic_from_hat(grid: Grid, phi_hat: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
+    """Kinetic operator -Lap/2 given the full Fourier transform: one inverse
+    transform of |xi|^2/2 phi_hat, taken in place on the product (complex
+    even for real input)."""
+    out = np.multiply(grid.half_k2, phi_hat, out=np.empty(grid.shape, np.complex128))
+    return grid.ifft(out, counter, out=out)
 
 
 def apply_lz(phi: WaveField, counter: FFTCounter | None = None) -> WaveField:
@@ -190,20 +201,25 @@ def apply_lz(phi: WaveField, counter: FFTCounter | None = None) -> WaveField:
 
 def lz_from_hat(grid: Grid, phi_hat: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
     """Angular-momentum application -i(x d_y - y d_x) given the full Fourier
-    transform: two inverse transforms (d_y and d_x), then the coordinate
-    products in real space.  Charged one unit (see FFTCounter)."""
+    transform.  Since -i d_y = ifft(xi_y phi_hat), this is
+    x ifft(xi_y phi_hat) - y ifft(xi_x phi_hat): two inverse transforms,
+    then the coordinate products in real space.  Charged one unit (see
+    FFTCounter)."""
     if grid.d < 2:
         raise ValueError("the angular-momentum operator requires d >= 2")
     if counter is not None:
         counter.add()
     x = grid.coordinate(0)
     y = grid.coordinate(1)
-    dy = grid.ifft(1j * grid.freqs_first.reshape(y.shape) * phi_hat)
-    dx = grid.ifft(1j * grid.freqs_first.reshape(x.shape) * phi_hat)
+    dy = np.multiply(grid.freqs_first.reshape(y.shape), phi_hat,
+                     out=np.empty(grid.shape, np.complex128))
+    grid.ifft(dy, out=dy)
+    dx = np.multiply(grid.freqs_first.reshape(x.shape), phi_hat,
+                     out=np.empty(grid.shape, np.complex128))
+    grid.ifft(dx, out=dx)
     dy *= x
     dx *= y
     dy -= dx
-    dy *= -1j
     return dy
 
 

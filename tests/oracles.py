@@ -61,7 +61,7 @@ def dense_lz_matrix(m: int, box: float) -> np.ndarray:
 
 
 # plain numpy.fft transforms with the package's arithmetic, computed out of
-# place: Grid.fft/ifft, laplacian_from_hat and lz_from_hat must equal them
+# place: Grid.fft/ifft, kinetic_from_hat and lz_from_hat must equal them
 # bit for bit
 
 def fft_plain(values: np.ndarray) -> np.ndarray:
@@ -72,8 +72,8 @@ def ifft_plain(values_hat: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(values_hat)
 
 
-def laplacian_plain(grid, phi_hat: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(-grid.k2 * phi_hat)
+def kinetic_plain(grid, phi_hat: np.ndarray) -> np.ndarray:
+    return np.fft.ifftn(0.5 * grid.k2 * phi_hat)
 
 
 def lz_plain(grid, phi_hat: np.ndarray) -> np.ndarray:

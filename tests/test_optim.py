@@ -1,5 +1,6 @@
 """Sphere-constrained PG/PCG solvers: arc geometry, stepsizes, stopping."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from gpesolve import (
     solve_pg,
     thomas_fermi_initial,
 )
-from gpesolve import model, optim, spectral
+from gpesolve import model, optim, precond, spectral
 from gpesolve.optim import IterationRecord, SolverConfig, check_stop, solve
 
 from oracles import arc_from_fields, dense_hamiltonian_1d, step, tangent_project, theta_opt
@@ -378,6 +379,70 @@ class TestSolverInvariants:
                 assert rec.energy_delta < 0
 
 
+class TestFailureStops:
+    """A bad start or a broken direction ends the run by name, never as a
+    false convergence or a late raw error."""
+
+    @staticmethod
+    def harmonic_1d():
+        g = Grid(1, 8.0, 64)
+        params = ModelParams(eta=10.0, omega=0.0, potential=harmonic(1.0))
+        return g, params, thomas_fermi_initial(g, params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_field_rejected_before_any_transform(self, bad):
+        g, params, phi0 = self.harmonic_1d()
+        values = phi0.values.copy()
+        values[7] = bad
+        counter = spectral.FFTCounter()
+        with pytest.raises(ValueError, match="initial field contains NaN or Inf"):
+            solve(WaveField(g, values), params, SolverConfig(), counter)
+        assert counter.count == 0
+
+    @pytest.mark.parametrize("fill,converged,reason", [
+        (np.nan, False, "diverged"), (0.0, True, "zero_direction"),
+    ])
+    def test_direction_without_finite_norm(self, monkeypatch, fill, converged, reason):
+        g, params, phi0 = self.harmonic_1d()
+        monkeypatch.setattr(precond.Preconditioner, "apply_pair",
+                            lambda self, r, counter=None, transformed=False:
+                            (np.full(r.shape, fill, dtype=complex), None))
+        res = solve(phi0, params, SolverConfig(method="pcg", precond="sym"))
+        assert (res.converged, res.stop_reason, res.iterations) == (converged, reason, 0)
+        assert np.isfinite(res.energy)
+
+
+class TestPeakArrays:
+    """Peak memory the solver allocates over 40 iterations of the rotating
+    half-square at 64^2, in units of one complex grid array, pinned per
+    kind and method as the transform budget is."""
+
+    PEAK = {
+        ("identity", "pg"): 14.27, ("identity", "pcg"): 13.28,
+        ("kinetic", "pg"): 14.76, ("kinetic", "pcg"): 14.77,
+        ("potential", "pg"): 14.77, ("potential", "pcg"): 14.79,
+        ("c1", "pg"): 14.26, ("c1", "pcg"): 16.29,
+        ("c2", "pg"): 17.77, ("c2", "pcg"): 17.79,
+        ("sym", "pg"): 15.27, ("sym", "pcg"): 15.29,
+    }
+
+    @pytest.mark.parametrize("kind,method", list(PEAK))
+    def test_peak_arrays(self, kind, method):
+        g = Grid(2, 8.0, 64)
+        params = ModelParams(eta=100.0, omega=0.5, potential=half_square())
+        phi0 = model.initial_guess("d", g, params)
+        cfg = SolverConfig(method=method, precond=kind, tol=0.0, max_iter=40)
+        solve(phi0, params, cfg)  # fill the potential cache outside the measurement
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve(phi0, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / (g.size * 16) == pytest.approx(self.PEAK[kind, method], abs=0.1)
+
+
 def test_reciprocal_scaling_matches_numpy_division():
     # the engine normalizes by x *= 1/d in place of x / d; the histories
     # stay bit for bit only while the two give the same values
@@ -407,11 +472,12 @@ def test_solve_from_fortran_ordered_field():
 
 
 class TestFusedImageDrift:
-    """The engine carries the transform, Lz and Laplacian of the iterate by
-    the in-place great-circle update instead of recomputing them; after
-    2000 pg steps they still agree with fresh transforms of the iterate."""
+    """The engine carries Lz and -Lap/2 of the iterate, and its transform
+    for the kinds that read it, by the in-place great-circle update instead
+    of recomputing them; after 2000 pg steps they still agree with fresh
+    transforms of the iterate."""
 
-    @pytest.mark.parametrize("kind", ["sym", "kinetic"])
+    @pytest.mark.parametrize("kind", ["sym", "kinetic", "c2"])
     def test_images_track_fresh_transforms(self, kind):
         g = Grid(2, 8.0, 64)
         params = ModelParams(eta=100.0, omega=0.5, potential=half_square())
@@ -421,15 +487,20 @@ class TestFusedImageDrift:
         for _ in range(2000):
             engine.begin()
             bundle = engine.direction(False)
-            assert bundle is not None
+            assert isinstance(bundle, optim._Bundle), bundle
             theta, _, _ = optim._line_search(bundle.arc)
             engine.accept(theta, bundle)
         uhat = g.fft(engine.u)
-        fresh = [(engine.uhat, uhat), (engine.lu, spectral.lz_from_hat(g, uhat))]
-        if kind == "sym":  # kinetic keeps its residual in Fourier space: no Laplacian
-            fresh.append((engine.du, spectral.laplacian_from_hat(g, uhat)))
+        fresh = [(engine.lu, spectral.lz_from_hat(g, uhat))]
+        if kind == "sym":  # nothing reads the transform after set-up
+            assert engine.uhat is None
         else:
-            assert engine.du is None
+            fresh.append((engine.uhat, uhat))
+        if kind == "kinetic":  # its residual lives in Fourier space: no -Lap/2
+            assert engine.ku is None
+        else:
+            lap = spectral.apply_laplacian(WaveField(g, engine.u)).values
+            fresh.append((engine.ku, -0.5 * lap))
         for carried, exact in fresh:
             assert np.max(np.abs(carried - exact)) <= 1e-12 * np.max(np.abs(exact))
 

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpesolve import Grid, ModelParams, WaveField, build_preconditioner, harmonic, inner, norm
-from gpesolve import model
+from gpesolve import model, precond
 
 from oracles import second_derivative_matrix
 
@@ -110,6 +111,54 @@ class TestApply:
         c = p2.apply_values(r)
         d = pk.apply_values(pv.apply_values(r))
         assert np.allclose(c, d, atol=1e-14)
+
+
+# dimension, seed of the fields and the density, shift alpha, eta
+precond_cases = st.tuples(
+    st.sampled_from([1, 2]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 50.0),
+    st.floats(0.0, 500.0),
+)
+
+
+def weighted(p, x):
+    """W x for the inner product h^d vdot(W ., .) under which the kind is
+    Hermitian: the plain one, except that the compositions c1 = P_V P_Delta
+    and c2 = P_Delta P_V are Hermitian only when weighted by the inverse of
+    their outer factor."""
+    if p.kind == "c1":
+        return x / p.real_diag
+    if p.kind == "c2":
+        return np.fft.ifftn(np.fft.fftn(x) / p.fourier_diag)
+    return x
+
+
+@pytest.mark.parametrize("kind", precond.KINDS)
+@settings(max_examples=25, deadline=None)
+@given(case=precond_cases)
+def test_hermitian_positive_on_random_fields(kind, case):
+    d, seed, alpha, eta = case
+    g = Grid(d, 6.0, {1: 32, 2: 16}[d])
+    rng = np.random.default_rng(seed)
+    phi_n, u, v = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape) for _ in range(3))
+    phi_n /= np.sqrt(g.cell_volume) * np.linalg.norm(phi_n)
+    vd = model.sample_potential(harmonic(1.0), g) + eta * np.abs(phi_n) ** 2
+    p = precond.from_density(kind, g, alpha, vd)
+    pu, pv = p.apply_values(u), p.apply_values(v)
+    wu, wv = weighted(p, u), weighted(p, v)
+
+    def dot(a, b):
+        return g.cell_volume * np.vdot(a, b)
+
+    def size(a):
+        return np.sqrt(g.cell_volume) * np.linalg.norm(a)
+
+    scale = size(wu) * size(pv) + size(wv) * size(pu)
+    assert abs(dot(wu, pv) - np.conj(dot(wv, pu))) <= 1e-13 * scale
+    quad = dot(wu, pu)
+    assert quad.real > 0
+    assert abs(quad.imag) <= 1e-13 * size(wu) * size(pu)
 
 
 class TestOperatorProperties:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpesolve import Grid, WaveField, apply_laplacian, apply_lz, inner, norm, spectral_interpolate
 from gpesolve import spectral
@@ -10,7 +11,7 @@ from oracles import (
     dense_lz_matrix,
     fft_plain,
     ifft_plain,
-    laplacian_plain,
+    kinetic_plain,
     lz_plain,
     second_derivative_matrix,
     trig_interpolant,
@@ -85,6 +86,22 @@ class TestInner:
                 u_hat, v_hat = np.fft.fftn(u.values), np.fft.fftn(v.values)
                 viahat = g.cell_volume / g.size * np.vdot(u_hat, v_hat)
                 assert abs(direct - viahat) <= 1e-12 * abs(direct)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(1, 64), (2, 16), (3, 8)]), st.integers(0, 2**32 - 1), st.floats(0.5, 20.0))
+def test_grid_fft_parseval(shape, seed, half_width):
+    # h^d vdot(u, v) = h^d / N vdot(fft u, fft v), and ifft inverts fft
+    d, m = shape
+    g = Grid(d, half_width, m)
+    rng = np.random.default_rng(seed)
+    u, v = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape) for _ in range(2))
+    u_hat, v_hat = g.fft(u), g.fft(v)
+    direct = g.cell_volume * np.vdot(u, v)
+    via_hat = g.cell_volume / g.size * np.vdot(u_hat, v_hat)
+    scale = g.cell_volume * np.linalg.norm(u) * np.linalg.norm(v)
+    assert abs(direct - via_hat) <= 1e-13 * scale
+    assert np.max(np.abs(g.ifft(u_hat) - u)) <= 1e-14 * np.max(np.abs(u)) * m
 
 
 class TestLaplacian:
@@ -178,8 +195,8 @@ class TestTransforms:
     @staticmethod
     def operators(g):
         ops = [("fft", g.fft, fft_plain), ("ifft", g.ifft, ifft_plain),
-               ("laplacian", lambda a: spectral.laplacian_from_hat(g, a),
-                lambda a: laplacian_plain(g, a))]
+               ("kinetic", lambda a: spectral.kinetic_from_hat(g, a),
+                lambda a: kinetic_plain(g, a))]
         if g.d >= 2:
             ops.append(("lz", lambda a: spectral.lz_from_hat(g, a), lambda a: lz_plain(g, a)))
         return ops
