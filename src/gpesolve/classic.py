@@ -32,6 +32,17 @@ CN_LAMBDA = "cn_lambda"
 SCHEMES = (FE, FE_LAMBDA, BE, BE_LAMBDA, CN, CN_LAMBDA)
 
 
+def check_precond(scheme: str, kind: str) -> None:
+    """Raise ValueError unless `kind` can precondition the MINRES solves of
+    `scheme`.  MINRES needs a Hermitian positive definite preconditioner,
+    and c1 = P_V P_Delta and c2 = P_Delta P_V are not Hermitian; the
+    explicit schemes read no preconditioner."""
+    if scheme not in (FE, FE_LAMBDA) and kind in (precond.COMBINED1, precond.COMBINED2):
+        raise ValueError(
+            f"precond {kind!r} is not Hermitian, but the MINRES solves of the implicit "
+            f"scheme {scheme!r} need a Hermitian positive definite preconditioner")
+
+
 @dataclass
 class SchemeKind:
     """Imaginary-time scheme selection and inner-solver controls."""
@@ -191,6 +202,7 @@ def imaginary_time_step(
     Hermitian system with preconditioned MINRES (density and lambda frozen
     at phi_n).  Returns (phi_{n+1}, inner iteration count).
     """
+    check_precond(scheme.scheme, precond_kind)
     g = phi_n.grid
     dt = scheme.dt
     apply_h = model.hamiltonian(params, g, np.abs(phi_n.values) ** 2, counter)
@@ -251,6 +263,7 @@ def run_imaginary_time(
     beyond its stability bound) is detected and aborts the run.
     """
     check_options(precond_kind, shift, stop, tol, max_iter)
+    check_precond(scheme.scheme, precond_kind)
     t0 = time.perf_counter()
     counter = FFTCounter()
     phi = phi0.normalized()

@@ -160,6 +160,8 @@ class RunConfig:
         self.solver_config()
         if self.method in SCHEME_METHODS:
             self.scheme()
+            _check("solver.precond", classic.check_precond, self.method,
+                   self.mapping["solver.precond"])
         _check("init.kind", model.check_guess, self.init_kind(), grid.d, params)
         self.multigrid_schedule()
 

@@ -92,7 +92,7 @@ def records_csv_text(records: list[IterationRecord], inner_iters: bool = False) 
             if isinstance(value, float):
                 row.append(repr(value))
             else:
-                row.append(value)
+                row.append(int(value) if isinstance(value, bool) else value)
         writer.writerow(row)
     return buf.getvalue()
 

@@ -235,16 +235,19 @@ def energy(phi: WaveField, params: ModelParams, counter: FFTCounter | None = Non
 def hamiltonian(params: ModelParams, grid: Grid, density: np.ndarray,
                 counter: FFTCounter | None = None):
     """H = -1/2 Lap + V + eta density - omega Lz with the density frozen, as a
-    map on grid values: one forward transform, the kinetic operator and
-    (omega != 0) Lz."""
+    map on grid values.  Without rotation: one forward transform and the
+    kinetic operator.  With it, the linear part is applied one axis at a
+    time (spectral.rotating_linear), charged its two images, -Lap/2 and Lz."""
     w = sample_potential(params.potential, grid) + params.eta * density
 
     def apply_h(values: np.ndarray) -> np.ndarray:
-        hat = grid.fft(values, counter)
-        out = spectral.kinetic_from_hat(grid, hat, counter)
-        out += w * values
         if params.omega != 0.0:
-            out -= params.omega * spectral.lz_from_hat(grid, hat, counter)
+            out, _ = spectral.rotating_linear(grid, params.omega, values)
+            if counter is not None:
+                counter.add(2)
+        else:
+            out = spectral.kinetic_from_hat(grid, grid.fft(values, counter), counter)
+        out += w * values
         return out
 
     return apply_h

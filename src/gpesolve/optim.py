@@ -8,16 +8,22 @@ minimizes the second-order expansion of the energy along the arc and is
 halved until the energy decreases.
 
 The expensive transforms of an iteration are fused in one engine: the
-Laplacian, angular-momentum and Fourier images of the iterate are carried
-across iterations by the same trigonometric combination that updates the
-iterate itself.  The residual is placed in real space, or in Fourier space
+images of the iterate under the linear part of the Hamiltonian and under
+the Fourier transform are carried across iterations by the same
+trigonometric combination that updates the iterate itself.  With rotation
+that linear part, -Lap/2 - omega Lz, is applied one axis at a time
+(spectral.rotating_linear), and its first pass also yields the transform of
+the direction.  The residual is placed in real space, or in Fourier space
 for the preconditioners that start with their Fourier diagonal
-(precond.FOURIER_FIRST: kinetic, c1).  One iteration costs 3 transform
-units (forward + Laplacian + angular momentum) plus 0/0/0/1/1/2 units for
-the identity/kinetic/potential/c1/c2/sym preconditioners, so 3/3/3/4/4/5
-with rotation and 2/2/2/3/3/4 without.  The one exception is c1 under pcg,
-which spends one more unit bringing its residual to real space for the
-Polak-Ribiere inner products.
+(precond.FOURIER_FIRST: kinetic, c1).
+
+One iteration costs 3 transform units of the cost model (forward +
+Laplacian + angular momentum, see spectral.FFTCounter) plus 0/0/0/1/1/2
+units for the identity/kinetic/potential/c1/c2/sym preconditioners, so
+3/3/3/4/4/5 with rotation and 2/2/2/3/3/4 without.  The one exception is
+c1 under pcg, charged one more unit for its residual in real space, which
+the Polak-Ribiere inner products read.  The real work behind a rotating 2D
+iteration is 5/8/5/9/8/9 one-axis passes.
 """
 
 from __future__ import annotations
@@ -97,7 +103,7 @@ class IterationRecord:
     inner_iters: int | None = None
 
     CSV_FIELDS = ("n", "energy", "lam", "r_inf", "step_inf", "theta", "beta",
-                  "backtracks", "fft_count", "wall_time")
+                  "backtracks", "fft_count", "energy_delta", "restarted", "wall_time")
 
     def __post_init__(self) -> None:
         for name in ("energy", "lam", "r_inf", "step_inf", "theta", "beta",
@@ -217,9 +223,10 @@ def _line_search(arc: _Arc) -> tuple[float, int, float]:
 # fused iteration engine
 # ---------------------------------------------------------------------------
 
-# kinds that read the Fourier image of the iterate after set-up: those with
-# a Fourier-space residual, and c2, which forms the transform of p_hat from
-# that of Pr
+# kinds that read the Fourier image of the iterate after set-up without
+# rotation: those with a Fourier-space residual, and c2, which forms the
+# transform of p_hat from that of Pr.  With rotation every kind reads it,
+# for the kinetic energy in the shift.
 _READS_HAT = (precond.KINETIC, precond.COMBINED1, precond.COMBINED2)
 
 
@@ -229,9 +236,8 @@ class _Bundle:
 
     arc: _Arc
     p_hat: np.ndarray
-    p_hat_hat: np.ndarray | None  # transform of p_hat (kinds that carry uhat)
-    kp: np.ndarray | None  # -Lap/2 of p_hat (real-space residual only)
-    lp: np.ndarray | None  # Lz of p_hat (None when omega == 0)
+    p_hat_hat: np.ndarray | None  # transform of p_hat (engines that carry uhat)
+    hp: np.ndarray | None  # linear part of H applied to p_hat (engines that carry hu)
     p_norm: float
     beta: float
     restarted: bool
@@ -242,14 +248,21 @@ class _Bundle:
 class _Engine:
     """State and update rule of the fused PG/PCG iteration.
 
-    The residual is kept in real space, next to -Lap/2 of the iterate, so
-    it and its sup norm come without transforms.  Kinds that start with
-    the Fourier diagonal (precond.FOURIER_FIRST) instead get the residual
-    assembled in Fourier space from one forward transform of its pointwise
-    part; their kinetic inner products come from Parseval and -Lap/2 of
-    the iterate is never formed.  The Fourier image of the iterate is
-    carried only for the kinds that read it (_READS_HAT), and the CG
-    memory only under pcg, in the representations the kind mixes in.
+    The engine carries hu, the linear part H_lin = -Lap/2 - omega Lz of the
+    Hamiltonian applied to the iterate, and uhat, its Fourier transform.
+    The residual is kept in real space, next to hu, so it and its sup norm
+    come without transforms.  Kinds that start with the Fourier diagonal
+    (precond.FOURIER_FIRST) instead get the residual in Fourier space from
+    one forward transform.
+
+    With rotation both images are carried for every kind: the quadratic
+    terms of the arc are Re<p, H_lin p> and Re<u, H_lin p>, and the kinetic
+    energy of the shift comes from uhat by Parseval.  Without rotation
+    H_lin = -Lap/2 is formed from full transforms, and only where a kind
+    reads it: the Fourier-first kinds take their kinetic terms by Parseval
+    and carry uhat in place of hu, and uhat is carried only for the kinds
+    that read it (_READS_HAT).  The CG memory is kept only under pcg, in
+    the representations the kind mixes in.
     """
 
     def __init__(self, phi0: WaveField, params: ModelParams, cfg: SolverConfig,
@@ -271,11 +284,15 @@ class _Engine:
         if n == 0:
             raise ValueError("initial field is zero")
         self.u = u / n
-        uhat = g.fft(self.u, counter)
-        self.lu = spectral.lz_from_hat(g, uhat, counter) if self.omega != 0.0 else None
+        self.rotating = self.omega != 0.0
         self.fourier = cfg.precond in precond.FOURIER_FIRST
-        self.ku = None if self.fourier else spectral.kinetic_from_hat(g, uhat, counter)
-        self.uhat = uhat if cfg.precond in _READS_HAT else None
+        if self.rotating:
+            self.hu, uhat = spectral.rotating_linear(g, self.omega, self.u, hat=True)
+            counter.add(self._image_units(True))
+        else:
+            uhat = g.fft(self.u, counter)
+            self.hu = None if self.fourier else spectral.kinetic_from_hat(g, uhat, counter)
+        self.uhat = uhat if self.rotating or cfg.precond in _READS_HAT else None
         # a Fourier-space residual is brought to real space only for the
         # residual stop and for c1 under pcg (its PR inner products)
         self.need_r_real = cfg.stop == STOP_RESIDUAL or (
@@ -304,6 +321,18 @@ class _Engine:
     def _rdot(self, a: np.ndarray, b: np.ndarray) -> float:
         return self.hd * np.vdot(a, b).real
 
+    def _kinetic(self, a_hat: np.ndarray) -> float:
+        """<a, -Lap/2 a> from the transform of a, by Parseval."""
+        return self.scale * float(np.sum(self.grid.half_k2 * np.abs(a_hat) ** 2))
+
+    def _image_units(self, formed_hat: bool) -> int:
+        """Cost-model units (spectral.FFTCounter) of one rotating_linear
+        call: the Lz and -Lap/2 images it forms, less the latter for the
+        kinds that took their kinetic terms by Parseval before the operator
+        was applied one axis at a time (FOURIER_FIRST), plus the forward
+        transform when it completes one."""
+        return 1 + (not self.fourier) + formed_hat
+
     def begin(self) -> float | None:
         """Refresh the iterate's scalars and residual; returns the residual
         sup norm, or None when the residual stays in Fourier space."""
@@ -314,32 +343,42 @@ class _Engine:
         pot = self.hd * float(np.dot(self.v.reshape(-1), dens))
         self.q40 = float(np.dot(dens, dens))
         inter2 = self.eta * self.hd * self.q40
-        rot = -self.omega * self._rdot(self.u, self.lu) if self.lu is not None else 0.0
-        if self.fourier:
-            kin = 0.5 * self.scale * float(np.sum(g.k2 * np.abs(self.uhat) ** 2))
+        # <u, H_lin u>, and its kinetic part alone for the shift: the same
+        # number without rotation
+        if self.hu is None:
+            kin = lin = self._kinetic(self.uhat)
         else:
-            kin = self._rdot(self.u, self.ku)
-        self.qa = kin + pot + rot
+            lin = self._rdot(self.u, self.hu)
+            kin = self._kinetic(self.uhat) if self.rotating else lin
+        self.qa = lin + pot
         self.lam = self.qa + self.eta * self.hd * self.q40
         self.alpha = kin + pot + inter2  # characteristic energy, shift of the preconditioner
         # V + eta |u|^2, shared with the preconditioner's real-space diagonal
         self.vd = np.multiply(self.dens, self.eta)
         self.vd += self.v
-        # (vd - lam) u - omega Lz u, plus -Lap/2 u in the space the residual lives in
+        # (vd - lam) u + H_lin u, a fresh array each iteration: r_prev keeps
+        # the last one
         r = (self.vd - self.lam) * self.u
-        if self.lu is not None:
-            r -= self.omega * self.lu
-        if self.fourier:
+        if self.hu is not None:
+            r += self.hu
+        if not self.fourier:
+            self.r = r
+        elif self.hu is None:
+            # -Lap/2 u added in Fourier space, where it is diagonal
             self.r_hat = g.fft(r, self.counter, out=r)
             self.r_hat += g.half_k2 * self.uhat
             self.r = g.ifft(self.r_hat, self.counter) if self.need_r_real else None
         else:
-            r += self.ku  # a fresh array each iteration: r_prev keeps the last one
-            self.r = r
+            # the whole residual is at hand in real space: keep it where it
+            # is read, charged the unit of bringing it there
+            self.r_hat = g.fft(r, self.counter, out=None if self.need_r_real else r)
+            self.r = r if self.need_r_real else None
+            if self.need_r_real:
+                self.counter.add()
         return float(np.max(np.abs(self.r))) if self.r is not None else None
 
-    def _arc(self, p_hat: np.ndarray, kin_p: float, kin_c: float,
-             lp: np.ndarray | None) -> _Arc:
+    def _arc(self, p_hat: np.ndarray, lin_p: float, lin_c: float) -> _Arc:
+        # lin_p = Re<p_hat, H_lin p_hat> and lin_c = Re<u, H_lin p_hat>
         # the nine pointwise sums as BLAS dot products of flat real vectors:
         # |p|^2 and Re(conj(u) p), the latter a strided view
         a1 = np.abs(p_hat)
@@ -350,13 +389,10 @@ class _Engine:
         a2 = a2.real.reshape(-1)
         v = self.v.reshape(-1)
         dens = self.dens.reshape(-1)
-        qb = kin_p + self.hd * float(np.dot(v, a1))
-        qc = kin_c + self.hd * float(np.dot(v, a2))
-        if lp is not None:
-            qb += -self.omega * self._rdot(p_hat, lp)
-            qc += -self.omega * self._rdot(self.u, lp)
         return _Arc(
-            qa=self.qa, qb=qb, qc=qc,
+            qa=self.qa,
+            qb=lin_p + self.hd * float(np.dot(v, a1)),
+            qc=lin_c + self.hd * float(np.dot(v, a2)),
             q40=self.q40, q04=float(np.dot(a1, a1)),
             q22a=float(np.dot(dens, a1)), q22b=float(np.dot(a2, a2)),
             q31=float(np.dot(dens, a2)), q13=float(np.dot(a1, a2)),
@@ -406,9 +442,10 @@ class _Engine:
         non-finite one."""
         g = self.grid
         shift = self.alpha if self.cfg.shift == "adaptive" else float(self.cfg.shift)
-        p = precond.from_density(self.cfg.precond, g, shift, self.vd)
-        pr, pr_hat = p.apply_pair(self.r_hat if self.fourier else self.r, self.counter,
-                                  transformed=self.fourier)
+        # nothing reads the diagonals after the apply, and holding them
+        # through the rest of the direction would raise its peak memory
+        pr, pr_hat = precond.from_density(self.cfg.precond, g, shift, self.vd).apply_pair(
+            self.r_hat if self.fourier else self.r, self.counter, transformed=self.fourier)
         # mix and project in the space Pr came back in
         mix_hat = pr is None
         if mix_hat:
@@ -416,6 +453,7 @@ class _Engine:
         else:
             r, p_prev, u_rep, w = self.r, self.p_prev_real, self.u, self.hd
         dvec, beta, restarted, prp, c_u = self._mix_cg(pr, r, p_prev, u_rep, w, force_restart)
+        pr = None  # dead unless it is dvec; holding it would raise the peak
         # dvec is fresh or the dead p_prev: project and normalize it in place
         if c_u is None:
             c_u = w * np.vdot(u_rep, dvec).real
@@ -428,6 +466,7 @@ class _Engine:
         # numpy divides a complex by a real d as a multiply by 1/d, so this
         # equals dvec / p_norm bit for bit at the cost of a multiply
         dvec *= 1.0 / p_norm
+        p_hat_hat = None
         if mix_hat:
             p_hat_hat = dvec
             p_hat = g.ifft(p_hat_hat, self.counter)
@@ -443,26 +482,30 @@ class _Engine:
                     dvec_hat -= pr_hat
                 dvec_hat -= c_u * self.uhat
                 p_hat_hat = np.divide(dvec_hat, p_norm, out=dvec_hat)
-            else:
-                p_hat_hat = g.fft(p_hat, self.counter)
-        lp = spectral.lz_from_hat(g, p_hat_hat, self.counter) if self.lu is not None else None
-        if self.fourier:
-            kp = None
-            kin_p = 0.5 * self.scale * float(np.sum(g.k2 * np.abs(p_hat_hat) ** 2))
-            kin_c = 0.5 * self.scale * np.vdot(self.uhat, g.k2 * p_hat_hat).real
+        if self.rotating:
+            hp, formed = spectral.rotating_linear(g, self.omega, p_hat, hat=p_hat_hat is None)
+            self.counter.add(self._image_units(formed is not None))
+            if formed is not None:
+                p_hat_hat = formed
         else:
-            kp = spectral.kinetic_from_hat(g, p_hat_hat, self.counter)
-            kin_p = self._rdot(p_hat, kp)
-            kin_c = self._rdot(self.u, kp)
+            if p_hat_hat is None:
+                p_hat_hat = g.fft(p_hat, self.counter)
+            hp = None if self.fourier else spectral.kinetic_from_hat(g, p_hat_hat, self.counter)
+        if hp is None:  # kinetic terms by Parseval
+            lin_p = self._kinetic(p_hat_hat)
+            lin_c = self.scale * np.vdot(self.uhat, g.half_k2 * p_hat_hat).real
+        else:
+            lin_p = self._rdot(p_hat, hp)
+            lin_c = self._rdot(self.u, hp)
         if self.uhat is None:
             p_hat_hat = None  # read by nothing after this
-        arc = self._arc(p_hat, kin_p, kin_c, lp)
+        arc = self._arc(p_hat, lin_p, lin_c)
         if arc.slope0 > 0.0:
-            for a in (p_hat, p_hat_hat, kp, lp):
+            for a in (p_hat, p_hat_hat, hp):
                 if a is not None:
                     _negated(a)
             arc.flip()
-        return _Bundle(arc=arc, p_hat=p_hat, p_hat_hat=p_hat_hat, kp=kp, lp=lp,
+        return _Bundle(arc=arc, p_hat=p_hat, p_hat_hat=p_hat_hat, hp=hp,
                        p_norm=p_norm, beta=beta, restarted=restarted, r=r, prp=prp)
 
     def accept(self, theta: float, bundle: _Bundle) -> float:
@@ -478,8 +521,7 @@ class _Engine:
         nn = np.sqrt(self.hd) * np.linalg.norm(self.u.ravel())
         self.u *= 1.0 / nn  # == self.u / nn, as in direction
         # the images follow by the same combination: x <- (c x + s x_p) / nn
-        for x, xp in ((self.uhat, bundle.p_hat_hat), (self.lu, bundle.lp),
-                      (self.ku, bundle.kp)):
+        for x, xp in ((self.uhat, bundle.p_hat_hat), (self.hu, bundle.hp)):
             if x is not None:
                 x *= c / nn
                 x += np.multiply(xp, s / nn, out=scratch)

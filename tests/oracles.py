@@ -113,6 +113,25 @@ def trig_interpolant(values: np.ndarray, box: float, targets: np.ndarray) -> np.
     return out
 
 
+def truncate_spectrum(values: np.ndarray, m: int) -> np.ndarray:
+    """Samples on the m-point grid of the same box whose spectrum is that of
+    the finer `values` cut to the m lowest modes per axis.  The fine +/- m/2
+    modes are summed into the coarse -m/2 one, undoing the even split of
+    spectral_interpolate."""
+    m2 = values.shape[0]
+    d = values.ndim
+    spec = np.fft.fftshift(np.fft.fftn(values))
+    off = (m2 - m) // 2
+    for ax in range(d):
+        lo = [slice(None)] * d
+        hi = [slice(None)] * d
+        lo[ax] = off
+        hi[ax] = off + m
+        spec[tuple(lo)] += spec[tuple(hi)]
+    block = spec[tuple(slice(off, off + m) for _ in range(d))]
+    return np.fft.ifftn(np.fft.ifftshift(block)) * (m / m2) ** d
+
+
 # ---------------------------------------------------------------------------
 # unfused sphere operators
 # ---------------------------------------------------------------------------

@@ -304,6 +304,26 @@ class TestRunImaginaryTime:
             run_imaginary_time(phi, SchemeKind("fe_lambda", 1e-3), params, **option)
         assert steps == []
 
+    @pytest.mark.parametrize("kind", ["c1", "c2"])
+    @pytest.mark.parametrize("scheme", ["be", "be_lambda", "cn", "cn_lambda"])
+    def test_non_hermitian_precond_rejected_before_first_step(self, kind, scheme, monkeypatch):
+        # MINRES needs a Hermitian positive definite preconditioner; c1 and c2
+        # are not Hermitian, so implicit schemes refuse them by name
+        g, params, phi = linear_harmonic(32)
+        steps = []
+        monkeypatch.setattr(model, "hamiltonian", lambda *a: steps.append(a))
+        with pytest.raises(ValueError, match=f"precond '{kind}' is not Hermitian"):
+            run_imaginary_time(phi, SchemeKind(scheme, 0.01), params, kind)
+        with pytest.raises(ValueError, match=f"precond '{kind}'"):
+            imaginary_time_step(phi, SchemeKind(scheme, 0.01), params, kind)
+        assert steps == []
+
+    @pytest.mark.parametrize("kind", ["c1", "c2"])
+    def test_explicit_schemes_read_no_precond(self, kind):
+        g, params, phi = linear_harmonic(32)
+        res = run_imaginary_time(phi, SchemeKind("fe_lambda", 1e-3), params, kind, max_iter=3)
+        assert res.iterations == 3
+
     def test_unpreconditioned_growth_laws(self):
         # the CFL-limited gradient method grows like h^-2 while the
         # Krylov-backed BE only grows like h^-1 (so BE overtakes PG on fine

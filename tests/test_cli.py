@@ -103,6 +103,18 @@ class TestSolveCommand:
         assert "Traceback" not in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("kind", ["c1", "c2"])
+    def test_imaginary_time_non_hermitian_precond_exits_2(self, tmp_path, capsys, kind):
+        text = HARMONIC_1D.replace("solver.method = pcg", "solver.method = be_lambda")
+        cfg = write_cfg(tmp_path, text)
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", cfg, "--set", f"solver.precond={kind}",
+                     "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: solver.precond: precond '{kind}' is not Hermitian" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
+
     def test_imaginary_time_fixed_shift_reaches_preconditioner(self, tmp_path, monkeypatch):
         text = HARMONIC_1D.replace("solver.method = pcg", "solver.method = be_lambda")
         cfg = write_cfg(tmp_path, text + "solver.tol = 1e-9\n")
@@ -150,7 +162,23 @@ class TestSolveCommand:
         assert abs(float(summary["energy"]) - np.sqrt(2) / 2) <= 1e-7
         assert int(summary["inner_iterations"]) > 0
         header = open(os.path.join(out, "convergence.csv")).readline().strip()
-        assert "inner_iters" in header.split(",")
+        assert header.split(",")[-4:] == ["energy_delta", "restarted", "inner_iters", "wall_time"]
+
+    def test_convergence_csv_logs_energy_delta_and_restarts(self, tmp_path):
+        # each row's energy_delta is the change from the previous row's
+        # energy, and restarted is 0 or 1, with beta = 0 on a restart
+        cfg = write_cfg(tmp_path, HARMONIC_1D.replace("model.eta = 0", "model.eta = 50"))
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", cfg, "--out", out]) == 0
+        with open(os.path.join(out, "convergence.csv"), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0])[-3:] == ["energy_delta", "restarted", "wall_time"]
+        assert {row["restarted"] for row in rows} <= {"0", "1"}
+        assert all(float(row["beta"]) == 0.0 for row in rows if row["restarted"] == "1")
+        energies = [float(row["energy"]) for row in rows]
+        for prev, row in zip(energies, rows[1:]):
+            assert float(row["energy_delta"]) == pytest.approx(float(row["energy"]) - prev,
+                                                               abs=1e-12)
 
     def test_deterministic_rerun(self, tmp_path):
         cfg = RunConfig.from_text(HARMONIC_1D)

@@ -123,6 +123,9 @@ class TestConfigParsing:
         # each multigrid level size under the rule the grid uses
         (["multigrid.levels=5:1e-8,32:1e-8"], "multigrid.levels"),
         (["multigrid.levels=2,64"], "multigrid.levels"),
+        # MINRES needs a Hermitian preconditioner
+        (["solver.method=be_lambda", "solver.precond=c1"], "solver.precond"),
+        (["solver.method=cn", "solver.precond=c2"], "solver.precond"),
     ])
     def test_error_names_its_key(self, overrides, key):
         with pytest.raises(ConfigError, match=key) as info:
@@ -198,8 +201,10 @@ class TestCsvOutputs:
         path = str(tmp_path / "conv.csv")
         io.write_records_csv(path, self._records())
         lines = open(path).read().splitlines()
-        assert lines[0] == "n,energy,lam,r_inf,step_inf,theta,beta,backtracks,fft_count,wall_time"
+        assert lines[0] == ("n,energy,lam,r_inf,step_inf,theta,beta,backtracks,fft_count,"
+                            "energy_delta,restarted,wall_time")
         assert len(lines) == 4
+        assert lines[2].split(",")[9:11] == ["0.0", "0"]
 
     def test_numeric_payload_deterministic(self):
         a = io.records_csv_text(self._records())

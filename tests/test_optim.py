@@ -321,6 +321,42 @@ class TestTransformBudget:
             assert {r.fft_count for r in res.records} == {self.UNITS_2D[kind] + offset + extra}
 
 
+class TestOneAxisPasses:
+    """The real work behind the transform units: one-axis passes per
+    iteration, a full transform counting d of them.  With rotation the
+    linear part of H runs one axis at a time and completes the transform of
+    the direction on the way, so units and passes part."""
+
+    # 2D, energy_diff stop; c1 under pcg keeps its real-space residual
+    ROTATING = {"identity": 5, "kinetic": 8, "potential": 5, "c1": 9, "c2": 8, "sym": 9}
+    STILL = {"identity": 4, "kinetic": 4, "potential": 4, "c1": 6, "c2": 6, "sym": 8}
+
+    @pytest.mark.parametrize("method", ["pg", "pcg"])
+    @pytest.mark.parametrize("kind", list(ROTATING))
+    def test_passes_per_iteration(self, kind, method, monkeypatch):
+        passes = []
+        for name in ("fft", "ifft", "fftn", "ifftn"):
+            def counted(a, *args, _f=getattr(np.fft, name), _n=name, **kwargs):
+                passes.append(a.ndim if _n.endswith("n") else 1)
+                return _f(a, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        g = Grid(2, 8.0, 32)
+        for omega, table, extra in ((0.5, self.ROTATING, 0),
+                                    (0.0, self.STILL, 2 * ((kind, method) == ("c1", "pcg")))):
+            params = ModelParams(eta=100.0, omega=omega, potential=half_square())
+            engine = optim._Engine(model.initial_guess("d", g, params), params,
+                                   SolverConfig(method=method, precond=kind),
+                                   spectral.FFTCounter())
+            per_iteration = set()
+            for _ in range(5):
+                passes.clear()
+                engine.begin()
+                bundle = engine.direction(False)
+                engine.accept(optim._line_search(bundle.arc)[0], bundle)
+                per_iteration.add(sum(passes))
+            assert per_iteration == {table[kind] + extra}, omega
+
+
 class TestSolverInvariants:
     def test_norm_and_monotonicity_across_methods(self):
         g = Grid(2, 6.0, 32)
@@ -418,12 +454,12 @@ class TestPeakArrays:
     kind and method as the transform budget is."""
 
     PEAK = {
-        ("identity", "pg"): 14.27, ("identity", "pcg"): 13.28,
-        ("kinetic", "pg"): 14.76, ("kinetic", "pcg"): 14.77,
-        ("potential", "pg"): 14.77, ("potential", "pcg"): 14.79,
-        ("c1", "pg"): 14.26, ("c1", "pcg"): 16.29,
-        ("c2", "pg"): 17.77, ("c2", "pcg"): 17.79,
-        ("sym", "pg"): 15.27, ("sym", "pcg"): 15.29,
+        ("identity", "pg"): 14.26, ("identity", "pcg"): 13.27,
+        ("kinetic", "pg"): 14.25, ("kinetic", "pcg"): 14.26,
+        ("potential", "pg"): 14.26, ("potential", "pcg"): 13.27,
+        ("c1", "pg"): 13.24, ("c1", "pcg"): 14.28,
+        ("c2", "pg"): 14.26, ("c2", "pcg"): 13.27,
+        ("sym", "pg"): 14.26, ("sym", "pcg"): 13.27,
     }
 
     @pytest.mark.parametrize("kind,method", list(PEAK))
@@ -472,10 +508,10 @@ def test_solve_from_fortran_ordered_field():
 
 
 class TestFusedImageDrift:
-    """The engine carries Lz and -Lap/2 of the iterate, and its transform
-    for the kinds that read it, by the in-place great-circle update instead
-    of recomputing them; after 2000 pg steps they still agree with fresh
-    transforms of the iterate."""
+    """The engine carries hu = (-Lap/2 - omega Lz) u and the transform of
+    the iterate by the in-place great-circle update instead of recomputing
+    them; after 2000 pg steps they still agree with fresh full-transform
+    evaluations at the iterate."""
 
     @pytest.mark.parametrize("kind", ["sym", "kinetic", "c2"])
     def test_images_track_fresh_transforms(self, kind):
@@ -491,18 +527,49 @@ class TestFusedImageDrift:
             theta, _, _ = optim._line_search(bundle.arc)
             engine.accept(theta, bundle)
         uhat = g.fft(engine.u)
-        fresh = [(engine.lu, spectral.lz_from_hat(g, uhat))]
-        if kind == "sym":  # nothing reads the transform after set-up
-            assert engine.uhat is None
-        else:
-            fresh.append((engine.uhat, uhat))
-        if kind == "kinetic":  # its residual lives in Fourier space: no -Lap/2
-            assert engine.ku is None
-        else:
-            lap = spectral.apply_laplacian(WaveField(g, engine.u)).values
-            fresh.append((engine.ku, -0.5 * lap))
-        for carried, exact in fresh:
+        hu = spectral.kinetic_from_hat(g, uhat) - params.omega * spectral.lz_from_hat(g, uhat)
+        for carried, exact in ((engine.uhat, uhat), (engine.hu, hu)):
             assert np.max(np.abs(carried - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("omega", [0.0, 0.5])
+    @pytest.mark.parametrize("kind", ["sym", "kinetic"])
+    def test_adaptive_shift_is_characteristic_energy(self, kind, omega):
+        # the shift takes the kinetic energy alone, never the rotation term
+        # that comes with it in <u, H_lin u>
+        g = Grid(2, 8.0, 64)
+        params = ModelParams(eta=100.0, omega=omega, potential=half_square())
+        phi0 = model.initial_guess("d", g, params)
+        engine = optim._Engine(phi0, params, SolverConfig(method="pcg", precond=kind),
+                               spectral.FFTCounter())
+        for _ in range(20):
+            engine.begin()
+            bundle = engine.direction(False)
+            engine.accept(optim._line_search(bundle.arc)[0], bundle)
+        engine.begin()
+        expected = model.characteristic_energy(WaveField(g, engine.u), params)
+        assert engine.alpha == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["sym", "kinetic", "c2"])
+    def test_images_without_rotation(self, kind):
+        # -Lap/2 u is carried unless the kind takes it by Parseval, and the
+        # transform only for the kinds that read it
+        g = Grid(2, 8.0, 64)
+        params = ModelParams(eta=100.0, omega=0.0, potential=half_square())
+        phi0 = model.initial_guess("d", g, params)
+        engine = optim._Engine(phi0, params, SolverConfig(method="pg", precond=kind),
+                               spectral.FFTCounter())
+        for _ in range(200):
+            engine.begin()
+            bundle = engine.direction(False)
+            theta, _, _ = optim._line_search(bundle.arc)
+            engine.accept(theta, bundle)
+        uhat = g.fft(engine.u)
+        assert (engine.uhat is None) == (kind == "sym")
+        assert (engine.hu is None) == (kind == "kinetic")
+        fresh = [(engine.uhat, uhat), (engine.hu, spectral.kinetic_from_hat(g, uhat))]
+        for carried, exact in fresh:
+            if carried is not None:
+                assert np.max(np.abs(carried - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 class TestSolverConfigValidation:

@@ -15,6 +15,7 @@ from oracles import (
     lz_plain,
     second_derivative_matrix,
     trig_interpolant,
+    truncate_spectrum,
 )
 
 
@@ -184,6 +185,55 @@ class TestLz:
         a = apply_lz(u).values
         b = spectral.lz_from_hat(g, np.fft.fftn(u.values))
         assert np.max(np.abs(a - b)) <= 1e-11 * np.max(np.abs(a))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(2, 8), (2, 16), (2, 32), (3, 8), (3, 12)]), st.integers(0, 2**32 - 1),
+       st.floats(-3.0, 3.0), st.floats(0.5, 20.0))
+def test_rotating_linear_matches_full_transforms(shape, seed, omega, half_width):
+    # the one-axis operator equals -Lap/2 - omega Lz from full transforms,
+    # completes the full transform, leaves its input alone and is Hermitian
+    d, m = shape
+    g = Grid(d, half_width, m)
+    rng = np.random.default_rng(seed)
+    u, v = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape) for _ in range(2))
+    before = u.copy()
+    u_hat = g.fft(u)
+    expected = spectral.kinetic_from_hat(g, u_hat) - omega * spectral.lz_from_hat(g, u_hat)
+    hu, hat = spectral.rotating_linear(g, omega, u, hat=True)
+    assert np.max(np.abs(hu - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert np.max(np.abs(hat - u_hat)) <= 1e-13 * np.max(np.abs(u_hat))
+    assert np.array_equal(u, before)
+    hv, none = spectral.rotating_linear(g, omega, v)
+    assert none is None
+
+    def dot(a, b):
+        return g.cell_volume * np.vdot(a, b)
+
+    scale = g.cell_volume * (np.linalg.norm(u) * np.linalg.norm(hv)
+                             + np.linalg.norm(hu) * np.linalg.norm(v))
+    assert abs(dot(u, hv) - dot(hu, v)) <= 1e-13 * scale
+
+
+def test_rotating_linear_requires_two_dimensions():
+    g = Grid(1, 4.0, 16)
+    with pytest.raises(ValueError, match="d >= 2"):
+        spectral.rotating_linear(g, 0.5, random_field(g).values)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(1, 8), (1, 32), (2, 8), (2, 16)]), st.integers(1, 16),
+       st.integers(0, 2**32 - 1), st.floats(0.5, 20.0))
+def test_interpolate_then_truncate_returns_input(shape, extra, seed, half_width):
+    # zero padding onto a finer grid and cutting back to the coarse modes
+    # (folding the split Nyquist modes together) is the identity on unit
+    # fields, once the renormalization of the finer field is undone
+    d, m = shape
+    g = Grid(d, half_width, m)
+    u = random_field(g, seed).normalized()
+    fine = spectral_interpolate(u, Grid(d, half_width, m + 2 * extra))
+    back = WaveField(g, truncate_spectrum(fine.values, m)).normalized()
+    assert np.max(np.abs(back.values - u.values)) <= 1e-13 * np.max(np.abs(u.values))
 
 
 class TestTransforms:
