@@ -21,7 +21,11 @@ which saves rerunning an unchanged tree.  The grid:
   small 1D lattice problem under each of the three stops;
 * the config path: RunConfig.from_text and runs._solve_once for pcg/sym and
   be_lambda/sym on a 1D lattice problem, each with the adaptive shift and
-  with a fixed solver.shift.
+  with a fixed solver.shift;
+* runs that end in a failure stop, on the 1D harmonic trap (eta = 10,
+  L = 8, M = 64, Gaussian guess): pcg/sym and be_lambda/sym at max_iter 5
+  (max_iter), pcg/sym at tol 0 (backtracking_exhausted), and fe at 2.5
+  times its stability bound (diverged).
 
 Every numeric IterationRecord column, the iteration count, the stop reason,
 the final energy, multiplier and residual, and fft_total must agree.  Floats
@@ -123,6 +127,19 @@ def dump(out_path: str) -> None:
         grid, params = cfg.grid(), cfg.model_params()
         res = _solve_once(cfg, grid, params, initial_field(cfg, grid, params))
         runs[f"config/{name}"] = _summarize(res)
+    grid = Grid(1, 8.0, 64)
+    params = ModelParams(eta=10.0, omega=0.0, potential=model.harmonic())
+    phi0 = model.initial_guess("gauss", grid, params)
+    for name, cfg in (("max_iter", optim.SolverConfig(precond="sym", max_iter=5)),
+                      ("tol0", optim.SolverConfig(precond="sym", tol=0.0))):
+        runs[f"failure/pcg/{name}"] = _summarize(optim.solve(phi0, params, cfg))
+    res = classic.run_imaginary_time(phi0, classic.SchemeKind(scheme="be_lambda", dt=0.01), params,
+                                     precond_kind="sym", max_iter=5)
+    runs["failure/be_lambda/max_iter"] = _summarize(res)
+    lam_max = 0.5 * float(np.max(grid.k2)) + float(np.max(model.sample_potential(params.potential, grid)))
+    res = classic.run_imaginary_time(phi0, classic.SchemeKind(scheme="fe", dt=2.5 / lam_max), params,
+                                     max_iter=400)
+    runs["failure/fe/diverged"] = _summarize(res)
     with open(out_path, "w") as fh:
         json.dump(runs, fh)
 

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model, precond
 from .model import ModelParams
-from .optim import IterationRecord, STOP_ENERGY, SolveResult, check_options, check_stop, residual
+from .optim import (INNER_SOLVER_FAILED, STOP_ENERGY, SolveResult, Stop, check_options, drive,
+                    residual, start_iterate)
 from .spectral import FFTCounter, WaveField
 
 FE = "fe"
@@ -257,62 +257,40 @@ def run_imaginary_time(
     max_iter: int = 100000,
     shift: str | float = "adaptive",
 ) -> SolveResult:
-    """Outer imaginary-time loop with the standard stopping criteria.
-
-    Divergence (energy blow-up or non-finite values, e.g. forward Euler
-    beyond its stability bound) is detected and aborts the run.
-    """
+    """The scheme run by optim.drive, whose divergence rule catches e.g.
+    forward Euler beyond its stability bound.  A failed inner solve ends the
+    run as inner_solver_failed, with the MINRES message as stop detail."""
     check_options(precond_kind, shift, stop, tol, max_iter)
     check_precond(scheme.scheme, precond_kind)
     t0 = time.perf_counter()
     counter = FFTCounter()
-    phi = phi0.normalized()
-    e_prev = model.energy(phi, params, counter).total
-    e0 = e_prev
-    records: list[IterationRecord] = []
-    converged = False
-    stop_reason = "max_iter"
-    inner_total = 0
-    lam = np.nan
-    for n in range(max_iter):
-        count0 = counter.count
+    phi = start_iterate(phi0)
+    e_prev = e0 = model.energy(phi, params, counter).total
+    trial = None  # (iterate, energy) of the last step, accepted once the next one runs
+
+    def step() -> dict:
+        nonlocal phi, e_prev, trial
+        if trial is not None:
+            phi, e_prev = trial
         try:
             phi_next, inner_iters = imaginary_time_step(
                 phi, scheme, params, precond_kind, shift=shift, counter=counter)
         except KrylovError as err:
-            stop_reason = f"inner_solver_failed: {err}"
-            warnings.warn(str(err), RuntimeWarning)
-            break
-        inner_total += inner_iters
+            raise Stop(INNER_SOLVER_FAILED, str(err)) from None
         step_inf = float(np.max(np.abs(phi_next.values - phi.values)))
         r_next, lam = residual(phi_next, params, counter)
-        r_inf = float(np.max(np.abs(r_next.values)))
         e_next = model.energy(phi_next, params).total
-        if not np.isfinite(e_next) or e_next > e0 + 10.0 * (abs(e0) + 1.0):
-            stop_reason = "diverged"
-            break
-        d_e = e_next - e_prev
-        phi = phi_next
-        records.append(IterationRecord(
-            n=n, energy=e_next, lam=lam, r_inf=r_inf, step_inf=step_inf,
-            theta=np.nan, beta=np.nan, backtracks=0,
-            fft_count=counter.count - count0,
-            wall_time=time.perf_counter() - t0,
-            energy_delta=d_e, inner_iters=inner_iters,
-        ))
-        e_prev = e_next
-        if check_stop(records[-1], stop, tol):
-            converged = True
-            stop_reason = stop
-            break
-    final_r, final_lam = residual(phi, params)
-    return SolveResult(
-        phi=phi, records=records, converged=converged, stop_reason=stop_reason,
-        energy=float(model.energy(phi, params).total), lam=float(final_lam),
-        r_inf=float(np.max(np.abs(final_r.values))),
-        fft_total=counter.count, wall_time=time.perf_counter() - t0,
-        inner_total=inner_total,
-    )
+        trial = phi_next, e_next
+        return dict(energy=e_next, lam=lam, r_inf=float(np.max(np.abs(r_next.values))),
+                    step_inf=step_inf, theta=math.nan, beta=math.nan, backtracks=0,
+                    energy_delta=e_next - e_prev, inner_iters=inner_iters)
+
+    def finish(diverged: bool) -> tuple:
+        final = phi if diverged or trial is None else trial[0]
+        r, lam = residual(final, params)
+        return final, model.energy(final, params).total, lam, float(np.max(np.abs(r.values)))
+
+    return drive(step, finish, e0, stop, tol, max_iter, counter, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +327,8 @@ class SpectralTransformReport:
 
 def amplification_analysis(
     h: np.ndarray,
-    scheme: str | SchemeKind,
-    dt: float | None = None,
+    scheme: str,
+    dt: float,
     n_iter: int = 200,
     phi0: np.ndarray | None = None,
     seed: int = 0,
@@ -362,11 +340,6 @@ def amplification_analysis(
     Degenerate dominant amplification factors are flagged and no observed
     rate is fitted.
     """
-    if isinstance(scheme, SchemeKind):
-        dt = scheme.dt if dt is None else dt
-        scheme = scheme.scheme
-    if dt is None:
-        raise ValueError("dt is required")
     h = np.asarray(h)
     n = h.shape[0]
     if h.shape != (n, n) or n > 256:

@@ -2,8 +2,9 @@
 
 Verbs: `solve` (single run), `multigrid` (coarse-to-fine continuation),
 `bench` (benchmark suites), `analyze` (amplification-factor and
-Hessian-conditioning diagnostics).  Exit codes: 0 success, 1 solver
-failure, 2 configuration error.
+Hessian-conditioning diagnostics).  Exit codes: 0 when the run's stop
+reason counts as converged in optim.STOP_CONVERGED, 1 when it does not,
+2 for a configuration error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import bench, classic, io, precond
+from . import bench, classic, io, optim, precond
 from .config import ConfigError, RunConfig
 from .runs import run_multigrid, run_single
 
@@ -66,10 +67,10 @@ def _cmd_solve(args, multigrid: bool) -> int:
     summary = run_multigrid(cfg, outdir) if multigrid else run_single(cfg, outdir)
     for key, value in summary.items():
         print(f"{key} = {value}")
-    if summary["converged"] != "true":
-        print(f"solver failed: {summary['stop_reason']}", file=sys.stderr)
-        return 1
-    return 0
+    if optim.STOP_CONVERGED[summary["stop_reason"]]:
+        return 0
+    print(f"solver failed: {summary['stop_reason']}", file=sys.stderr)
+    return 1
 
 
 def _cmd_bench(args) -> int:
@@ -135,9 +136,6 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
-    except classic.KrylovError as err:
-        print(f"solver failure: {err}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ iteration is 5/8/5/9/8/9 one-axis passes.
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 import time
 import warnings
@@ -44,6 +45,19 @@ STOP_ENERGY = "energy_diff"
 STOP_RESIDUAL = "residual_inf"
 STOP_ITERATE = "iterate_diff"
 STOP_KINDS = (STOP_ENERGY, STOP_RESIDUAL, STOP_ITERATE)
+ZERO_DIRECTION = "zero_direction"
+MAX_ITER = "max_iter"
+DIVERGED = "diverged"
+BACKTRACKING_EXHAUSTED = "backtracking_exhausted"
+INNER_SOLVER_FAILED = "inner_solver_failed"
+# every way a run of any of the eight methods can end
+STOP_REASONS = STOP_KINDS + (ZERO_DIRECTION, MAX_ITER, DIVERGED, BACKTRACKING_EXHAUSTED,
+                             INNER_SOLVER_FAILED)
+# whether a run that ends for the reason converged; the CLI exits 0 if so, 1 if not
+STOP_CONVERGED = {
+    STOP_ENERGY: True, STOP_RESIDUAL: True, STOP_ITERATE: True, ZERO_DIRECTION: True,
+    MAX_ITER: False, DIVERGED: False, BACKTRACKING_EXHAUSTED: False, INNER_SOLVER_FAILED: False,
+}
 
 # line search: fallback angle when the arc has no positive curvature, and
 # the step halving applied at most MAX_BACKTRACKS times until E decreases
@@ -86,7 +100,13 @@ def check_options(kind: str, shift: str | float, stop: str, tol: float, max_iter
 
 @dataclass
 class IterationRecord:
-    """One accepted iteration of a ground-state solver."""
+    """One accepted iteration of a ground-state solver.
+
+    pg/pcg rows hold lam and r_inf of the iterate the step started from
+    (r_inf is NaN where the residual stayed in Fourier space), and energy,
+    energy_delta and step_inf of the step itself.  Imaginary-time rows
+    describe the iterate after the step throughout.
+    """
 
     n: int
     energy: float
@@ -113,22 +133,84 @@ class IterationRecord:
 
 @dataclass
 class SolveResult:
-    """Final iterate plus the full convergence history."""
+    """Final iterate plus the full convergence history.  stop_reason is one
+    of STOP_REASONS; stop_detail says more where there is more to say."""
 
     phi: WaveField
     records: list[IterationRecord]
-    converged: bool
     stop_reason: str
     energy: float
     lam: float
     r_inf: float
     fft_total: int
     wall_time: float
-    inner_total: int = 0
+    stop_detail: str = ""
+
+    @property
+    def converged(self) -> bool:
+        return STOP_CONVERGED[self.stop_reason]
 
     @property
     def iterations(self) -> int:
         return len(self.records)
+
+    @property
+    def inner_total(self) -> int:
+        return sum(r.inner_iters or 0 for r in self.records)
+
+
+class Stop(Exception):
+    """Raised by a step to end the run for `reason`, one of STOP_REASONS."""
+
+    def __init__(self, reason: str, detail: str = "") -> None:
+        super().__init__(detail or reason)
+        self.reason = reason
+        self.detail = detail
+
+
+def start_iterate(phi0: WaveField) -> WaveField:
+    """phi0 scaled to unit norm, in a fresh C-ordered array: every method
+    starts here, so a NaN, Inf or zero guess fails before any transform."""
+    u = np.ascontiguousarray(phi0.values, dtype=np.complex128)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("initial field contains NaN or Inf")
+    return WaveField(phi0.grid, u).normalized()
+
+
+def drive(step, finish, e0: float, stop: str, tol: float, max_iter: int,
+          counter: FFTCounter, t0: float) -> SolveResult:
+    """The outer loop of all eight methods, from an iterate of energy e0.
+
+    step() runs one iteration and returns its IterationRecord fields but n,
+    fft_count and wall_time, or raises Stop.  A step with E or lambda not
+    finite, or E > e0 + 10(|e0| + 1), is rejected and ends the run as
+    diverged.  finish(diverged) returns the final (phi, E, lambda, r_inf).
+    """
+    records: list[IterationRecord] = []
+    reason, detail = MAX_ITER, ""
+    bound = e0 + 10.0 * (abs(e0) + 1.0)
+    while len(records) < max_iter:
+        count0 = counter.count
+        try:
+            fields = step()
+        except Stop as err:
+            reason, detail = err.reason, err.detail
+            break
+        energy = fields["energy"]
+        if not (math.isfinite(energy) and math.isfinite(fields["lam"])) or energy > bound:
+            reason = DIVERGED
+            break
+        records.append(IterationRecord(n=len(records), fft_count=counter.count - count0,
+                                       wall_time=time.perf_counter() - t0, **fields))
+        if check_stop(records[-1], stop, tol):
+            reason = stop
+            break
+    if detail:
+        warnings.warn(detail, RuntimeWarning)
+    phi, energy, lam, r_inf = finish(reason == DIVERGED)
+    return SolveResult(phi=phi, records=records, stop_reason=reason, stop_detail=detail,
+                       energy=float(energy), lam=float(lam), r_inf=float(r_inf),
+                       fft_total=counter.count, wall_time=time.perf_counter() - t0)
 
 
 def residual(phi: WaveField, params: ModelParams,
@@ -277,13 +359,7 @@ class _Engine:
         self.v = model.sample_potential(params.potential, g)
         self.eta = params.eta
         self.omega = params.omega
-        u = np.ascontiguousarray(phi0.values, dtype=np.complex128)
-        if not np.all(np.isfinite(u)):
-            raise ValueError("initial field contains NaN or Inf")
-        n = np.sqrt(self.hd) * np.linalg.norm(u.ravel())
-        if n == 0:
-            raise ValueError("initial field is zero")
-        self.u = u / n
+        self.u = start_iterate(phi0).values
         self.rotating = self.omega != 0.0
         self.fourier = cfg.precond in precond.FOURIER_FIRST
         if self.rotating:
@@ -299,14 +375,10 @@ class _Engine:
             cfg.precond == precond.COMBINED1 and cfg.method == "pcg")
         self.r: np.ndarray | None = None
         self.r_hat: np.ndarray | None = None
-        # iterate-dependent scalars, refreshed by begin
-        self.lam = 0.0
-        self.qa = 0.0
-        self.q40 = 0.0
-        self.alpha = 0.0
-        self.energy = 0.0
-        self.dens = None
-        self.vd = None
+        # the iterate's scalars, refreshed by begin; the energy is then
+        # carried along the arcs by accept
+        self._scalars()
+        self.energy = self.qa + 0.5 * self.eta * self.hd * self.q40
         # CG memory: the previous direction is kept in real space unless the
         # kind mixes in Fourier space (kinetic), and also in Fourier space
         # where the transform of the next direction is formed from it (c2)
@@ -333,10 +405,9 @@ class _Engine:
         transform when it completes one."""
         return 1 + (not self.fourier) + formed_hat
 
-    def begin(self) -> float | None:
-        """Refresh the iterate's scalars and residual; returns the residual
-        sup norm, or None when the residual stays in Fourier space."""
-        g = self.grid
+    def _scalars(self) -> None:
+        """|u|^2, and from it lambda, the quadratic energy part qa, q40 and
+        the characteristic energy alpha of the iterate."""
         self.dens = np.abs(self.u)
         np.square(self.dens, out=self.dens)
         dens = self.dens.reshape(-1)
@@ -353,6 +424,12 @@ class _Engine:
         self.qa = lin + pot
         self.lam = self.qa + self.eta * self.hd * self.q40
         self.alpha = kin + pot + inter2  # characteristic energy, shift of the preconditioner
+
+    def begin(self) -> float | None:
+        """Refresh the iterate's scalars and residual; returns the residual
+        sup norm, or None when the residual stays in Fourier space."""
+        g = self.grid
+        self._scalars()
         # V + eta |u|^2, shared with the preconditioner's real-space diagonal
         self.vd = np.multiply(self.dens, self.eta)
         self.vd += self.v
@@ -436,8 +513,8 @@ class _Engine:
             restarted = True
         return _negated(pr, r), beta, restarted, prp, None
 
-    def direction(self, force_restart: bool) -> _Bundle | str:
-        """The next search direction, or the stop reason when there is none:
+    def direction(self, force_restart: bool) -> _Bundle:
+        """The next search direction.  Raises Stop when there is none:
         zero_direction for a zero projected direction, diverged for a
         non-finite one."""
         g = self.grid
@@ -459,10 +536,10 @@ class _Engine:
             c_u = w * np.vdot(u_rep, dvec).real
         dvec -= c_u * u_rep
         p_norm = float(np.sqrt(w) * np.linalg.norm(dvec.ravel()))
-        if not np.isfinite(p_norm):
-            return "diverged"
+        if not math.isfinite(p_norm):
+            raise Stop(DIVERGED)
         if p_norm == 0.0:
-            return "zero_direction"
+            raise Stop(ZERO_DIRECTION)
         # numpy divides a complex by a real d as a multiply by 1/d, so this
         # equals dvec / p_norm bit for bit at the cost of a multiply
         dvec *= 1.0 / p_norm
@@ -554,77 +631,41 @@ def solve(phi0: WaveField, params: ModelParams, cfg: SolverConfig,
     t0 = time.perf_counter()
     counter = counter if counter is not None else FFTCounter()
     engine = _Engine(phi0, params, cfg, counter)
-    records: list[IterationRecord] = []
-    converged = False
-    stop_reason = "max_iter"
-    force_restart = False
+    # the consumed bundle lives until the next direction is formed: freeing
+    # its arrays an iteration early costs page faults on every iteration
     bundle = None
-    while len(records) < cfg.max_iter:
-        count0 = counter.count
+    force_restart = False
+
+    def step() -> dict:
+        nonlocal bundle, force_restart
         r_inf = engine.begin()
-        if not records:
-            # energy of the initial iterate, from the bootstrapped state
-            engine.energy = engine.qa + 0.5 * engine.eta * engine.hd * engine.q40
-        if not np.isfinite(engine.energy) or not np.isfinite(engine.lam):
-            stop_reason = "diverged"
-            break
+        # a row's r_inf is its starting iterate's, so that stop is due before the step
         if cfg.stop == STOP_RESIDUAL and r_inf is not None and r_inf <= cfg.tol:
-            converged = True
-            stop_reason = "residual_inf"
-            break
+            raise Stop(STOP_RESIDUAL)
         bundle = engine.direction(force_restart)
-        if isinstance(bundle, str):
-            converged = bundle == "zero_direction"
-            stop_reason = bundle
-            break
         theta, backtracks, d_e = _line_search(bundle.arc)
         if d_e >= 0.0:
-            stop_reason = "backtracking_exhausted"
-            warnings.warn(
-                "energy could not be decreased after "
-                f"{MAX_BACKTRACKS} step halvings (tolerance at roundoff floor?)",
-                RuntimeWarning,
-            )
-            break
+            raise Stop(BACKTRACKING_EXHAUSTED, "energy could not be decreased after "
+                       f"{MAX_BACKTRACKS} step halvings (tolerance at roundoff floor?)")
         step_inf = engine.accept(theta, bundle)
         force_restart = backtracks > 0
-        records.append(IterationRecord(
-            n=len(records),
-            energy=engine.energy,
-            lam=engine.lam,
-            r_inf=r_inf if r_inf is not None else np.nan,
-            step_inf=step_inf,
-            theta=theta,
-            beta=bundle.beta,
-            backtracks=backtracks,
-            fft_count=counter.count - count0,
-            wall_time=time.perf_counter() - t0,
-            energy_delta=d_e,
-            restarted=bundle.restarted,
-        ))
-        if check_stop(records[-1], cfg.stop, cfg.tol):
-            converged = True
-            stop_reason = cfg.stop
-            break
-    phi = WaveField(engine.grid, engine.u)
-    engine.need_r_real = True
-    final_r_inf = engine.begin()
-    lam = engine.lam
-    # only the iterate outlives the engine: free the rest before the
-    # fresh energy evaluation
-    engine = bundle = None
-    breakdown = model.energy(phi, params)
-    return SolveResult(
-        phi=phi,
-        records=records,
-        converged=converged,
-        stop_reason=stop_reason,
-        energy=float(breakdown.total),
-        lam=float(lam),
-        r_inf=float(final_r_inf),
-        fft_total=counter.count,
-        wall_time=time.perf_counter() - t0,
-    )
+        return dict(energy=engine.energy, lam=engine.lam,
+                    r_inf=math.nan if r_inf is None else r_inf, step_inf=step_inf,
+                    theta=theta, beta=bundle.beta, backtracks=backtracks,
+                    energy_delta=d_e, restarted=bundle.restarted)
+
+    def finish(diverged: bool) -> tuple:
+        nonlocal engine, bundle
+        phi = WaveField(engine.grid, engine.u)
+        engine.need_r_real = True
+        r_inf = engine.begin()
+        lam = engine.lam
+        # only the iterate outlives the engine: free the rest before the
+        # fresh energy evaluation
+        engine = bundle = None
+        return phi, model.energy(phi, params).total, lam, r_inf
+
+    return drive(step, finish, engine.energy, cfg.stop, cfg.tol, cfg.max_iter, counter, t0)
 
 
 def solve_pg(phi0: WaveField, params: ModelParams, cfg: SolverConfig | None = None,

@@ -48,6 +48,7 @@ def _summary_dict(cfg: RunConfig, result: SolveResult, grid: Grid) -> dict:
         "init": cfg.init_kind(),
         "converged": str(result.converged).lower(),
         "stop_reason": result.stop_reason,
+        "stop_detail": result.stop_detail,
         "iterations": result.iterations,
         "inner_iterations": result.inner_total,
         "energy": repr(float(result.energy)),
@@ -77,11 +78,8 @@ def run_single(cfg: RunConfig, outdir: str) -> dict:
 
 def run_multigrid(cfg: RunConfig, outdir: str) -> dict:
     """Coarse-to-fine continuation: solve each level to its tolerance and
-    zero-pad the result as the next level's initial guess.
-
-    Per-level convergence CSVs carry the accumulated wall time so that
-    energy-error-versus-time traces can be assembled across levels.
-    """
+    zero-pad the result as the next level's initial guess.  Each level's
+    convergence CSV times that level's solve alone."""
     schedule = cfg.multigrid_schedule()
     if not schedule:
         return run_single(cfg, outdir)
@@ -90,8 +88,8 @@ def run_multigrid(cfg: RunConfig, outdir: str) -> dict:
     os.makedirs(outdir, exist_ok=True)
     t0 = time.perf_counter()
     phi: WaveField | None = None
-    level_summaries = []
     result: SolveResult | None = None
+    levels = {}
     for level, (level_m, eps) in enumerate(schedule):
         grid = dataclasses.replace(grid, M=level_m)
         if phi is None:
@@ -100,27 +98,16 @@ def run_multigrid(cfg: RunConfig, outdir: str) -> dict:
             phi0 = spectral.spectral_interpolate(phi, grid)
         result = _solve_once(cfg, grid, params, phi0, tol=eps)
         phi = result.phi
-        elapsed = time.perf_counter() - t0
-        inner = cfg.method not in ("pg", "pcg")
         io.write_records_csv(
             os.path.join(outdir, f"level{level}_M{level_m}_convergence.csv"),
-            result.records, inner_iters=inner)
-        level_summaries.append({
-            "level": level,
-            "M": level_m,
-            "tol": eps,
-            "iterations": result.iterations,
-            "energy": result.energy,
-            "converged": result.converged,
-            "elapsed": elapsed,
-        })
+            result.records, inner_iters=cfg.method not in ("pg", "pcg"))
+        levels[f"level{level}_energy"] = repr(float(result.energy))
+        levels[f"level{level}_iterations"] = result.iterations
     io.save_field(os.path.join(outdir, "field.gpef"), phi)
     io.write_density_csv(os.path.join(outdir, "density.csv"), phi)
     summary = _summary_dict(cfg, result, grid)
     summary["levels"] = ",".join(str(m) for m, _ in schedule)
     summary["wall_time"] = repr(time.perf_counter() - t0)
-    for ls in level_summaries:
-        summary[f"level{ls['level']}_energy"] = repr(float(ls["energy"]))
-        summary[f"level{ls['level']}_iterations"] = ls["iterations"]
+    summary.update(levels)
     io.write_summary(os.path.join(outdir, "summary.txt"), summary)
     return summary

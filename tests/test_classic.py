@@ -258,6 +258,22 @@ class TestRunImaginaryTime:
         assert not res.converged
         assert res.stop_reason == "diverged"
 
+    def test_diverged_run_ends_at_last_accepted_iterate(self):
+        # the rejected step leaves no record, and the result is the iterate
+        # the last record describes
+        g, params, phi = linear_harmonic()
+        lam_max = 0.5 * float(np.max(g.k2)) + float(
+            np.max(model.sample_potential(params.potential, g)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = run_imaginary_time(phi, SchemeKind("fe", 2.5 / lam_max), params,
+                                     tol=1e-10, max_iter=400)
+        assert res.stop_reason == "diverged" and res.records
+        e0 = model.energy(phi.normalized(), params).total
+        assert all(r.energy <= e0 + 10.0 * (abs(e0) + 1.0) for r in res.records)
+        last = res.records[-1]
+        assert (res.energy, res.lam, res.r_inf) == (last.energy, last.lam, last.r_inf)
+
     def test_fe_converges_below_cfl(self):
         g, params, phi = linear_harmonic()
         lam_max = 0.5 * float(np.max(g.k2)) + float(

@@ -146,6 +146,30 @@ class TestSolveCommand:
         out = str(tmp_path / "out")
         assert main(["solve", "--config", cfg, "--out", out]) == 1
 
+    def test_stop_table_sets_the_exit_code(self, tmp_path):
+        # 1D harmonic trap: pcg at tol 0 runs out of step halvings, and
+        # be_lambda with one MINRES iteration fails its first inner solve
+        base = ("grid.d = 1\ngrid.L = 8\ngrid.M = 64\nmodel.eta = 10\n"
+                "solver.precond = sym\ninit.kind = gauss\n")
+        cases = (
+            (["solver.method=pcg", "solver.tol=0"], "energy could not be decreased",
+             "backtracking_exhausted", "118"),
+            (["solver.method=be_lambda", "solver.inner_max_iter=1", "solver.inner_tol=1e-14"],
+             "MINRES did not converge", "inner_solver_failed", "0"),
+        )
+        cfg = write_cfg(tmp_path, base)
+        for overrides, detail, reason, iterations in cases:
+            out = str(tmp_path / reason)
+            args = ["solve", "--config", cfg, "--out", out]
+            for item in overrides:
+                args += ["--set", item]
+            with pytest.warns(RuntimeWarning, match=detail):
+                assert main(args) == 1
+            summary = read_summary(out)
+            assert (summary["stop_reason"], summary["iterations"], summary["converged"]) == (
+                reason, iterations, "false")
+            assert summary["stop_detail"].startswith(detail)
+
     def test_set_override(self, tmp_path):
         cfg = write_cfg(tmp_path, HARMONIC_1D)
         out = str(tmp_path / "out")

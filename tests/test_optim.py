@@ -24,7 +24,7 @@ from gpesolve import (
     solve_pg,
     thomas_fermi_initial,
 )
-from gpesolve import model, optim, precond, spectral
+from gpesolve import classic, model, optim, precond, spectral
 from gpesolve.optim import IterationRecord, SolverConfig, check_stop, solve
 
 from oracles import arc_from_fields, dense_hamiltonian_1d, step, tangent_project, theta_opt
@@ -434,6 +434,57 @@ class TestFailureStops:
         with pytest.raises(ValueError, match="initial field contains NaN or Inf"):
             solve(WaveField(g, values), params, SolverConfig(), counter)
         assert counter.count == 0
+
+    @pytest.mark.parametrize("method", ["pg", "pcg", "fe", "be_lambda"])
+    @pytest.mark.parametrize("bad,message", [
+        (np.nan, "initial field contains NaN or Inf"),
+        (np.inf, "initial field contains NaN or Inf"),
+        (0.0, "cannot normalize the zero field"),
+    ])
+    def test_bad_start_fails_alike_for_every_method(self, monkeypatch, method, bad, message):
+        # one check for all methods, before any transform and without a warning
+        g, params, phi0 = self.harmonic_1d()
+        values = phi0.values.copy()
+        values[7] = bad
+        if bad == 0.0:
+            values[:] = 0.0
+        transforms = []
+        fft = Grid.fft
+        monkeypatch.setattr(Grid, "fft", lambda grid, *args, **kwargs:
+                            transforms.append(1) or fft(grid, *args, **kwargs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                if method in ("pg", "pcg"):
+                    solve(WaveField(g, values), params, SolverConfig(method=method))
+                else:
+                    classic.run_imaginary_time(WaveField(g, values),
+                                               classic.SchemeKind(method), params)
+        assert transforms == []
+
+    @pytest.mark.parametrize("energy,lam,reason,records", [
+        (1.0, np.nan, "diverged", 0), (np.inf, 1.0, "diverged", 0), (21.5, 1.0, "diverged", 0),
+        (21.0, 1.0, "max_iter", 5),  # E0 + 10(|E0| + 1) itself is not a blow-up
+    ])
+    def test_driver_divergence_rule(self, energy, lam, reason, records):
+        fields = dict(energy=energy, lam=lam, r_inf=0.1, step_inf=0.1, theta=0.1, beta=0.0,
+                      backtracks=0, energy_delta=-1.0)
+        rejected = []
+
+        def finish(diverged):
+            rejected.append(diverged)
+            return None, 1.0, 1.0, 0.0
+
+        res = optim.drive(lambda: dict(fields), finish, 1.0, "energy_diff", 0.0, 5,
+                          spectral.FFTCounter(), 0.0)
+        assert (res.stop_reason, res.iterations, rejected) == (reason, records,
+                                                              [reason == "diverged"])
+
+    def test_every_stop_reason_has_a_table_entry(self):
+        assert len(set(optim.STOP_REASONS)) == len(optim.STOP_REASONS)
+        assert set(optim.STOP_CONVERGED) == set(optim.STOP_REASONS)
+        converged = {r for r in optim.STOP_REASONS if optim.STOP_CONVERGED[r]}
+        assert converged == set(optim.STOP_KINDS) | {"zero_direction"}
 
     @pytest.mark.parametrize("fill,converged,reason", [
         (np.nan, False, "diverged"), (0.0, True, "zero_direction"),
