@@ -19,9 +19,9 @@ import numpy as np
 
 from . import model, precond
 from .model import ModelParams
-from .optim import (INNER_SOLVER_FAILED, STOP_ENERGY, SolveResult, Stop, check_options, drive,
-                    residual, start_iterate)
-from .spectral import FFTCounter, WaveField
+from .optim import (DIVERGED, INNER_SOLVER_FAILED, STOP_ENERGY, SolveResult, Stop, check_options,
+                    drive, residual, start_iterate)
+from .spectral import FFTCounter, Grid, WaveField, norm
 
 FE = "fe"
 FE_LAMBDA = "fe_lambda"
@@ -189,7 +189,7 @@ def krylov_solve(
 
 
 def imaginary_time_step(
-    phi_n: WaveField,
+    phi_n: WaveField | model.Evaluation,
     scheme: SchemeKind,
     params: ModelParams,
     precond_kind: str = precond.IDENTITY,
@@ -200,27 +200,29 @@ def imaginary_time_step(
 
     Explicit schemes update directly; implicit schemes solve the shifted
     Hermitian system with preconditioned MINRES (density and lambda frozen
-    at phi_n).  Returns (phi_{n+1}, inner iteration count).
+    at phi_n).  phi_n may be given as its model.Evaluation, which the step
+    then reads instead of evaluating phi_n again.  Returns (phi_{n+1},
+    inner iteration count).  Raises optim.Stop(diverged) when the field
+    before projection has zero or non-finite norm.
     """
     check_precond(scheme.scheme, precond_kind)
+    ev = phi_n if isinstance(phi_n, model.Evaluation) else model.evaluate(phi_n, params, counter)
+    phi_n = ev.phi
     g = phi_n.grid
     dt = scheme.dt
-    apply_h = model.hamiltonian(params, g, np.abs(phi_n.values) ** 2, counter)
-    h_phi = apply_h(phi_n.values)
-    lam = g.cell_volume * np.vdot(phi_n.values, h_phi).real
+    h_phi, lam = ev.h_phi, ev.lam
     name = scheme.scheme
     if name == FE:
-        tilde = phi_n.values - dt * h_phi
-        return WaveField(g, tilde).normalized(), 0
+        return _project(g, phi_n.values - dt * h_phi), 0
     if name == FE_LAMBDA:
-        tilde = phi_n.values - dt * (h_phi - lam * phi_n.values)
-        return WaveField(g, tilde).normalized(), 0
+        return _project(g, phi_n.values - dt * (h_phi - lam * phi_n.values)), 0
+    apply_h = model.frozen_hamiltonian(params, g, ev.w, counter)
     p = None
     if precond_kind != precond.IDENTITY:
         if shift == "adaptive":
             # the implicit operator carries the extra 1/dt shift, so the
             # preconditioner diagonal mirrors it on top of the adaptive one
-            shift = 1.0 / dt + model.characteristic_energy(phi_n, params)
+            shift = 1.0 / dt + ev.energy.characteristic
         p = precond.build(precond_kind, phi_n, params, shift=shift)
     if name == BE:
         def apply_a(x):
@@ -244,7 +246,17 @@ def imaginary_time_step(
         apply_a, rhs, p, tol=scheme.inner_tol, max_iter=scheme.inner_max_iter,
         counter=counter,
     )
-    return tilde.normalized(), inner_iters
+    return _project(g, tilde.values), inner_iters
+
+
+def _project(grid: Grid, values: np.ndarray) -> WaveField:
+    """values scaled to unit norm; a zero or non-finite norm (an overflowed
+    step) ends the run as diverged."""
+    with np.errstate(over="ignore"):
+        n = norm(WaveField(grid, values))
+    if not (math.isfinite(n) and n > 0.0):
+        raise Stop(DIVERGED, f"the step produced a field of norm {n}")
+    return WaveField(grid, values / n)
 
 
 def run_imaginary_time(
@@ -259,38 +271,40 @@ def run_imaginary_time(
 ) -> SolveResult:
     """The scheme run by optim.drive, whose divergence rule catches e.g.
     forward Euler beyond its stability bound.  A failed inner solve ends the
-    run as inner_solver_failed, with the MINRES message as stop detail."""
+    run as inner_solver_failed, with the MINRES message as stop detail.
+
+    Each iterate is evaluated once (model.evaluate): the evaluation gives
+    the record of the step that produced the iterate, the next step's
+    H phi, lambda and adaptive shift, and the final result.
+    """
     check_options(precond_kind, shift, stop, tol, max_iter)
     check_precond(scheme.scheme, precond_kind)
     t0 = time.perf_counter()
     counter = FFTCounter()
-    phi = start_iterate(phi0)
-    e_prev = e0 = model.energy(phi, params, counter).total
-    trial = None  # (iterate, energy) of the last step, accepted once the next one runs
+    ev = model.evaluate(start_iterate(phi0), params, counter)
+    trial = None  # evaluation of the last step's iterate, accepted once the next one runs
 
     def step() -> dict:
-        nonlocal phi, e_prev, trial
+        nonlocal ev, trial
         if trial is not None:
-            phi, e_prev = trial
+            ev = trial
         try:
             phi_next, inner_iters = imaginary_time_step(
-                phi, scheme, params, precond_kind, shift=shift, counter=counter)
+                ev, scheme, params, precond_kind, shift=shift, counter=counter)
         except KrylovError as err:
             raise Stop(INNER_SOLVER_FAILED, str(err)) from None
-        step_inf = float(np.max(np.abs(phi_next.values - phi.values)))
-        r_next, lam = residual(phi_next, params, counter)
-        e_next = model.energy(phi_next, params).total
-        trial = phi_next, e_next
-        return dict(energy=e_next, lam=lam, r_inf=float(np.max(np.abs(r_next.values))),
-                    step_inf=step_inf, theta=math.nan, beta=math.nan, backtracks=0,
-                    energy_delta=e_next - e_prev, inner_iters=inner_iters)
+        step_inf = float(np.max(np.abs(phi_next.values - ev.phi.values)))
+        trial = model.evaluate(phi_next, params, counter)
+        e_next = trial.energy.total
+        return dict(energy=e_next, lam=trial.lam, r_inf=trial.r_inf, step_inf=step_inf,
+                    theta=math.nan, beta=math.nan, backtracks=0,
+                    energy_delta=e_next - ev.energy.total, inner_iters=inner_iters)
 
     def finish(diverged: bool) -> tuple:
-        final = phi if diverged or trial is None else trial[0]
-        r, lam = residual(final, params)
-        return final, model.energy(final, params).total, lam, float(np.max(np.abs(r.values)))
+        final = ev if diverged or trial is None else trial
+        return final.phi, final.energy.total, final.lam, final.r_inf
 
-    return drive(step, finish, e0, stop, tol, max_iter, counter, t0)
+    return drive(step, finish, ev.energy.total, stop, tol, max_iter, counter, t0)
 
 
 # ---------------------------------------------------------------------------

@@ -102,17 +102,21 @@ def write_records_csv(path: str, records: list[IterationRecord], inner_iters: bo
 
 
 def write_density_csv(path: str, phi: WaveField) -> None:
-    """One row per grid node: coordinates then |phi|^2, row-major order."""
+    """One row per grid node: coordinates then |phi|^2, row-major order,
+    each number as its repr.  The text is built in blocks, one per leading
+    index, from the strings of the trailing coordinates formed once."""
     g = phi.grid
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "y", "z"][: g.d] + ["density"])
-    dens = np.abs(phi.values.ravel()) ** 2
-    coords = np.meshgrid(*([g.x1] * g.d), indexing="ij") if g.d > 1 else [g.x1]
-    cols = [c.ravel() for c in coords]
-    for i in range(dens.size):
-        writer.writerow([repr(float(c[i])) for c in cols] + [repr(float(dens[i]))])
-    atomic_write_text(path, buf.getvalue())
+    xs = [repr(x) for x in g.x1.tolist()]
+    tails = [""]  # the trailing coordinates of each row of a block, each ending in ","
+    for _ in range(g.d - 1):
+        tails = [t + x + "," for t in tails for x in xs]
+    dens = (np.abs(phi.values.ravel()) ** 2).reshape(g.M, -1)
+    blocks = [",".join(["x", "y", "z"][: g.d] + ["density"]).encode()]
+    for x, row in zip(xs, dens):
+        head = x + ","
+        blocks.append("\n".join([head + t + repr(v) for t, v in zip(tails, row.tolist())]).encode())
+    blocks.append(b"")
+    atomic_write_bytes(path, b"\n".join(blocks))
 
 
 def write_summary(path: str, summary: dict) -> None:

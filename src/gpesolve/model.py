@@ -8,8 +8,8 @@ The energy of a normalized field phi is
 with mean-field Hamiltonian H_phi = -1/2 Laplacian + V + eta |phi|^2
 - omega Lz, gradient grad E = 2 H_phi phi, chemical potential
 lambda = <H_phi phi, phi> and half Hessian x -> H_phi x + eta (|phi|^2 x
-+ phi^2 conj(x)).  `hamiltonian` and `half_hessian` are the only places
-these operators are composed.
++ phi^2 conj(x)).  `frozen_hamiltonian`, `half_hessian` and `evaluate`
+are the only places these operators are composed.
 """
 
 from __future__ import annotations
@@ -207,6 +207,19 @@ class EnergyBreakdown:
     def total(self) -> float:
         return self.kinetic + self.potential + self.interaction + self.rotation
 
+    @property
+    def characteristic(self) -> float:
+        """int(1/2 |grad phi|^2 + V|phi|^2 + eta|phi|^4), the adaptive
+        preconditioner shift: kinetic + potential + 2*interaction."""
+        return self.kinetic + self.potential + 2.0 * self.interaction
+
+
+def _pointwise_energies(params: ModelParams, grid: Grid, dens: np.ndarray) -> tuple[float, float]:
+    """The potential and interaction energies of a field of density dens."""
+    hd = grid.cell_volume
+    v = sample_potential(params.potential, grid)
+    return hd * float(np.sum(v * dens)), 0.5 * params.eta * hd * float(np.sum(dens**2))
+
 
 def energy(phi: WaveField, params: ModelParams, counter: FFTCounter | None = None) -> EnergyBreakdown:
     """Energy of `phi` split into kinetic/potential/interaction/rotation parts.
@@ -217,14 +230,10 @@ def energy(phi: WaveField, params: ModelParams, counter: FFTCounter | None = Non
     if not np.all(np.isfinite(phi.values)):
         raise ValueError("field contains NaN or Inf")
     g = phi.grid
-    hd = g.cell_volume
-    v = sample_potential(params.potential, g)
     phi_hat = g.fft(phi.values, counter)
     kin = WaveField(g, spectral.kinetic_from_hat(g, phi_hat, counter))
     kinetic = spectral.inner(phi, kin).real
-    dens = np.abs(phi.values) ** 2
-    potential = hd * float(np.sum(v * dens))
-    interaction = 0.5 * params.eta * hd * float(np.sum(dens**2))
+    potential, interaction = _pointwise_energies(params, g, np.abs(phi.values) ** 2)
     rotation = 0.0
     if params.omega != 0.0:
         lz = WaveField(g, spectral.lz_from_hat(g, phi_hat, counter))
@@ -235,10 +244,18 @@ def energy(phi: WaveField, params: ModelParams, counter: FFTCounter | None = Non
 def hamiltonian(params: ModelParams, grid: Grid, density: np.ndarray,
                 counter: FFTCounter | None = None):
     """H = -1/2 Lap + V + eta density - omega Lz with the density frozen, as a
-    map on grid values.  Without rotation: one forward transform and the
-    kinetic operator.  With it, the linear part is applied one axis at a
-    time (spectral.rotating_linear), charged its two images, -Lap/2 and Lz."""
-    w = sample_potential(params.potential, grid) + params.eta * density
+    map on grid values."""
+    return frozen_hamiltonian(
+        params, grid, sample_potential(params.potential, grid) + params.eta * density, counter)
+
+
+def frozen_hamiltonian(params: ModelParams, grid: Grid, w: np.ndarray,
+                       counter: FFTCounter | None = None):
+    """H = -1/2 Lap - omega Lz + w for a real array w on the grid, as a map on
+    grid values; w = V + eta |phi|^2 is the mean-field Hamiltonian at phi.
+    Without rotation: one forward transform and the kinetic operator.  With
+    it, the linear part is applied one axis at a time
+    (spectral.rotating_linear), charged its two images, -Lap/2 and Lz."""
 
     def apply_h(values: np.ndarray) -> np.ndarray:
         if params.omega != 0.0:
@@ -251,6 +268,62 @@ def hamiltonian(params: ModelParams, grid: Grid, density: np.ndarray,
         return out
 
     return apply_h
+
+
+@dataclass
+class Evaluation:
+    """One evaluation of a unit-norm iterate phi, from `evaluate`.
+
+    Attributes:
+        phi: The iterate.
+        h_phi: H_phi phi on the grid.
+        lam: The multiplier lambda = Re<H_phi phi, phi>.
+        r_inf: Sup norm of the residual H_phi phi - lambda phi.
+        energy: The energy breakdown of phi.
+        w: V + eta |phi|^2, the pointwise part of H_phi.
+    """
+
+    phi: WaveField
+    h_phi: np.ndarray
+    lam: float
+    r_inf: float
+    energy: EnergyBreakdown
+    w: np.ndarray
+
+
+def evaluate(phi: WaveField, params: ModelParams, counter: FFTCounter | None = None) -> Evaluation:
+    """Evaluate phi once for everything an imaginary-time step reads of it.
+
+    Without rotation the kinetic image from one forward and one inverse
+    transform (2 units) gives the kinetic energy and then H_phi phi, and
+    energy, lambda, r_inf and the characteristic energy equal those of
+    `energy`, optim.residual and `characteristic_energy` bit for bit.  With
+    rotation the linear part is applied one axis at a time and completes the
+    forward transform (3 units): the kinetic energy comes from the transform
+    by Parseval and the rotation energy as the rest of <phi, H_lin phi>, so
+    they agree with `energy` to rounding.
+    """
+    g = phi.grid
+    hd = g.cell_volume
+    u = phi.values
+    dens = np.abs(u) ** 2
+    if params.omega != 0.0:
+        h_phi, u_hat = spectral.rotating_linear(g, params.omega, u, hat=True)
+        if counter is not None:
+            counter.add(3)
+        kinetic = hd / g.size * float(np.sum(g.half_k2 * np.abs(u_hat) ** 2))
+        rotation = (hd * np.vdot(u, h_phi)).real - kinetic
+    else:
+        h_phi = spectral.kinetic_from_hat(g, g.fft(u, counter), counter)
+        kinetic = (hd * np.vdot(u, h_phi)).real
+        rotation = 0.0
+    potential, interaction = _pointwise_energies(params, g, dens)
+    w = sample_potential(params.potential, g) + params.eta * dens
+    h_phi += w * u
+    lam = (hd * np.vdot(h_phi, u)).real
+    r_inf = float(np.max(np.abs(h_phi - lam * u)))
+    return Evaluation(phi, h_phi, float(lam), r_inf,
+                      EnergyBreakdown(kinetic, potential, interaction, rotation), w)
 
 
 def half_hessian(params: ModelParams, grid: Grid, phi: np.ndarray,
@@ -316,8 +389,7 @@ def characteristic_energy(phi: WaveField, params: ModelParams) -> float:
     strictly positive for nonzero phi in a nonnegative trap.
     """
     _require_normalized(phi)
-    e = energy(phi, params)
-    return e.kinetic + e.potential + 2.0 * e.interaction
+    return energy(phi, params).characteristic
 
 
 def thomas_fermi_mu(params: ModelParams, d: int) -> float:

@@ -45,7 +45,9 @@ class Preconditioner:
         kind: One of KINDS.
         alpha: Positive shift used in both diagonals.
         fourier_diag: 1/(alpha + |xi|^2/2) on the grid (None for identity/potential).
-        real_diag: 1/(alpha + V + eta |phi_n|^2) (None for identity/kinetic).
+        real_diag: 1/(alpha + V + eta |phi_n|^2) (None for identity/kinetic),
+            and for sym its square root, the factor applied on each side of
+            the Fourier diagonal.
     """
 
     kind: str
@@ -89,12 +91,11 @@ class Preconditioner:
             g.fft(pr_hat, counter, out=pr_hat)
             pr_hat *= self.fourier_diag
             return g.ifft(pr_hat, counter), pr_hat
-        sq = np.sqrt(self.real_diag)
-        pr = sq * r
+        pr = self.real_diag * r
         g.fft(pr, counter, out=pr)
         pr *= self.fourier_diag
         g.ifft(pr, counter, out=pr)
-        pr *= sq
+        pr *= self.real_diag
         return pr, None
 
     def apply_values(self, r: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
@@ -117,6 +118,8 @@ def from_density(kind: str, grid: Grid, alpha: float, vd: np.ndarray | None) -> 
     not read vd, so it may be None for them."""
     fourier_diag = 1.0 / (alpha + grid.half_k2) if kind in _FOURIER_DIAG else None
     real_diag = 1.0 / (alpha + vd) if kind in _REAL_DIAG else None
+    if kind == COMBINED_SYM:
+        np.sqrt(real_diag, out=real_diag)
     return Preconditioner(kind=kind, grid=grid, alpha=alpha, fourier_diag=fourier_diag,
                           real_diag=real_diag)
 

@@ -79,7 +79,9 @@ def run_single(cfg: RunConfig, outdir: str) -> dict:
 def run_multigrid(cfg: RunConfig, outdir: str) -> dict:
     """Coarse-to-fine continuation: solve each level to its tolerance and
     zero-pad the result as the next level's initial guess.  Each level's
-    convergence CSV times that level's solve alone."""
+    convergence CSV times that level's solve alone.  A level that does not
+    converge does not stop the continuation, but the run's stop reason is
+    that of the first such level, and its stop detail names the level."""
     schedule = cfg.multigrid_schedule()
     if not schedule:
         return run_single(cfg, outdir)
@@ -90,6 +92,7 @@ def run_multigrid(cfg: RunConfig, outdir: str) -> dict:
     phi: WaveField | None = None
     result: SolveResult | None = None
     levels = {}
+    failed = None  # (level, M, result) of the first level that did not converge
     for level, (level_m, eps) in enumerate(schedule):
         grid = dataclasses.replace(grid, M=level_m)
         if phi is None:
@@ -103,11 +106,19 @@ def run_multigrid(cfg: RunConfig, outdir: str) -> dict:
             result.records, inner_iters=cfg.method not in ("pg", "pcg"))
         levels[f"level{level}_energy"] = repr(float(result.energy))
         levels[f"level{level}_iterations"] = result.iterations
+        levels[f"level{level}_stop_reason"] = result.stop_reason
+        if failed is None and not result.converged:
+            failed = level, level_m, result
     io.save_field(os.path.join(outdir, "field.gpef"), phi)
     io.write_density_csv(os.path.join(outdir, "density.csv"), phi)
     summary = _summary_dict(cfg, result, grid)
     summary["levels"] = ",".join(str(m) for m, _ in schedule)
     summary["wall_time"] = repr(time.perf_counter() - t0)
+    if failed is not None:
+        level, level_m, bad = failed
+        detail = f"level {level} (M = {level_m}) stopped with {bad.stop_reason}"
+        summary.update(converged=str(bad.converged).lower(), stop_reason=bad.stop_reason,
+                       stop_detail=detail + (f": {bad.stop_detail}" if bad.stop_detail else ""))
     summary.update(levels)
     io.write_summary(os.path.join(outdir, "summary.txt"), summary)
     return summary

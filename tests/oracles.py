@@ -4,11 +4,15 @@ The dense oracles are built from explicit DFT matrices and direct
 summation, not from the package's transform helpers, so oracle and
 implementation stay on separate code paths.  The plain transforms are
 numpy.fft calls with no output arrays, the reference the package's
-transforms must match bit for bit.  The unfused sphere operators
+transforms must match bit for bit.  The density CSV is the row-by-row
+writer the package's block writer must match byte for byte.  The unfused sphere operators
 at the end (tangent projection, second-order angle, arc step, arc energy
 coefficients) are composed from the package's plain operators rather than from
 the fused iteration engine that the solvers run.
 """
+
+import csv
+import io
 
 import numpy as np
 
@@ -130,6 +134,21 @@ def truncate_spectrum(values: np.ndarray, m: int) -> np.ndarray:
         spec[tuple(lo)] += spec[tuple(hi)]
     block = spec[tuple(slice(off, off + m) for _ in range(d))]
     return np.fft.ifftn(np.fft.ifftshift(block)) * (m / m2) ** d
+
+
+def density_csv_text(phi: WaveField) -> str:
+    """The density CSV written row by row through csv.writer:
+    io.write_density_csv must write these bytes."""
+    g = phi.grid
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["x", "y", "z"][: g.d] + ["density"])
+    dens = np.abs(phi.values.ravel()) ** 2
+    coords = np.meshgrid(*([g.x1] * g.d), indexing="ij") if g.d > 1 else [g.x1]
+    cols = [c.ravel() for c in coords]
+    for i in range(dens.size):
+        writer.writerow([repr(float(c[i])) for c in cols] + [repr(float(dens[i]))])
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

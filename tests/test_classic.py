@@ -274,6 +274,81 @@ class TestRunImaginaryTime:
         last = res.records[-1]
         assert (res.energy, res.lam, res.r_inf) == (last.energy, last.lam, last.r_inf)
 
+    @pytest.mark.parametrize("dt", [1e100, 1e200, 1e300])
+    def test_fe_overflow_ends_as_diverged(self, dt):
+        # beyond 1e200 the step's norm overflows before the energy can
+        # exceed the divergence bound
+        g = Grid(1, 8.0, 64)
+        params = ModelParams(eta=10.0, omega=0.0, potential=harmonic(1.0))
+        phi = initial_guess("gauss", g, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = run_imaginary_time(phi, SchemeKind("fe", dt), params, tol=1e-10, max_iter=50)
+        assert (res.stop_reason, res.converged) == ("diverged", False)
+        assert np.isfinite(res.energy) and abs(norm(res.phi) - 1.0) <= 1e-12
+
+    def test_each_record_counts_the_transforms_its_step_ran(self, monkeypatch):
+        # be_lambda/sym in 1D: a spy counts every Grid.fft/ifft call and
+        # notes the count as each step begins; a step runs until the next
+        # begins or the run ends, and nothing runs uncounted
+        g = Grid(1, 16.0, 128)
+        params = ModelParams(eta=250.0, omega=0.0,
+                             potential=harmonic_lattice(1.0, 25.0, np.pi / 2))
+        calls = [0]
+        for name in ("fft", "ifft"):
+            def spy(self, *args, _orig=getattr(Grid, name), **kwargs):
+                calls[0] += 1
+                return _orig(self, *args, **kwargs)
+            monkeypatch.setattr(Grid, name, spy)
+        starts = []
+        step = classic.imaginary_time_step
+        monkeypatch.setattr(classic, "imaginary_time_step",
+                            lambda *a, **kw: starts.append(calls[0]) or step(*a, **kw))
+        res = run_imaginary_time(thomas_fermi_initial(g, params), SchemeKind("be_lambda", 0.01),
+                                 params, "sym", tol=1e-10, max_iter=40)
+        assert res.iterations == len(starts) > 0
+        ran = [b - a for a, b in zip(starts, starts[1:] + [calls[0]])]
+        assert [r.fft_count for r in res.records] == ran
+        assert res.fft_total == calls[0] == starts[0] + sum(ran)
+        assert all(r.fft_count % 2 == 0 and r.fft_count >= 2 for r in res.records)
+
+    def test_result_is_the_last_recorded_iterate(self):
+        g, params, phi = linear_harmonic(32)
+        for max_iter in (0, 1, 5):
+            res = run_imaginary_time(phi, SchemeKind("be_lambda", 0.01), params, "sym",
+                                     max_iter=max_iter)
+            ev = model.evaluate(res.phi, params)
+            assert (res.energy, res.lam, res.r_inf) == (ev.energy.total, ev.lam, ev.r_inf)
+            if res.records:
+                last = res.records[-1]
+                assert (res.energy, res.lam, res.r_inf) == (last.energy, last.lam, last.r_inf)
+            else:
+                assert np.array_equal(res.phi.values, phi.normalized().values)
+
+    def test_adaptive_shift_is_characteristic_energy(self, monkeypatch):
+        g = Grid(1, 16.0, 128)
+        params = ModelParams(eta=250.0, omega=0.0,
+                             potential=harmonic_lattice(1.0, 25.0, np.pi / 2))
+        phi = thomas_fermi_initial(g, params)
+        shifts = []
+        build = precond.build
+        monkeypatch.setattr(precond, "build",
+                            lambda kind, phi_n, p, shift: shifts.append(shift) or build(
+                                kind, phi_n, p, shift))
+        imaginary_time_step(phi, SchemeKind("be", 0.01), params, "sym")
+        assert shifts == [1.0 / 0.01 + model.characteristic_energy(phi, params)]
+
+    def test_step_from_field_equals_step_from_its_evaluation(self):
+        g = Grid(1, 16.0, 128)
+        params = ModelParams(eta=250.0, omega=0.0,
+                             potential=harmonic_lattice(1.0, 25.0, np.pi / 2))
+        phi = thomas_fermi_initial(g, params)
+        for scheme in ("fe_lambda", "be_lambda", "cn"):
+            a, na = imaginary_time_step(phi, SchemeKind(scheme, 0.01), params, "sym")
+            b, nb = imaginary_time_step(model.evaluate(phi, params), SchemeKind(scheme, 0.01),
+                                        params, "sym")
+            assert na == nb and np.array_equal(a.values, b.values), scheme
+
     def test_fe_converges_below_cfl(self):
         g, params, phi = linear_harmonic()
         lam_max = 0.5 * float(np.max(g.k2)) + float(

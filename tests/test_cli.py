@@ -2,6 +2,7 @@
 
 import csv
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,19 @@ class TestSolveCommand:
                 reason, iterations, "false")
             assert summary["stop_detail"].startswith(detail)
 
+    @pytest.mark.parametrize("dt", ["1e100", "1e200", "1e300"])
+    def test_forward_euler_overflow_exits_1(self, tmp_path, capsys, dt):
+        cfg = write_cfg(tmp_path, "grid.d = 1\ngrid.L = 8\ngrid.M = 64\nmodel.eta = 10\n"
+                                  "solver.method = fe\ninit.kind = gauss\n")
+        out = str(tmp_path / "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["solve", "--config", cfg, "--set", f"solver.dt={dt}", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "solver failed: diverged" in err and "Traceback" not in err
+        summary = read_summary(out)
+        assert (summary["stop_reason"], summary["converged"]) == ("diverged", "false")
+
     def test_set_override(self, tmp_path):
         cfg = write_cfg(tmp_path, HARMONIC_1D)
         out = str(tmp_path / "out")
@@ -240,6 +254,21 @@ class TestMultigridCommand:
         assert abs(float(summary["energy"]) - np.sqrt(2) / 2) <= 1e-10
         assert os.path.exists(os.path.join(out, "level0_M64_convergence.csv"))
         assert os.path.exists(os.path.join(out, "level1_M128_convergence.csv"))
+
+    def test_unconverged_level_sets_the_stop_reason(self, tmp_path, capsys):
+        # level 0 stops at max_iter while the loose level 1 converges: the
+        # run does not count as converged, and the exit code follows
+        text = HARMONIC_1D.replace("solver.tol = 1e-12\n", "solver.max_iter = 3\n")
+        cfg = write_cfg(tmp_path, text + "multigrid.levels = 64:1e-14,128:1e-3\n")
+        out = str(tmp_path / "out")
+        assert main(["multigrid", "--config", cfg, "--out", out]) == 1
+        summary = read_summary(out)
+        assert (summary["level0_stop_reason"], summary["level1_stop_reason"]) == (
+            "max_iter", "energy_diff")
+        assert (summary["stop_reason"], summary["converged"]) == ("max_iter", "false")
+        assert summary["stop_detail"] == "level 0 (M = 64) stopped with max_iter"
+        assert summary["level0_iterations"] == "3"
+        assert "solver failed: max_iter" in capsys.readouterr().err
 
     def test_cli_verb(self, tmp_path):
         cfg = write_cfg(tmp_path, HARMONIC_1D + "multigrid.levels = 64:1e-10,128:1e-12\n")

@@ -10,6 +10,8 @@ from gpesolve import io
 from gpesolve.config import ConfigError, RunConfig, apply_overrides, format_config, parse_config_text
 from gpesolve.optim import IterationRecord
 
+from oracles import density_csv_text
+
 MINIMAL = """
 # a comment
 grid.d = 1
@@ -223,6 +225,17 @@ class TestCsvOutputs:
         assert (x0, d0) == (-2.0, 0.0)
         x3, d3 = map(float, lines[4].split(","))
         assert (x3, d3) == (1.0, 9.0)
+
+    @pytest.mark.parametrize("d,m", [(1, 64), (2, 16), (3, 8)])
+    def test_density_csv_matches_row_writer(self, tmp_path, d, m):
+        g = Grid(d, 3.0, m)
+        rng = np.random.default_rng(d)
+        phi = WaveField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        phi.values.flat[0] = 0.0
+        path = str(tmp_path / "density.csv")
+        io.write_density_csv(path, phi)
+        with open(path, "rb") as fh:
+            assert fh.read() == density_csv_text(phi).encode()
 
     def test_atomic_write_leaves_no_partials(self, tmp_path):
         target = tmp_path / "out.txt"

@@ -25,6 +25,8 @@ from gpesolve import (
     thomas_fermi_initial,
 )
 from gpesolve import model
+from gpesolve.optim import residual
+from gpesolve.spectral import FFTCounter
 
 from oracles import dense_hamiltonian_1d
 
@@ -325,6 +327,48 @@ class TestCharacteristicEnergy:
         e = energy(phi, params)
         assert characteristic_energy(phi, params) == pytest.approx(
             e.kinetic + e.potential + 2 * e.interaction, rel=1e-12)
+
+
+class TestEvaluate:
+    """model.evaluate against the separate evaluations it replaces."""
+
+    @pytest.mark.parametrize("d,m", [(1, 64), (2, 16), (3, 8)])
+    def test_bit_for_bit_without_rotation(self, d, m):
+        g = Grid(d, 6.0, m)
+        params = ModelParams(eta=40.0, omega=0.0, potential=harmonic(1.0))
+        phi = random_normalized(g, 20 + d)
+        counter = FFTCounter()
+        ev = model.evaluate(phi, params, counter)
+        assert counter.count == 2
+        e = energy(phi, params)
+        assert ev.energy == e and ev.energy.total == e.total
+        r, lam = residual(phi, params)
+        assert ev.lam == lam
+        assert ev.r_inf == float(np.max(np.abs(r.values)))
+        assert ev.energy.characteristic == characteristic_energy(phi, params)
+        dens = np.abs(phi.values) ** 2
+        assert np.array_equal(ev.h_phi, model.hamiltonian(params, g, dens)(phi.values))
+        assert np.array_equal(ev.w, model.sample_potential(params.potential, g) + 40.0 * dens)
+
+    @pytest.mark.parametrize("d,m", [(2, 16), (3, 8)])
+    def test_with_rotation(self, d, m):
+        g = Grid(d, 6.0, m)
+        params = ModelParams(eta=40.0, omega=0.7, potential=harmonic(1.0))
+        phi = random_normalized(g, 30 + d)
+        counter = FFTCounter()
+        ev = model.evaluate(phi, params, counter)
+        assert counter.count == 3  # -Lap/2, Lz and the completed forward transform
+        e = energy(phi, params)
+        for got, want in ((ev.energy.kinetic, e.kinetic), (ev.energy.rotation, e.rotation),
+                          (ev.energy.total, e.total),
+                          (ev.energy.characteristic, characteristic_energy(phi, params))):
+            assert got == pytest.approx(want, rel=1e-13)
+        assert (ev.energy.potential, ev.energy.interaction) == (e.potential, e.interaction)
+        r, lam = residual(phi, params)
+        assert ev.lam == pytest.approx(lam, rel=1e-13)
+        assert ev.r_inf == pytest.approx(float(np.max(np.abs(r.values))), rel=1e-13)
+        h = apply_hamiltonian(phi, phi, params).values
+        assert np.max(np.abs(ev.h_phi - h)) <= 1e-13 * np.max(np.abs(h))
 
 
 class TestThomasFermi:

@@ -236,6 +236,21 @@ def test_interpolate_then_truncate_returns_input(shape, extra, seed, half_width)
     assert np.max(np.abs(back.values - u.values)) <= 1e-13 * np.max(np.abs(u.values))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 64), st.integers(0, 2**32 - 1), st.booleans())
+def test_1d_transforms_equal_nd_numpy(half_m, seed, real):
+    # in 1D Grid.fft/ifft call numpy's 1D transforms, not the n-D wrapper
+    g = Grid(1, 4.0, 2 * half_m)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(g.shape)
+    if not real:
+        a = a + 1j * rng.standard_normal(g.shape)
+    assert g.fft(a).tobytes() == np.fft.fftn(a).tobytes()
+    assert g.ifft(a).tobytes() == np.fft.ifftn(a).tobytes()
+    out = a.astype(np.complex128)
+    assert g.fft(out, out=out) is out and out.tobytes() == np.fft.fftn(a).tobytes()
+
+
 class TestTransforms:
     """Each transform writes into a fresh output array: the result equals
     plain numpy.fft bit for bit and the input is left alone."""
