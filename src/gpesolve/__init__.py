@@ -9,22 +9,18 @@ from .spectral import (
     FFTCounter,
     Grid,
     WaveField,
-    apply_laplacian,
-    apply_lz,
     inner,
     norm,
     spectral_interpolate,
 )
 from .model import (
     EnergyBreakdown,
+    Evaluation,
     ModelParams,
     PotentialSpec,
-    apply_hamiltonian,
-    chemical_potential,
-    characteristic_energy,
     energy,
+    evaluate,
     find_vortices,
-    gradient,
     harmonic,
     harmonic_lattice,
     harmonic_quartic,
@@ -39,7 +35,6 @@ from .optim import (
     SolveResult,
     SolverConfig,
     check_stop,
-    residual,
     solve_pcg,
     solve_pg,
 )
@@ -47,15 +42,13 @@ from .optim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FFTCounter", "Grid", "WaveField", "apply_laplacian", "apply_lz",
-    "inner", "norm", "spectral_interpolate",
-    "EnergyBreakdown", "ModelParams", "PotentialSpec", "apply_hamiltonian",
-    "chemical_potential", "characteristic_energy", "energy", "find_vortices",
-    "gradient", "harmonic", "harmonic_lattice", "harmonic_quartic",
+    "FFTCounter", "Grid", "WaveField", "inner", "norm", "spectral_interpolate",
+    "EnergyBreakdown", "Evaluation", "ModelParams", "PotentialSpec", "energy", "evaluate",
+    "find_vortices", "harmonic", "harmonic_lattice", "harmonic_quartic",
     "half_square", "hessian_quadratic_form", "initial_guess",
     "thomas_fermi_initial",
     "Preconditioner", "build_preconditioner",
     "IterationRecord", "SolveResult", "SolverConfig", "check_stop",
-    "residual", "solve_pcg", "solve_pg",
+    "solve_pcg", "solve_pg",
     "__version__",
 ]

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from . import classic, model, optim, spectral
+from . import classic, model, optim, runs
 from .model import ModelParams
 from .spectral import Grid
 
@@ -141,26 +141,20 @@ def suite_multigrid_2d(paper_scale: bool = False, tol: float = 1e-12) -> list[di
     for init in ("a", "b", "d", "dbar"):
         # multigrid continuation
         t0 = time.perf_counter()
-        phi = None
         total_iters = 0
         total_ffts = 0
-        result = None
-        for level_m in levels:
-            grid = Grid(2, box, level_m)
-            phi0 = model.initial_guess(init, grid, params) if phi is None \
-                else spectral.spectral_interpolate(phi, grid)
-            result = optim.solve(phi0, params, _opt("pcg", "sym", tol))
-            phi = result.phi
+        for grid, result in runs.continuation(
+                [(m, tol) for m in levels], Grid(2, box, levels[0]),
+                lambda g: model.initial_guess(init, g, params),
+                lambda phi0, eps: optim.solve(phi0, params, _opt("pcg", "sym", eps))):
             total_iters += result.iterations
             total_ffts += result.fft_total
-        grid = Grid(2, box, levels[-1])
         row = _row("multigrid_2d", "pcg_multigrid", "sym", grid, params, init, result)
         row["iters"] = total_iters
         row["ffts"] = total_ffts
         row["wall_time"] = round(time.perf_counter() - t0, 4)
         rows.append(row)
         # fixed finest grid for comparison
-        grid = Grid(2, box, levels[-1])
         phi0 = model.initial_guess(init, grid, params)
         rows.append(_run_opt("multigrid_2d", "pcg", "sym", grid, params, phi0, tol, init=init))
     return rows

@@ -20,7 +20,7 @@ import numpy as np
 from . import model, precond
 from .model import ModelParams
 from .optim import (DIVERGED, INNER_SOLVER_FAILED, STOP_ENERGY, SolveResult, Stop, check_options,
-                    drive, residual, start_iterate)
+                    drive, start_iterate)
 from .spectral import FFTCounter, Grid, WaveField, norm
 
 FE = "fe"
@@ -202,8 +202,9 @@ def imaginary_time_step(
     Hermitian system with preconditioned MINRES (density and lambda frozen
     at phi_n).  phi_n may be given as its model.Evaluation, which the step
     then reads instead of evaluating phi_n again.  Returns (phi_{n+1},
-    inner iteration count).  Raises optim.Stop(diverged) when the field
-    before projection has zero or non-finite norm.
+    inner iteration count).  Raises optim.Stop(diverged) when the
+    preconditioner shift is not positive or the field before projection
+    has zero or non-finite norm.
     """
     check_precond(scheme.scheme, precond_kind)
     ev = phi_n if isinstance(phi_n, model.Evaluation) else model.evaluate(phi_n, params, counter)
@@ -223,7 +224,10 @@ def imaginary_time_step(
             # the implicit operator carries the extra 1/dt shift, so the
             # preconditioner diagonal mirrors it on top of the adaptive one
             shift = 1.0 / dt + ev.energy.characteristic
-        p = precond.build(precond_kind, phi_n, params, shift=shift)
+        try:
+            p = precond.build(precond_kind, g, shift, ev.w)
+        except ValueError as err:  # the shift check of precond.build
+            raise Stop(DIVERGED, str(err)) from None
     if name == BE:
         def apply_a(x):
             return x / dt + apply_h(x)
@@ -279,6 +283,7 @@ def run_imaginary_time(
     """
     check_options(precond_kind, shift, stop, tol, max_iter)
     check_precond(scheme.scheme, precond_kind)
+    params.check_dimension(phi0.grid.d)
     t0 = time.perf_counter()
     counter = FFTCounter()
     ev = model.evaluate(start_iterate(phi0), params, counter)
@@ -449,13 +454,13 @@ def precond_hessian_condition(
     if 2 * g.size > 8192:
         raise ValueError("dense conditioning diagnostic is limited to 4096 unknowns")
     warning = None
-    r, lam = residual(phi_star, params)
-    r_inf = float(np.max(np.abs(r.values)))
-    if r_inf > 1e-6:
-        warning = f"iterate is not stationary (residual sup-norm {r_inf:.2e}); sigma is unreliable"
+    ev = model.evaluate(phi_star, params)
+    if ev.r_inf > 1e-6:
+        warning = (f"iterate is not stationary (residual sup-norm {ev.r_inf:.2e}); "
+                   "sigma is unreliable")
     half_hess = model.half_hessian(params, g, phi_star.values)
     n = g.size
-    b_mat = _real_linear_matrix(lambda x: half_hess(x) - lam * x, g.shape)  # 1/2 Hess - lambda
+    b_mat = _real_linear_matrix(lambda x: half_hess(x) - ev.lam * x, g.shape)  # 1/2 Hess - lambda
     p_mat = _real_linear_matrix(p.apply_values, g.shape)
     q = _realify(phi_star.values)
     pi = np.eye(2 * n) - g.cell_volume * np.outer(q, q)

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import bench, classic, io, optim, precond
+from . import bench, classic, io, model, optim, precond
 from .config import ConfigError, RunConfig
 from .runs import run_multigrid, run_single
 
@@ -109,8 +109,11 @@ def _cmd_analyze(args) -> int:
     from .runs import initial_field, _solve_once
 
     result = _solve_once(cfg, grid, params, initial_field(cfg, grid, params))
-    kind = args.precond or cfg.solver_config().precond
-    p = precond.build(kind, result.phi, params)
+    solver_cfg = cfg.solver_config()
+    kind = args.precond or solver_cfg.precond
+    ev = model.evaluate(result.phi, params)
+    shift = ev.energy.characteristic if solver_cfg.shift == "adaptive" else solver_cfg.shift
+    p = precond.build(kind, grid, shift, ev.w)
     report = classic.precond_hessian_condition(result.phi, params, p)
     print(f"precond = {kind}")
     print(f"sigma = {report.sigma}")

@@ -151,12 +151,12 @@ class RunConfig:
         # eager validation of the typed views and the rules that join them
         grid = self.grid()
         params = self.model_params()
-        _check("model.omega", params.check_dimension, grid.d)
         try:
             params.potential.check_dimension(grid.d)
         except model.DimensionError as err:
             key = f"potential.{err.field}"
             raise ConfigError(f"{key}: {err}", key) from None
+        _check("model.omega", params.check_dimension, grid.d)
         self.solver_config()
         if self.method in SCHEME_METHODS:
             self.scheme()

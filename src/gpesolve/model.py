@@ -8,8 +8,9 @@ The energy of a normalized field phi is
 with mean-field Hamiltonian H_phi = -1/2 Laplacian + V + eta |phi|^2
 - omega Lz, gradient grad E = 2 H_phi phi, chemical potential
 lambda = <H_phi phi, phi> and half Hessian x -> H_phi x + eta (|phi|^2 x
-+ phi^2 conj(x)).  `frozen_hamiltonian`, `half_hessian` and `evaluate`
-are the only places these operators are composed.
++ phi^2 conj(x)).  `frozen_hamiltonian` is the one H and `half_hessian`
+the one Hessian; `evaluate` is the one evaluation of an iterate (energy,
+H_phi phi, lambda, residual), which `energy` reads.
 """
 
 from __future__ import annotations
@@ -96,6 +97,20 @@ class PotentialSpec:
         for name in fields:
             _axis_tuple(getattr(self, name), d, name)
 
+    def planar_frequency(self) -> float | None:
+        """The confining frequency of the x-y plane, which bounds the rotation
+        speed: 1 for the half-square trap, and min over x, y of sqrt(2 c_nu)
+        for a harmonic part c_nu nu^2 (the 2D/3D reading of gamma, or
+        harmonic_coeffs); a lattice is bounded, so it does not confine.  None
+        for the quartic trap, which confines at any speed."""
+        if self.kind == HARMONIC_QUARTIC:
+            return None
+        if self.kind == HALF_SQUARE:
+            return 1.0
+        name = "gamma" if self.harmonic_coeffs is None else "harmonic_coeffs"
+        coeffs = _axis_tuple(getattr(self, name), 2, name)[:2]
+        return min(math.sqrt(max(2.0 * c, 0.0)) for c in coeffs)
+
     def _harmonic(self, grid: Grid) -> np.ndarray:
         if self.harmonic_coeffs is not None:
             coeffs = _axis_tuple(self.harmonic_coeffs, grid.d, "harmonic_coeffs")
@@ -175,9 +190,17 @@ class ModelParams:
             raise ValueError(f"omega must be finite, got {self.omega!r}")
 
     def check_dimension(self, d: int) -> None:
-        """Raise ValueError unless the model is defined in dimension d."""
-        if self.omega != 0.0 and d < 2:
+        """Raise ValueError unless the model is defined in dimension d:
+        rotation needs d >= 2 and |omega| below the trap's planar_frequency,
+        where the energy is bounded below."""
+        if self.omega == 0.0:
+            return
+        if d < 2:
             raise ValueError("rotation requires d >= 2")
+        freq = self.potential.planar_frequency()
+        if freq is not None and abs(self.omega) >= freq:
+            raise ValueError(f"|omega| = {abs(self.omega)!r} is not below the trap frequency "
+                             f"{freq!r} of the rotation plane")
 
 
 _potential_cache: dict[tuple[PotentialSpec, Grid], np.ndarray] = {}
@@ -214,39 +237,12 @@ class EnergyBreakdown:
         return self.kinetic + self.potential + 2.0 * self.interaction
 
 
-def _pointwise_energies(params: ModelParams, grid: Grid, dens: np.ndarray) -> tuple[float, float]:
-    """The potential and interaction energies of a field of density dens."""
-    hd = grid.cell_volume
-    v = sample_potential(params.potential, grid)
-    return hd * float(np.sum(v * dens)), 0.5 * params.eta * hd * float(np.sum(dens**2))
-
-
 def energy(phi: WaveField, params: ModelParams, counter: FFTCounter | None = None) -> EnergyBreakdown:
-    """Energy of `phi` split into kinetic/potential/interaction/rotation parts.
-
-    One forward transform feeds both the kinetic operator and (when
-    omega != 0) the angular momentum: 2 transform units, 3 with rotation.
-    """
+    """Energy of `phi` split into kinetic/potential/interaction/rotation
+    parts: that of `evaluate`, 2 transform units, 3 with rotation."""
     if not np.all(np.isfinite(phi.values)):
         raise ValueError("field contains NaN or Inf")
-    g = phi.grid
-    phi_hat = g.fft(phi.values, counter)
-    kin = WaveField(g, spectral.kinetic_from_hat(g, phi_hat, counter))
-    kinetic = spectral.inner(phi, kin).real
-    potential, interaction = _pointwise_energies(params, g, np.abs(phi.values) ** 2)
-    rotation = 0.0
-    if params.omega != 0.0:
-        lz = WaveField(g, spectral.lz_from_hat(g, phi_hat, counter))
-        rotation = -params.omega * spectral.inner(phi, lz).real
-    return EnergyBreakdown(kinetic, potential, interaction, rotation)
-
-
-def hamiltonian(params: ModelParams, grid: Grid, density: np.ndarray,
-                counter: FFTCounter | None = None):
-    """H = -1/2 Lap + V + eta density - omega Lz with the density frozen, as a
-    map on grid values."""
-    return frozen_hamiltonian(
-        params, grid, sample_potential(params.potential, grid) + params.eta * density, counter)
+    return evaluate(phi, params, counter).energy
 
 
 def frozen_hamiltonian(params: ModelParams, grid: Grid, w: np.ndarray,
@@ -292,16 +288,14 @@ class Evaluation:
 
 
 def evaluate(phi: WaveField, params: ModelParams, counter: FFTCounter | None = None) -> Evaluation:
-    """Evaluate phi once for everything an imaginary-time step reads of it.
+    """Evaluate phi once for everything a method reads of an iterate: the
+    energy, H_phi phi, lambda, the residual's sup norm and w.
 
     Without rotation the kinetic image from one forward and one inverse
-    transform (2 units) gives the kinetic energy and then H_phi phi, and
-    energy, lambda, r_inf and the characteristic energy equal those of
-    `energy`, optim.residual and `characteristic_energy` bit for bit.  With
+    transform (2 units) gives the kinetic energy and then H_phi phi.  With
     rotation the linear part is applied one axis at a time and completes the
     forward transform (3 units): the kinetic energy comes from the transform
-    by Parseval and the rotation energy as the rest of <phi, H_lin phi>, so
-    they agree with `energy` to rounding.
+    by Parseval and the rotation energy as the rest of <phi, H_lin phi>.
     """
     g = phi.grid
     hd = g.cell_volume
@@ -317,8 +311,10 @@ def evaluate(phi: WaveField, params: ModelParams, counter: FFTCounter | None = N
         h_phi = spectral.kinetic_from_hat(g, g.fft(u, counter), counter)
         kinetic = (hd * np.vdot(u, h_phi)).real
         rotation = 0.0
-    potential, interaction = _pointwise_energies(params, g, dens)
-    w = sample_potential(params.potential, g) + params.eta * dens
+    v = sample_potential(params.potential, g)
+    potential = hd * float(np.sum(v * dens))
+    interaction = 0.5 * params.eta * hd * float(np.sum(dens**2))
+    w = v + params.eta * dens
     h_phi += w * u
     lam = (hd * np.vdot(h_phi, u)).real
     r_inf = float(np.max(np.abs(h_phi - lam * u)))
@@ -332,7 +328,8 @@ def half_hessian(params: ModelParams, grid: Grid, phi: np.ndarray,
     x -> H_phi x + eta (|phi|^2 x + phi^2 conj(x)).  It is real-linear, not
     complex-linear, and symmetric under Re<., .>."""
     dens = np.abs(phi) ** 2
-    apply_h = hamiltonian(params, grid, dens, counter)
+    apply_h = frozen_hamiltonian(
+        params, grid, sample_potential(params.potential, grid) + params.eta * dens, counter)
     phi_sq = phi**2
 
     def apply_b(x: np.ndarray) -> np.ndarray:
@@ -343,53 +340,12 @@ def half_hessian(params: ModelParams, grid: Grid, phi: np.ndarray,
     return apply_b
 
 
-def apply_hamiltonian(
-    phi: WaveField,
-    density: WaveField,
-    params: ModelParams,
-    counter: FFTCounter | None = None,
-) -> WaveField:
-    """Apply H_density = -1/2 Lap + V + eta |density|^2 - omega Lz to phi."""
-    spectral.check_same_grid(phi, density)
-    g = phi.grid
-    return WaveField(g, hamiltonian(params, g, np.abs(density.values) ** 2, counter)(phi.values))
-
-
-def gradient(phi: WaveField, params: ModelParams, counter: FFTCounter | None = None) -> WaveField:
-    """Energy gradient 2 H_phi phi."""
-    h = apply_hamiltonian(phi, phi, params, counter)
-    return WaveField(phi.grid, 2.0 * h.values)
-
-
 def hessian_quadratic_form(phi: WaveField, f: WaveField, params: ModelParams) -> float:
     """Second derivative of the energy at phi along f: d^2/dt^2 E(phi + t f),
     which is 2 Re<f, half_hessian f>."""
     spectral.check_same_grid(phi, f)
     bf = half_hessian(params, phi.grid, phi.values)(f.values)
     return 2.0 * spectral.inner(f, WaveField(f.grid, bf)).real
-
-
-def _require_normalized(phi: WaveField, tol: float = 1e-8) -> None:
-    n = spectral.norm(phi)
-    if abs(n - 1.0) > tol:
-        raise ValueError(f"field must have unit norm, got {n}")
-
-
-def chemical_potential(phi: WaveField, params: ModelParams) -> float:
-    """Lagrange multiplier lambda = Re<H_phi phi, phi> for normalized phi."""
-    _require_normalized(phi)
-    h = apply_hamiltonian(phi, phi, params)
-    return spectral.inner(h, phi).real
-
-
-def characteristic_energy(phi: WaveField, params: ModelParams) -> float:
-    """Adaptive preconditioner shift: int(1/2 |grad phi|^2 + V|phi|^2 + eta|phi|^4).
-
-    Equals kinetic + potential + 2*interaction of the energy breakdown;
-    strictly positive for nonzero phi in a nonnegative trap.
-    """
-    _require_normalized(phi)
-    return energy(phi, params).characteristic
 
 
 def thomas_fermi_mu(params: ModelParams, d: int) -> float:

@@ -134,7 +134,12 @@ class IterationRecord:
 @dataclass
 class SolveResult:
     """Final iterate plus the full convergence history.  stop_reason is one
-    of STOP_REASONS; stop_detail says more where there is more to say."""
+    of STOP_REASONS; stop_detail says more where there is more to say.
+    energy, lam and r_inf are those of one model.evaluate of phi.  fft_total
+    counts every transform unit the run charged: its set-up, each record's
+    fft_count, a step that ended the run without a record and, for pg/pcg,
+    that final evaluation (2 units, 3 with rotation).  An imaginary-time
+    record's fft_count already holds the evaluation of its iterate."""
 
     phi: WaveField
     records: list[IterationRecord]
@@ -211,14 +216,6 @@ def drive(step, finish, e0: float, stop: str, tol: float, max_iter: int,
     return SolveResult(phi=phi, records=records, stop_reason=reason, stop_detail=detail,
                        energy=float(energy), lam=float(lam), r_inf=float(r_inf),
                        fft_total=counter.count, wall_time=time.perf_counter() - t0)
-
-
-def residual(phi: WaveField, params: ModelParams,
-             counter: FFTCounter | None = None) -> tuple[WaveField, float]:
-    """Tangent residual r = H_phi phi - lambda phi and the multiplier lambda."""
-    h = model.apply_hamiltonian(phi, phi, params, counter)
-    lam = spectral.inner(h, phi).real
-    return WaveField(phi.grid, h.values - lam * phi.values), lam
 
 
 def check_stop(record: IterationRecord, stop: str, tol: float) -> bool:
@@ -516,13 +513,16 @@ class _Engine:
     def direction(self, force_restart: bool) -> _Bundle:
         """The next search direction.  Raises Stop when there is none:
         zero_direction for a zero projected direction, diverged for a
-        non-finite one."""
+        non-finite one or an adaptive shift that is not positive."""
         g = self.grid
         shift = self.alpha if self.cfg.shift == "adaptive" else float(self.cfg.shift)
         # nothing reads the diagonals after the apply, and holding them
         # through the rest of the direction would raise its peak memory
-        pr, pr_hat = precond.from_density(self.cfg.precond, g, shift, self.vd).apply_pair(
-            self.r_hat if self.fourier else self.r, self.counter, transformed=self.fourier)
+        try:
+            pr, pr_hat = precond.build(self.cfg.precond, g, shift, self.vd).apply_pair(
+                self.r_hat if self.fourier else self.r, self.counter, transformed=self.fourier)
+        except ValueError as err:  # the shift check of precond.build
+            raise Stop(DIVERGED, str(err)) from None
         # mix and project in the space Pr came back in
         mix_hat = pr is None
         if mix_hat:
@@ -657,13 +657,11 @@ def solve(phi0: WaveField, params: ModelParams, cfg: SolverConfig,
     def finish(diverged: bool) -> tuple:
         nonlocal engine, bundle
         phi = WaveField(engine.grid, engine.u)
-        engine.need_r_real = True
-        r_inf = engine.begin()
-        lam = engine.lam
         # only the iterate outlives the engine: free the rest before the
-        # fresh energy evaluation
+        # final evaluation, charged to the run like every other transform
         engine = bundle = None
-        return phi, model.energy(phi, params).total, lam, r_inf
+        ev = model.evaluate(phi, params, counter)
+        return phi, ev.energy.total, ev.lam, ev.r_inf
 
     return drive(step, finish, engine.energy, cfg.stop, cfg.tol, cfg.max_iter, counter, t0)
 

@@ -4,10 +4,11 @@ combination.
 
 All kinds are built from two diagonals refreshed at the current iterate:
 a Fourier diagonal 1/(alpha + |xi|^2/2) and a real-space diagonal
-1/(alpha + V + eta |phi_n|^2).  The shift alpha defaults to the
-characteristic energy of the iterate (adaptive policy).  This module is the
-only place the diagonals are built and applied; the optimizer, the MINRES
-baselines and the conditioning diagnostic all go through it.
+1/(alpha + V + eta |phi_n|^2).  The shift alpha is fixed, or the
+characteristic energy of the iterate (adaptive policy), which each caller
+has at hand.  This module is the only place the diagonals are built and
+applied; the optimizer, the MINRES baselines and the conditioning
+diagnostic all go through `build`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
-from .spectral import FFTCounter, Grid, WaveField
+from .spectral import FFTCounter, Grid
 
 IDENTITY = "identity"
 KINETIC = "kinetic"
@@ -112,38 +112,19 @@ def check_shift(shift) -> float:
     return alpha
 
 
-def from_density(kind: str, grid: Grid, alpha: float, vd: np.ndarray | None) -> Preconditioner:
+def build(kind: str, grid: Grid, alpha: float, w: np.ndarray | None) -> Preconditioner:
     """Preconditioner of `kind` with shift alpha at an iterate phi_n, given
-    vd = V + eta |phi_n|^2 on the grid.  The identity and kinetic kinds do
-    not read vd, so it may be None for them."""
+    w = V + eta |phi_n|^2 on the grid.  The identity and kinetic kinds do
+    not read w, so it may be None for them, and the identity reads no shift.
+    The adaptive shift, the characteristic energy of phi_n, is the caller's:
+    in a trap negative somewhere it need not be positive."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown preconditioner kind {kind!r}")
+    if kind != IDENTITY:
+        alpha = check_shift(alpha)
     fourier_diag = 1.0 / (alpha + grid.half_k2) if kind in _FOURIER_DIAG else None
-    real_diag = 1.0 / (alpha + vd) if kind in _REAL_DIAG else None
+    real_diag = 1.0 / (alpha + w) if kind in _REAL_DIAG else None
     if kind == COMBINED_SYM:
         np.sqrt(real_diag, out=real_diag)
     return Preconditioner(kind=kind, grid=grid, alpha=alpha, fourier_diag=fourier_diag,
                           real_diag=real_diag)
-
-
-def build(
-    kind: str,
-    phi_n: WaveField,
-    params: model.ModelParams,
-    shift: str | float = "adaptive",
-) -> Preconditioner:
-    """Build a preconditioner at the current iterate.
-
-    With the adaptive policy the shift is frozen to the characteristic
-    energy of phi_n, which is positive for nonnegative traps; a fixed
-    shift must be a finite positive number.
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown preconditioner kind {kind!r}")
-    g = phi_n.grid
-    if shift == "adaptive":
-        shift = model.characteristic_energy(phi_n, params)
-    alpha = check_shift(shift)
-    vd = None
-    if kind in _REAL_DIAG:
-        vd = model.sample_potential(params.potential, g) + params.eta * np.abs(phi_n.values) ** 2
-    return from_density(kind, g, alpha, vd)
-

@@ -76,6 +76,20 @@ def run_single(cfg: RunConfig, outdir: str) -> dict:
     return summary
 
 
+def continuation(levels, grid: Grid, guess, solve):
+    """Coarse-to-fine continuation over levels, a list of (M, tol): solve(phi0,
+    tol) on each level of grid, from guess(level grid) on the first and from
+    the previous level's result zero-padded (spectral_interpolate) on the
+    others.  Yields (level grid, result) per level."""
+    phi = None
+    for m, tol in levels:
+        grid = dataclasses.replace(grid, M=m)
+        phi0 = guess(grid) if phi is None else spectral.spectral_interpolate(phi, grid)
+        result = solve(phi0, tol)
+        phi = result.phi
+        yield grid, result
+
+
 def run_multigrid(cfg: RunConfig, outdir: str) -> dict:
     """Coarse-to-fine continuation: solve each level to its tolerance and
     zero-pad the result as the next level's initial guess.  Each level's
@@ -86,31 +100,23 @@ def run_multigrid(cfg: RunConfig, outdir: str) -> dict:
     if not schedule:
         return run_single(cfg, outdir)
     params = cfg.model_params()
-    grid = cfg.grid()
     os.makedirs(outdir, exist_ok=True)
     t0 = time.perf_counter()
-    phi: WaveField | None = None
-    result: SolveResult | None = None
     levels = {}
     failed = None  # (level, M, result) of the first level that did not converge
-    for level, (level_m, eps) in enumerate(schedule):
-        grid = dataclasses.replace(grid, M=level_m)
-        if phi is None:
-            phi0 = initial_field(cfg, grid, params)
-        else:
-            phi0 = spectral.spectral_interpolate(phi, grid)
-        result = _solve_once(cfg, grid, params, phi0, tol=eps)
-        phi = result.phi
+    steps = continuation(schedule, cfg.grid(), lambda g: initial_field(cfg, g, params),
+                         lambda phi0, tol: _solve_once(cfg, phi0.grid, params, phi0, tol=tol))
+    for level, (grid, result) in enumerate(steps):
         io.write_records_csv(
-            os.path.join(outdir, f"level{level}_M{level_m}_convergence.csv"),
+            os.path.join(outdir, f"level{level}_M{grid.M}_convergence.csv"),
             result.records, inner_iters=cfg.method not in ("pg", "pcg"))
         levels[f"level{level}_energy"] = repr(float(result.energy))
         levels[f"level{level}_iterations"] = result.iterations
         levels[f"level{level}_stop_reason"] = result.stop_reason
         if failed is None and not result.converged:
-            failed = level, level_m, result
-    io.save_field(os.path.join(outdir, "field.gpef"), phi)
-    io.write_density_csv(os.path.join(outdir, "density.csv"), phi)
+            failed = level, grid.M, result
+    io.save_field(os.path.join(outdir, "field.gpef"), result.phi)
+    io.write_density_csv(os.path.join(outdir, "density.csv"), result.phi)
     summary = _summary_dict(cfg, result, grid)
     summary["levels"] = ",".join(str(m) for m, _ in schedule)
     summary["wall_time"] = repr(time.perf_counter() - t0)

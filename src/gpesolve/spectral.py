@@ -26,8 +26,7 @@ class FFTCounter:
     for Lz and one for a completed forward transform.  So the units stay
     comparable across implementations while the real work differs: a
     rotating 2D iteration runs 5 (identity, potential) to 9 (sym, c1)
-    one-axis passes for its 3 to 5 units, and lz_from_hat runs two inverse
-    transforms for its one unit.
+    one-axis passes for its 3 to 5 units.
     """
 
     __slots__ = ("count",)
@@ -201,49 +200,12 @@ def norm(u: WaveField) -> float:
     return float(np.sqrt(u.grid.cell_volume) * np.linalg.norm(u.values.ravel()))
 
 
-def apply_laplacian(phi: WaveField, counter: FFTCounter | None = None) -> WaveField:
-    """Apply the periodic Laplacian by Fourier multiplication with -|xi|^2."""
-    g = phi.grid
-    return WaveField(g, g.ifft(-g.k2 * g.fft(phi.values, counter), counter))
-
-
 def kinetic_from_hat(grid: Grid, phi_hat: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
     """Kinetic operator -Lap/2 given the full Fourier transform: one inverse
     transform of |xi|^2/2 phi_hat, taken in place on the product (complex
     even for real input)."""
     out = np.multiply(grid.half_k2, phi_hat, out=np.empty(grid.shape, np.complex128))
     return grid.ifft(out, counter, out=out)
-
-
-def apply_lz(phi: WaveField, counter: FFTCounter | None = None) -> WaveField:
-    """Apply the angular-momentum operator -i(x d_y - y d_x); requires d >= 2.
-    Charged 2 units: the forward transform and the Lz pass."""
-    g = phi.grid
-    return WaveField(g, lz_from_hat(g, g.fft(phi.values, counter), counter))
-
-
-def lz_from_hat(grid: Grid, phi_hat: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
-    """Angular-momentum application -i(x d_y - y d_x) given the full Fourier
-    transform.  Since -i d_y = ifft(xi_y phi_hat), this is
-    x ifft(xi_y phi_hat) - y ifft(xi_x phi_hat): two inverse transforms,
-    then the coordinate products in real space.  Charged one unit (see
-    FFTCounter)."""
-    if grid.d < 2:
-        raise ValueError("the angular-momentum operator requires d >= 2")
-    if counter is not None:
-        counter.add()
-    x = grid.coordinate(0)
-    y = grid.coordinate(1)
-    dy = np.multiply(grid.freqs_first.reshape(y.shape), phi_hat,
-                     out=np.empty(grid.shape, np.complex128))
-    grid.ifft(dy, out=dy)
-    dx = np.multiply(grid.freqs_first.reshape(x.shape), phi_hat,
-                     out=np.empty(grid.shape, np.complex128))
-    grid.ifft(dx, out=dx)
-    dy *= x
-    dx *= y
-    dy -= dx
-    return dy
 
 
 @functools.lru_cache(maxsize=8)
@@ -253,7 +215,7 @@ def _axis_multipliers(grid: Grid, omega: float) -> tuple[np.ndarray, ...]:
     The coordinate factor of each rotation term is constant along the axis
     of its derivative: -omega Lz = omega y (-i d_x) - omega x (-i d_y).  So
     m_0 = xi_x^2/2 + omega y xi_x, m_1 = xi_y^2/2 - omega x xi_y and, in 3D,
-    m_2 = xi_z^2/2, the first derivatives on freqs_first as in lz_from_hat.
+    m_2 = xi_z^2/2, the first derivatives on freqs_first (Grid).
 
     One table holds m_0 and m_1.  The grid is the same on every axis, and
     xi^2/2 is even and freqs_first odd under p -> -p mod M (the unmatched
@@ -281,8 +243,8 @@ def rotating_linear(grid: Grid, omega: float, values: np.ndarray, hat: bool = Fa
                     ) -> tuple[np.ndarray, np.ndarray | None]:
     """The linear part -Lap/2 - omega Lz of the rotating Hamiltonian (d >= 2),
     applied one axis at a time: sum_a ifft_a(m_a fft_a values), 2d one-axis
-    passes in place of the full transform and three full inverse transforms
-    of kinetic_from_hat and lz_from_hat.
+    passes in place of a full forward transform and the three full inverse
+    transforms of -Lap/2 and -i(x d_y - y d_x) in Fourier space.
 
     Returns (image, full transform of values when `hat`, else None); the
     transform completes the first pass, d - 1 passes more.  Charges no unit:

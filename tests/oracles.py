@@ -7,8 +7,9 @@ numpy.fft calls with no output arrays, the reference the package's
 transforms must match bit for bit.  The density CSV is the row-by-row
 writer the package's block writer must match byte for byte.  The unfused sphere operators
 at the end (tangent projection, second-order angle, arc step, arc energy
-coefficients) are composed from the package's plain operators rather than from
-the fused iteration engine that the solvers run.
+coefficients) are composed from the plain transforms and the package's
+Hessian rather than from the fused iteration engine that the solvers run.
+`preconditioner_at` builds a preconditioner at an iterate as the solvers do.
 """
 
 import csv
@@ -16,7 +17,7 @@ import io
 
 import numpy as np
 
-from gpesolve import model, spectral
+from gpesolve import model, precond, spectral
 from gpesolve.optim import _Arc
 from gpesolve.spectral import WaveField
 
@@ -65,8 +66,9 @@ def dense_lz_matrix(m: int, box: float) -> np.ndarray:
 
 
 # plain numpy.fft transforms with the package's arithmetic, computed out of
-# place: Grid.fft/ifft, kinetic_from_hat and lz_from_hat must equal them
-# bit for bit
+# place: Grid.fft/ifft and kinetic_from_hat must equal them bit for bit, and
+# the one-axis spectral.rotating_linear must equal kinetic_plain - omega
+# lz_plain to rounding
 
 def fft_plain(values: np.ndarray) -> np.ndarray:
     return np.fft.fftn(values)
@@ -151,6 +153,15 @@ def density_csv_text(phi: WaveField) -> str:
     return buf.getvalue()
 
 
+def preconditioner_at(kind: str, phi: WaveField, params: model.ModelParams,
+                      shift="adaptive") -> precond.Preconditioner:
+    """precond.build at the iterate phi, with the adaptive shift (the
+    characteristic energy of phi) unless a fixed one is given."""
+    ev = model.evaluate(phi, params)
+    alpha = ev.energy.characteristic if shift == "adaptive" else shift
+    return precond.build(kind, phi.grid, alpha, ev.w)
+
+
 # ---------------------------------------------------------------------------
 # unfused sphere operators
 # ---------------------------------------------------------------------------
@@ -195,14 +206,14 @@ def arc_from_fields(phi: WaveField, p_hat: WaveField, params: model.ModelParams)
     v = model.sample_potential(params.potential, g)
     u = phi.values
     p = p_hat.values
-    du = spectral.apply_laplacian(phi).values
-    dp = spectral.apply_laplacian(p_hat).values
-    qa = -0.5 * hd * np.vdot(u, du).real + hd * float(np.sum(v * np.abs(u) ** 2))
-    qb = -0.5 * hd * np.vdot(p, dp).real + hd * float(np.sum(v * np.abs(p) ** 2))
-    qc = -0.5 * hd * np.vdot(u, dp).real + hd * float(np.sum(v * (np.conj(u) * p).real))
+    ku = kinetic_plain(g, fft_plain(u))
+    kp = kinetic_plain(g, fft_plain(p))
+    qa = hd * np.vdot(u, ku).real + hd * float(np.sum(v * np.abs(u) ** 2))
+    qb = hd * np.vdot(p, kp).real + hd * float(np.sum(v * np.abs(p) ** 2))
+    qc = hd * np.vdot(u, kp).real + hd * float(np.sum(v * (np.conj(u) * p).real))
     if params.omega != 0.0:
-        lu = spectral.apply_lz(phi).values
-        lp = spectral.apply_lz(p_hat).values
+        lu = lz_plain(g, fft_plain(u))
+        lp = lz_plain(g, fft_plain(p))
         qa += -params.omega * hd * np.vdot(u, lu).real
         qb += -params.omega * hd * np.vdot(p, lp).real
         qc += -params.omega * hd * np.vdot(u, lp).real

@@ -12,8 +12,7 @@ from gpesolve import (
     ModelParams,
     PotentialSpec,
     WaveField,
-    build_preconditioner,
-    chemical_potential,
+    evaluate,
     harmonic,
     harmonic_lattice,
     initial_guess,
@@ -32,6 +31,8 @@ from gpesolve.classic import (
     run_imaginary_time,
 )
 from gpesolve.optim import SolverConfig, solve
+
+from oracles import preconditioner_at
 
 
 def linear_harmonic(grid_m=64, box=16.0):
@@ -91,7 +92,7 @@ class TestKrylovSolve:
         params = ModelParams(eta=0.0, omega=0.0,
                              potential=PotentialSpec(kind="harmonic", harmonic_coeffs=(0.0,)))
         phi = initial_guess("gauss", g, params)
-        p = build_preconditioner("kinetic", phi, params, shift=3.0)
+        p = preconditioner_at("kinetic", phi, params, shift=3.0)
 
         def apply_a(v):
             return 3.0 * v + np.fft.ifft(0.5 * g.k2 * np.fft.fft(v))
@@ -181,7 +182,7 @@ class TestKrylovSolve:
 class TestImaginaryTimeStep:
     def test_be_lambda_equivalence_at_effective_dt(self):
         g, params, phi = linear_harmonic()
-        lam = chemical_potential(phi, params)
+        lam = evaluate(phi, params).lam
         dt = 0.05
         with_lam, _ = imaginary_time_step(phi, SchemeKind("be_lambda", dt, 1e-13), params)
         dt_eff = dt / (1.0 - dt * lam)
@@ -202,14 +203,14 @@ class TestImaginaryTimeStep:
     def test_norm_defect_orders(self):
         # pre-projection defect: O(dt^2) for lambda-variants, O(dt) without
         g, params, phi = linear_harmonic()
-        lam = chemical_potential(phi, params)
-        h_phi = model.apply_hamiltonian(phi, phi, params)
+        ev = evaluate(phi, params)
+        lam, h_phi = ev.lam, ev.h_phi
 
         def defect(scheme, dt):
             if scheme == "fe":
-                tilde = phi.values - dt * h_phi.values
+                tilde = phi.values - dt * h_phi
             else:
-                tilde = phi.values - dt * (h_phi.values - lam * phi.values)
+                tilde = phi.values - dt * (h_phi - lam * phi.values)
             return abs(np.sqrt(g.h) * np.linalg.norm(tilde) - 1.0)
 
         d_free = [defect("fe", dt) for dt in (1e-2, 1e-3)]
@@ -222,7 +223,7 @@ class TestImaginaryTimeStep:
         g, params, phi = linear_harmonic()
 
         def defect(scheme_name, dt):
-            apply_h = model.hamiltonian(params, g, np.abs(phi.values) ** 2)
+            apply_h = model.frozen_hamiltonian(params, g, evaluate(phi, params).w)
             h_phi = apply_h(phi.values)
             lam = g.cell_volume * np.vdot(phi.values, h_phi).real
             if scheme_name == "be":
@@ -287,6 +288,18 @@ class TestRunImaginaryTime:
         assert (res.stop_reason, res.converged) == ("diverged", False)
         assert np.isfinite(res.energy) and abs(norm(res.phi) - 1.0) <= 1e-12
 
+    def test_adaptive_shift_not_positive_ends_as_diverged(self):
+        # 1/dt plus a negative characteristic energy: V = -2 r^2 + 0.075 r^4
+        g = Grid(2, 8.0, 32)
+        params = ModelParams(eta=1.0, omega=0.0, potential=model.harmonic_quartic(1.0, 3.0, 0.3))
+        phi = initial_guess("gauss", g, params)
+        assert 1.0 + evaluate(phi, params).energy.characteristic < 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = run_imaginary_time(phi, SchemeKind("be_lambda", 1.0), params, "sym")
+        assert (res.stop_reason, res.iterations) == ("diverged", 0)
+        assert res.stop_detail.startswith("preconditioner shift must be positive")
+
     def test_each_record_counts_the_transforms_its_step_ran(self, monkeypatch):
         # be_lambda/sym in 1D: a spy counts every Grid.fft/ifft call and
         # notes the count as each step begins; a step runs until the next
@@ -333,10 +346,10 @@ class TestRunImaginaryTime:
         shifts = []
         build = precond.build
         monkeypatch.setattr(precond, "build",
-                            lambda kind, phi_n, p, shift: shifts.append(shift) or build(
-                                kind, phi_n, p, shift))
+                            lambda kind, grid, alpha, w: shifts.append(alpha) or build(
+                                kind, grid, alpha, w))
         imaginary_time_step(phi, SchemeKind("be", 0.01), params, "sym")
-        assert shifts == [1.0 / 0.01 + model.characteristic_energy(phi, params)]
+        assert shifts == [1.0 / 0.01 + evaluate(phi, params).energy.characteristic]
 
     def test_step_from_field_equals_step_from_its_evaluation(self):
         g = Grid(1, 16.0, 128)
@@ -387,10 +400,10 @@ class TestRunImaginaryTime:
     ])
     def test_options_checked_before_first_step(self, option, match, monkeypatch):
         # fe_lambda builds no preconditioner, so only the up-front check sees a bad
-        # kind or shift; the spy shows that no step ran
+        # kind or shift; the spy shows that nothing was evaluated
         g, params, phi = linear_harmonic(32)
         steps = []
-        monkeypatch.setattr(model, "hamiltonian", lambda *a: steps.append(a))
+        monkeypatch.setattr(model, "evaluate", lambda *a: steps.append(a))
         with pytest.raises(ValueError, match=match):
             run_imaginary_time(phi, SchemeKind("fe_lambda", 1e-3), params, **option)
         assert steps == []
@@ -402,7 +415,7 @@ class TestRunImaginaryTime:
         # are not Hermitian, so implicit schemes refuse them by name
         g, params, phi = linear_harmonic(32)
         steps = []
-        monkeypatch.setattr(model, "hamiltonian", lambda *a: steps.append(a))
+        monkeypatch.setattr(model, "evaluate", lambda *a: steps.append(a))
         with pytest.raises(ValueError, match=f"precond '{kind}' is not Hermitian"):
             run_imaginary_time(phi, SchemeKind(scheme, 0.01), params, kind)
         with pytest.raises(ValueError, match=f"precond '{kind}'"):
@@ -494,7 +507,7 @@ class TestConditioning:
         params = ModelParams(eta=0.0, omega=0.0,
                              potential=PotentialSpec(kind="harmonic", harmonic_coeffs=(0.0,)))
         const = WaveField(g, np.ones(16, dtype=complex)).normalized()
-        p = build_preconditioner("kinetic", const, params, shift=1e-6)
+        p = preconditioner_at("kinetic", const, params, shift=1e-6)
         rep = precond_hessian_condition(const, params, p)
         assert rep.sigma == pytest.approx(1.0, abs=1e-4)
 
@@ -502,7 +515,7 @@ class TestConditioning:
         sigmas = []
         for m in (16, 32, 64):  # h = 1/2, 1/4, 1/8 at L = 4
             g, params, phi = self._converged_state(m)
-            p = build_preconditioner("identity", phi, params, shift=1.0)
+            p = preconditioner_at("identity", phi, params, shift=1.0)
             sigmas.append(precond_hessian_condition(phi, params, p).sigma)
         for a, b in zip(sigmas, sigmas[1:]):
             assert b / a >= 4.0 * 0.7  # 4x per halving, 30% slack
@@ -511,7 +524,7 @@ class TestConditioning:
         sigmas = []
         for m in (16, 32, 64):
             g, params, phi = self._converged_state(m)
-            p = build_preconditioner("kinetic", phi, params)
+            p = preconditioner_at("kinetic", phi, params)
             sigmas.append(precond_hessian_condition(phi, params, p).sigma)
         assert max(sigmas) / min(sigmas) < 2.0
 
@@ -520,6 +533,6 @@ class TestConditioning:
         params = ModelParams(eta=0.0, omega=0.0, potential=harmonic(1.0))
         rng = np.random.default_rng(13)
         phi = WaveField(g, (rng.standard_normal(16) + 1j * rng.standard_normal(16))).normalized()
-        p = build_preconditioner("kinetic", phi, params)
+        p = preconditioner_at("kinetic", phi, params)
         rep = precond_hessian_condition(phi, params, p)
         assert rep.warning is not None

@@ -4,10 +4,12 @@ import csv
 import os
 import warnings
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from gpesolve import classic, precond, runs
+from gpesolve import WaveField, classic, precond, runs, spectral_interpolate
 from gpesolve.cli import main
 from gpesolve.config import RunConfig
 from gpesolve.runs import run_multigrid, run_single
@@ -93,6 +95,10 @@ class TestSolveCommand:
         ("solve", ["grid.d=2", "grid.M=16", "potential.harmonic_coeffs=1"],
          "potential.harmonic_coeffs"),
         ("multigrid", ["multigrid.levels=5:1e-8,32:1e-8"], "multigrid.levels"),
+        # rotation above the harmonic trap's frequency sqrt(2): unbounded below
+        ("solve", ["grid.d=2", "grid.L=8", "grid.M=64", "model.eta=1", "model.omega=3",
+                   "init.kind=d"], "model.omega"),
+        ("multigrid", ["grid.d=2", "grid.M=16", "model.omega=-1.5"], "model.omega"),
     ])
     def test_trap_and_level_errors_exit_2(self, tmp_path, capsys, verb, overrides, key):
         cfg = write_cfg(tmp_path, HARMONIC_1D)
@@ -122,9 +128,9 @@ class TestSolveCommand:
         shifts = []
         build = precond.build
 
-        def spy(kind, phi_n, params, shift="adaptive"):
-            shifts.append(shift)
-            return build(kind, phi_n, params, shift)
+        def spy(kind, grid, alpha, w):
+            shifts.append(alpha)
+            return build(kind, grid, alpha, w)
 
         monkeypatch.setattr(precond, "build", spy)
         out = str(tmp_path / "out")
@@ -255,6 +261,24 @@ class TestMultigridCommand:
         assert os.path.exists(os.path.join(out, "level0_M64_convergence.csv"))
         assert os.path.exists(os.path.join(out, "level1_M128_convergence.csv"))
 
+    def test_continuation_starts_each_level_from_the_last(self):
+        # level k > 0 starts from level k - 1's result, zero-padded
+        grid = RunConfig.from_text(HARMONIC_1D).grid()
+        seen = []
+
+        def solve(phi0, tol):
+            seen.append((phi0, tol))
+            return SimpleNamespace(phi=WaveField(phi0.grid, phi0.values * np.exp(1j * len(seen))))
+
+        levels = list(runs.continuation([(16, 1e-3), (32, 1e-4), (64, 1e-5)], grid,
+                                        lambda g: WaveField(g, np.exp(-g.x1**2)).normalized(),
+                                        solve))
+        assert [(g.M, phi0.grid, tol) for (g, _), (phi0, tol) in zip(levels, seen)] == [
+            (16, levels[0][0], 1e-3), (32, levels[1][0], 1e-4), (64, levels[2][0], 1e-5)]
+        for (_, result), (phi0, _) in zip(levels, seen[1:]):
+            expected = spectral_interpolate(result.phi, phi0.grid)
+            assert np.array_equal(phi0.values, expected.values)
+
     def test_unconverged_level_sets_the_stop_reason(self, tmp_path, capsys):
         # level 0 stops at max_iter while the loose level 1 converges: the
         # run does not count as converged, and the exit code follows
@@ -315,3 +339,19 @@ init.kind = gauss
         assert main(["analyze", "condition", "--config", cfg, "--precond", "kinetic"]) == 0
         out = capsys.readouterr().out
         assert "sigma = " in out
+
+    def test_condition_reads_the_configured_shift(self, tmp_path, capsys, monkeypatch):
+        cfg = write_cfg(tmp_path, HARMONIC_1D.replace("grid.M = 128", "grid.M = 32")
+                        .replace("model.eta = 0", "model.eta = 10")
+                        .replace("grid.L = 16", "grid.L = 8"))
+        seen = []
+        analyze = classic.precond_hessian_condition
+        monkeypatch.setattr(classic, "precond_hessian_condition",
+                            lambda phi, params, p: seen.append(p) or analyze(phi, params, p))
+        sigmas = []
+        for shift in ("50", "0.5", "adaptive"):
+            assert main(["analyze", "condition", "--config", cfg,
+                         "--set", f"solver.shift={shift}"]) == 0
+            sigmas.append(capsys.readouterr().out.split("sigma = ")[1].split()[0])
+        assert [p.alpha for p in seen[:2]] == [50.0, 0.5]
+        assert seen[2].alpha not in (50.0, 0.5) and len(set(sigmas)) == 3

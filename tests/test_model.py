@@ -2,19 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpesolve import (
     Grid,
     ModelParams,
     PotentialSpec,
     WaveField,
-    apply_hamiltonian,
-    apply_lz,
-    characteristic_energy,
-    chemical_potential,
     energy,
+    evaluate,
     find_vortices,
-    gradient,
     harmonic,
     harmonic_quartic,
     half_square,
@@ -25,10 +22,11 @@ from gpesolve import (
     thomas_fermi_initial,
 )
 from gpesolve import model
-from gpesolve.optim import residual
+from gpesolve.classic import SchemeKind, run_imaginary_time
+from gpesolve.optim import SolverConfig, solve
 from gpesolve.spectral import FFTCounter
 
-from oracles import dense_hamiltonian_1d
+from oracles import dense_hamiltonian_1d, kinetic_plain, lz_plain
 
 
 def random_normalized(grid, seed=0):
@@ -51,6 +49,17 @@ def smooth_normalized(grid, seed=0):
             for j in idx:
                 hat[i, j] = rng.standard_normal() + 1j * rng.standard_normal()
     return WaveField(grid, np.fft.ifftn(hat)).normalized()
+
+
+def hamiltonian_at(phi, params):
+    """H_phi as a map on fields: model.frozen_hamiltonian at the w of phi."""
+    apply_h = model.frozen_hamiltonian(params, phi.grid, evaluate(phi, params).w)
+    return lambda f: WaveField(f.grid, apply_h(f.values))
+
+
+def gradient(phi, params):
+    """The energy gradient 2 H_phi phi."""
+    return WaveField(phi.grid, 2.0 * evaluate(phi, params).h_phi)
 
 
 class TestPotentials:
@@ -113,6 +122,37 @@ class TestPotentials:
             PotentialSpec(gamma=(0.0, 1.0, 1.0))
 
 
+class TestRotationBound:
+    """|omega| must stay below the confining frequency of the rotation plane,
+    where the rotating energy is bounded below; the quartic trap is exempt."""
+
+    @pytest.mark.parametrize("spec,d,freq", [
+        (harmonic(1.0), 2, np.sqrt(2.0)),
+        (harmonic((1.0, 0.5, 0.01)), 3, 1.0),
+        (PotentialSpec(kind="harmonic", harmonic_coeffs=(2.0, 0.32)), 2, 0.8),
+        (model.harmonic_lattice((0.5, 2.0, 1.0), 25.0, 1.0), 2, 1.0),
+        (half_square(), 3, 1.0),
+    ])
+    def test_both_sides_of_the_bound(self, spec, d, freq):
+        for omega in (0.999 * freq, -0.999 * freq):
+            ModelParams(eta=1.0, omega=omega, potential=spec).check_dimension(d)
+        for omega in (freq, -freq, 1.001 * freq):
+            with pytest.raises(ValueError, match="trap frequency"):
+                ModelParams(eta=1.0, omega=omega, potential=spec).check_dimension(d)
+
+    def test_quartic_trap_exempt(self):
+        ModelParams(eta=1.0, omega=3.5, potential=harmonic_quartic()).check_dimension(2)
+
+    def test_solvers_reject_fast_rotation(self):
+        g = Grid(2, 8.0, 16)
+        params = ModelParams(eta=1.0, omega=3.0, potential=harmonic(1.0))
+        phi0 = initial_guess("d", g, params)
+        with pytest.raises(ValueError, match="trap frequency"):
+            solve(phi0, params, SolverConfig())
+        with pytest.raises(ValueError, match="trap frequency"):
+            run_imaginary_time(phi0, SchemeKind("be_lambda", 0.01), params)
+
+
 class TestEnergy:
     def test_harmonic_ground_energy(self):
         # ground state of -1/2 d^2 + x^2 has energy sqrt(2)/2
@@ -127,8 +167,9 @@ class TestEnergy:
         params = ModelParams(eta=0.0, omega=0.0, potential=harmonic(1.0))
         phi = random_normalized(g, 5)
         e = energy(phi, params)
-        h = apply_hamiltonian(phi, phi, params)
-        assert e.total == pytest.approx(inner(phi, h).real, rel=1e-12)
+        h = kinetic_plain(g, np.fft.fftn(phi.values)) + (
+            model.sample_potential(params.potential, g) * phi.values)
+        assert e.total == pytest.approx(inner(phi, WaveField(g, h)).real, rel=1e-12)
 
     def test_breakdown_sums(self):
         g = Grid(2, 6.0, 32)
@@ -171,7 +212,7 @@ class TestHamiltonian:
                              potential=PotentialSpec(kind="harmonic", harmonic_coeffs=(0.0,)))
         xi1 = np.pi / g.L
         u = WaveField(g, np.exp(1j * xi1 * (g.x1 + g.L)))
-        out = apply_hamiltonian(u, u, params)
+        out = hamiltonian_at(u, params)(u)
         assert np.max(np.abs(out.values - 0.5 * xi1**2 * u.values)) < 1e-12
 
     def test_hermiticity(self):
@@ -180,8 +221,9 @@ class TestHamiltonian:
         phi = random_normalized(g, 1)
         u = random_normalized(g, 2)
         v = random_normalized(g, 3)
-        a = inner(u, apply_hamiltonian(v, phi, params)).real
-        b = inner(apply_hamiltonian(u, phi, params), v).real
+        h = hamiltonian_at(phi, params)
+        a = inner(u, h(v)).real
+        b = inner(h(u), v).real
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_dense_oracle_1d(self):
@@ -192,7 +234,7 @@ class TestHamiltonian:
         h_mat = dense_hamiltonian_1d(16, 8.0, model.sample_potential(params.potential, g),
                                      eta=12.0, density=phi.values)
         expected = h_mat @ u.values
-        got = apply_hamiltonian(u, phi, params).values
+        got = hamiltonian_at(phi, params)(u).values
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_frozen_density_argument(self):
@@ -200,7 +242,7 @@ class TestHamiltonian:
         params = ModelParams(eta=5.0, omega=0.0, potential=harmonic(1.0))
         phi = random_normalized(g, 6)
         f = random_normalized(g, 7)
-        out = apply_hamiltonian(f, phi, params)
+        out = hamiltonian_at(phi, params)(f)
         v = model.sample_potential(params.potential, g)
         direct = (-0.5 * np.fft.ifft(-g.k2 * np.fft.fft(f.values))
                   + (v + 5.0 * np.abs(phi.values) ** 2) * f.values)
@@ -250,7 +292,7 @@ class TestDerivatives:
         params = ModelParams(eta=0.0, omega=0.0, potential=harmonic(1.0))
         phi = random_normalized(g, 8)
         f = random_normalized(g, 9)
-        hf = apply_hamiltonian(f, phi, params)
+        hf = hamiltonian_at(phi, params)(f)
         assert hessian_quadratic_form(phi, f, params) == pytest.approx(
             2 * inner(f, hf).real, rel=1e-12)
 
@@ -260,7 +302,7 @@ class TestDerivatives:
         rng = np.random.default_rng(10)
         phi = WaveField(g, rng.standard_normal(32).astype(complex)).normalized()
         f = WaveField(g, rng.standard_normal(32).astype(complex)).normalized()
-        hf = apply_hamiltonian(f, phi, params)
+        hf = hamiltonian_at(phi, params)(f)
         extra = hessian_quadratic_form(phi, f, params) - 2 * inner(f, hf).real
         # for real fields the nonlinear part is 4 eta h sum(phi^2 f^2) >= 0
         expected = 4.0 * 4.0 * g.h * np.sum(phi.values.real**2 * f.values.real**2)
@@ -280,28 +322,22 @@ class TestChemicalPotential:
         g = Grid(1, 8.0, 64)
         params = ModelParams(eta=0.0, omega=0.0, potential=harmonic(1.0))
         phi = random_normalized(g, 11)
-        assert chemical_potential(phi, params) == pytest.approx(energy(phi, params).total, rel=1e-12)
+        assert evaluate(phi, params).lam == pytest.approx(energy(phi, params).total, rel=1e-12)
 
     def test_harmonic_ground_state_value(self):
         g = Grid(1, 16.0, 128)
         params = ModelParams(eta=0.0, omega=0.0, potential=harmonic(1.0))
         phi = WaveField(g, np.exp(-g.x1**2 / np.sqrt(2)).astype(complex)).normalized()
-        assert chemical_potential(phi, params) == pytest.approx(np.sqrt(2) / 2, abs=1e-10)
+        assert evaluate(phi, params).lam == pytest.approx(np.sqrt(2) / 2, abs=1e-10)
 
     def test_lambda_minus_energy_is_interaction(self):
         g = Grid(1, 8.0, 64)
         params = ModelParams(eta=250.0, omega=0.0, potential=harmonic(1.0))
         phi = random_normalized(g, 12)
-        lam = chemical_potential(phi, params)
+        lam = evaluate(phi, params).lam
         e = energy(phi, params)
         direct = 0.5 * 250.0 * g.h * np.sum(np.abs(phi.values) ** 4)
         assert lam - e.total == pytest.approx(direct, rel=1e-12)
-
-    def test_unnormalized_rejected(self):
-        g = Grid(1, 8.0, 32)
-        params = ModelParams(eta=0.0, omega=0.0, potential=harmonic(1.0))
-        with pytest.raises(ValueError, match="unit norm"):
-            chemical_potential(WaveField(g, 2 * random_normalized(g).values), params)
 
 
 class TestCharacteristicEnergy:
@@ -309,8 +345,8 @@ class TestCharacteristicEnergy:
         g = Grid(1, 8.0, 64)
         params = ModelParams(eta=40.0, omega=0.0, potential=harmonic(1.0))
         phi = random_normalized(g, 13)
-        assert characteristic_energy(phi, params) == pytest.approx(
-            chemical_potential(phi, params), rel=1e-12)
+        ev = evaluate(phi, params)
+        assert ev.energy.characteristic == pytest.approx(ev.lam, rel=1e-12)
 
     def test_plane_wave_kinetic_only(self):
         g = Grid(1, 16.0, 64)
@@ -318,57 +354,79 @@ class TestCharacteristicEnergy:
                              potential=PotentialSpec(kind="harmonic", harmonic_coeffs=(0.0,)))
         xi1 = np.pi / g.L
         phi = WaveField(g, np.exp(1j * xi1 * (g.x1 + g.L))).normalized()
-        assert characteristic_energy(phi, params) == pytest.approx(xi1**2 / 2, rel=1e-12)
+        assert evaluate(phi, params).energy.characteristic == pytest.approx(xi1**2 / 2,
+                                                                           rel=1e-12)
 
     def test_matches_direct_quadrature(self):
         g = Grid(2, 6.0, 32)
         params = ModelParams(eta=30.0, omega=0.3, potential=half_square())
         phi = random_normalized(g, 14)
-        e = energy(phi, params)
-        assert characteristic_energy(phi, params) == pytest.approx(
-            e.kinetic + e.potential + 2 * e.interaction, rel=1e-12)
-
-
-class TestEvaluate:
-    """model.evaluate against the separate evaluations it replaces."""
-
-    @pytest.mark.parametrize("d,m", [(1, 64), (2, 16), (3, 8)])
-    def test_bit_for_bit_without_rotation(self, d, m):
-        g = Grid(d, 6.0, m)
-        params = ModelParams(eta=40.0, omega=0.0, potential=harmonic(1.0))
-        phi = random_normalized(g, 20 + d)
-        counter = FFTCounter()
-        ev = model.evaluate(phi, params, counter)
-        assert counter.count == 2
-        e = energy(phi, params)
-        assert ev.energy == e and ev.energy.total == e.total
-        r, lam = residual(phi, params)
-        assert ev.lam == lam
-        assert ev.r_inf == float(np.max(np.abs(r.values)))
-        assert ev.energy.characteristic == characteristic_energy(phi, params)
+        v = model.sample_potential(params.potential, g)
         dens = np.abs(phi.values) ** 2
-        assert np.array_equal(ev.h_phi, model.hamiltonian(params, g, dens)(phi.values))
-        assert np.array_equal(ev.w, model.sample_potential(params.potential, g) + 40.0 * dens)
+        kinetic = g.cell_volume * np.vdot(phi.values, kinetic_plain(g, np.fft.fftn(phi.values)))
+        direct = kinetic.real + g.cell_volume * np.sum(v * dens + 30.0 * dens**2)
+        assert evaluate(phi, params).energy.characteristic == pytest.approx(direct, rel=1e-12)
 
-    @pytest.mark.parametrize("d,m", [(2, 16), (3, 8)])
-    def test_with_rotation(self, d, m):
-        g = Grid(d, 6.0, m)
-        params = ModelParams(eta=40.0, omega=0.7, potential=harmonic(1.0))
-        phi = random_normalized(g, 30 + d)
-        counter = FFTCounter()
-        ev = model.evaluate(phi, params, counter)
-        assert counter.count == 3  # -Lap/2, Lz and the completed forward transform
-        e = energy(phi, params)
-        for got, want in ((ev.energy.kinetic, e.kinetic), (ev.energy.rotation, e.rotation),
-                          (ev.energy.total, e.total),
-                          (ev.energy.characteristic, characteristic_energy(phi, params))):
-            assert got == pytest.approx(want, rel=1e-13)
-        assert (ev.energy.potential, ev.energy.interaction) == (e.potential, e.interaction)
-        r, lam = residual(phi, params)
-        assert ev.lam == pytest.approx(lam, rel=1e-13)
-        assert ev.r_inf == pytest.approx(float(np.max(np.abs(r.values))), rel=1e-13)
-        h = apply_hamiltonian(phi, phi, params).values
-        assert np.max(np.abs(ev.h_phi - h)) <= 1e-13 * np.max(np.abs(h))
+
+# dimension, field seed, eta, omega (ignored in 1D)
+evaluate_cases = st.tuples(
+    st.sampled_from([1, 2, 3]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 500.0),
+    st.just(0.0) | st.floats(0.05, 1.2) | st.floats(-1.2, -0.05),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(evaluate_cases)
+def test_evaluate_matches_plain_oracles(case):
+    # each energy part, lambda, r_inf, H_phi phi and w against the plain
+    # transforms and direct sums: bit for bit without rotation, within 1e-13
+    # of the energy scale (of max|H_phi phi| for H_phi phi) with it
+    d, seed, eta, omega = case
+    g = {1: Grid(1, 6.0, 64), 2: Grid(2, 6.0, 16), 3: Grid(3, 6.0, 8)}[d]
+    omega = omega if d > 1 else 0.0
+    params = ModelParams(eta=eta, omega=omega, potential=harmonic(1.0))
+    phi = random_normalized(g, seed)
+    counter = FFTCounter()
+    ev = evaluate(phi, params, counter)
+    assert counter.count == (3 if omega else 2)
+
+    hd = g.cell_volume
+    u = phi.values
+    u_hat = np.fft.fftn(u)
+    v = params.potential.sample(g)
+    dens = np.abs(u) ** 2
+    h = kinetic_plain(g, u_hat)
+    kinetic = (hd * np.vdot(u, h)).real
+    rotation = 0.0
+    if omega:
+        lz_u = lz_plain(g, u_hat)
+        rotation = -omega * (hd * np.vdot(u, lz_u)).real
+        h = h - omega * lz_u
+    potential = hd * float(np.sum(v * dens))
+    interaction = 0.5 * eta * hd * float(np.sum(dens**2))
+    w = v + eta * dens
+    h = h + w * u
+    lam = (hd * np.vdot(h, u)).real
+    r_inf = float(np.max(np.abs(h - lam * u)))
+    want = {"kinetic": kinetic, "rotation": rotation, "potential": potential,
+            "interaction": interaction, "total": kinetic + potential + interaction + rotation,
+            "characteristic": kinetic + potential + 2.0 * interaction, "lam": lam}
+    got = {"lam": ev.lam, "total": ev.energy.total,
+           "characteristic": ev.energy.characteristic, **vars(ev.energy)}
+
+    assert (ev.phi is phi and np.array_equal(ev.w, w)
+            and (ev.energy.potential, ev.energy.interaction) == (potential, interaction))
+    if not omega:
+        assert got == want
+        assert ev.r_inf == r_inf and np.array_equal(ev.h_phi, h)
+        return
+    scale = kinetic + abs(rotation) + potential + interaction
+    for name, value in want.items():
+        assert abs(got[name] - value) <= 1e-13 * scale, name
+    assert ev.r_inf == pytest.approx(r_inf, rel=1e-13)
+    assert np.max(np.abs(ev.h_phi - h)) <= 1e-13 * np.max(np.abs(h))
 
 
 class TestThomasFermi:
@@ -404,15 +462,15 @@ class TestInitialGuesses:
         params = ModelParams(eta=0.0, omega=0.5, potential=half_square())
         phi = initial_guess("a", g, params)
         assert abs(norm(phi) - 1.0) < 1e-14
-        assert norm(apply_lz(phi)) < 1e-10
+        assert norm(WaveField(g, lz_plain(g, np.fft.fftn(phi.values)))) < 1e-10
 
     def test_vortex_angular_momentum(self):
         g = Grid(2, 8.0, 64)
         params = ModelParams(eta=0.0, omega=0.5, potential=half_square())
         pb = initial_guess("b", g, params)
         pbbar = initial_guess("bbar", g, params)
-        lz_b = inner(pb, apply_lz(pb)).real
-        lz_bbar = inner(pbbar, apply_lz(pbbar)).real
+        lz_b = inner(pb, WaveField(g, lz_plain(g, np.fft.fftn(pb.values)))).real
+        lz_bbar = inner(pbbar, WaveField(g, lz_plain(g, np.fft.fftn(pbbar.values)))).real
         assert lz_b == pytest.approx(1.0, abs=1e-8)
         assert lz_bbar == pytest.approx(-1.0, abs=1e-8)
 

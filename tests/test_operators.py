@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpesolve import FFTCounter, Grid, ModelParams, apply_lz, energy, half_square, model, spectral
-from gpesolve import WaveField, apply_hamiltonian, hessian_quadratic_form
+from gpesolve import FFTCounter, Grid, ModelParams, energy, half_square, model, spectral
+from gpesolve import WaveField, hessian_quadratic_form
 
 GRIDS = {1: Grid(1, 8.0, 32), 2: Grid(2, 6.0, 16)}
 
@@ -30,6 +30,12 @@ def setup(d, seed, eta, omega):
     return g, params, fields
 
 
+def hamiltonian(params, g, phi):
+    """H_phi as a map on grid values: model.frozen_hamiltonian at phi's w."""
+    w = model.sample_potential(params.potential, g) + params.eta * np.abs(phi) ** 2
+    return model.frozen_hamiltonian(params, g, w)
+
+
 def dot(g, a, b):
     """The discrete inner product h^d vdot(a, b)."""
     return g.cell_volume * np.vdot(a, b)
@@ -43,7 +49,7 @@ def size(g, a):
 @given(problems)
 def test_hamiltonian_hermitian(problem):
     g, params, (phi, u, v) = setup(*problem)
-    h = model.hamiltonian(params, g, np.abs(phi) ** 2)
+    h = hamiltonian(params, g, phi)
     hu, hv = h(u), h(v)
     scale = size(g, u) * size(g, hv) + size(g, hu) * size(g, v)
     assert abs(dot(g, u, hv) - dot(g, hu, v)) <= 1e-13 * scale
@@ -52,9 +58,15 @@ def test_hamiltonian_hermitian(problem):
 @property_settings
 @given(problems)
 def test_lz_hermitian(problem):
-    g, _, (_, u, v) = setup(2, *problem[1:])
-    lu = spectral.lz_from_hat(g, np.fft.fftn(u))
-    lv = spectral.lz_from_hat(g, np.fft.fftn(v))
+    # the rotation part omega Lz of the one-axis linear operator, apart from
+    # its kinetic part
+    g, params, (_, u, v) = setup(2, *problem[1:])
+
+    def lz(a):
+        return spectral.kinetic_from_hat(g, g.fft(a)) - spectral.rotating_linear(
+            g, params.omega, a)[0]
+
+    lu, lv = lz(u), lz(v)
     scale = size(g, u) * size(g, lv) + size(g, lu) * size(g, v)
     assert abs(dot(g, u, lv) - dot(g, lu, v)) <= 1e-13 * scale
 
@@ -78,7 +90,7 @@ def test_hessian_quadratic_form_is_twice_half_hessian(problem):
     assert q == pytest.approx(2.0 * dot(g, f, model.half_hessian(params, g, phi)(f)).real,
                               rel=1e-12)
     # and the expanded form: 2 Re<f, H_phi f> + 2 eta h^d sum(|phi|^2 |f|^2 + Re(conj(phi)^2 f^2))
-    hf = apply_hamiltonian(WaveField(g, f), WaveField(g, phi), params).values
+    hf = hamiltonian(params, g, phi)(f)
     quartic = np.sum(np.abs(phi) ** 2 * np.abs(f) ** 2 + (np.conj(phi) ** 2 * f**2).real)
     expanded = 2.0 * dot(g, f, hf).real + 2.0 * params.eta * g.cell_volume * quartic
     assert q == pytest.approx(expanded, rel=1e-12)
@@ -93,8 +105,13 @@ def test_energy_transform_units(d, omega, units):
     assert counter.count == units
 
 
-def test_apply_lz_units():
-    g = GRIDS[2]
+@pytest.mark.parametrize("d,omega", [(2, 0.5), (2, 0.0), (1, 0.0)])
+def test_frozen_hamiltonian_units(d, omega):
+    # two images per apply: -Lap/2 and Lz with rotation, the forward
+    # transform and -Lap/2 without
+    g, params, (phi, u, _) = setup(d, 0, 10.0, omega)
     counter = FFTCounter()
-    apply_lz(WaveField.zeros(g), counter)
-    assert counter.count == 2  # forward transform plus the Lz pass
+    apply_h = model.frozen_hamiltonian(params, g, np.abs(phi) ** 2, counter)
+    apply_h(u)
+    apply_h(u)
+    assert counter.count == 4

@@ -11,15 +11,13 @@ from gpesolve import (
     ModelParams,
     PotentialSpec,
     WaveField,
-    chemical_potential,
     energy,
-    gradient,
+    evaluate,
     harmonic,
     harmonic_lattice,
     half_square,
     inner,
     norm,
-    residual,
     solve_pcg,
     solve_pg,
     thomas_fermi_initial,
@@ -27,13 +25,20 @@ from gpesolve import (
 from gpesolve import classic, model, optim, precond, spectral
 from gpesolve.optim import IterationRecord, SolverConfig, check_stop, solve
 
-from oracles import arc_from_fields, dense_hamiltonian_1d, step, tangent_project, theta_opt
+from oracles import (arc_from_fields, dense_hamiltonian_1d, kinetic_plain, lz_plain, step,
+                     tangent_project, theta_opt)
 
 
 def random_normalized(grid, seed=0):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     return WaveField(grid, vals).normalized()
+
+
+def residual(phi, params):
+    """The residual H_phi phi - lambda phi and lambda, from model.evaluate."""
+    ev = evaluate(phi, params)
+    return WaveField(phi.grid, ev.h_phi - ev.lam * phi.values), ev.lam
 
 
 def zero_potential():
@@ -108,8 +113,8 @@ class TestThetaOpt:
         for alpha in (0.05, 0.02, 0.01):
             phi = WaveField(g, np.cos(alpha) * w0 + np.sin(alpha) * w1)
             p_dir = WaveField(g, -np.sin(alpha) * w0 + np.cos(alpha) * w1)
-            lam = chemical_potential(phi, params)
-            theta, denom = theta_opt(phi, p_dir, gradient(phi, params), params, lam)
+            ev = evaluate(phi, params)
+            theta, denom = theta_opt(phi, p_dir, WaveField(g, 2.0 * ev.h_phi), params, ev.lam)
             assert denom > 0
             # exact minimizer of the two-mode energy is theta = -alpha
             assert theta == pytest.approx(-alpha, abs=1e-3 * alpha + alpha**3)
@@ -121,8 +126,8 @@ class TestThetaOpt:
         _, vecs = np.linalg.eigh(h_mat)
         phi = WaveField(g, vecs[:, 0]).normalized()
         p_dir = WaveField(g, vecs[:, 1]).normalized()
-        lam = chemical_potential(phi, params)
-        theta, denom = theta_opt(phi, p_dir, gradient(phi, params), params, lam)
+        ev = evaluate(phi, params)
+        theta, denom = theta_opt(phi, p_dir, WaveField(g, 2.0 * ev.h_phi), params, ev.lam)
         assert abs(theta) <= 1e-10
 
     def test_zero_direction_rejected(self):
@@ -130,7 +135,8 @@ class TestThetaOpt:
         params = ModelParams(eta=0.0, omega=0.0, potential=harmonic(1.0))
         phi = random_normalized(g, 6)
         with pytest.raises(ValueError, match="zero"):
-            theta_opt(phi, WaveField.zeros(g), gradient(phi, params), params, 1.0)
+            theta_opt(phi, WaveField.zeros(g), WaveField(g, 2.0 * evaluate(phi, params).h_phi),
+                      params, 1.0)
 
 
 class TestStep:
@@ -498,6 +504,25 @@ class TestFailureStops:
         assert (res.converged, res.stop_reason, res.iterations) == (converged, reason, 0)
         assert np.isfinite(res.energy)
 
+    @pytest.mark.parametrize("kind", precond.KINDS)
+    def test_adaptive_shift_not_positive(self, kind):
+        # V = -2 r^2 + 0.075 r^4 is negative near the centre, and so is the
+        # characteristic energy of the Gaussian: every kind that reads the
+        # shift ends as diverged by name, and the identity, which reads
+        # none, runs on
+        g = Grid(2, 8.0, 32)
+        params = ModelParams(eta=1.0, omega=0.0, potential=model.harmonic_quartic(1.0, 3.0, 0.3))
+        phi0 = model.initial_guess("gauss", g, params)
+        assert evaluate(phi0, params).energy.characteristic < 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = solve(phi0, params, SolverConfig(method="pcg", precond=kind, max_iter=20))
+        if kind == "identity":
+            assert (res.stop_reason, res.iterations) == ("max_iter", 20)
+        else:
+            assert (res.stop_reason, res.iterations) == ("diverged", 0)
+            assert res.stop_detail.startswith("preconditioner shift must be positive")
+
 
 class TestPeakArrays:
     """Peak memory the solver allocates over 40 iterations of the rotating
@@ -528,6 +553,24 @@ class TestPeakArrays:
         finally:
             tracemalloc.stop()
         assert peak / (g.size * 16) == pytest.approx(self.PEAK[kind, method], abs=0.1)
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.5])
+@pytest.mark.parametrize("kind", precond.KINDS)
+@pytest.mark.parametrize("method", ["pg", "pcg"])
+def test_fft_total_counts_every_unit(method, kind, omega):
+    # the set-up units, each record's fft_count and the final evaluation's
+    # 2 units, 3 with rotation
+    g = Grid(2, 8.0, 32)
+    params = ModelParams(eta=100.0, omega=omega, potential=half_square())
+    phi0 = model.initial_guess("d", g, params)
+    cfg = SolverConfig(method=method, precond=kind, tol=1e-10, max_iter=40)
+    setup = spectral.FFTCounter()
+    optim._Engine(phi0, params, cfg, setup)
+    res = solve(phi0, params, cfg)
+    assert res.stop_reason in ("energy_diff", "max_iter") and res.records
+    final = 3 if omega else 2
+    assert res.fft_total == setup.count + sum(r.fft_count for r in res.records) + final
 
 
 def test_reciprocal_scaling_matches_numpy_division():
@@ -578,7 +621,7 @@ class TestFusedImageDrift:
             theta, _, _ = optim._line_search(bundle.arc)
             engine.accept(theta, bundle)
         uhat = g.fft(engine.u)
-        hu = spectral.kinetic_from_hat(g, uhat) - params.omega * spectral.lz_from_hat(g, uhat)
+        hu = kinetic_plain(g, uhat) - params.omega * lz_plain(g, uhat)
         for carried, exact in ((engine.uhat, uhat), (engine.hu, hu)):
             assert np.max(np.abs(carried - exact)) <= 1e-12 * np.max(np.abs(exact))
 
@@ -597,7 +640,7 @@ class TestFusedImageDrift:
             bundle = engine.direction(False)
             engine.accept(optim._line_search(bundle.arc)[0], bundle)
         engine.begin()
-        expected = model.characteristic_energy(WaveField(g, engine.u), params)
+        expected = evaluate(WaveField(g, engine.u), params).energy.characteristic
         assert engine.alpha == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["sym", "kinetic", "c2"])

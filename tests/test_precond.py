@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpesolve import Grid, ModelParams, WaveField, build_preconditioner, harmonic, inner, norm
+from gpesolve import Grid, ModelParams, WaveField, evaluate, harmonic, inner, norm
 from gpesolve import model, precond
 
-from oracles import second_derivative_matrix
+from oracles import preconditioner_at, second_derivative_matrix
 
 
 def random_normalized(grid, seed=0):
@@ -37,32 +37,41 @@ def setup_1d():
 
 
 class TestBuild:
-    def test_adaptive_shift_is_characteristic_energy(self, setup_1d):
+    @pytest.mark.parametrize("kind", precond.KINDS)
+    def test_diagonals_from_shift_and_w(self, kind, setup_1d):
         g, params, phi = setup_1d
-        p = build_preconditioner("sym", phi, params)
-        assert p.alpha == pytest.approx(model.characteristic_energy(phi, params), rel=1e-13)
-        assert p.alpha > 0
+        w = evaluate(phi, params).w
+        p = precond.build(kind, g, 2.5, w)
+        fourier = kind in ("kinetic", "c1", "c2", "sym")
+        real = kind in ("potential", "c1", "c2", "sym")
+        assert (p.kind, p.alpha, p.grid) == (kind, 2.5, g)
+        assert (p.fourier_diag is not None, p.real_diag is not None) == (fourier, real)
+        if fourier:
+            assert np.array_equal(p.fourier_diag, 1.0 / (2.5 + g.half_k2))
+        if real:
+            real_diag = 1.0 / (2.5 + w)
+            assert np.array_equal(p.real_diag, np.sqrt(real_diag) if kind == "sym" else real_diag)
 
     def test_fixed_shift(self, setup_1d):
         g, params, phi = setup_1d
-        p = build_preconditioner("kinetic", phi, params, shift=2.5)
+        p = preconditioner_at("kinetic", phi, params, shift=2.5)
         assert p.alpha == 2.5
 
     def test_nonpositive_shift_rejected(self, setup_1d):
         g, params, phi = setup_1d
         with pytest.raises(ValueError, match="positive"):
-            build_preconditioner("kinetic", phi, params, shift=-1.0)
+            precond.build("kinetic", g, -1.0, None)
 
     def test_unknown_kind_rejected(self, setup_1d):
         g, params, phi = setup_1d
         with pytest.raises(ValueError, match="kind"):
-            build_preconditioner("chebyshev", phi, params)
+            precond.build("chebyshev", g, 1.0, None)
 
 
 class TestApply:
     def test_identity(self, setup_1d):
         g, params, phi = setup_1d
-        p = build_preconditioner("identity", phi, params)
+        p = preconditioner_at("identity", phi, params)
         r = random_normalized(g, 2)
         assert np.array_equal(p.apply_values(r.values), r.values)
 
@@ -71,7 +80,7 @@ class TestApply:
         params = ModelParams(eta=0.0, omega=0.0,
                              potential=model.PotentialSpec(kind="harmonic", harmonic_coeffs=(0.0,)))
         phi = random_normalized(g, 3)
-        p = build_preconditioner("kinetic", phi, params, shift=1.7)
+        p = preconditioner_at("kinetic", phi, params, shift=1.7)
         xi = 3 * np.pi / g.L
         wave = WaveField(g, np.exp(1j * xi * (g.x1 + g.L)))
         out = p.apply_values(wave.values)
@@ -79,7 +88,7 @@ class TestApply:
 
     def test_potential_scales_point_masses(self, setup_1d):
         g, params, phi = setup_1d
-        p = build_preconditioner("potential", phi, params)
+        p = preconditioner_at("potential", phi, params)
         k = 7
         e = np.zeros(g.shape, dtype=complex)
         e[k] = 1.0
@@ -91,7 +100,7 @@ class TestApply:
 
     def test_potential_diagonal_action_on_iterate(self, setup_1d):
         g, params, phi = setup_1d
-        p = build_preconditioner("potential", phi, params)
+        p = preconditioner_at("potential", phi, params)
         v = model.sample_potential(params.potential, g)
         out = p.apply_values(phi.values)
         expected = phi.values / (p.alpha + v + params.eta * np.abs(phi.values) ** 2)
@@ -100,10 +109,10 @@ class TestApply:
     def test_composition_order(self, setup_1d):
         g, params, phi = setup_1d
         r = random_normalized(g, 4).values
-        p1 = build_preconditioner("c1", phi, params)
-        p2 = build_preconditioner("c2", phi, params)
-        pv = build_preconditioner("potential", phi, params)
-        pk = build_preconditioner("kinetic", phi, params)
+        p1 = preconditioner_at("c1", phi, params)
+        p2 = preconditioner_at("c2", phi, params)
+        pv = preconditioner_at("potential", phi, params)
+        pk = preconditioner_at("kinetic", phi, params)
         # c1 = P_V P_Delta, c2 = P_Delta P_V (shifts agree since same iterate)
         a = p1.apply_values(r)
         b = pv.apply_values(pk.apply_values(r))
@@ -144,7 +153,7 @@ def test_hermitian_positive_on_random_fields(kind, case):
     phi_n, u, v = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape) for _ in range(3))
     phi_n /= np.sqrt(g.cell_volume) * np.linalg.norm(phi_n)
     vd = model.sample_potential(harmonic(1.0), g) + eta * np.abs(phi_n) ** 2
-    p = precond.from_density(kind, g, alpha, vd)
+    p = precond.build(kind, g, alpha, vd)
     pu, pv = p.apply_values(u), p.apply_values(v)
     wu, wv = weighted(p, u), weighted(p, v)
 
@@ -168,7 +177,7 @@ class TestOperatorProperties:
             g = Grid(d, 6.0, m)
             params = ModelParams(eta=15.0, omega=0.0, potential=harmonic(1.0))
             phi = random_normalized(g, m + d)
-            p = build_preconditioner(kind, phi, params)
+            p = preconditioner_at(kind, phi, params)
             u = random_normalized(g, 40 + m)
             v = random_normalized(g, 41 + m)
             pu = WaveField(g, p.apply_values(u.values))
@@ -184,7 +193,7 @@ class TestOperatorProperties:
         for d, m in ((1, 32), (2, 16)):
             g = Grid(d, 6.0, m)
             params = ModelParams(eta=15.0, omega=0.0, potential=harmonic(1.0))
-            p = build_preconditioner(kind, random_normalized(g, m + d), params)
+            p = preconditioner_at(kind, random_normalized(g, m + d), params)
             rng = np.random.default_rng(60 + m)
             r = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
             expected = p.apply_values(r)
@@ -202,7 +211,7 @@ class TestOperatorProperties:
 
     def test_sym_hermitian_random(self, setup_1d):
         g, params, phi = setup_1d
-        p = build_preconditioner("sym", phi, params)
+        p = preconditioner_at("sym", phi, params)
         u = random_normalized(g, 5)
         v = random_normalized(g, 6)
         pu = WaveField(g, p.apply_values(u.values))
@@ -212,7 +221,7 @@ class TestOperatorProperties:
     @pytest.mark.parametrize("kind", ["kinetic", "potential", "c1", "c2", "sym"])
     def test_dense_assembly_oracle(self, kind, setup_1d):
         g, params, phi = setup_1d
-        p = build_preconditioner(kind, phi, params)
+        p = preconditioner_at(kind, phi, params)
         dense = dense_preconditioner(p, g)
         # independent dense construction from the two diagonals
         v = model.sample_potential(params.potential, g)
@@ -234,9 +243,8 @@ class TestOperatorProperties:
         params = ModelParams(eta=0.0, omega=0.0,
                              potential=model.PotentialSpec(kind="harmonic", harmonic_coeffs=(0.0,)))
         phi = random_normalized(g, 7)
-        p = build_preconditioner("kinetic", phi, params, shift=0.9)
-        from gpesolve import gradient
-        grad = gradient(phi, params)
-        out = p.apply_values(grad.values)
-        expected = np.fft.ifft(np.fft.fft(grad.values) / (0.9 + 0.5 * g.k2))
+        p = preconditioner_at("kinetic", phi, params, shift=0.9)
+        grad = 2.0 * evaluate(phi, params).h_phi
+        out = p.apply_values(grad)
+        expected = np.fft.ifft(np.fft.fft(grad) / (0.9 + 0.5 * g.k2))
         assert np.allclose(out, expected, atol=1e-13)
