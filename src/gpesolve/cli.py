@@ -3,8 +3,9 @@
 Verbs: `solve` (single run), `multigrid` (coarse-to-fine continuation),
 `bench` (benchmark suites), `analyze` (amplification-factor and
 Hessian-conditioning diagnostics).  Exit codes: 0 when the run's stop
-reason counts as converged in optim.STOP_CONVERGED, 1 when it does not,
-2 for a configuration error.
+reason counts as converged in optim.STOP_CONVERGED, 1 when it does not
+(and when `analyze condition` cannot build its preconditioner at the
+solution), 2 for a configuration error.
 """
 
 from __future__ import annotations
@@ -109,11 +110,19 @@ def _cmd_analyze(args) -> int:
     from .runs import initial_field, _solve_once
 
     result = _solve_once(cfg, grid, params, initial_field(cfg, grid, params))
+    if not result.converged:
+        detail = f" ({result.stop_detail})" if result.stop_detail else ""
+        print(f"solver failed: {result.stop_reason}{detail}", file=sys.stderr)
+        return 1
     solver_cfg = cfg.solver_config()
     kind = args.precond or solver_cfg.precond
     ev = model.evaluate(result.phi, params)
     shift = ev.energy.characteristic if solver_cfg.shift == "adaptive" else solver_cfg.shift
-    p = precond.build(kind, grid, shift, ev.w)
+    try:
+        p = precond.build(kind, grid, shift, ev.w)
+    except ValueError as err:  # an adaptive shift that is not positive
+        print(f"condition analysis failed: {err}", file=sys.stderr)
+        return 1
     report = classic.precond_hessian_condition(result.phi, params, p)
     print(f"precond = {kind}")
     print(f"sigma = {report.sigma}")

@@ -24,6 +24,13 @@ units for the identity/kinetic/potential/c1/c2/sym preconditioners, so
 c1 under pcg, charged one more unit for its residual in real space, which
 the Polak-Ribiere inner products read.  The real work behind a rotating 2D
 iteration is 5/8/5/9/8/9 one-axis passes.
+
+Without rotation a real iterate stays real, so the engine carries it, and
+every array formed from it, as float64, and its Fourier images as half
+spectra (spectral.Grid.rfft): the same transforms and units, each on about
+half the data, and fewer numpy calls for the pointwise work.  Any other
+start, or any rotation, runs in complex128.  The result's phi is complex
+either way.
 """
 
 from __future__ import annotations
@@ -180,6 +187,13 @@ def start_iterate(phi0: WaveField) -> WaveField:
     if not np.all(np.isfinite(u)):
         raise ValueError("initial field contains NaN or Inf")
     return WaveField(phi0.grid, u).normalized()
+
+
+def _carries_real(u: np.ndarray, omega: float) -> bool:
+    """Whether the engine carries the unit-norm start u as float64: without
+    rotation a real iterate stays real, because first derivatives zero the
+    unmatched -M/2 mode (spectral.Grid)."""
+    return omega == 0.0 and not np.any(u.imag)
 
 
 def drive(step, finish, e0: float, stop: str, tol: float, max_iter: int,
@@ -342,6 +356,14 @@ class _Engine:
     and carry uhat in place of hu, and uhat is carried only for the kinds
     that read it (_READS_HAT).  The CG memory is kept only under pcg, in
     the representations the kind mixes in.
+
+    The dtype is chosen once, here (_carries_real).  On the real path every
+    real-space array is float64 and every Fourier image a half spectrum
+    (Grid.rfft, M/2+1 modes on the last axis).  A Parseval sum over half
+    spectra counts each interior mode of the last axis twice, for its
+    conjugate partner, and the DC and Nyquist modes once: the kinetic
+    symbol is weighted so, and so are the inner products and norms of the
+    Fourier-space CG mixing (_fdot).
     """
 
     def __init__(self, phi0: WaveField, params: ModelParams, cfg: SolverConfig,
@@ -356,14 +378,26 @@ class _Engine:
         self.v = model.sample_potential(params.potential, g)
         self.eta = params.eta
         self.omega = params.omega
-        self.u = start_iterate(phi0).values
+        u = start_iterate(phi0).values
+        self.real = _carries_real(u, self.omega)
+        self.u = np.ascontiguousarray(u.real) if self.real else u
         self.rotating = self.omega != 0.0
         self.fourier = cfg.precond in precond.FOURIER_FIRST
+        # transforms of real-space arrays and back, without an out array
+        self.fft, self.ifft = (g.rfft, g.irfft) if self.real else (g.fft, g.ifft)
+        if self.real:
+            # Parseval weights of a half spectrum's float64 view, and with
+            # them the kinetic symbol: each interior mode of the last axis
+            # stands for itself and its conjugate partner
+            weights = np.full(g.half_k2_r.shape, 2.0)
+            weights[..., [0, -1]] = 1.0
+            self.mode_pairs = np.repeat(weights, 2, axis=-1).reshape(-1)
+            self.kin_pairs = np.repeat(weights * g.half_k2_r, 2, axis=-1).reshape(-1)
         if self.rotating:
             self.hu, uhat = spectral.rotating_linear(g, self.omega, self.u, hat=True)
             counter.add(self._image_units(True))
         else:
-            uhat = g.fft(self.u, counter)
+            uhat = self.fft(self.u, counter)
             self.hu = None if self.fourier else spectral.kinetic_from_hat(g, uhat, counter)
         self.uhat = uhat if self.rotating or cfg.precond in _READS_HAT else None
         # a Fourier-space residual is brought to real space only for the
@@ -390,8 +424,22 @@ class _Engine:
     def _rdot(self, a: np.ndarray, b: np.ndarray) -> float:
         return self.hd * np.vdot(a, b).real
 
+    def _half_dot(self, a_hat: np.ndarray, b_hat: np.ndarray, weights: np.ndarray) -> float:
+        """Parseval sum of Re(conj(a_hat) b_hat) over half spectra, weighted
+        by mode_pairs or kin_pairs: one dot of the float64 views."""
+        a = a_hat.view(np.float64).reshape(-1)
+        return self.scale * float(np.dot(a * weights, b_hat.view(np.float64).reshape(-1)))
+
+    def _fdot(self, a_hat: np.ndarray, b_hat: np.ndarray) -> float:
+        """Re<a, b> from the transforms of a and b, by Parseval."""
+        if self.real:
+            return self._half_dot(a_hat, b_hat, self.mode_pairs)
+        return self.scale * np.vdot(a_hat, b_hat).real
+
     def _kinetic(self, a_hat: np.ndarray) -> float:
         """<a, -Lap/2 a> from the transform of a, by Parseval."""
+        if self.real:
+            return self._half_dot(a_hat, a_hat, self.kin_pairs)
         return self.scale * float(np.sum(self.grid.half_k2 * np.abs(a_hat) ** 2))
 
     def _image_units(self, formed_hat: bool) -> int:
@@ -405,8 +453,11 @@ class _Engine:
     def _scalars(self) -> None:
         """|u|^2, and from it lambda, the quadratic energy part qa, q40 and
         the characteristic energy alpha of the iterate."""
-        self.dens = np.abs(self.u)
-        np.square(self.dens, out=self.dens)
+        if self.real:
+            self.dens = np.square(self.u)
+        else:
+            self.dens = np.abs(self.u)
+            np.square(self.dens, out=self.dens)
         dens = self.dens.reshape(-1)
         pot = self.hd * float(np.dot(self.v.reshape(-1), dens))
         self.q40 = float(np.dot(dens, dens))
@@ -439,9 +490,13 @@ class _Engine:
             self.r = r
         elif self.hu is None:
             # -Lap/2 u added in Fourier space, where it is diagonal
-            self.r_hat = g.fft(r, self.counter, out=r)
-            self.r_hat += g.half_k2 * self.uhat
-            self.r = g.ifft(self.r_hat, self.counter) if self.need_r_real else None
+            if self.real:
+                self.r_hat = g.rfft(r, self.counter)
+                self.r_hat += g.half_k2_r * self.uhat
+            else:
+                self.r_hat = g.fft(r, self.counter, out=r)
+                self.r_hat += g.half_k2 * self.uhat
+            self.r = self.ifft(self.r_hat, self.counter) if self.need_r_real else None
         else:
             # the whole residual is at hand in real space: keep it where it
             # is read, charged the unit of bringing it there
@@ -454,13 +509,17 @@ class _Engine:
     def _arc(self, p_hat: np.ndarray, lin_p: float, lin_c: float) -> _Arc:
         # lin_p = Re<p_hat, H_lin p_hat> and lin_c = Re<u, H_lin p_hat>
         # the nine pointwise sums as BLAS dot products of flat real vectors:
-        # |p|^2 and Re(conj(u) p), the latter a strided view
-        a1 = np.abs(p_hat)
-        np.square(a1, out=a1)
-        a1 = a1.reshape(-1)
-        a2 = np.conj(self.u)
-        a2 *= p_hat
-        a2 = a2.real.reshape(-1)
+        # |p|^2 and Re(conj(u) p), the latter a strided view when complex
+        if self.real:
+            a1 = np.square(p_hat).reshape(-1)
+            a2 = np.multiply(self.u, p_hat).reshape(-1)
+        else:
+            a1 = np.abs(p_hat)
+            np.square(a1, out=a1)
+            a1 = a1.reshape(-1)
+            a2 = np.conj(self.u)
+            a2 *= p_hat
+            a2 = a2.real.reshape(-1)
         v = self.v.reshape(-1)
         dens = self.dens.reshape(-1)
         return _Arc(
@@ -474,23 +533,20 @@ class _Engine:
         )
 
     def _mix_cg(self, pr: np.ndarray, r: np.ndarray, p_prev: np.ndarray | None,
-                u_rep: np.ndarray, w: float, force_restart: bool,
+                u_rep: np.ndarray, rdot, force_restart: bool,
                 ) -> tuple[np.ndarray, float, bool, float, float | None]:
         """Polak-Ribiere direction beta p_prev - Pr with descent safeguard;
         returns (direction, beta, restarted, <r, Pr>, c_u), where c_u is
-        w Re<u_rep, direction> when the descent check formed it, else None.
+        Re<u_rep, direction> when the descent check formed it, else None.
         The direction is a fresh array or p_prev itself, updated in place.
 
         All arrays must live in the same representation (real space or
         Fourier coefficients); `u_rep` is the iterate in that
-        representation and w Re<a, b> the matching real inner product.
+        representation and rdot(a, b) the matching real inner product
+        (_rdot or _fdot).
         """
         if not self.pcg:
             return _negated(pr, r), 0.0, force_restart, np.nan, None
-
-        def rdot(a: np.ndarray, b: np.ndarray) -> float:
-            return w * np.vdot(a, b).real
-
         prp = rdot(r, pr)
         beta = 0.0
         restarted = force_restart
@@ -519,23 +575,27 @@ class _Engine:
         # nothing reads the diagonals after the apply, and holding them
         # through the rest of the direction would raise its peak memory
         try:
-            pr, pr_hat = precond.build(self.cfg.precond, g, shift, self.vd).apply_pair(
+            pr, pr_hat = precond.build(self.cfg.precond, g, shift, self.vd, self.real).apply_pair(
                 self.r_hat if self.fourier else self.r, self.counter, transformed=self.fourier)
         except ValueError as err:  # the shift check of precond.build
             raise Stop(DIVERGED, str(err)) from None
         # mix and project in the space Pr came back in
         mix_hat = pr is None
         if mix_hat:
-            pr, r, p_prev, u_rep, w = pr_hat, self.r_hat, self.p_prev_hat, self.uhat, self.scale
+            pr, r, p_prev, u_rep = pr_hat, self.r_hat, self.p_prev_hat, self.uhat
+            rdot, w = self._fdot, self.scale
         else:
-            r, p_prev, u_rep, w = self.r, self.p_prev_real, self.u, self.hd
-        dvec, beta, restarted, prp, c_u = self._mix_cg(pr, r, p_prev, u_rep, w, force_restart)
+            r, p_prev, u_rep, rdot, w = self.r, self.p_prev_real, self.u, self._rdot, self.hd
+        dvec, beta, restarted, prp, c_u = self._mix_cg(pr, r, p_prev, u_rep, rdot, force_restart)
         pr = None  # dead unless it is dvec; holding it would raise the peak
         # dvec is fresh or the dead p_prev: project and normalize it in place
         if c_u is None:
-            c_u = w * np.vdot(u_rep, dvec).real
+            c_u = rdot(u_rep, dvec)
         dvec -= c_u * u_rep
-        p_norm = float(np.sqrt(w) * np.linalg.norm(dvec.ravel()))
+        if mix_hat and self.real:
+            p_norm = math.sqrt(self._fdot(dvec, dvec))
+        else:
+            p_norm = float(np.sqrt(w) * np.linalg.norm(dvec.ravel()))
         if not math.isfinite(p_norm):
             raise Stop(DIVERGED)
         if p_norm == 0.0:
@@ -546,7 +606,7 @@ class _Engine:
         p_hat_hat = None
         if mix_hat:
             p_hat_hat = dvec
-            p_hat = g.ifft(p_hat_hat, self.counter)
+            p_hat = self.ifft(p_hat_hat, self.counter)
         else:
             p_hat = dvec
             if pr_hat is not None:
@@ -566,11 +626,14 @@ class _Engine:
                 p_hat_hat = formed
         else:
             if p_hat_hat is None:
-                p_hat_hat = g.fft(p_hat, self.counter)
+                p_hat_hat = self.fft(p_hat, self.counter)
             hp = None if self.fourier else spectral.kinetic_from_hat(g, p_hat_hat, self.counter)
         if hp is None:  # kinetic terms by Parseval
             lin_p = self._kinetic(p_hat_hat)
-            lin_c = self.scale * np.vdot(self.uhat, g.half_k2 * p_hat_hat).real
+            if self.real:
+                lin_c = self._half_dot(self.uhat, p_hat_hat, self.kin_pairs)
+            else:
+                lin_c = self.scale * np.vdot(self.uhat, g.half_k2 * p_hat_hat).real
         else:
             lin_p = self._rdot(p_hat, hp)
             lin_c = self._rdot(self.u, hp)
@@ -597,11 +660,12 @@ class _Engine:
         self.u += delta
         nn = np.sqrt(self.hd) * np.linalg.norm(self.u.ravel())
         self.u *= 1.0 / nn  # == self.u / nn, as in direction
-        # the images follow by the same combination: x <- (c x + s x_p) / nn
+        # the images follow by the same combination: x <- (c x + s x_p) / nn;
+        # a half spectrum does not fit the scratch array
         for x, xp in ((self.uhat, bundle.p_hat_hat), (self.hu, bundle.hp)):
             if x is not None:
                 x *= c / nn
-                x += np.multiply(xp, s / nn, out=scratch)
+                x += np.multiply(xp, s / nn, out=scratch if xp.shape == scratch.shape else None)
         self.energy += bundle.arc.delta_energy(theta)
         # CG memory
         if self.pcg:

@@ -4,7 +4,9 @@ combination.
 
 All kinds are built from two diagonals refreshed at the current iterate:
 a Fourier diagonal 1/(alpha + |xi|^2/2) and a real-space diagonal
-1/(alpha + V + eta |phi_n|^2).  The shift alpha is fixed, or the
+1/(alpha + V + eta |phi_n|^2).  For a real iterate (the optimizer's
+float64 path) the Fourier diagonal lives on the half spectrum, and the
+transforms are Grid.rfft/irfft.  The shift alpha is fixed, or the
 characteristic energy of the iterate (adaptive policy), which each caller
 has at hand.  This module is the only place the diagonals are built and
 applied; the optimizer, the MINRES baselines and the conditioning
@@ -44,10 +46,12 @@ class Preconditioner:
     Attributes:
         kind: One of KINDS.
         alpha: Positive shift used in both diagonals.
-        fourier_diag: 1/(alpha + |xi|^2/2) on the grid (None for identity/potential).
+        fourier_diag: 1/(alpha + |xi|^2/2) on the grid, or on the half
+            spectrum when `real` (None for identity/potential).
         real_diag: 1/(alpha + V + eta |phi_n|^2) (None for identity/kinetic),
             and for sym its square root, the factor applied on each side of
             the Fourier diagonal.
+        real: Whether it acts on real grid values through half spectra.
     """
 
     kind: str
@@ -55,6 +59,7 @@ class Preconditioner:
     alpha: float
     fourier_diag: np.ndarray | None = None
     real_diag: np.ndarray | None = None
+    real: bool = False
 
     def apply_pair(
         self, r: np.ndarray, counter: FFTCounter | None = None, transformed: bool = False,
@@ -67,34 +72,43 @@ class Preconditioner:
         Fourier space.  The identity returns r itself.
         """
         # r is left alone; every array formed from it is transformed and
-        # scaled in place
+        # scaled in place, but for half spectra, which cannot share memory
+        # with grid values
         g = self.grid
+        if self.real:
+            def fft(a, counter, out=None):
+                return g.rfft(a, counter)
+
+            def ifft(a, counter, out=None):
+                return g.irfft(a, counter)
+        else:
+            fft, ifft = g.fft, g.ifft
         if self.kind in FOURIER_FIRST:
             if transformed:
                 pr_hat = self.fourier_diag * r
             else:
-                pr_hat = g.fft(r, counter)
+                pr_hat = fft(r, counter)
                 pr_hat *= self.fourier_diag
             if self.kind == COMBINED1:  # P_V P_Delta
-                pr = g.ifft(pr_hat, counter, out=pr_hat)
+                pr = ifft(pr_hat, counter, out=pr_hat)
                 pr *= self.real_diag
                 return pr, None
-            return (None if transformed else g.ifft(pr_hat, counter)), pr_hat
+            return (None if transformed else ifft(pr_hat, counter)), pr_hat
         if transformed:
-            r = g.ifft(r, counter)
+            r = ifft(r, counter)
         if self.kind == IDENTITY:
             return r, None
         if self.kind == POTENTIAL:
             return self.real_diag * r, None
         if self.kind == COMBINED2:  # P_Delta P_V
             pr_hat = self.real_diag * r
-            g.fft(pr_hat, counter, out=pr_hat)
+            pr_hat = fft(pr_hat, counter, out=pr_hat)
             pr_hat *= self.fourier_diag
-            return g.ifft(pr_hat, counter), pr_hat
+            return ifft(pr_hat, counter), pr_hat
         pr = self.real_diag * r
-        g.fft(pr, counter, out=pr)
+        pr = fft(pr, counter, out=pr)
         pr *= self.fourier_diag
-        g.ifft(pr, counter, out=pr)
+        pr = ifft(pr, counter, out=pr)
         pr *= self.real_diag
         return pr, None
 
@@ -112,19 +126,22 @@ def check_shift(shift) -> float:
     return alpha
 
 
-def build(kind: str, grid: Grid, alpha: float, w: np.ndarray | None) -> Preconditioner:
+def build(kind: str, grid: Grid, alpha: float, w: np.ndarray | None,
+          real: bool = False) -> Preconditioner:
     """Preconditioner of `kind` with shift alpha at an iterate phi_n, given
     w = V + eta |phi_n|^2 on the grid.  The identity and kinetic kinds do
     not read w, so it may be None for them, and the identity reads no shift.
     The adaptive shift, the characteristic energy of phi_n, is the caller's:
-    in a trap negative somewhere it need not be positive."""
+    in a trap negative somewhere it need not be positive.  With `real` it
+    acts on real values, and its Fourier diagonal is on the half spectrum."""
     if kind not in KINDS:
         raise ValueError(f"unknown preconditioner kind {kind!r}")
     if kind != IDENTITY:
         alpha = check_shift(alpha)
-    fourier_diag = 1.0 / (alpha + grid.half_k2) if kind in _FOURIER_DIAG else None
+    k2 = grid.half_k2_r if real else grid.half_k2
+    fourier_diag = 1.0 / (alpha + k2) if kind in _FOURIER_DIAG else None
     real_diag = 1.0 / (alpha + w) if kind in _REAL_DIAG else None
     if kind == COMBINED_SYM:
         np.sqrt(real_diag, out=real_diag)
     return Preconditioner(kind=kind, grid=grid, alpha=alpha, fourier_diag=fourier_diag,
-                          real_diag=real_diag)
+                          real_diag=real_diag, real=real)

@@ -19,14 +19,16 @@ class FFTCounter:
     """Tracks the spectral-transform budget of a solver run, in the units of
     the optimizers' cost model (the per-iteration budget of criterion 12).
 
-    Grid.fft and Grid.ifft charge one unit per full d-dimensional transform.
-    The one-axis passes (Grid.fft_axis, Grid.ifft_axis) charge nothing
-    themselves: the callers of the operators built from them charge the
-    units of the full-transform images they stand for, one for -Lap/2, one
-    for Lz and one for a completed forward transform.  So the units stay
-    comparable across implementations while the real work differs: a
-    rotating 2D iteration runs 5 (identity, potential) to 9 (sym, c1)
-    one-axis passes for its 3 to 5 units.
+    Grid.fft and Grid.ifft charge one unit per full d-dimensional transform,
+    and so do Grid.rfft and Grid.irfft, their half-spectrum forms for a real
+    field, though they do about half the work.  The one-axis passes
+    (Grid.fft_axis, Grid.ifft_axis) charge nothing themselves: the callers
+    of the operators built from them charge the units of the full-transform
+    images they stand for, one for -Lap/2, one for Lz and one for a
+    completed forward transform.  So the units stay comparable across
+    implementations while the real work differs: a rotating 2D iteration
+    runs 5 (identity, potential) to 9 (sym, c1) one-axis passes for its 3
+    to 5 units.
     """
 
     __slots__ = ("count",)
@@ -57,15 +59,22 @@ class Grid:
         freqs: 1-D Fourier frequencies p*pi/L in FFT ordering.
         half_k2: |xi|^2/2 on the grid (the kinetic symbol); the property k2,
             |xi|^2, is formed from it on demand rather than stored.
+        half_k2_r: half_k2 on the half spectrum of rfft, the first M/2+1
+            modes of the last axis (a property, formed on first use).
 
-    fft and ifft are the only full transforms of the package, and fft_axis
-    and ifft_axis the only one-axis ones.  Each writes into a complex output
-    array through `out=`, fresh unless the caller passes one (the input
-    itself for an in-place transform), which lets numpy run its passes after
-    the first in place rather than into new strided arrays; the result is
-    the same bit for bit.  In 1D fft and ifft call numpy's 1D transforms,
-    which numpy's n-D ones wrap: the same bits without the wrapper's cost
-    per call.
+    fft and ifft are the only full transforms of the package, rfft and irfft
+    their half-spectrum forms for real fields, and fft_axis and ifft_axis
+    the only one-axis ones.  fft and ifft take any input and return complex
+    grid arrays; they do not switch to the half spectrum for real input.
+    rfft takes a real grid array to its M/2+1 non-negative last-axis modes,
+    the rest following by Hermitian symmetry, and irfft takes such a half
+    spectrum back to a fresh real grid array.  fft, ifft and the one-axis
+    transforms write into a complex output array through `out=`, fresh
+    unless the caller passes one (the input itself for an in-place
+    transform), which lets numpy run its passes after the first in place
+    rather than into new strided arrays; the result is the same bit for
+    bit.  In 1D all four call numpy's 1D transforms, which numpy's n-D ones
+    wrap: the same bits without the wrapper's cost per call.
     """
 
     d: int
@@ -102,6 +111,11 @@ class Grid:
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "freqs_first", freqs_first)
         object.__setattr__(self, "half_k2", 0.5 * k2)
+
+    @functools.cached_property
+    def half_k2_r(self) -> np.ndarray:
+        # formed on first use: only real iterates read it
+        return np.ascontiguousarray(self.half_k2[..., : self.M // 2 + 1])
 
     @property
     def k2(self) -> np.ndarray:
@@ -140,6 +154,22 @@ class Grid:
         if out is None:
             out = np.empty(self.shape, np.complex128)
         return (np.fft.ifft if self.d == 1 else np.fft.ifftn)(values_hat, out=out)
+
+    def rfft(self, values: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
+        """Half spectrum of a real grid array: the modes 0 .. M/2 of the last
+        axis, in a fresh array.  One unit, like fft."""
+        if counter is not None:
+            counter.add()
+        return np.fft.rfft(values) if self.d == 1 else np.fft.rfftn(values)
+
+    def irfft(self, values_hat: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
+        """The real grid array of a half spectrum (rfft's inverse), in a fresh
+        array.  One unit, like ifft."""
+        if counter is not None:
+            counter.add()
+        if self.d == 1:
+            return np.fft.irfft(values_hat, n=self.M)
+        return np.fft.irfftn(values_hat, s=self.shape, axes=tuple(range(self.d)))
 
     def fft_axis(self, values: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
         """Forward transform along `axis` only (charges no unit, see FFTCounter)."""
@@ -203,7 +233,10 @@ def norm(u: WaveField) -> float:
 def kinetic_from_hat(grid: Grid, phi_hat: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
     """Kinetic operator -Lap/2 given the full Fourier transform: one inverse
     transform of |xi|^2/2 phi_hat, taken in place on the product (complex
-    even for real input)."""
+    even for real input).  Given the half spectrum of a real field
+    (Grid.rfft) it is one irfft, and the image is real."""
+    if phi_hat.shape[-1] != grid.M:  # M/2+1 modes: a half spectrum
+        return grid.irfft(grid.half_k2_r * phi_hat, counter)
     out = np.multiply(grid.half_k2, phi_hat, out=np.empty(grid.shape, np.complex128))
     return grid.ifft(out, counter, out=out)
 

@@ -159,8 +159,10 @@ class TestSolveCommand:
         base = ("grid.d = 1\ngrid.L = 8\ngrid.M = 64\nmodel.eta = 10\n"
                 "solver.precond = sym\ninit.kind = gauss\n")
         cases = (
+            # the count sits at the roundoff floor, so it follows the rounding
+            # of the engine's real-arithmetic path
             (["solver.method=pcg", "solver.tol=0"], "energy could not be decreased",
-             "backtracking_exhausted", "118"),
+             "backtracking_exhausted", "117"),
             (["solver.method=be_lambda", "solver.inner_max_iter=1", "solver.inner_tol=1e-14"],
              "MINRES did not converge", "inner_solver_failed", "0"),
         )
@@ -355,3 +357,30 @@ init.kind = gauss
             sigmas.append(capsys.readouterr().out.split("sigma = ")[1].split()[0])
         assert [p.alpha for p in seen[:2]] == [50.0, 0.5]
         assert seen[2].alpha not in (50.0, 0.5) and len(set(sigmas)) == 3
+
+    @pytest.mark.parametrize("method,message", [
+        # the adaptive shift is negative at the Gaussian: the solve ends diverged
+        ("pcg", "solver failed: diverged (preconditioner shift must be positive"),
+        # the solve converges, but the shift at the solution is negative
+        ("be_lambda", "condition analysis failed: preconditioner shift must be positive"),
+    ])
+    def test_condition_stops_by_name(self, tmp_path, capsys, method, message):
+        # V = -3 r^2 + 0.075 r^4 is negative near the centre
+        cfg = write_cfg(tmp_path, f"""
+grid.d = 2
+grid.L = 8
+grid.M = 16
+model.eta = 1
+potential.kind = harmonic_plus_quartic
+potential.alpha = 3
+potential.kappa_quartic = 0.3
+solver.method = {method}
+solver.precond = sym
+init.kind = gauss
+""")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["analyze", "condition", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert "Traceback" not in captured.err and "sigma" not in captured.out

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpesolve import (
     Grid,
@@ -331,7 +332,9 @@ class TestOneAxisPasses:
     """The real work behind the transform units: one-axis passes per
     iteration, a full transform counting d of them.  With rotation the
     linear part of H runs one axis at a time and completes the transform of
-    the direction on the way, so units and passes part."""
+    the direction on the way, so units and passes part.  Without it the
+    guess is real and the engine runs half-spectrum transforms, counted
+    alike."""
 
     # 2D, energy_diff stop; c1 under pcg keeps its real-space residual
     ROTATING = {"identity": 5, "kinetic": 8, "potential": 5, "c1": 9, "c2": 8, "sym": 9}
@@ -341,7 +344,7 @@ class TestOneAxisPasses:
     @pytest.mark.parametrize("kind", list(ROTATING))
     def test_passes_per_iteration(self, kind, method, monkeypatch):
         passes = []
-        for name in ("fft", "ifft", "fftn", "ifftn"):
+        for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
             def counted(a, *args, _f=getattr(np.fft, name), _n=name, **kwargs):
                 passes.append(a.ndim if _n.endswith("n") else 1)
                 return _f(a, *args, **kwargs)
@@ -353,6 +356,7 @@ class TestOneAxisPasses:
             engine = optim._Engine(model.initial_guess("d", g, params), params,
                                    SolverConfig(method=method, precond=kind),
                                    spectral.FFTCounter())
+            assert engine.real == (omega == 0.0)
             per_iteration = set()
             for _ in range(5):
                 passes.clear()
@@ -527,7 +531,9 @@ class TestFailureStops:
 class TestPeakArrays:
     """Peak memory the solver allocates over 40 iterations of the rotating
     half-square at 64^2, in units of one complex grid array, pinned per
-    kind and method as the transform budget is."""
+    kind and method as the transform budget is.  STILL pins the same trap
+    without rotation, from a real guess: the engine's float64 path, whose
+    iterates take half a complex array and its transforms about as much."""
 
     PEAK = {
         ("identity", "pg"): 14.26, ("identity", "pcg"): 13.27,
@@ -537,13 +543,22 @@ class TestPeakArrays:
         ("c2", "pg"): 14.26, ("c2", "pcg"): 13.27,
         ("sym", "pg"): 14.26, ("sym", "pcg"): 13.27,
     }
+    STILL = {
+        ("identity", "pg"): 7.90, ("identity", "pcg"): 7.38,
+        ("kinetic", "pg"): 7.37, ("kinetic", "pcg"): 7.39,
+        ("potential", "pg"): 7.87, ("potential", "pcg"): 7.38,
+        ("c1", "pg"): 7.15, ("c1", "pcg"): 8.18,
+        ("c2", "pg"): 8.90, ("c2", "pcg"): 8.89,
+        ("sym", "pg"): 7.87, ("sym", "pcg"): 7.88,
+    }
 
-    @pytest.mark.parametrize("kind,method", list(PEAK))
-    def test_peak_arrays(self, kind, method):
+    @staticmethod
+    def peak_arrays(kind, method, omega):
         g = Grid(2, 8.0, 64)
-        params = ModelParams(eta=100.0, omega=0.5, potential=half_square())
+        params = ModelParams(eta=100.0, omega=omega, potential=half_square())
         phi0 = model.initial_guess("d", g, params)
         cfg = SolverConfig(method=method, precond=kind, tol=0.0, max_iter=40)
+        assert optim._Engine(phi0, params, cfg, spectral.FFTCounter()).real == (omega == 0.0)
         solve(phi0, params, cfg)  # fill the potential cache outside the measurement
         tracemalloc.start()
         try:
@@ -552,7 +567,80 @@ class TestPeakArrays:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak / (g.size * 16) == pytest.approx(self.PEAK[kind, method], abs=0.1)
+        return peak / (g.size * 16)
+
+    @pytest.mark.parametrize("kind,method", list(PEAK))
+    def test_peak_arrays(self, kind, method):
+        assert self.peak_arrays(kind, method, 0.5) == pytest.approx(self.PEAK[kind, method],
+                                                                    abs=0.1)
+
+    @pytest.mark.parametrize("kind,method", list(STILL))
+    def test_peak_arrays_real_path(self, kind, method):
+        assert self.peak_arrays(kind, method, 0.0) == pytest.approx(self.STILL[kind, method],
+                                                                    abs=0.1)
+
+
+def smooth_real(grid, seed):
+    """A Gaussian times 1 + a smooth random real series on each axis."""
+    rng = np.random.default_rng(seed)
+    values = np.ones(grid.shape)
+    for ax in range(grid.d):
+        x = grid.coordinate(ax)
+        s = sum((a * np.cos(m * x * np.pi / grid.L) + b * np.sin(m * x * np.pi / grid.L)) / m
+                for m, (a, b) in enumerate(rng.standard_normal((4, 2)), start=1))
+        values = values * np.exp(-x**2 / 2.0) * (1.0 + 0.3 * s)
+    return WaveField(grid, values)
+
+
+class TestRealPath:
+    """Without rotation a real start runs in float64 with half-spectrum
+    transforms; the complex engine, the reference, comes from patching the
+    one predicate that picks the dtype."""
+
+    TOLS = {"energy_diff": 1e-10, "residual_inf": 1e-6, "iterate_diff": 1e-7}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(1, 64), (2, 16), (3, 8)]), st.integers(0, 2**32 - 1),
+           st.sampled_from(precond.KINDS), st.sampled_from(["pg", "pcg"]),
+           st.sampled_from(sorted(TOLS)), st.sampled_from([0.0, 20.0]))
+    def test_matches_the_complex_engine(self, shape, seed, kind, method, stop, eta):
+        d, m = shape
+        g = Grid(d, 6.0, m)
+        params = ModelParams(eta=eta, omega=0.0, potential=harmonic())
+        phi0 = smooth_real(g, seed)
+        cfg = SolverConfig(method=method, precond=kind, stop=stop, tol=self.TOLS[stop],
+                           max_iter=300)
+        assert optim._Engine(phi0, params, cfg, spectral.FFTCounter()).real
+        res = solve(phi0, params, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optim, "_carries_real", lambda u, omega: False)
+            assert optim._Engine(phi0, params, cfg, spectral.FFTCounter()).u.dtype == complex
+            ref = solve(phi0, params, cfg)
+        assert res.phi.values.dtype == np.complex128
+        assert (res.stop_reason, res.iterations, res.fft_total) == (
+            ref.stop_reason, ref.iterations, ref.fft_total)
+        assert [r.fft_count for r in res.records] == [r.fft_count for r in ref.records]
+        assert res.energy == pytest.approx(ref.energy, rel=1e-13)
+        assert res.lam == pytest.approx(ref.lam, rel=1e-13)
+
+    @pytest.mark.parametrize("case", ["imaginary part", "tiny imaginary part", "rotation"])
+    def test_complex_start_or_rotation_runs_complex(self, case):
+        g = Grid(2, 8.0, 16)
+        phi0 = smooth_real(g, 3)
+        omega = 0.5 if case == "rotation" else 0.0
+        if case == "imaginary part":
+            phi0 = WaveField(g, phi0.values * np.exp(0.1j * g.coordinate(0)))
+        elif case == "tiny imaginary part":
+            phi0.values[3, 5] += 1e-300j
+        params = ModelParams(eta=20.0, omega=omega, potential=harmonic())
+        engine = optim._Engine(phi0, params, SolverConfig(precond="kinetic"),
+                               spectral.FFTCounter())
+        assert not engine.real and engine.u.dtype == np.complex128
+        assert engine.uhat.shape == g.shape
+        engine.begin()
+        bundle = engine.direction(False)
+        engine.accept(optim._line_search(bundle.arc)[0], bundle)
+        assert engine.u.dtype == engine.uhat.dtype == np.complex128
 
 
 @pytest.mark.parametrize("omega", [0.0, 0.5])
@@ -646,7 +734,8 @@ class TestFusedImageDrift:
     @pytest.mark.parametrize("kind", ["sym", "kinetic", "c2"])
     def test_images_without_rotation(self, kind):
         # -Lap/2 u is carried unless the kind takes it by Parseval, and the
-        # transform only for the kinds that read it
+        # transform only for the kinds that read it; the guess is real, so
+        # the engine carries the real iterate and its half spectrum
         g = Grid(2, 8.0, 64)
         params = ModelParams(eta=100.0, omega=0.0, potential=half_square())
         phi0 = model.initial_guess("d", g, params)
@@ -657,7 +746,8 @@ class TestFusedImageDrift:
             bundle = engine.direction(False)
             theta, _, _ = optim._line_search(bundle.arc)
             engine.accept(theta, bundle)
-        uhat = g.fft(engine.u)
+        assert engine.u.dtype == np.float64
+        uhat = g.rfft(engine.u)
         assert (engine.uhat is None) == (kind == "sym")
         assert (engine.hu is None) == (kind == "kinetic")
         fresh = [(engine.uhat, uhat), (engine.hu, spectral.kinetic_from_hat(g, uhat))]

@@ -265,6 +265,44 @@ def test_1d_transforms_equal_nd_numpy(half_m, seed, real):
     assert g.fft(out, out=out) is out and out.tobytes() == np.fft.fftn(a).tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 64), (1, 6), (2, 16), (3, 8)]), st.integers(0, 2**32 - 1),
+       st.floats(0.5, 20.0))
+def test_half_spectrum_transforms(shape, seed, half_width):
+    # for real x: rfft is the first M/2+1 last-axis modes of fft, irfft
+    # inverts it, and a half-spectrum Parseval sum that counts the interior
+    # modes of the last axis twice equals the full one
+    d, m = shape
+    g = Grid(d, half_width, m)
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+    before = x.copy()
+    counter = spectral.FFTCounter()
+    x_half, y_half = g.rfft(x, counter), g.rfft(y)
+    assert x_half.shape == g.shape[:-1] + (m // 2 + 1,) and np.array_equal(x, before)
+    full = g.fft(x)
+    assert np.max(np.abs(x_half - full[..., : m // 2 + 1])) <= 1e-13 * np.max(np.abs(full))
+    half_before = x_half.copy()
+    back = g.irfft(x_half, counter)
+    assert back.dtype == np.float64 and back.shape == g.shape
+    assert np.array_equal(x_half, half_before)
+    assert np.max(np.abs(back - x)) <= 1e-14 * np.max(np.abs(x)) * m
+    assert counter.count == 2
+    weights = np.full(x_half.shape, 2.0)
+    weights[..., [0, -1]] = 1.0
+    via_half = g.cell_volume / g.size * np.sum(weights * (np.conj(x_half) * y_half).real)
+    via_full = g.cell_volume / g.size * np.vdot(full, g.fft(y)).real
+    direct = g.cell_volume * np.dot(x.ravel(), y.ravel())
+    scale = g.cell_volume * np.linalg.norm(x) * np.linalg.norm(y)
+    assert abs(via_half - via_full) <= 1e-13 * scale
+    assert abs(via_half - direct) <= 1e-13 * scale
+    # the kinetic image of a real field from its half spectrum
+    kin, exact = spectral.kinetic_from_hat(g, x_half), kinetic_plain(g, full)
+    assert kin.dtype == np.float64
+    assert np.max(np.abs(kin - exact)) <= 1e-13 * np.max(np.abs(exact)) * m
+    assert np.array_equal(g.half_k2_r, g.half_k2[..., : m // 2 + 1])
+
+
 class TestTransforms:
     """Each transform writes into a fresh output array: the result equals
     plain numpy.fft bit for bit and the input is left alone."""
