@@ -4,9 +4,12 @@ analysis tools for the linear model problem.
 
 The gradient flow  d_t phi = -(H_phi phi - lambda phi)  is discretized per
 step with the nonlinear density and lambda frozen at the current iterate,
-followed by projection back to the unit sphere.  The lambda-variants shift
-the implicit operator, so one backward-Euler step with the shift equals one
-step without it at the effective stepsize dt/(1 - dt*lambda).
+followed by projection back to the unit sphere.  The six schemes are one
+theta-scheme with implicit weight w (WEIGHTS), the share of H taken at the
+new time: 0 for forward Euler, 1/2 for Crank-Nicolson, 1 for backward
+Euler.  The lambda-variants replace H by H - lambda, so one backward-Euler
+step with the shift equals one step without it at the effective stepsize
+dt/(1 - dt*lambda).
 """
 
 from __future__ import annotations
@@ -29,15 +32,26 @@ BE = "be"
 BE_LAMBDA = "be_lambda"
 CN = "cn"
 CN_LAMBDA = "cn_lambda"
-SCHEMES = (FE, FE_LAMBDA, BE, BE_LAMBDA, CN, CN_LAMBDA)
+# (w, s) of each scheme: the implicit weight w, the share of H taken at the
+# new time, and s = 1 where the `_lambda` suffix replaces H by H - lambda
+WEIGHTS = {FE: (0.0, 0), FE_LAMBDA: (0.0, 1), BE: (1.0, 0), BE_LAMBDA: (1.0, 1),
+           CN: (0.5, 0), CN_LAMBDA: (0.5, 1)}
+SCHEMES = tuple(WEIGHTS)
+
+
+def scheme_weight(scheme: str) -> tuple[float, int]:
+    """(w, s) of `scheme` in WEIGHTS; ValueError for an unknown scheme."""
+    if scheme not in WEIGHTS:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return WEIGHTS[scheme]
 
 
 def check_precond(scheme: str, kind: str) -> None:
     """Raise ValueError unless `kind` can precondition the MINRES solves of
     `scheme`.  MINRES needs a Hermitian positive definite preconditioner,
     and c1 = P_V P_Delta and c2 = P_Delta P_V are not Hermitian; the
-    explicit schemes read no preconditioner."""
-    if scheme not in (FE, FE_LAMBDA) and kind in (precond.COMBINED1, precond.COMBINED2):
+    explicit schemes (w = 0) read no preconditioner."""
+    if scheme_weight(scheme)[0] > 0 and kind in (precond.COMBINED1, precond.COMBINED2):
         raise ValueError(
             f"precond {kind!r} is not Hermitian, but the MINRES solves of the implicit "
             f"scheme {scheme!r} need a Hermitian positive definite preconditioner")
@@ -53,8 +67,7 @@ class SchemeKind:
     inner_max_iter: int = 2000
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        scheme_weight(self.scheme)  # raises ValueError for an unknown scheme
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not self.inner_tol > 0:
@@ -196,15 +209,16 @@ def imaginary_time_step(
     shift: str | float = "adaptive",
     counter: FFTCounter | None = None,
 ) -> tuple[WaveField, int]:
-    """One discretized gradient-flow step followed by sphere projection.
+    """One step of the weighted scheme, followed by sphere projection.
 
-    Explicit schemes update directly; implicit schemes solve the shifted
-    Hermitian system with preconditioned MINRES (density and lambda frozen
-    at phi_n).  phi_n may be given as its model.Evaluation, which the step
-    then reads instead of evaluating phi_n again.  Returns (phi_{n+1},
-    inner iteration count).  Raises optim.Stop(diverged) when the
-    preconditioner shift is not positive or the field before projection
-    has zero or non-finite norm.
+    With (w, s) the scheme's weight and shift (WEIGHTS) and A = H - s*lambda,
+    the density and lambda frozen at phi_n: w = 0 updates directly,
+    phi~ = phi_n - dt A phi_n; otherwise preconditioned MINRES solves the
+    Hermitian system (1/dt + w A) phi~ = phi_n/dt - (1 - w) A phi_n.
+    phi_n may be given as its model.Evaluation, which the step then reads
+    instead of evaluating phi_n again.  Returns (phi_{n+1}, inner iteration
+    count).  Raises optim.Stop(diverged) when the preconditioner shift is
+    not positive or the field before projection has zero or non-finite norm.
     """
     check_precond(scheme.scheme, precond_kind)
     ev = phi_n if isinstance(phi_n, model.Evaluation) else model.evaluate(phi_n, params, counter)
@@ -212,11 +226,13 @@ def imaginary_time_step(
     g = phi_n.grid
     dt = scheme.dt
     h_phi, lam = ev.h_phi, ev.lam
-    name = scheme.scheme
-    if name == FE:
-        return _project(g, phi_n.values - dt * h_phi), 0
-    if name == FE_LAMBDA:
-        return _project(g, phi_n.values - dt * (h_phi - lam * phi_n.values)), 0
+    w, s = scheme_weight(scheme.scheme)
+
+    def apply_shifted(hx, x):  # A x from H x
+        return hx - lam * x if s else hx
+
+    if w == 0.0:
+        return _project(g, phi_n.values - dt * apply_shifted(h_phi, phi_n.values)), 0
     apply_h = model.frozen_hamiltonian(params, g, ev.w, counter)
     p = None
     if precond_kind != precond.IDENTITY:
@@ -228,26 +244,13 @@ def imaginary_time_step(
             p = precond.build(precond_kind, g, shift, ev.w)
         except ValueError as err:  # the shift check of precond.build
             raise Stop(DIVERGED, str(err)) from None
-    if name == BE:
-        def apply_a(x):
-            return x / dt + apply_h(x)
-        rhs = WaveField(g, phi_n.values / dt)
-    elif name == BE_LAMBDA:
-        # (1/dt + H - lambda) phi~ = phi/dt: shifting the operator makes one
-        # step identical to the shift-free scheme at dt/(1 - dt*lambda)
-        def apply_a(x):
-            return x / dt + apply_h(x) - lam * x
-        rhs = WaveField(g, phi_n.values / dt)
-    elif name == CN:
-        def apply_a(x):
-            return x / dt + 0.5 * apply_h(x)
-        rhs = WaveField(g, phi_n.values / dt - 0.5 * h_phi)
-    else:  # CN_LAMBDA
-        def apply_a(x):
-            return x / dt + 0.5 * (apply_h(x) - lam * x)
-        rhs = WaveField(g, phi_n.values / dt - 0.5 * (h_phi - lam * phi_n.values))
+
+    def apply_a(x):
+        return x / dt + w * apply_shifted(apply_h(x), x)
+
+    rhs = phi_n.values / dt - (1.0 - w) * apply_shifted(h_phi, phi_n.values)
     tilde, inner_iters = krylov_solve(
-        apply_a, rhs, p, tol=scheme.inner_tol, max_iter=scheme.inner_max_iter,
+        apply_a, WaveField(g, rhs), p, tol=scheme.inner_tol, max_iter=scheme.inner_max_iter,
         counter=counter,
     )
     return _project(g, tilde.values), inner_iters
@@ -317,16 +320,11 @@ def run_imaginary_time(
 # ---------------------------------------------------------------------------
 
 def amplification_factors(eigvals: np.ndarray, scheme: str, dt: float) -> np.ndarray:
-    """Spectral transform mapping eigenvalues of H to those of the update."""
+    """Spectral transform mapping eigenvalues e of H to those of the update,
+    mu = (1 - (1 - w) dt e) / (1 + w dt e), w the scheme's implicit weight."""
     lam = np.asarray(eigvals, dtype=float)
-    base = scheme.replace("_lambda", "")
-    if base == FE:
-        return 1.0 - dt * lam
-    if base == BE:
-        return 1.0 / (1.0 + dt * lam)
-    if base == CN:
-        return (1.0 - 0.5 * dt * lam) / (1.0 + 0.5 * dt * lam)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    w = scheme_weight(scheme)[0]
+    return (1.0 - (1.0 - w) * dt * lam) / (1.0 + w * dt * lam)
 
 
 @dataclass
@@ -344,49 +342,62 @@ class SpectralTransformReport:
     final_error: float
 
 
+def amplification_domain_error(n: int, dt: float, n_iter: int,
+                               seed: int) -> tuple[str, str] | None:
+    """(parameter, message) of the first input outside the domain of
+    amplification_analysis, or None: the size n of H must be in 2..256,
+    dt finite and positive, n_iter at least 1 and seed not negative."""
+    if not 2 <= n <= 256:
+        return "n", f"H must be a square matrix of size 2 to 256, got size {n}"
+    if not (math.isfinite(dt) and dt > 0):
+        return "dt", f"dt must be finite and positive, got {dt}"
+    if n_iter < 1:
+        return "n_iter", f"n_iter must be at least 1, got {n_iter}"
+    if seed < 0:
+        return "seed", f"seed must not be negative, got {seed}"
+    return None
+
+
 def amplification_analysis(
     h: np.ndarray,
     scheme: str,
     dt: float,
     n_iter: int = 200,
-    phi0: np.ndarray | None = None,
     seed: int = 0,
 ) -> SpectralTransformReport:
     """Run the normalized power iteration phi <- A phi / ||A phi|| for the
-    scheme's update matrix A on a dense Hermitian H and compare the observed
-    error-decay rate against the predicted |mu_{N-1}/mu_N|.
+    scheme's update matrix A = (I + w dt H)^-1 (I - (1 - w) dt H), w its
+    implicit weight, on a dense Hermitian H from a random start, and compare
+    the observed error-decay rate against the predicted |mu_{N-1}/mu_N|.
 
     Degenerate dominant amplification factors are flagged and no observed
-    rate is fitted.
+    rate is fitted.  Raises ValueError on an input outside the domain
+    (amplification_domain_error) or a non-Hermitian H.
     """
     h = np.asarray(h)
-    n = h.shape[0]
-    if h.shape != (n, n) or n > 256:
-        raise ValueError("H must be a square matrix of size <= 256")
+    n = h.shape[0] if h.ndim == 2 else 0
+    if h.shape != (n, n):
+        raise ValueError("H must be a square matrix")
+    bad = amplification_domain_error(n, dt, n_iter, seed)
+    if bad is not None:
+        raise ValueError(bad[1])
     if not np.allclose(h, h.conj().T, atol=1e-12 * max(1.0, float(np.abs(h).max()))):
         raise ValueError("H must be Hermitian")
     eigvals, eigvecs = np.linalg.eigh(h)
+    w = scheme_weight(scheme)[0]
     mus = amplification_factors(eigvals, scheme, dt)
     order = np.argsort(np.abs(mus))
     mu_top, mu_second = mus[order[-1]], mus[order[-2]]
     degenerate = abs(abs(mu_top) - abs(mu_second)) < 1e-12 or abs(mu_top) == 0.0
     predicted = abs(mu_second / mu_top) if not degenerate else np.nan
     v_top = eigvecs[:, order[-1]]
-    base = scheme.replace("_lambda", "")
-    if base == FE:
-        a_apply = lambda x: x - dt * (h @ x)
-    elif base == BE:
-        a_factor = np.linalg.inv(np.eye(n) + dt * h)
-        a_apply = lambda x: a_factor @ x
-    else:
-        a_factor = np.linalg.solve(np.eye(n) + 0.5 * dt * h, np.eye(n) - 0.5 * dt * h)
-        a_apply = lambda x: a_factor @ x
+    a_factor = np.linalg.solve(np.eye(n) + w * dt * h, np.eye(n) - (1.0 - w) * dt * h)
     rng = np.random.default_rng(seed)
-    x = phi0.astype(complex) if phi0 is not None else rng.standard_normal(n) + 0j
+    x = rng.standard_normal(n) + 0j
     x = x / np.linalg.norm(x)
     errors = []
     for _ in range(n_iter):
-        x = a_apply(x)
+        x = a_factor @ x
         nx = np.linalg.norm(x)
         if nx == 0 or not np.isfinite(nx):
             break
@@ -415,6 +426,10 @@ def amplification_analysis(
 # conditioning diagnostic for the preconditioned projected Hessian
 # ---------------------------------------------------------------------------
 
+# eigenvalues below this fraction of the largest magnitude count as null
+NULL_TOL = 1e-8
+
+
 @dataclass
 class ConditionReport:
     sigma: float
@@ -440,7 +455,6 @@ def precond_hessian_condition(
     phi_star: WaveField,
     params: ModelParams,
     p: precond.Preconditioner,
-    null_tol: float = 1e-8,
 ) -> ConditionReport:
     """Condition number of the projected, preconditioned energy Hessian.
 
@@ -468,6 +482,6 @@ def precond_hessian_condition(
     eig = np.linalg.eigvals(m)
     mags = np.abs(eig)
     top = float(mags.max())
-    nonzero = mags[mags > null_tol * top]
+    nonzero = mags[mags > NULL_TOL * top]
     sigma = float(top / nonzero.min()) if nonzero.size else np.inf
     return ConditionReport(sigma=sigma, eigenvalues=eig, warning=warning)

@@ -5,7 +5,9 @@ Verbs: `solve` (single run), `multigrid` (coarse-to-fine continuation),
 Hessian-conditioning diagnostics).  Exit codes: 0 when the run's stop
 reason counts as converged in optim.STOP_CONVERGED, 1 when it does not
 (and when `analyze condition` cannot build its preconditioner at the
-solution), 2 for a configuration error.
+solution), 2 for a configuration error: an invalid key or value, a config
+file that cannot be read, an output directory that cannot be made (checked
+before any solve), or an `analyze amplification` option outside its domain.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import bench, classic, io, model, optim, precond
 from .config import ConfigError, RunConfig
-from .runs import run_multigrid, run_single
+from .runs import make_outdir, run_multigrid, run_single
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -75,9 +77,9 @@ def _cmd_solve(args, multigrid: bool) -> int:
 
 
 def _cmd_bench(args) -> int:
-    rows = bench.run_benchmark(args.suite, paper_scale=args.paper_scale)
     outdir = args.out or "gpesolve_bench"
-    os.makedirs(outdir, exist_ok=True)
+    make_outdir(outdir)
+    rows = bench.run_benchmark(args.suite, paper_scale=args.paper_scale)
     path = os.path.join(outdir, f"{args.suite}.csv")
     io.write_table_csv(path, rows, bench.TABLE_FIELDS)
     print(f"wrote {len(rows)} rows to {path}")
@@ -89,6 +91,11 @@ def _cmd_bench(args) -> int:
 
 def _cmd_analyze(args) -> int:
     if args.analysis == "amplification":
+        bad = classic.amplification_domain_error(args.n, args.dt, args.iters, args.seed)
+        if bad is not None:
+            option = {"n": "--n", "dt": "--dt", "n_iter": "--iters", "seed": "--seed"}[bad[0]]
+            print(f"configuration error: {option}: {bad[1]}", file=sys.stderr)
+            return 2
         rng = np.random.default_rng(args.seed)
         a = rng.standard_normal((args.n, args.n))
         h = 0.5 * (a + a.T) + args.n * np.eye(args.n) / 4.0
@@ -143,9 +150,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_bench(args)
         return _cmd_analyze(args)
     except ConfigError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
 

@@ -174,8 +174,12 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str, overrides: list[str] | None = None) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read(), overrides)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as err:  # missing, a directory, not UTF-8
+            raise ConfigError(f"cannot read config file {path}: {err}") from None
+        return cls.from_text(text, overrides)
 
     def to_text(self) -> str:
         return format_config({k: v for k, v in self.mapping.items() if v != ""})

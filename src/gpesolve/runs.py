@@ -8,7 +8,7 @@ import os
 import time
 
 from . import classic, io, model, optim, spectral
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .optim import SolveResult
 from .spectral import Grid, WaveField
 
@@ -59,14 +59,23 @@ def _summary_dict(cfg: RunConfig, result: SolveResult, grid: Grid) -> dict:
     }
 
 
+def make_outdir(outdir: str) -> None:
+    """Create outdir before a solve, so an unusable path (an existing file,
+    or a path under one) is a ConfigError before any work is done."""
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot make output directory {outdir}: {err}") from None
+
+
 def run_single(cfg: RunConfig, outdir: str) -> dict:
     """Solve one configuration and write convergence CSV, field dump,
     density CSV, and a key = value summary."""
     grid = cfg.grid()
     params = cfg.model_params()
     phi0 = initial_field(cfg, grid, params)
+    make_outdir(outdir)
     result = _solve_once(cfg, grid, params, phi0)
-    os.makedirs(outdir, exist_ok=True)
     inner = cfg.method not in ("pg", "pcg")
     io.write_records_csv(os.path.join(outdir, "convergence.csv"), result.records, inner_iters=inner)
     io.save_field(os.path.join(outdir, "field.gpef"), result.phi)
@@ -100,7 +109,7 @@ def run_multigrid(cfg: RunConfig, outdir: str) -> dict:
     if not schedule:
         return run_single(cfg, outdir)
     params = cfg.model_params()
-    os.makedirs(outdir, exist_ok=True)
+    make_outdir(outdir)
     t0 = time.perf_counter()
     levels = {}
     failed = None  # (level, M, result) of the first level that did not converge

@@ -32,7 +32,7 @@ from gpesolve.classic import (
 )
 from gpesolve.optim import SolverConfig, solve
 
-from oracles import preconditioner_at
+from oracles import dense_hamiltonian_1d, preconditioner_at
 
 
 def linear_harmonic(grid_m=64, box=16.0):
@@ -188,6 +188,28 @@ class TestImaginaryTimeStep:
         dt_eff = dt / (1.0 - dt * lam)
         without, _ = imaginary_time_step(phi, SchemeKind("be", dt_eff, 1e-13), params)
         assert np.max(np.abs(with_lam.values - without.values)) <= 1e-12
+
+    @pytest.mark.parametrize("scheme,w,s", [
+        ("fe", 0.0, 0), ("fe_lambda", 0.0, 1), ("cn", 0.5, 0),
+        ("cn_lambda", 0.5, 1), ("be", 1.0, 0), ("be_lambda", 1.0, 1),
+    ])
+    def test_step_equals_dense_oracle(self, scheme, w, s):
+        # eta = 0: the step is the normalized
+        # (I + w dt (H - s lambda))^-1 (I - (1 - w) dt (H - s lambda)) phi
+        g = Grid(1, 8.0, 32)
+        params = ModelParams(eta=0.0, omega=0.0, potential=harmonic(1.0))
+        rng = np.random.default_rng(5)
+        phi = WaveField(g, rng.standard_normal(32) + 1j * rng.standard_normal(32)).normalized()
+        dt = 0.05
+        h_mat = dense_hamiltonian_1d(32, 8.0, model.sample_potential(params.potential, g))
+        lam = g.h * np.vdot(phi.values, h_mat @ phi.values).real
+        a_mat = h_mat - s * lam * np.eye(32)
+        want = np.linalg.solve(np.eye(32) + w * dt * a_mat,
+                               phi.values - (1.0 - w) * dt * (a_mat @ phi.values))
+        want /= np.sqrt(g.h) * np.linalg.norm(want)
+        out, inner = imaginary_time_step(phi, SchemeKind(scheme, dt, 1e-13), params)
+        assert np.max(np.abs(out.values - want)) <= 1e-10
+        assert (inner > 0) == (w > 0)  # only the implicit schemes run MINRES
 
     def test_fe_small_dt_continuity(self):
         g, params, phi = linear_harmonic()
@@ -489,6 +511,22 @@ class TestAmplification:
         rep = amplification_analysis(h, "fe", 0.1)
         assert rep.degenerate
         assert rep.observed_rate is None
+
+    @pytest.mark.parametrize("h,dt,n_iter,seed,match", [
+        (np.eye(1), 0.1, 10, 0, "size 2 to 256, got size 1"),
+        (np.eye(0), 0.1, 10, 0, "size 2 to 256, got size 0"),
+        (np.eye(257), 0.1, 10, 0, "size 2 to 256, got size 257"),
+        (np.ones((3, 4)), 0.1, 10, 0, "H must be a square matrix"),
+        (np.eye(4), 0.0, 10, 0, "dt must be finite and positive"),
+        (np.eye(4), -0.1, 10, 0, "dt must be finite and positive"),
+        (np.eye(4), np.nan, 10, 0, "dt must be finite and positive"),
+        (np.eye(4), np.inf, 10, 0, "dt must be finite and positive"),
+        (np.eye(4), 0.1, 0, 0, "n_iter must be at least 1"),
+        (np.eye(4), 0.1, 10, -1, "seed must not be negative"),
+    ])
+    def test_inputs_outside_the_domain_rejected(self, h, dt, n_iter, seed, match):
+        with pytest.raises(ValueError, match=match):
+            amplification_analysis(h, "be", dt, n_iter=n_iter, seed=seed)
 
 
 class TestConditioning:

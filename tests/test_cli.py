@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gpesolve import WaveField, classic, precond, runs, spectral_interpolate
+from gpesolve import WaveField, bench, classic, precond, runs, spectral_interpolate
 from gpesolve.cli import main
 from gpesolve.config import RunConfig
 from gpesolve.runs import run_multigrid, run_single
@@ -55,6 +55,34 @@ class TestSolveCommand:
         cfg = write_cfg(tmp_path, "grid.d = 1\ngrid.M = 64\n")
         assert main(["solve", "--config", cfg]) == 2
         assert "grid.L" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not utf-8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, case):
+        if case == "missing":
+            cfg = str(tmp_path / "missing.cfg")
+        elif case == "directory":
+            cfg = str(tmp_path)
+        else:
+            cfg = str(tmp_path / "run.cfg")
+            with open(cfg, "wb") as fh:
+                fh.write(HARMONIC_1D.encode() + b"# \xff\xfe\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and cfg in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("verb,levels", [("solve", ""), ("multigrid", "64:1e-8,128:1e-10")])
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_unusable_out_exits_2_before_the_solve(self, tmp_path, capsys, monkeypatch, out,
+                                                   verb, levels):
+        cfg = write_cfg(tmp_path, HARMONIC_1D + f"multigrid.levels = {levels}\n")
+        (tmp_path / "file").write_text("")
+        solves = []
+        monkeypatch.setattr(runs, "_solve_once", lambda *a, **kw: solves.append(a))
+        assert main([verb, "--config", cfg, "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(tmp_path / out) in err
+        assert solves == []
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, HARMONIC_1D + "typo.key = 1\n")
@@ -313,6 +341,12 @@ class TestBenchCommand:
         for row in rows:
             assert row["converged"] == "true"
 
+    def test_unusable_out_exits_2_before_the_suite(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(bench, "run_benchmark", lambda *a, **kw: pytest.fail("suite ran"))
+        assert main(["bench", "eta_sweep_1d", "--out", str(tmp_path / "file")]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["bench", "nosuchsuite"])
@@ -327,6 +361,23 @@ class TestAnalyzeCommand:
         pred = float(values["predicted_rate"])
         obs = float(values["observed_rate"])
         assert abs(obs - pred) <= 0.05 * pred
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--n", "1", "size 2 to 256, got size 1"),
+        ("--n", "0", "size 2 to 256, got size 0"),
+        ("--n", "-1", "size 2 to 256, got size -1"),
+        ("--n", "300", "size 2 to 256, got size 300"),
+        ("--iters", "0", "n_iter must be at least 1, got 0"),
+        ("--dt", "nan", "dt must be finite and positive, got nan"),
+        ("--dt", "0", "dt must be finite and positive, got 0.0"),
+        ("--seed", "-1", "seed must not be negative, got -1"),
+    ])
+    def test_amplification_rejects_inputs_outside_the_domain(self, capsys, option, value,
+                                                             message):
+        assert main(["analyze", "amplification", option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: {option}: ")
+        assert message in captured.err and captured.out == ""
 
     def test_condition(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, """
