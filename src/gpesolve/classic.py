@@ -68,10 +68,10 @@ class SchemeKind:
 
     def __post_init__(self) -> None:
         scheme_weight(self.scheme)  # raises ValueError for an unknown scheme
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.inner_tol > 0:
-            raise ValueError("inner_tol must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not (math.isfinite(self.inner_tol) and self.inner_tol > 0):
+            raise ValueError(f"inner_tol must be finite and positive, got {self.inner_tol}")
         if self.inner_max_iter < 1:
             raise ValueError("inner_max_iter must be positive")
 

@@ -27,7 +27,6 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="configuration file (key = value lines)")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a configuration key")
-    parser.add_argument("--out", default=None, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,10 +37,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run a single ground-state solve")
-    _add_config_args(p_solve)
-
     p_mg = sub.add_parser("multigrid", help="run the multigrid continuation")
-    _add_config_args(p_mg)
+    for p in (p_solve, p_mg):
+        _add_config_args(p)
+        p.add_argument("--out", default=None, help="output directory")
 
     p_bench = sub.add_parser("bench", help="run a benchmark suite")
     p_bench.add_argument("suite", choices=list(bench.SUITES) + ["all"])

@@ -270,8 +270,9 @@ class RunConfig:
                 eps = _to_float(self.mapping["solver.tol"], "solver.tol")
             level_m = _to_int(m_str, "multigrid.levels")
             _check("multigrid.levels", check_points, level_m)
-            if eps <= 0 or math.isnan(eps):
-                raise ConfigError("multigrid.levels: tolerances must be positive", "multigrid.levels")
+            if not (math.isfinite(eps) and eps > 0):
+                raise ConfigError("multigrid.levels: tolerances must be finite and positive",
+                                  "multigrid.levels")
             schedule.append((level_m, eps))
         for (m0, _), (m1, _) in zip(schedule, schedule[1:]):
             if m1 <= m0:

@@ -305,7 +305,7 @@ def evaluate(phi: WaveField, params: ModelParams, counter: FFTCounter | None = N
         h_phi, u_hat = spectral.rotating_linear(g, params.omega, u, hat=True)
         if counter is not None:
             counter.add(3)
-        kinetic = hd / g.size * float(np.sum(g.half_k2 * np.abs(u_hat) ** 2))
+        kinetic = g.spectrum(False).kinetic(u_hat)
         rotation = (hd * np.vdot(u, h_phi)).real - kinetic
     else:
         h_phi = spectral.kinetic_from_hat(g, g.fft(u, counter), counter)

@@ -25,12 +25,10 @@ c1 under pcg, charged one more unit for its residual in real space, which
 the Polak-Ribiere inner products read.  The real work behind a rotating 2D
 iteration is 5/8/5/9/8/9 one-axis passes.
 
-Without rotation a real iterate stays real, so the engine carries it, and
-every array formed from it, as float64, and its Fourier images as half
-spectra (spectral.Grid.rfft): the same transforms and units, each on about
-half the data, and fewer numpy calls for the pointwise work.  Any other
-start, or any rotation, runs in complex128.  The result's phi is complex
-either way.
+Without rotation a real iterate stays real, so the engine carries it as
+float64 and its Fourier images as half spectra (its spectral.Spectrum): the
+same transforms and units, each on about half the data.  Any other start,
+or any rotation, runs in complex128; the result's phi is complex anyway.
 """
 
 from __future__ import annotations
@@ -99,8 +97,8 @@ def check_options(kind: str, shift: str | float, stop: str, tol: float, max_iter
         precond.check_shift(shift)
     if stop not in STOP_KINDS:
         raise ValueError(f"unknown stopping criterion {stop!r}")
-    if not (isinstance(tol, numbers.Real) and tol >= 0):
-        raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite nonnegative number, got {tol!r}")
     if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
         raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
 
@@ -357,13 +355,8 @@ class _Engine:
     that read it (_READS_HAT).  The CG memory is kept only under pcg, in
     the representations the kind mixes in.
 
-    The dtype is chosen once, here (_carries_real).  On the real path every
-    real-space array is float64 and every Fourier image a half spectrum
-    (Grid.rfft, M/2+1 modes on the last axis).  A Parseval sum over half
-    spectra counts each interior mode of the last axis twice, for its
-    conjugate partner, and the DC and Nyquist modes once: the kinetic
-    symbol is weighted so, and so are the inner products and norms of the
-    Fourier-space CG mixing (_fdot).
+    The dtype is chosen once, here (_carries_real), and with it the
+    spectrum that takes every transform and Parseval sum of the engine.
     """
 
     def __init__(self, phi0: WaveField, params: ModelParams, cfg: SolverConfig,
@@ -374,31 +367,16 @@ class _Engine:
         self.cfg = cfg
         self.counter = counter
         self.hd = g.cell_volume
-        self.scale = g.cell_volume / g.size  # Parseval factor
         self.v = model.sample_potential(params.potential, g)
         self.eta = params.eta
         self.omega = params.omega
         u = start_iterate(phi0).values
         self.real = _carries_real(u, self.omega)
         self.u = np.ascontiguousarray(u.real) if self.real else u
+        self.spec = g.spectrum(self.real)
         self.rotating = self.omega != 0.0
         self.fourier = cfg.precond in precond.FOURIER_FIRST
-        # transforms of real-space arrays and back, without an out array
-        self.fft, self.ifft = (g.rfft, g.irfft) if self.real else (g.fft, g.ifft)
-        if self.real:
-            # Parseval weights of a half spectrum's float64 view, and with
-            # them the kinetic symbol: each interior mode of the last axis
-            # stands for itself and its conjugate partner
-            weights = np.full(g.half_k2_r.shape, 2.0)
-            weights[..., [0, -1]] = 1.0
-            self.mode_pairs = np.repeat(weights, 2, axis=-1).reshape(-1)
-            self.kin_pairs = np.repeat(weights * g.half_k2_r, 2, axis=-1).reshape(-1)
-        if self.rotating:
-            self.hu, uhat = spectral.rotating_linear(g, self.omega, self.u, hat=True)
-            counter.add(self._image_units(True))
-        else:
-            uhat = self.fft(self.u, counter)
-            self.hu = None if self.fourier else spectral.kinetic_from_hat(g, uhat, counter)
+        self.hu, uhat = self._images(self.u)
         self.uhat = uhat if self.rotating or cfg.precond in _READS_HAT else None
         # a Fourier-space residual is brought to real space only for the
         # residual stop and for c1 under pcg (its PR inner products)
@@ -424,40 +402,28 @@ class _Engine:
     def _rdot(self, a: np.ndarray, b: np.ndarray) -> float:
         return self.hd * np.vdot(a, b).real
 
-    def _half_dot(self, a_hat: np.ndarray, b_hat: np.ndarray, weights: np.ndarray) -> float:
-        """Parseval sum of Re(conj(a_hat) b_hat) over half spectra, weighted
-        by mode_pairs or kin_pairs: one dot of the float64 views."""
-        a = a_hat.view(np.float64).reshape(-1)
-        return self.scale * float(np.dot(a * weights, b_hat.view(np.float64).reshape(-1)))
+    def _norm(self, a: np.ndarray) -> float:
+        return float(np.sqrt(self.hd) * np.linalg.norm(a.ravel()))
 
-    def _fdot(self, a_hat: np.ndarray, b_hat: np.ndarray) -> float:
-        """Re<a, b> from the transforms of a and b, by Parseval."""
-        if self.real:
-            return self._half_dot(a_hat, b_hat, self.mode_pairs)
-        return self.scale * np.vdot(a_hat, b_hat).real
-
-    def _kinetic(self, a_hat: np.ndarray) -> float:
-        """<a, -Lap/2 a> from the transform of a, by Parseval."""
-        if self.real:
-            return self._half_dot(a_hat, a_hat, self.kin_pairs)
-        return self.scale * float(np.sum(self.grid.half_k2 * np.abs(a_hat) ** 2))
-
-    def _image_units(self, formed_hat: bool) -> int:
-        """Cost-model units (spectral.FFTCounter) of one rotating_linear
-        call: the Lz and -Lap/2 images it forms, less the latter for the
-        kinds that took their kinetic terms by Parseval before the operator
-        was applied one axis at a time (FOURIER_FIRST), plus the forward
-        transform when it completes one."""
-        return 1 + (not self.fourier) + formed_hat
+    def _images(self, x: np.ndarray, x_hat: np.ndarray | None = None,
+                ) -> tuple[np.ndarray | None, np.ndarray]:
+        """(H_lin x, transform of x), given the transform where it is at hand.
+        Without rotation the kinds that take their kinetic terms by Parseval
+        (FOURIER_FIRST) form no H_lin x (None).  Charged (FFTCounter) a unit
+        for the transform, for Lz and for -Lap/2, but not for those kinds."""
+        if self.rotating:
+            hx, formed = spectral.rotating_linear(self.grid, self.omega, x, hat=x_hat is None)
+            self.counter.add(1 + (not self.fourier) + (formed is not None))
+            return hx, (x_hat if formed is None else formed)
+        if x_hat is None:
+            x_hat = self.spec.fft(x, self.counter)
+        return (None if self.fourier else self.spec.kinetic_image(x_hat, self.counter)), x_hat
 
     def _scalars(self) -> None:
         """|u|^2, and from it lambda, the quadratic energy part qa, q40 and
         the characteristic energy alpha of the iterate."""
-        if self.real:
-            self.dens = np.square(self.u)
-        else:
-            self.dens = np.abs(self.u)
-            np.square(self.dens, out=self.dens)
+        self.dens = np.abs(self.u)
+        np.square(self.dens, out=self.dens)
         dens = self.dens.reshape(-1)
         pot = self.hd * float(np.dot(self.v.reshape(-1), dens))
         self.q40 = float(np.dot(dens, dens))
@@ -465,10 +431,10 @@ class _Engine:
         # <u, H_lin u>, and its kinetic part alone for the shift: the same
         # number without rotation
         if self.hu is None:
-            kin = lin = self._kinetic(self.uhat)
+            kin = lin = self.spec.kinetic(self.uhat)
         else:
             lin = self._rdot(self.u, self.hu)
-            kin = self._kinetic(self.uhat) if self.rotating else lin
+            kin = self.spec.kinetic(self.uhat) if self.rotating else lin
         self.qa = lin + pot
         self.lam = self.qa + self.eta * self.hd * self.q40
         self.alpha = kin + pot + inter2  # characteristic energy, shift of the preconditioner
@@ -476,7 +442,6 @@ class _Engine:
     def begin(self) -> float | None:
         """Refresh the iterate's scalars and residual; returns the residual
         sup norm, or None when the residual stays in Fourier space."""
-        g = self.grid
         self._scalars()
         # V + eta |u|^2, shared with the preconditioner's real-space diagonal
         self.vd = np.multiply(self.dens, self.eta)
@@ -490,17 +455,13 @@ class _Engine:
             self.r = r
         elif self.hu is None:
             # -Lap/2 u added in Fourier space, where it is diagonal
-            if self.real:
-                self.r_hat = g.rfft(r, self.counter)
-                self.r_hat += g.half_k2_r * self.uhat
-            else:
-                self.r_hat = g.fft(r, self.counter, out=r)
-                self.r_hat += g.half_k2 * self.uhat
-            self.r = self.ifft(self.r_hat, self.counter) if self.need_r_real else None
+            self.r_hat = self.spec.fft(r, self.counter, out=r)
+            self.r_hat += self.spec.half_k2 * self.uhat
+            self.r = self.spec.ifft(self.r_hat, self.counter) if self.need_r_real else None
         else:
             # the whole residual is at hand in real space: keep it where it
             # is read, charged the unit of bringing it there
-            self.r_hat = g.fft(r, self.counter, out=None if self.need_r_real else r)
+            self.r_hat = self.spec.fft(r, self.counter, out=None if self.need_r_real else r)
             self.r = r if self.need_r_real else None
             if self.need_r_real:
                 self.counter.add()
@@ -510,16 +471,12 @@ class _Engine:
         # lin_p = Re<p_hat, H_lin p_hat> and lin_c = Re<u, H_lin p_hat>
         # the nine pointwise sums as BLAS dot products of flat real vectors:
         # |p|^2 and Re(conj(u) p), the latter a strided view when complex
-        if self.real:
-            a1 = np.square(p_hat).reshape(-1)
-            a2 = np.multiply(self.u, p_hat).reshape(-1)
-        else:
-            a1 = np.abs(p_hat)
-            np.square(a1, out=a1)
-            a1 = a1.reshape(-1)
-            a2 = np.conj(self.u)
-            a2 *= p_hat
-            a2 = a2.real.reshape(-1)
+        a1 = np.abs(p_hat)
+        np.square(a1, out=a1)
+        a1 = a1.reshape(-1)
+        a2 = np.conj(self.u)
+        a2 *= p_hat
+        a2 = a2.real.reshape(-1)
         v = self.v.reshape(-1)
         dens = self.dens.reshape(-1)
         return _Arc(
@@ -543,7 +500,7 @@ class _Engine:
         All arrays must live in the same representation (real space or
         Fourier coefficients); `u_rep` is the iterate in that
         representation and rdot(a, b) the matching real inner product
-        (_rdot or _fdot).
+        (_rdot, or the spectrum's dot).
         """
         if not self.pcg:
             return _negated(pr, r), 0.0, force_restart, np.nan, None
@@ -583,19 +540,16 @@ class _Engine:
         mix_hat = pr is None
         if mix_hat:
             pr, r, p_prev, u_rep = pr_hat, self.r_hat, self.p_prev_hat, self.uhat
-            rdot, w = self._fdot, self.scale
+            rdot, norm = self.spec.dot, self.spec.norm
         else:
-            r, p_prev, u_rep, rdot, w = self.r, self.p_prev_real, self.u, self._rdot, self.hd
+            r, p_prev, u_rep, rdot, norm = self.r, self.p_prev_real, self.u, self._rdot, self._norm
         dvec, beta, restarted, prp, c_u = self._mix_cg(pr, r, p_prev, u_rep, rdot, force_restart)
         pr = None  # dead unless it is dvec; holding it would raise the peak
         # dvec is fresh or the dead p_prev: project and normalize it in place
         if c_u is None:
             c_u = rdot(u_rep, dvec)
         dvec -= c_u * u_rep
-        if mix_hat and self.real:
-            p_norm = math.sqrt(self._fdot(dvec, dvec))
-        else:
-            p_norm = float(np.sqrt(w) * np.linalg.norm(dvec.ravel()))
+        p_norm = norm(dvec)
         if not math.isfinite(p_norm):
             raise Stop(DIVERGED)
         if p_norm == 0.0:
@@ -606,7 +560,7 @@ class _Engine:
         p_hat_hat = None
         if mix_hat:
             p_hat_hat = dvec
-            p_hat = self.ifft(p_hat_hat, self.counter)
+            p_hat = self.spec.ifft(p_hat_hat, self.counter)
         else:
             p_hat = dvec
             if pr_hat is not None:
@@ -619,21 +573,10 @@ class _Engine:
                     dvec_hat -= pr_hat
                 dvec_hat -= c_u * self.uhat
                 p_hat_hat = np.divide(dvec_hat, p_norm, out=dvec_hat)
-        if self.rotating:
-            hp, formed = spectral.rotating_linear(g, self.omega, p_hat, hat=p_hat_hat is None)
-            self.counter.add(self._image_units(formed is not None))
-            if formed is not None:
-                p_hat_hat = formed
-        else:
-            if p_hat_hat is None:
-                p_hat_hat = self.fft(p_hat, self.counter)
-            hp = None if self.fourier else spectral.kinetic_from_hat(g, p_hat_hat, self.counter)
+        hp, p_hat_hat = self._images(p_hat, p_hat_hat)
         if hp is None:  # kinetic terms by Parseval
-            lin_p = self._kinetic(p_hat_hat)
-            if self.real:
-                lin_c = self._half_dot(self.uhat, p_hat_hat, self.kin_pairs)
-            else:
-                lin_c = self.scale * np.vdot(self.uhat, g.half_k2 * p_hat_hat).real
+            lin_p = self.spec.kinetic(p_hat_hat)
+            lin_c = self.spec.kinetic(self.uhat, p_hat_hat)
         else:
             lin_p = self._rdot(p_hat, hp)
             lin_c = self._rdot(self.u, hp)
@@ -658,7 +601,7 @@ class _Engine:
         delta += scratch
         step_inf = float(np.max(np.abs(delta)))
         self.u += delta
-        nn = np.sqrt(self.hd) * np.linalg.norm(self.u.ravel())
+        nn = self._norm(self.u)
         self.u *= 1.0 / nn  # == self.u / nn, as in direction
         # the images follow by the same combination: x <- (c x + s x_p) / nn;
         # a half spectrum does not fit the scratch array

@@ -3,12 +3,11 @@ potential parts of the Hessian, their compositions, and the symmetrized
 combination.
 
 All kinds are built from two diagonals refreshed at the current iterate:
-a Fourier diagonal 1/(alpha + |xi|^2/2) and a real-space diagonal
-1/(alpha + V + eta |phi_n|^2).  For a real iterate (the optimizer's
-float64 path) the Fourier diagonal lives on the half spectrum, and the
-transforms are Grid.rfft/irfft.  The shift alpha is fixed, or the
-characteristic energy of the iterate (adaptive policy), which each caller
-has at hand.  This module is the only place the diagonals are built and
+a Fourier diagonal 1/(alpha + |xi|^2/2), on the iterate's spectrum
+(Grid.spectrum: half spectra on the optimizer's float64 path), and a
+real-space diagonal 1/(alpha + V + eta |phi_n|^2).  The shift alpha is
+fixed, or the characteristic energy of the iterate (adaptive policy),
+which each caller has at hand.  This module is the only place the diagonals are built and
 applied; the optimizer, the MINRES baselines and the conditioning
 diagnostic all go through `build`.
 """
@@ -17,11 +16,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import FFTCounter, Grid
+from .spectral import FFTCounter, Grid, Spectrum
 
 IDENTITY = "identity"
 KINETIC = "kinetic"
@@ -51,7 +50,8 @@ class Preconditioner:
         real_diag: 1/(alpha + V + eta |phi_n|^2) (None for identity/kinetic),
             and for sym its square root, the factor applied on each side of
             the Fourier diagonal.
-        real: Whether it acts on real grid values through half spectra.
+        real: Whether it acts on real grid values; `spectrum`,
+            grid.spectrum(real), takes its transforms (half spectra if so).
     """
 
     kind: str
@@ -60,6 +60,10 @@ class Preconditioner:
     fourier_diag: np.ndarray | None = None
     real_diag: np.ndarray | None = None
     real: bool = False
+    spectrum: Spectrum = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.spectrum = self.grid.spectrum(self.real)
 
     def apply_pair(
         self, r: np.ndarray, counter: FFTCounter | None = None, transformed: bool = False,
@@ -72,43 +76,34 @@ class Preconditioner:
         Fourier space.  The identity returns r itself.
         """
         # r is left alone; every array formed from it is transformed and
-        # scaled in place, but for half spectra, which cannot share memory
-        # with grid values
-        g = self.grid
-        if self.real:
-            def fft(a, counter, out=None):
-                return g.rfft(a, counter)
-
-            def ifft(a, counter, out=None):
-                return g.irfft(a, counter)
-        else:
-            fft, ifft = g.fft, g.ifft
+        # scaled in place where the spectrum's format allows
+        spec = self.spectrum
         if self.kind in FOURIER_FIRST:
             if transformed:
                 pr_hat = self.fourier_diag * r
             else:
-                pr_hat = fft(r, counter)
+                pr_hat = spec.fft(r, counter)
                 pr_hat *= self.fourier_diag
             if self.kind == COMBINED1:  # P_V P_Delta
-                pr = ifft(pr_hat, counter, out=pr_hat)
+                pr = spec.ifft(pr_hat, counter, out=pr_hat)
                 pr *= self.real_diag
                 return pr, None
-            return (None if transformed else ifft(pr_hat, counter)), pr_hat
+            return (None if transformed else spec.ifft(pr_hat, counter)), pr_hat
         if transformed:
-            r = ifft(r, counter)
+            r = spec.ifft(r, counter)
         if self.kind == IDENTITY:
             return r, None
         if self.kind == POTENTIAL:
             return self.real_diag * r, None
         if self.kind == COMBINED2:  # P_Delta P_V
             pr_hat = self.real_diag * r
-            pr_hat = fft(pr_hat, counter, out=pr_hat)
+            pr_hat = spec.fft(pr_hat, counter, out=pr_hat)
             pr_hat *= self.fourier_diag
-            return ifft(pr_hat, counter), pr_hat
+            return spec.ifft(pr_hat, counter), pr_hat
         pr = self.real_diag * r
-        pr = fft(pr, counter, out=pr)
+        pr = spec.fft(pr, counter, out=pr)
         pr *= self.fourier_diag
-        pr = ifft(pr, counter, out=pr)
+        pr = spec.ifft(pr, counter, out=pr)
         pr *= self.real_diag
         return pr, None
 
@@ -138,10 +133,9 @@ def build(kind: str, grid: Grid, alpha: float, w: np.ndarray | None,
         raise ValueError(f"unknown preconditioner kind {kind!r}")
     if kind != IDENTITY:
         alpha = check_shift(alpha)
-    k2 = grid.half_k2_r if real else grid.half_k2
-    fourier_diag = 1.0 / (alpha + k2) if kind in _FOURIER_DIAG else None
-    real_diag = 1.0 / (alpha + w) if kind in _REAL_DIAG else None
+    p = Preconditioner(kind=kind, grid=grid, alpha=alpha, real=real)
+    p.fourier_diag = 1.0 / (alpha + p.spectrum.half_k2) if kind in _FOURIER_DIAG else None
+    p.real_diag = 1.0 / (alpha + w) if kind in _REAL_DIAG else None
     if kind == COMBINED_SYM:
-        np.sqrt(real_diag, out=real_diag)
-    return Preconditioner(kind=kind, grid=grid, alpha=alpha, fourier_diag=fourier_diag,
-                          real_diag=real_diag, real=real)
+        np.sqrt(p.real_diag, out=p.real_diag)
+    return p

@@ -4,15 +4,20 @@ The domain is the square box [-L, L]^d with periodic boundary conditions,
 sampled on M uniform points per axis (x_k = -L + k*h, h = 2L/M).  Transforms
 follow the unscaled-forward / (1/M per axis)-inverse convention, so the
 discrete Fourier frequencies are xi_p = p*pi/L for p = -M/2 .. M/2-1 in
-standard FFT ordering.
+standard FFT ordering.  Grid.spectrum is the one place a caller chooses
+between the full spectra of complex fields and the half spectra of real
+ones (Spectrum, HalfSpectrum).
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
+
+_SPECTRA: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # Grid.spectrum
 
 
 class FFTCounter:
@@ -63,18 +68,16 @@ class Grid:
             modes of the last axis (a property, formed on first use).
 
     fft and ifft are the only full transforms of the package, rfft and irfft
-    their half-spectrum forms for real fields, and fft_axis and ifft_axis
-    the only one-axis ones.  fft and ifft take any input and return complex
-    grid arrays; they do not switch to the half spectrum for real input.
-    rfft takes a real grid array to its M/2+1 non-negative last-axis modes,
-    the rest following by Hermitian symmetry, and irfft takes such a half
-    spectrum back to a fresh real grid array.  fft, ifft and the one-axis
-    transforms write into a complex output array through `out=`, fresh
-    unless the caller passes one (the input itself for an in-place
-    transform), which lets numpy run its passes after the first in place
-    rather than into new strided arrays; the result is the same bit for
-    bit.  In 1D all four call numpy's 1D transforms, which numpy's n-D ones
-    wrap: the same bits without the wrapper's cost per call.
+    their half-spectrum forms for real fields (the M/2+1 non-negative modes
+    of the last axis, the rest following by Hermitian symmetry), and
+    fft_axis and ifft_axis the only one-axis ones; spectrum(real) is where
+    a caller picks between the first two pairs.  fft and ifft take any
+    input and return complex grid arrays.  They and the one-axis transforms
+    write through `out=`, fresh unless the caller passes one (the input
+    itself for an in-place transform), which lets numpy run its passes
+    after the first in place; the result is the same bit for bit.  rfft and
+    irfft return fresh arrays.  In 1D all four call numpy's 1D transforms,
+    which numpy's n-D ones wrap: the same bits without the wrapper's cost.
     """
 
     d: int
@@ -114,8 +117,16 @@ class Grid:
 
     @functools.cached_property
     def half_k2_r(self) -> np.ndarray:
-        # formed on first use: only real iterates read it
         return np.ascontiguousarray(self.half_k2[..., : self.M // 2 + 1])
+
+    def spectrum(self, real: bool) -> "Spectrum":
+        """The half spectra of real grid arrays when `real`, else the full
+        ones of complex arrays: one of each per grid (by id; a Spectrum holds
+        its grid) while a caller holds it, so no grid keeps a solve's weights."""
+        spec = _SPECTRA.get((id(self), real))
+        if spec is None:
+            spec = _SPECTRA[id(self), real] = (HalfSpectrum if real else Spectrum)(self)
+        return spec
 
     @property
     def k2(self) -> np.ndarray:
@@ -156,15 +167,11 @@ class Grid:
         return (np.fft.ifft if self.d == 1 else np.fft.ifftn)(values_hat, out=out)
 
     def rfft(self, values: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
-        """Half spectrum of a real grid array: the modes 0 .. M/2 of the last
-        axis, in a fresh array.  One unit, like fft."""
         if counter is not None:
             counter.add()
         return np.fft.rfft(values) if self.d == 1 else np.fft.rfftn(values)
 
     def irfft(self, values_hat: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
-        """The real grid array of a half spectrum (rfft's inverse), in a fresh
-        array.  One unit, like ifft."""
         if counter is not None:
             counter.add()
         if self.d == 1:
@@ -182,6 +189,67 @@ class Grid:
         if out is None:
             out = np.empty(self.shape, np.complex128)
         return np.fft.ifft(values, axis=axis, out=out)
+
+
+class Spectrum:
+    """Full spectra of complex grid arrays (HalfSpectrum: of real ones).
+    fft and ifft write into `out` where the result fits it and return it;
+    half_k2 is the kinetic symbol.  The Parseval sums take the images of
+    grid arrays a and b: dot is Re<a, b>, norm ||a|| and kinetic
+    Re<a, -Lap/2 b>, b = a when not given."""
+
+    def __init__(self, grid: Grid) -> None:
+        self.grid = grid
+        self.fft, self.ifft = grid.fft, grid.ifft
+        self.half_k2 = grid.half_k2
+        self.scale = grid.cell_volume / grid.size  # Parseval factor
+
+    def kinetic_image(self, a_hat: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
+        """-Lap/2 a: one inverse transform of half_k2 a_hat, in place where it fits."""
+        prod = np.multiply(self.half_k2, a_hat, dtype=np.complex128)
+        return self.ifft(prod, counter, out=prod)
+
+    def dot(self, a_hat: np.ndarray, b_hat: np.ndarray) -> float:
+        return self.scale * np.vdot(a_hat, b_hat).real
+
+    def norm(self, a_hat: np.ndarray) -> float:
+        return float(np.sqrt(self.scale) * np.linalg.norm(a_hat.ravel()))
+
+    def kinetic(self, a_hat: np.ndarray, b_hat: np.ndarray | None = None) -> float:
+        if b_hat is None:
+            return self.scale * float(np.sum(self.half_k2 * np.abs(a_hat) ** 2))
+        return self.scale * np.vdot(a_hat, self.half_k2 * b_hat).real
+
+
+class HalfSpectrum(Spectrum):
+    """Half spectra of real grid arrays (Grid.rfft).  A Parseval sum counts
+    each interior mode of the last axis twice, for its conjugate partner,
+    and the DC and Nyquist modes once: one dot of the float64 views,
+    weighted by mode_pairs, or by kin_pairs, those times the kinetic symbol."""
+
+    def __init__(self, grid: Grid) -> None:
+        super().__init__(grid)
+        # out is never used: no half spectrum fits a grid array
+        self.fft = lambda values, counter=None, out=None: grid.rfft(values, counter)
+        self.ifft = lambda values_hat, counter=None, out=None: grid.irfft(values_hat, counter)
+        self.half_k2 = grid.half_k2_r
+        weights = np.full(self.half_k2.shape, 2.0)
+        weights[..., [0, -1]] = 1.0
+        self.mode_pairs = np.repeat(weights, 2, axis=-1).reshape(-1)
+        self.kin_pairs = np.repeat(weights * self.half_k2, 2, axis=-1).reshape(-1)
+
+    def _pair_dot(self, a_hat: np.ndarray, b_hat: np.ndarray, weights: np.ndarray) -> float:
+        a = a_hat.view(np.float64).reshape(-1)
+        return self.scale * float(np.dot(a * weights, b_hat.view(np.float64).reshape(-1)))
+
+    def dot(self, a_hat, b_hat):
+        return self._pair_dot(a_hat, b_hat, self.mode_pairs)
+
+    def norm(self, a_hat):
+        return float(np.sqrt(self.dot(a_hat, a_hat)))
+
+    def kinetic(self, a_hat, b_hat=None):
+        return self._pair_dot(a_hat, a_hat if b_hat is None else b_hat, self.kin_pairs)
 
 
 @dataclass
@@ -231,14 +299,10 @@ def norm(u: WaveField) -> float:
 
 
 def kinetic_from_hat(grid: Grid, phi_hat: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
-    """Kinetic operator -Lap/2 given the full Fourier transform: one inverse
-    transform of |xi|^2/2 phi_hat, taken in place on the product (complex
-    even for real input).  Given the half spectrum of a real field
-    (Grid.rfft) it is one irfft, and the image is real."""
-    if phi_hat.shape[-1] != grid.M:  # M/2+1 modes: a half spectrum
-        return grid.irfft(grid.half_k2_r * phi_hat, counter)
-    out = np.multiply(grid.half_k2, phi_hat, out=np.empty(grid.shape, np.complex128))
-    return grid.ifft(out, counter, out=out)
+    """Kinetic operator -Lap/2 given the transform of a grid array: complex
+    for a full transform (even of real input), real for a half spectrum
+    (Grid.rfft).  One inverse transform (Spectrum.kinetic_image)."""
+    return grid.spectrum(phi_hat.shape[-1] != grid.M).kinetic_image(phi_hat, counter)
 
 
 @functools.lru_cache(maxsize=8)

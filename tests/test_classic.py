@@ -66,6 +66,14 @@ class TestSchemeKind:
             with pytest.raises(ValueError, match="inner_max_iter"):
                 SchemeKind(inner_max_iter=bad)
 
+    @pytest.mark.parametrize("option", ["dt", "inner_tol"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -float("inf")])
+    def test_step_and_inner_tol_must_be_finite(self, option, value):
+        # dt = inf once ended a run as diverged, and inner_tol = inf let
+        # be_lambda report converged from inexact solves
+        with pytest.raises(ValueError, match=f"{option} must be finite and positive"):
+            SchemeKind(**{option: value})
+
 
 class TestKrylovSolve:
     def test_identity_system(self):

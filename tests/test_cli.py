@@ -118,6 +118,24 @@ class TestSolveCommand:
         assert "Traceback" not in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("method,override", [
+        ("pcg", "solver.tol=inf"), ("be_lambda", "solver.tol=inf"),
+        ("be_lambda", "solver.dt=inf"), ("be_lambda", "solver.inner_tol=inf"),
+    ])
+    def test_infinite_tolerance_or_step_exits_2(self, tmp_path, capsys, method, override):
+        # on this trap tol = inf once exited 0 as converged after one pcg
+        # step, dt = inf exited 1 as diverged and inner_tol = inf exited 0
+        text = (HARMONIC_1D.replace("grid.L = 16", "grid.L = 8")
+                .replace("grid.M = 128", "grid.M = 64").replace("model.eta = 0", "model.eta = 10")
+                .replace("solver.method = pcg", f"solver.method = {method}"))
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", write_cfg(tmp_path, text), "--set", override,
+                     "--out", out]) == 2
+        key = override.split("=")[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key}: ") and "finite" in err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("verb,overrides,key", [
         ("solve", ["potential.kind=harmonic_plus_quartic"], "potential.kind"),
         ("solve", ["grid.d=2", "grid.M=16", "potential.harmonic_coeffs=1"],
@@ -324,6 +342,16 @@ class TestMultigridCommand:
         assert summary["level0_iterations"] == "3"
         assert "solver failed: max_iter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("levels", ["64:inf,128:1e-12", "64:1e-8,128:nan", "64:0"])
+    def test_level_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, levels):
+        cfg = write_cfg(tmp_path, HARMONIC_1D)
+        out = str(tmp_path / "out")
+        assert main(["multigrid", "--config", cfg, "--set", f"multigrid.levels={levels}",
+                     "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: multigrid.levels: tolerances must be finite")
+        assert not os.path.exists(out)
+
     def test_cli_verb(self, tmp_path):
         cfg = write_cfg(tmp_path, HARMONIC_1D + "multigrid.levels = 64:1e-10,128:1e-12\n")
         out = str(tmp_path / "out")
@@ -392,6 +420,14 @@ init.kind = gauss
         assert main(["analyze", "condition", "--config", cfg, "--precond", "kinetic"]) == 0
         out = capsys.readouterr().out
         assert "sigma = " in out
+
+    def test_condition_takes_no_out(self, tmp_path, capsys):
+        # analyze condition writes no files, so --out is a usage error
+        cfg = write_cfg(tmp_path, HARMONIC_1D)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "condition", "--config", cfg, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
 
     def test_condition_reads_the_configured_shift(self, tmp_path, capsys, monkeypatch):
         cfg = write_cfg(tmp_path, HARMONIC_1D.replace("grid.M = 128", "grid.M = 32")

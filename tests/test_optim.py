@@ -771,6 +771,12 @@ class TestSolverConfigValidation:
         with pytest.raises(ValueError, match=match):
             SolverConfig(**option)
 
+    @pytest.mark.parametrize("tol", [float("inf"), -float("inf")])
+    def test_infinite_tol_rejected(self, tol):
+        # tol = inf once stopped every run after its first step, as converged
+        with pytest.raises(ValueError, match="tol must be a finite"):
+            SolverConfig(tol=tol)
+
     def test_positive_and_adaptive_shift_accepted(self):
         assert SolverConfig(precond="kinetic", shift=2.5).shift == 2.5
         assert SolverConfig(precond="kinetic").shift == "adaptive"

@@ -68,6 +68,33 @@ class TestBuild:
             precond.build("chebyshev", g, 1.0, None)
 
 
+@pytest.mark.parametrize("transformed", [False, True])
+@pytest.mark.parametrize("d,m", [(1, 32), (2, 16), (3, 8)])
+@pytest.mark.parametrize("kind", precond.KINDS)
+def test_real_build_matches_complex_build(kind, d, m, transformed):
+    # on real r, the build for real values (the optimizer's float64 path)
+    # gives the complex build's Pr as a real array, and its transform as the
+    # first M/2+1 modes of the last axis, through the grid's half spectrum
+    g = Grid(d, 6.0, m)
+    rng = np.random.default_rng(17 * d + m)
+    r = rng.standard_normal(g.shape)
+    w = 1.0 + rng.random(g.shape)
+    full = precond.build(kind, g, 2.5, w)
+    half = precond.build(kind, g, 2.5, w, real=True)
+    assert half.spectrum is g.spectrum(True) and full.spectrum is g.spectrum(False)
+    pr_full, hat_full = full.apply_pair(g.fft(r) if transformed else r.astype(complex),
+                                        transformed=transformed)
+    pr_half, hat_half = half.apply_pair(g.rfft(r) if transformed else r, transformed=transformed)
+    assert (pr_half is None, hat_half is None) == (pr_full is None, hat_full is None)
+    if pr_full is not None:
+        assert pr_half.dtype == np.float64
+        assert np.max(np.abs(pr_half - pr_full.real)) <= 1e-13 * np.max(np.abs(pr_full))
+        assert np.max(np.abs(pr_full.imag)) <= 1e-13 * np.max(np.abs(pr_full))
+    if hat_full is not None:
+        modes = hat_full[..., : m // 2 + 1]
+        assert np.max(np.abs(hat_half - modes)) <= 1e-13 * np.max(np.abs(modes))
+
+
 class TestApply:
     def test_identity(self, setup_1d):
         g, params, phi = setup_1d

@@ -303,6 +303,39 @@ def test_half_spectrum_transforms(shape, seed, half_width):
     assert np.array_equal(g.half_k2_r, g.half_k2[..., : m // 2 + 1])
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 64), (1, 6), (2, 16), (3, 8)]), st.integers(0, 2**32 - 1),
+       st.floats(0.5, 20.0))
+def test_spectrum_sums_of_both_formats(shape, seed, half_width):
+    # on real x and y, the Parseval sums of Grid.spectrum's two formats (the
+    # half one counting each interior mode of the last axis twice) equal the
+    # real-space sums; each format's transforms are the grid's
+    d, m = shape
+    g = Grid(d, half_width, m)
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+    full, half = g.spectrum(False), g.spectrum(True)
+    assert half is g.spectrum(True) and full is g.spectrum(False)
+    assert np.array_equal(half.half_k2, g.half_k2_r) and full.half_k2 is g.half_k2
+    kin_x, kin_y = (kinetic_plain(g, g.fft(a)).real for a in (x, y))
+    hd = g.cell_volume
+    exact = {"dot": hd * np.dot(x.ravel(), y.ravel()), "norm": np.sqrt(hd) * np.linalg.norm(x),
+             "kinetic": hd * np.dot(x.ravel(), kin_x.ravel()),
+             "kinetic_xy": hd * np.dot(x.ravel(), kin_y.ravel())}
+    scale = hd * np.linalg.norm(x) * np.linalg.norm(y) * (1.0 + np.max(g.half_k2))
+    for spec, fft in ((full, g.fft), (half, g.rfft)):
+        x_hat, y_hat = spec.fft(x), spec.fft(y)
+        assert np.array_equal(x_hat, fft(x))
+        sums = {"dot": spec.dot(x_hat, y_hat), "norm": spec.norm(x_hat),
+                "kinetic": spec.kinetic(x_hat), "kinetic_xy": spec.kinetic(x_hat, y_hat)}
+        for name, value in sums.items():
+            assert abs(value - exact[name]) <= 1e-13 * scale, (spec, name)
+        kin = spec.kinetic_image(x_hat)
+        assert kin.dtype == (np.float64 if spec is half else np.complex128)
+        assert np.max(np.abs(kin - kin_x)) <= 1e-13 * np.max(np.abs(kin_x)) * m
+        assert np.max(np.abs(spec.ifft(x_hat) - x)) <= 1e-14 * np.max(np.abs(x)) * m
+
+
 class TestTransforms:
     """Each transform writes into a fresh output array: the result equals
     plain numpy.fft bit for bit and the input is left alone."""
