@@ -48,10 +48,9 @@ def scheme_weight(scheme: str) -> tuple[float, int]:
 
 def check_precond(scheme: str, kind: str) -> None:
     """Raise ValueError unless `kind` can precondition the MINRES solves of
-    `scheme`.  MINRES needs a Hermitian positive definite preconditioner,
-    and c1 = P_V P_Delta and c2 = P_Delta P_V are not Hermitian; the
-    explicit schemes (w = 0) read no preconditioner."""
-    if scheme_weight(scheme)[0] > 0 and kind in (precond.COMBINED1, precond.COMBINED2):
+    `scheme`.  MINRES needs a Hermitian positive definite preconditioner
+    (precond.HERMITIAN); the explicit schemes (w = 0) read none."""
+    if scheme_weight(scheme)[0] > 0 and kind not in precond.HERMITIAN:
         raise ValueError(
             f"precond {kind!r} is not Hermitian, but the MINRES solves of the implicit "
             f"scheme {scheme!r} need a Hermitian positive definite preconditioner")
@@ -127,8 +126,6 @@ def krylov_solve(
     b_norm = float(np.linalg.norm(rhs))
     if b_norm == 0.0:
         return WaveField(grid, x), 0
-    if p is not None and p.kind == precond.IDENTITY:
-        p = None
 
     def psolve(r: np.ndarray) -> np.ndarray:
         return r if p is None else p.apply_values(r, counter)

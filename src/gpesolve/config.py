@@ -68,7 +68,6 @@ _DEFAULTS: dict[str, str] = {
     "potential.q": "0",
     "potential.alpha": "0",
     "potential.kappa_quartic": "0",
-    "potential.lattice_argument": "nu_squared",
     "potential.harmonic_coeffs": "",
     "solver.method": "pcg",
     "solver.precond": "sym",
@@ -125,7 +124,7 @@ def _to_shift(value: str, key: str) -> str | float:
 
 
 def _to_axes(fill: float):
-    return lambda value, key: _pad3(_to_floats(value, key), fill)
+    return lambda value, key: model.pad3(_to_floats(value, key), fill)
 
 
 def _to_coeffs(value: str, key: str) -> tuple[float, ...] | None:
@@ -214,7 +213,6 @@ class RunConfig:
             q=("potential.q", _to_axes(0.0)),
             alpha=("potential.alpha", _to_float),
             kappa_quartic=("potential.kappa_quartic", _to_float),
-            lattice_argument=("potential.lattice_argument", _text),
             harmonic_coeffs=("potential.harmonic_coeffs", _to_coeffs),
         )
 
@@ -279,13 +277,3 @@ class RunConfig:
                 raise ConfigError(
                     "multigrid.levels: grid sizes must be strictly increasing", "multigrid.levels")
         return schedule
-
-
-def _pad3(values: tuple[float, ...], fill: float) -> tuple[float, ...]:
-    if len(values) == 0:
-        return (fill, fill, fill)
-    if len(values) == 1:
-        return (values[0],) * 3
-    while len(values) < 3:
-        values = values + (values[-1],)
-    return values

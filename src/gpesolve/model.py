@@ -56,9 +56,8 @@ class PotentialSpec:
     The harmonic part follows the printed convention of the source model:
     gamma_x^2 x^2 in 1D but gamma_nu nu^2 in 2D/3D (coefficients not
     squared).  Set `harmonic_coeffs` to use sum(c_nu nu^2) verbatim in any
-    dimension instead.  The lattice argument is sin^2(q_nu * nu^2) by
-    default (`lattice_argument="nu_squared"`); pass "nu" for the
-    conventional sin^2(q_nu * nu) reading.
+    dimension instead.  The lattice term is kappa_nu sin^2(q_nu nu^2), as
+    the source model prints it.
     """
 
     kind: str = HARMONIC
@@ -67,14 +66,11 @@ class PotentialSpec:
     q: tuple[float, ...] = (0.0, 0.0, 0.0)
     alpha: float = 0.0
     kappa_quartic: float = 0.0
-    lattice_argument: str = "nu_squared"
     harmonic_coeffs: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.lattice_argument not in ("nu_squared", "nu"):
-            raise ValueError(f"unknown lattice_argument {self.lattice_argument!r}")
         if any(g <= 0 for g in self.gamma):
             raise ValueError("trap frequencies gamma must be positive")
         if any(k < 0 for k in self.kappa) or self.kappa_quartic < 0:
@@ -132,9 +128,7 @@ class PotentialSpec:
             q = _axis_tuple(self.q, grid.d, "q")
             v = self._harmonic(grid) + np.zeros(grid.shape)
             for ax in range(grid.d):
-                nu = grid.coordinate(ax)
-                arg = q[ax] * nu**2 if self.lattice_argument == "nu_squared" else q[ax] * nu
-                v = v + kappa[ax] * np.sin(arg) ** 2
+                v = v + kappa[ax] * np.sin(q[ax] * grid.coordinate(ax) ** 2) ** 2
             return v
         # harmonic plus quartic, d = 2 or 3
         gamma = _axis_tuple(self.gamma, grid.d, "gamma")
@@ -147,23 +141,30 @@ class PotentialSpec:
         return v + np.zeros(grid.shape)
 
 
+def pad3(values, fill: float) -> tuple[float, ...]:
+    """Per-axis values as at least three floats: a scalar or a single value
+    for every axis, the last of two repeated, `fill` for none."""
+    out = (float(values),) if np.isscalar(values) else tuple(float(v) for v in values)
+    return out + (out[-1:] or (fill,)) * (3 - len(out))
+
+
 def harmonic(gamma=1.0) -> PotentialSpec:
-    return PotentialSpec(kind=HARMONIC, gamma=_axis_tuple(gamma, 3, "gamma"))
+    return PotentialSpec(kind=HARMONIC, gamma=pad3(gamma, 1.0))
 
 
 def harmonic_lattice(gamma=1.0, kappa=25.0, q=math.pi / 2) -> PotentialSpec:
     return PotentialSpec(
         kind=HARMONIC_LATTICE,
-        gamma=_axis_tuple(gamma, 3, "gamma"),
-        kappa=_axis_tuple(kappa, 3, "kappa"),
-        q=_axis_tuple(q, 3, "q"),
+        gamma=pad3(gamma, 1.0),
+        kappa=pad3(kappa, 0.0),
+        q=pad3(q, 0.0),
     )
 
 
 def harmonic_quartic(gamma=1.0, alpha=1.2, kappa_quartic=0.3) -> PotentialSpec:
     return PotentialSpec(
         kind=HARMONIC_QUARTIC,
-        gamma=_axis_tuple(gamma, 3, "gamma"),
+        gamma=pad3(gamma, 1.0),
         alpha=float(alpha),
         kappa_quartic=float(kappa_quartic),
     )
@@ -249,17 +250,11 @@ def frozen_hamiltonian(params: ModelParams, grid: Grid, w: np.ndarray,
                        counter: FFTCounter | None = None):
     """H = -1/2 Lap - omega Lz + w for a real array w on the grid, as a map on
     grid values; w = V + eta |phi|^2 is the mean-field Hamiltonian at phi.
-    Without rotation: one forward transform and the kinetic operator.  With
-    it, the linear part is applied one axis at a time
-    (spectral.rotating_linear), charged its two images, -Lap/2 and Lz."""
+    The linear part is Spectrum.linear, 2 transform units."""
+    spec = grid.spectrum(False)
 
     def apply_h(values: np.ndarray) -> np.ndarray:
-        if params.omega != 0.0:
-            out, _ = spectral.rotating_linear(grid, params.omega, values)
-            if counter is not None:
-                counter.add(2)
-        else:
-            out = spectral.kinetic_from_hat(grid, grid.fft(values, counter), counter)
+        out, _ = spec.linear(values, params.omega, counter)
         out += w * values
         return out
 
@@ -291,26 +286,22 @@ def evaluate(phi: WaveField, params: ModelParams, counter: FFTCounter | None = N
     """Evaluate phi once for everything a method reads of an iterate: the
     energy, H_phi phi, lambda, the residual's sup norm and w.
 
-    Without rotation the kinetic image from one forward and one inverse
-    transform (2 units) gives the kinetic energy and then H_phi phi.  With
-    rotation the linear part is applied one axis at a time and completes the
-    forward transform (3 units): the kinetic energy comes from the transform
-    by Parseval and the rotation energy as the rest of <phi, H_lin phi>.
+    The linear part H_lin phi (Spectrum.linear) takes 2 units without
+    rotation, and gives the kinetic energy as <phi, H_lin phi>.  With
+    rotation it also completes the forward transform (3 units): the kinetic
+    energy comes from the transform by Parseval and the rotation energy as
+    the rest of <phi, H_lin phi>.
     """
     g = phi.grid
     hd = g.cell_volume
     u = phi.values
     dens = np.abs(u) ** 2
-    if params.omega != 0.0:
-        h_phi, u_hat = spectral.rotating_linear(g, params.omega, u, hat=True)
-        if counter is not None:
-            counter.add(3)
-        kinetic = g.spectrum(False).kinetic(u_hat)
-        rotation = (hd * np.vdot(u, h_phi)).real - kinetic
-    else:
-        h_phi = spectral.kinetic_from_hat(g, g.fft(u, counter), counter)
-        kinetic = (hd * np.vdot(u, h_phi)).real
-        rotation = 0.0
+    spec = g.spectrum(False)
+    rotating = params.omega != 0.0
+    h_phi, u_hat = spec.linear(u, params.omega, counter, hat=rotating)
+    lin = (hd * np.vdot(u, h_phi)).real
+    kinetic = spec.kinetic(u_hat) if rotating else lin
+    rotation = lin - kinetic if rotating else 0.0
     v = sample_potential(params.potential, g)
     potential = hd * float(np.sum(v * dens))
     interaction = 0.5 * params.eta * hd * float(np.sum(dens**2))
@@ -322,14 +313,13 @@ def evaluate(phi: WaveField, params: ModelParams, counter: FFTCounter | None = N
                       EnergyBreakdown(kinetic, potential, interaction, rotation), w)
 
 
-def half_hessian(params: ModelParams, grid: Grid, phi: np.ndarray,
-                 counter: FFTCounter | None = None):
+def half_hessian(params: ModelParams, grid: Grid, phi: np.ndarray):
     """Half the energy Hessian at grid values phi, as a map on grid values:
     x -> H_phi x + eta (|phi|^2 x + phi^2 conj(x)).  It is real-linear, not
     complex-linear, and symmetric under Re<., .>."""
     dens = np.abs(phi) ** 2
     apply_h = frozen_hamiltonian(
-        params, grid, sample_potential(params.potential, grid) + params.eta * dens, counter)
+        params, grid, sample_potential(params.potential, grid) + params.eta * dens)
     phi_sq = phi**2
 
     def apply_b(x: np.ndarray) -> np.ndarray:

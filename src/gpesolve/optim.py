@@ -314,13 +314,6 @@ def _line_search(arc: _Arc) -> tuple[float, int, float]:
 # fused iteration engine
 # ---------------------------------------------------------------------------
 
-# kinds that read the Fourier image of the iterate after set-up without
-# rotation: those with a Fourier-space residual, and c2, which forms the
-# transform of p_hat from that of Pr.  With rotation every kind reads it,
-# for the kinetic energy in the shift.
-_READS_HAT = (precond.KINETIC, precond.COMBINED1, precond.COMBINED2)
-
-
 @dataclass
 class _Bundle:
     """Direction data produced once per iteration."""
@@ -352,8 +345,8 @@ class _Engine:
     H_lin = -Lap/2 is formed from full transforms, and only where a kind
     reads it: the Fourier-first kinds take their kinetic terms by Parseval
     and carry uhat in place of hu, and uhat is carried only for the kinds
-    that read it (_READS_HAT).  The CG memory is kept only under pcg, in
-    the representations the kind mixes in.
+    that read it (precond.FOURIER_FIRST and FORMS_HAT).  The CG memory is
+    kept only under pcg, in the representations the kind mixes in.
 
     The dtype is chosen once, here (_carries_real), and with it the
     spectrum that takes every transform and Parseval sum of the engine.
@@ -375,13 +368,18 @@ class _Engine:
         self.u = np.ascontiguousarray(u.real) if self.real else u
         self.spec = g.spectrum(self.real)
         self.rotating = self.omega != 0.0
+        self.pcg = cfg.method == "pcg"
         self.fourier = cfg.precond in precond.FOURIER_FIRST
+        forms_hat = cfg.precond in precond.FORMS_HAT
         self.hu, uhat = self._images(self.u)
-        self.uhat = uhat if self.rotating or cfg.precond in _READS_HAT else None
+        # without rotation uhat is read by the kinds with a Fourier-space
+        # residual, and by those that form the transform of p_hat from that
+        # of Pr; with rotation by every kind, for the kinetic energy of the shift
+        self.uhat = uhat if self.rotating or self.fourier or forms_hat else None
         # a Fourier-space residual is brought to real space only for the
-        # residual stop and for c1 under pcg (its PR inner products)
-        self.need_r_real = cfg.stop == STOP_RESIDUAL or (
-            cfg.precond == precond.COMBINED1 and cfg.method == "pcg")
+        # residual stop, and under pcg where Pr comes back in real space
+        # (its PR inner products)
+        self.need_r_real = cfg.stop == STOP_RESIDUAL or (self.pcg and not forms_hat)
         self.r: np.ndarray | None = None
         self.r_hat: np.ndarray | None = None
         # the iterate's scalars, refreshed by begin; the energy is then
@@ -389,11 +387,11 @@ class _Engine:
         self._scalars()
         self.energy = self.qa + 0.5 * self.eta * self.hd * self.q40
         # CG memory: the previous direction is kept in real space unless the
-        # kind mixes in Fourier space (kinetic), and also in Fourier space
-        # where the transform of the next direction is formed from it (c2)
-        self.pcg = cfg.method == "pcg"
-        self.keep_real = self.pcg and cfg.precond != precond.KINETIC
-        self.keep_hat = self.pcg and cfg.precond in (precond.KINETIC, precond.COMBINED2)
+        # kind mixes in Fourier space (Pr never leaves it), and also in
+        # Fourier space where the transform of the next direction is formed
+        # from it
+        self.keep_real = self.pcg and not (self.fourier and forms_hat)
+        self.keep_hat = self.pcg and forms_hat
         self.prp_prev: float | None = None
         self.p_prev_real: np.ndarray | None = None
         self.p_prev_hat: np.ndarray | None = None

@@ -2,14 +2,18 @@
 potential parts of the Hessian, their compositions, and the symmetrized
 combination.
 
-All kinds are built from two diagonals refreshed at the current iterate:
-a Fourier diagonal 1/(alpha + |xi|^2/2), on the iterate's spectrum
-(Grid.spectrum: half spectra on the optimizer's float64 path), and a
-real-space diagonal 1/(alpha + V + eta |phi_n|^2).  The shift alpha is
-fixed, or the characteristic energy of the iterate (adaptive policy),
-which each caller has at hand.  This module is the only place the diagonals are built and
-applied; the optimizer, the MINRES baselines and the conditioning
-diagnostic all go through `build`.
+Every kind is a product of two diagonals refreshed at the current iterate:
+F = 1/(alpha + |xi|^2/2) in Fourier space, on the iterate's spectrum
+(Grid.spectrum: half spectra on the optimizer's float64 path), and
+V = 1/(alpha + V(x) + eta |phi_n|^2) in real space, with v = V^(1/2).
+FACTORS writes each product in the order its factors act on r, as the
+paper does: P_Delta = F, P_V = V, c1 = P_V P_Delta, c2 = P_Delta P_V and
+sym = P_V^(1/2) P_Delta P_V^(1/2).  Every per-kind rule is read from that
+table: the diagonals `build` forms, the loop of `apply_pair`,
+FOURIER_FIRST, FORMS_HAT and HERMITIAN.  The shift alpha is fixed, or
+the characteristic energy of the iterate (adaptive policy), which each
+caller has at hand.  The optimizer, the MINRES baselines and the
+conditioning diagnostic all go through `build`.
 """
 
 from __future__ import annotations
@@ -29,13 +33,18 @@ COMBINED1 = "c1"
 COMBINED2 = "c2"
 COMBINED_SYM = "sym"
 
-KINDS = (IDENTITY, KINETIC, POTENTIAL, COMBINED1, COMBINED2, COMBINED_SYM)
-
-# kinds whose first factor is the Fourier diagonal: they act on the
-# transform of the residual, so the optimizer assembles the residual there
-FOURIER_FIRST = (KINETIC, COMBINED1)
-_FOURIER_DIAG = (KINETIC, COMBINED1, COMBINED2, COMBINED_SYM)
-_REAL_DIAG = (POTENTIAL, COMBINED1, COMBINED2, COMBINED_SYM)
+# each kind's diagonal factors in the order they act on r: F the Fourier
+# diagonal, V the real-space one and v its square root
+FACTORS = {IDENTITY: "", KINETIC: "F", POTENTIAL: "V", COMBINED1: "FV", COMBINED2: "VF",
+           COMBINED_SYM: "vFv"}
+KINDS = tuple(FACTORS)
+# kinds that act on the transform of r first, so the optimizer assembles
+# the residual there
+FOURIER_FIRST = tuple(k for k in KINDS if FACTORS[k].startswith("F"))
+# kinds whose last factor is F: they form the transform of Pr on the way
+FORMS_HAT = tuple(k for k in KINDS if FACTORS[k].endswith("F"))
+# kinds whose factors read the same backwards: Hermitian, as MINRES needs
+HERMITIAN = tuple(k for k in KINDS if FACTORS[k] == FACTORS[k][::-1])
 
 
 @dataclass
@@ -45,11 +54,10 @@ class Preconditioner:
     Attributes:
         kind: One of KINDS.
         alpha: Positive shift used in both diagonals.
-        fourier_diag: 1/(alpha + |xi|^2/2) on the grid, or on the half
-            spectrum when `real` (None for identity/potential).
-        real_diag: 1/(alpha + V + eta |phi_n|^2) (None for identity/kinetic),
-            and for sym its square root, the factor applied on each side of
-            the Fourier diagonal.
+        fourier_diag: F = 1/(alpha + |xi|^2/2) on the grid, or on the half
+            spectrum when `real` (None where FACTORS has no F).
+        real_diag: V = 1/(alpha + V + eta |phi_n|^2), or v = V^(1/2) where
+            FACTORS has v (None where it has neither).
         real: Whether it acts on real grid values; `spectrum`,
             grid.spectrum(real), takes its transforms (half spectra if so).
     """
@@ -70,42 +78,27 @@ class Preconditioner:
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Apply to grid values r, or to their transform when `transformed`.
 
-        Returns (Pr, transform of Pr).  The transform is returned only where
-        it is formed on the way (kinetic, c2), else None.  Pr is None only
-        for the kinetic kind applied to a transform: its result is left in
-        Fourier space.  The identity returns r itself.
+        The factors act in turn (FACTORS), each in its own space: a
+        transform runs where the space changes.  r is left alone; every
+        array formed from it is transformed and scaled in place where the
+        spectrum's format allows.  Returns (Pr, transform of Pr).  The
+        transform is returned where the last factor formed it (FORMS_HAT),
+        else None.  Pr is None where r came as a transform and never left
+        Fourier space (the kinetic kind): the result is left there.  The
+        identity returns r itself.
         """
-        # r is left alone; every array formed from it is transformed and
-        # scaled in place where the spectrum's format allows
-        spec = self.spectrum
-        if self.kind in FOURIER_FIRST:
-            if transformed:
-                pr_hat = self.fourier_diag * r
-            else:
-                pr_hat = spec.fft(r, counter)
-                pr_hat *= self.fourier_diag
-            if self.kind == COMBINED1:  # P_V P_Delta
-                pr = spec.ifft(pr_hat, counter, out=pr_hat)
-                pr *= self.real_diag
-                return pr, None
-            return (None if transformed else spec.ifft(pr_hat, counter)), pr_hat
-        if transformed:
-            r = spec.ifft(r, counter)
-        if self.kind == IDENTITY:
-            return r, None
-        if self.kind == POTENTIAL:
-            return self.real_diag * r, None
-        if self.kind == COMBINED2:  # P_Delta P_V
-            pr_hat = self.real_diag * r
-            pr_hat = spec.fft(pr_hat, counter, out=pr_hat)
-            pr_hat *= self.fourier_diag
-            return spec.ifft(pr_hat, counter), pr_hat
-        pr = self.real_diag * r
-        pr = spec.fft(pr, counter, out=pr)
-        pr *= self.fourier_diag
-        pr = spec.ifft(pr, counter, out=pr)
-        pr *= self.real_diag
-        return pr, None
+        spec, x, hat, was_real = self.spectrum, r, transformed, not transformed
+        for f in FACTORS[self.kind]:
+            if hat != (f == "F"):
+                x = (spec.ifft if hat else spec.fft)(x, counter, out=None if x is r else x)
+                hat, was_real = not hat, True
+            diag = self.fourier_diag if f == "F" else self.real_diag
+            x = np.multiply(x, diag, out=None if x is r else x)
+        if not hat:
+            return x, None
+        if x is r:  # the identity applied to a transform
+            return spec.ifft(x, counter), None
+        return (spec.ifft(x, counter) if was_real else None), x
 
     def apply_values(self, r: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
         """Pr for raw grid values (MINRES baselines, conditioning diagnostic)."""
@@ -129,13 +122,14 @@ def build(kind: str, grid: Grid, alpha: float, w: np.ndarray | None,
     The adaptive shift, the characteristic energy of phi_n, is the caller's:
     in a trap negative somewhere it need not be positive.  With `real` it
     acts on real values, and its Fourier diagonal is on the half spectrum."""
-    if kind not in KINDS:
+    factors = FACTORS.get(kind)
+    if factors is None:
         raise ValueError(f"unknown preconditioner kind {kind!r}")
-    if kind != IDENTITY:
+    if factors:
         alpha = check_shift(alpha)
     p = Preconditioner(kind=kind, grid=grid, alpha=alpha, real=real)
-    p.fourier_diag = 1.0 / (alpha + p.spectrum.half_k2) if kind in _FOURIER_DIAG else None
-    p.real_diag = 1.0 / (alpha + w) if kind in _REAL_DIAG else None
-    if kind == COMBINED_SYM:
+    p.fourier_diag = 1.0 / (alpha + p.spectrum.half_k2) if "F" in factors else None
+    p.real_diag = 1.0 / (alpha + w) if "V" in factors.upper() else None
+    if "v" in factors:
         np.sqrt(p.real_diag, out=p.real_diag)
     return p

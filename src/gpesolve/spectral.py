@@ -209,6 +209,20 @@ class Spectrum:
         prod = np.multiply(self.half_k2, a_hat, dtype=np.complex128)
         return self.ifft(prod, counter, out=prod)
 
+    def linear(self, x: np.ndarray, omega: float, counter: FFTCounter | None = None,
+               hat: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+        """(-Lap/2 x - omega Lz x, transform of x when `hat`, else None).
+        Without rotation: fft and kinetic_image, 2 units.  With it the
+        one-axis passes of rotating_linear, charged its two images and one
+        unit more when they complete the transform."""
+        if omega == 0.0:
+            x_hat = self.fft(x, counter)
+            return self.kinetic_image(x_hat, counter), (x_hat if hat else None)
+        out, x_hat = rotating_linear(self.grid, omega, x, hat=hat)
+        if counter is not None:
+            counter.add(2 + hat)
+        return out, x_hat
+
     def dot(self, a_hat: np.ndarray, b_hat: np.ndarray) -> float:
         return self.scale * np.vdot(a_hat, b_hat).real
 
@@ -296,13 +310,6 @@ def inner(u: WaveField, v: WaveField) -> complex:
 
 def norm(u: WaveField) -> float:
     return float(np.sqrt(u.grid.cell_volume) * np.linalg.norm(u.values.ravel()))
-
-
-def kinetic_from_hat(grid: Grid, phi_hat: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
-    """Kinetic operator -Lap/2 given the transform of a grid array: complex
-    for a full transform (even of real input), real for a half spectrum
-    (Grid.rfft).  One inverse transform (Spectrum.kinetic_image)."""
-    return grid.spectrum(phi_hat.shape[-1] != grid.M).kinetic_image(phi_hat, counter)
 
 
 @functools.lru_cache(maxsize=8)

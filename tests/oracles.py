@@ -66,9 +66,9 @@ def dense_lz_matrix(m: int, box: float) -> np.ndarray:
 
 
 # plain numpy.fft transforms with the package's arithmetic, computed out of
-# place: Grid.fft/ifft and kinetic_from_hat must equal them bit for bit, and
-# the one-axis spectral.rotating_linear must equal kinetic_plain - omega
-# lz_plain to rounding
+# place: Grid.fft/ifft and Spectrum.kinetic_image must equal them bit for
+# bit, and the one-axis spectral.rotating_linear must equal kinetic_plain -
+# omega lz_plain to rounding
 
 def fft_plain(values: np.ndarray) -> np.ndarray:
     return np.fft.fftn(values)

@@ -89,6 +89,12 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg]) == 2
         assert "typo.key" in capsys.readouterr().err
 
+    def test_lattice_argument_key_is_gone(self, tmp_path, capsys):
+        # the lattice term is sin^2(q nu^2) only; the key that chose it exits 2
+        cfg = write_cfg(tmp_path, HARMONIC_1D + "potential.lattice_argument = nu\n")
+        assert main(["solve", "--config", cfg]) == 2
+        assert "'potential.lattice_argument'" in capsys.readouterr().err
+
     def test_nonpositive_shift_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, HARMONIC_1D)
         out = str(tmp_path / "out")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gpesolve import Grid, WaveField
-from gpesolve import io
+from gpesolve import io, model
 from gpesolve.config import ConfigError, RunConfig, apply_overrides, format_config, parse_config_text
 from gpesolve.optim import IterationRecord
 
@@ -68,6 +68,23 @@ class TestConfigParsing:
         assert cfg.multigrid_schedule() == [(64, 1e-10), (128, 1e-11), (256, 1e-12)]
         with pytest.raises(ConfigError, match="increasing"):
             RunConfig.from_text(MINIMAL + "multigrid.levels = 128,64\n")
+
+    @pytest.mark.parametrize("values", [(2.0,), (2.0, 3.0), (2.0, 3.0, 4.0)])
+    def test_trap_factories_pad_axes_as_the_config_does(self, values):
+        # one, two or three per-axis values give the same spec through a
+        # factory as through the config keys
+        text = ",".join(map(str, values))
+
+        def spec(**keys):
+            sets = ["grid.d=2", "grid.M=16"] + [f"potential.{k}={v}" for k, v in keys.items()]
+            return RunConfig.from_text(MINIMAL, overrides=sets).potential()
+
+        assert model.harmonic(values).gamma == (values + values[-1:] * 2)[:3]
+        assert model.harmonic(values) == spec(kind="harmonic", gamma=text)
+        assert model.harmonic_lattice(values, values, values) == spec(
+            kind="harmonic_plus_lattice", gamma=text, kappa=text, q=text)
+        assert model.harmonic_quartic(values, 1.2, 0.3) == spec(
+            kind="harmonic_plus_quartic", gamma=text, alpha=1.2, kappa_quartic=0.3)
 
     @pytest.mark.parametrize("key", ["solver.theta_default", "solver.backtrack_factor",
                                      "solver.max_backtracks", "solver.full_linesearch", "seed"])

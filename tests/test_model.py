@@ -78,11 +78,9 @@ class TestPotentials:
         g = Grid(1, 4.0, 16)
         base = dict(kind="harmonic_plus_lattice", gamma=(1.0,) * 3, kappa=(25.0,) * 3,
                     q=(np.pi / 2,) * 3)
-        v_sq = PotentialSpec(lattice_argument="nu_squared", **base).sample(g)
-        v_nu = PotentialSpec(lattice_argument="nu", **base).sample(g)
+        v_sq = PotentialSpec(**base).sample(g)
         x = g.x1
         assert np.allclose(v_sq, x**2 + 25 * np.sin(np.pi / 2 * x**2) ** 2)
-        assert np.allclose(v_nu, x**2 + 25 * np.sin(np.pi / 2 * x) ** 2)
 
     def test_quartic(self):
         g = Grid(2, 4.0, 16)

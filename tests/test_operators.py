@@ -63,7 +63,7 @@ def test_lz_hermitian(problem):
     g, params, (_, u, v) = setup(2, *problem[1:])
 
     def lz(a):
-        return spectral.kinetic_from_hat(g, g.fft(a)) - spectral.rotating_linear(
+        return g.spectrum(False).kinetic_image(g.fft(a)) - spectral.rotating_linear(
             g, params.omega, a)[0]
 
     lu, lv = lz(u), lz(v)

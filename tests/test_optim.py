@@ -1,5 +1,6 @@
 """Sphere-constrained PG/PCG solvers: arc geometry, stepsizes, stopping."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -750,7 +751,7 @@ class TestFusedImageDrift:
         uhat = g.rfft(engine.u)
         assert (engine.uhat is None) == (kind == "sym")
         assert (engine.hu is None) == (kind == "kinetic")
-        fresh = [(engine.uhat, uhat), (engine.hu, spectral.kinetic_from_hat(g, uhat))]
+        fresh = [(engine.uhat, uhat), (engine.hu, g.spectrum(True).kinetic_image(uhat))]
         for carried, exact in fresh:
             if carried is not None:
                 assert np.max(np.abs(carried - exact)) <= 1e-12 * np.max(np.abs(exact))
@@ -776,6 +777,27 @@ class TestSolverConfigValidation:
         # tol = inf once stopped every run after its first step, as converged
         with pytest.raises(ValueError, match="tol must be a finite"):
             SolverConfig(tol=tol)
+
+    def test_config_and_keywords_are_exclusive(self):
+        g = Grid(1, 8.0, 32)
+        phi0 = model.initial_guess("gauss", g, ModelParams())
+        for entry in (solve_pg, solve_pcg):
+            with pytest.raises(TypeError, match="not both"):
+                entry(phi0, ModelParams(), SolverConfig(), tol=1e-8)
+
+    def test_entry_point_runs_its_method(self):
+        # a SolverConfig given to solve_pcg or solve_pg runs that entry's
+        # method, whatever its own says
+        g = Grid(1, 8.0, 32)
+        params = ModelParams(eta=10.0, potential=harmonic(1.0))
+        phi0 = model.initial_guess("gauss", g, params)
+        cfg = SolverConfig(method="pg", precond="sym", tol=1e-10, max_iter=50)
+        pcg = solve_pcg(phi0, params, cfg)
+        pg = solve_pg(phi0, params, dataclasses.replace(cfg, method="pcg"))
+        for res, method in ((pcg, "pcg"), (pg, "pg")):
+            ref = solve(phi0, params, dataclasses.replace(cfg, method=method))
+            assert [r.energy for r in res.records] == [r.energy for r in ref.records]
+        assert any(r.beta > 0 for r in pcg.records) and all(r.beta == 0 for r in pg.records)
 
     def test_positive_and_adaptive_shift_accepted(self):
         assert SolverConfig(precond="kinetic", shift=2.5).shift == 2.5

@@ -68,6 +68,16 @@ class TestBuild:
             precond.build("chebyshev", g, 1.0, None)
 
 
+def test_tables_derived_from_factors():
+    # each per-kind rule read from FACTORS is the one the kinds were given
+    # by hand: c1 = P_V P_Delta starts with the Fourier diagonal, c2 =
+    # P_Delta P_V ends with it, and those two alone are not Hermitian
+    assert precond.KINDS == ("identity", "kinetic", "potential", "c1", "c2", "sym")
+    assert precond.FOURIER_FIRST == ("kinetic", "c1")
+    assert precond.FORMS_HAT == ("kinetic", "c2")
+    assert precond.HERMITIAN == ("identity", "kinetic", "potential", "sym")
+
+
 @pytest.mark.parametrize("transformed", [False, True])
 @pytest.mark.parametrize("d,m", [(1, 32), (2, 16), (3, 8)])
 @pytest.mark.parametrize("kind", precond.KINDS)

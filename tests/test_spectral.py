@@ -28,14 +28,14 @@ def random_field(grid, seed=0):
 def apply_laplacian(u):
     """The Laplacian through the package's kinetic operator -Lap/2."""
     g = u.grid
-    return WaveField(g, -2.0 * spectral.kinetic_from_hat(g, g.fft(u.values)))
+    return WaveField(g, -2.0 * g.spectrum(False).kinetic_image(g.fft(u.values)))
 
 
 def apply_lz(u, omega=0.5):
     """Lz through the one-axis operator -Lap/2 - omega Lz, less its
     kinetic part, over omega."""
     g = u.grid
-    kinetic = spectral.kinetic_from_hat(g, g.fft(u.values))
+    kinetic = g.spectrum(False).kinetic_image(g.fft(u.values))
     return WaveField(g, (kinetic - spectral.rotating_linear(g, omega, u.values)[0]) / omega)
 
 
@@ -229,6 +229,29 @@ def test_rotating_linear_matches_full_transforms(shape, seed, omega, half_width)
     assert abs(dot(u, hv) - dot(hu, v)) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("d,omega", [(1, 0.0), (2, 0.0), (2, 0.7), (3, -0.4)])
+@pytest.mark.parametrize("hat", [False, True])
+def test_spectrum_linear_is_the_one_linear_part(d, omega, hat):
+    # Spectrum.linear is the kinetic image of the transform without
+    # rotation and the one-axis operator with it, bit for bit, charged 2
+    # units and 1 more where the rotating passes complete the transform
+    g = Grid(d, 5.0, {1: 32, 2: 16, 3: 8}[d])
+    u = random_field(g, d).values
+    before = u.copy()
+    counter = spectral.FFTCounter()
+    out, u_hat = g.spectrum(False).linear(u, omega, counter, hat=hat)
+    if omega == 0.0:
+        assert np.array_equal(out, g.spectrum(False).kinetic_image(g.fft(u)))
+        assert counter.count == 2
+    else:
+        assert np.array_equal(out, spectral.rotating_linear(g, omega, u)[0])
+        assert counter.count == 2 + hat
+    assert (u_hat is None) == (not hat)
+    if hat:
+        assert np.max(np.abs(u_hat - g.fft(u))) <= 1e-13 * np.max(np.abs(u_hat))
+    assert np.array_equal(u, before)
+
+
 def test_rotating_linear_requires_two_dimensions():
     g = Grid(1, 4.0, 16)
     with pytest.raises(ValueError, match="d >= 2"):
@@ -297,7 +320,7 @@ def test_half_spectrum_transforms(shape, seed, half_width):
     assert abs(via_half - via_full) <= 1e-13 * scale
     assert abs(via_half - direct) <= 1e-13 * scale
     # the kinetic image of a real field from its half spectrum
-    kin, exact = spectral.kinetic_from_hat(g, x_half), kinetic_plain(g, full)
+    kin, exact = g.spectrum(True).kinetic_image(x_half), kinetic_plain(g, full)
     assert kin.dtype == np.float64
     assert np.max(np.abs(kin - exact)) <= 1e-13 * np.max(np.abs(exact)) * m
     assert np.array_equal(g.half_k2_r, g.half_k2[..., : m // 2 + 1])
@@ -345,7 +368,7 @@ class TestTransforms:
     @staticmethod
     def operators(g):
         return [("fft", g.fft, fft_plain), ("ifft", g.ifft, ifft_plain),
-                ("kinetic", lambda a: spectral.kinetic_from_hat(g, a),
+                ("kinetic", lambda a: g.spectrum(False).kinetic_image(a),
                  lambda a: kinetic_plain(g, a))]
 
     @pytest.mark.parametrize("d,real", CASES)
@@ -366,7 +389,7 @@ class TestTransforms:
     def test_kinetic_charges_one_unit(self):
         g = Grid(2, 5.0, 16)
         counter = spectral.FFTCounter()
-        spectral.kinetic_from_hat(g, g.fft(random_field(g).values), counter)
+        g.spectrum(False).kinetic_image(g.fft(random_field(g).values), counter)
         assert counter.count == 1
 
 
