@@ -136,7 +136,7 @@ def dump(out_path: str) -> None:
     res = classic.run_imaginary_time(phi0, classic.SchemeKind(scheme="be_lambda", dt=0.01), params,
                                      precond_kind="sym", max_iter=5)
     runs["failure/be_lambda/max_iter"] = _summarize(res)
-    lam_max = 0.5 * float(np.max(grid.k2)) + float(np.max(model.sample_potential(params.potential, grid)))
+    lam_max = float(np.max(grid.half_k2)) + float(np.max(model.sample_potential(params.potential, grid)))
     res = classic.run_imaginary_time(phi0, classic.SchemeKind(scheme="fe", dt=2.5 / lam_max), params,
                                      max_iter=400)
     runs["failure/fe/diverged"] = _summarize(res)

@@ -50,6 +50,8 @@ def check_precond(scheme: str, kind: str) -> None:
     """Raise ValueError unless `kind` can precondition the MINRES solves of
     `scheme`.  MINRES needs a Hermitian positive definite preconditioner
     (precond.HERMITIAN); the explicit schemes (w = 0) read none."""
+    if kind not in precond.KINDS:
+        raise ValueError(f"unknown preconditioner {kind!r}")
     if scheme_weight(scheme)[0] > 0 and kind not in precond.HERMITIAN:
         raise ValueError(
             f"precond {kind!r} is not Hermitian, but the MINRES solves of the implicit "
@@ -108,7 +110,7 @@ def krylov_solve(
     the discrete inner product; the preconditioner must be Hermitian
     positive definite.  Then the Lanczos coefficients alpha = Re<v, Av> and
     beta = sqrt(Re<r, Pr>) are real, and MINRES (Paige & Saunders 1975)
-    runs on the complex vectors with its real Givens recursion.
+    runs on vectors of b's dtype with its real Givens recursion.
 
     One Krylov run, from x = 0: whenever the recursive estimate of the
     P-norm residual falls to its target, first tol times its start value,
@@ -122,7 +124,7 @@ def krylov_solve(
     """
     grid = b.grid
     rhs = b.values
-    x = np.zeros(grid.shape, dtype=np.complex128)
+    x = np.zeros_like(rhs)
     b_norm = float(np.linalg.norm(rhs))
     if b_norm == 0.0:
         return WaveField(grid, x), 0
@@ -213,9 +215,10 @@ def imaginary_time_step(
     phi~ = phi_n - dt A phi_n; otherwise preconditioned MINRES solves the
     Hermitian system (1/dt + w A) phi~ = phi_n/dt - (1 - w) A phi_n.
     phi_n may be given as its model.Evaluation, which the step then reads
-    instead of evaluating phi_n again.  Returns (phi_{n+1}, inner iteration
-    count).  Raises optim.Stop(diverged) when the preconditioner shift is
-    not positive or the field before projection has zero or non-finite norm.
+    instead of evaluating phi_n again.  Returns (phi_{n+1}, of phi_n's dtype,
+    and the inner iteration count).  Raises optim.Stop(diverged) when the
+    preconditioner shift is not positive or the field before projection has
+    zero or non-finite norm.
     """
     check_precond(scheme.scheme, precond_kind)
     ev = phi_n if isinstance(phi_n, model.Evaluation) else model.evaluate(phi_n, params, counter)
@@ -238,7 +241,7 @@ def imaginary_time_step(
             # preconditioner diagonal mirrors it on top of the adaptive one
             shift = 1.0 / dt + ev.energy.characteristic
         try:
-            p = precond.build(precond_kind, g, shift, ev.w)
+            p = precond.build(precond_kind, g, shift, ev.w, np.isrealobj(phi_n.values))
         except ValueError as err:  # the shift check of precond.build
             raise Stop(DIVERGED, str(err)) from None
 
@@ -286,7 +289,9 @@ def run_imaginary_time(
     params.check_dimension(phi0.grid.d)
     t0 = time.perf_counter()
     counter = FFTCounter()
-    ev = model.evaluate(start_iterate(phi0), params, counter)
+    ev = model.evaluate(start_iterate(phi0, params.omega), params, counter)
+    # held for the run: Grid.spectrum rebuilds a spectrum that nothing holds
+    spectrum = phi0.grid.spectrum(np.isrealobj(ev.phi.values))
     trial = None  # evaluation of the last step's iterate, accepted once the next one runs
 
     def step() -> dict:

@@ -67,11 +67,13 @@ def load_field(path: str) -> WaveField:
         raise ValueError(f"{path}: payload of {payload} bytes is not a multiple of 16")
     flat = np.frombuffer(data, dtype="<c16", offset=HEADER_BYTES)
     try:
+        if not (d_f.is_integer() and m_f.is_integer()):
+            raise ValueError(f"header gives d = {d_f!r}, M = {m_f!r}, not integers")
         d, m = int(d_f), int(m_f)
         if d not in (1, 2, 3) or flat.size != m**d:  # checked first: a corrupt M must not allocate
             raise ValueError(f"payload has {flat.size} values, header gives d = {d}, M = {m}")
         grid = Grid(d, box, m)
-    except (ValueError, OverflowError) as err:
+    except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
     return WaveField(grid, flat.reshape(grid.shape).astype(np.complex128))
 

@@ -250,11 +250,11 @@ def frozen_hamiltonian(params: ModelParams, grid: Grid, w: np.ndarray,
                        counter: FFTCounter | None = None):
     """H = -1/2 Lap - omega Lz + w for a real array w on the grid, as a map on
     grid values; w = V + eta |phi|^2 is the mean-field Hamiltonian at phi.
-    The linear part is Spectrum.linear, 2 transform units."""
-    spec = grid.spectrum(False)
+    The linear part is Spectrum.linear, 2 transform units, on the spectrum
+    of the values' dtype: half spectra for float64 values."""
 
     def apply_h(values: np.ndarray) -> np.ndarray:
-        out, _ = spec.linear(values, params.omega, counter)
+        out, _ = grid.spectrum(np.isrealobj(values)).linear(values, params.omega, counter)
         out += w * values
         return out
 
@@ -290,14 +290,15 @@ def evaluate(phi: WaveField, params: ModelParams, counter: FFTCounter | None = N
     rotation, and gives the kinetic energy as <phi, H_lin phi>.  With
     rotation it also completes the forward transform (3 units): the kinetic
     energy comes from the transform by Parseval and the rotation energy as
-    the rest of <phi, H_lin phi>.
+    the rest of <phi, H_lin phi>.  A float64 phi takes half spectra, but not
+    under rotation, where H_lin phi is complex.
     """
     g = phi.grid
     hd = g.cell_volume
     u = phi.values
     dens = np.abs(u) ** 2
-    spec = g.spectrum(False)
     rotating = params.omega != 0.0
+    spec = g.spectrum(np.isrealobj(u) and not rotating)
     h_phi, u_hat = spec.linear(u, params.omega, counter, hat=rotating)
     lin = (hd * np.vdot(u, h_phi)).real
     kinetic = spec.kinetic(u_hat) if rotating else lin

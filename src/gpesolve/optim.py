@@ -25,10 +25,10 @@ c1 under pcg, charged one more unit for its residual in real space, which
 the Polak-Ribiere inner products read.  The real work behind a rotating 2D
 iteration is 5/8/5/9/8/9 one-axis passes.
 
-Without rotation a real iterate stays real, so the engine carries it as
-float64 and its Fourier images as half spectra (its spectral.Spectrum): the
-same transforms and units, each on about half the data.  Any other start,
-or any rotation, runs in complex128; the result's phi is complex anyway.
+Without rotation a real iterate stays real, so start_iterate, where all
+eight methods begin, makes a real start float64 when omega = 0: half-spectrum
+transforms (spectral.Grid.spectrum), the same units on about half the data.
+Any other start, or any rotation, runs in complex128.  phi keeps the dtype.
 """
 
 from __future__ import annotations
@@ -178,20 +178,18 @@ class Stop(Exception):
         self.detail = detail
 
 
-def start_iterate(phi0: WaveField) -> WaveField:
-    """phi0 scaled to unit norm, in a fresh C-ordered array: every method
-    starts here, so a NaN, Inf or zero guess fails before any transform."""
+def start_iterate(phi0: WaveField, omega: float) -> WaveField:
+    """phi0 scaled to unit norm in complex128, in a fresh C-ordered array:
+    every method starts here, so a NaN, Inf or zero guess fails before any
+    transform.  The run's one dtype choice: float64 when omega = 0 and the
+    imaginary part is zero (first derivatives zero the unmatched -M/2 mode,
+    spectral.Grid), else complex128."""
     u = np.ascontiguousarray(phi0.values, dtype=np.complex128)
     if not np.all(np.isfinite(u)):
         raise ValueError("initial field contains NaN or Inf")
-    return WaveField(phi0.grid, u).normalized()
-
-
-def _carries_real(u: np.ndarray, omega: float) -> bool:
-    """Whether the engine carries the unit-norm start u as float64: without
-    rotation a real iterate stays real, because first derivatives zero the
-    unmatched -M/2 mode (spectral.Grid)."""
-    return omega == 0.0 and not np.any(u.imag)
+    phi = WaveField(phi0.grid, u).normalized()
+    real = omega == 0.0 and not np.any(phi.values.imag)
+    return WaveField(phi.grid, np.ascontiguousarray(phi.values.real)) if real else phi
 
 
 def drive(step, finish, e0: float, stop: str, tol: float, max_iter: int,
@@ -348,7 +346,7 @@ class _Engine:
     that read it (precond.FOURIER_FIRST and FORMS_HAT).  The CG memory is
     kept only under pcg, in the representations the kind mixes in.
 
-    The dtype is chosen once, here (_carries_real), and with it the
+    The iterate keeps the dtype start_iterate gives it, and with it the
     spectrum that takes every transform and Parseval sum of the engine.
     """
 
@@ -363,9 +361,8 @@ class _Engine:
         self.v = model.sample_potential(params.potential, g)
         self.eta = params.eta
         self.omega = params.omega
-        u = start_iterate(phi0).values
-        self.real = _carries_real(u, self.omega)
-        self.u = np.ascontiguousarray(u.real) if self.real else u
+        self.u = start_iterate(phi0, self.omega).values
+        self.real = np.isrealobj(self.u)
         self.spec = g.spectrum(self.real)
         self.rotating = self.omega != 0.0
         self.pcg = cfg.method == "pcg"

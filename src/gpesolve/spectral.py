@@ -62,8 +62,7 @@ class Grid:
         h: Mesh size 2L/M.
         x1: 1-D coordinate samples, x_k = -L + k*h.
         freqs: 1-D Fourier frequencies p*pi/L in FFT ordering.
-        half_k2: |xi|^2/2 on the grid (the kinetic symbol); the property k2,
-            |xi|^2, is formed from it on demand rather than stored.
+        half_k2: |xi|^2/2 on the grid (the kinetic symbol).
         half_k2_r: half_k2 on the half spectrum of rfft, the first M/2+1
             modes of the last axis (a property, formed on first use).
 
@@ -93,8 +92,8 @@ class Grid:
         if self.d not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
         check_points(self.M)
-        if self.L <= 0:
-            raise ValueError(f"L must be positive, got {self.L}")
+        if not (np.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"L must be finite and positive, got {self.L}")
         object.__setattr__(self, "L", float(self.L))
         h = 2.0 * self.L / self.M
         x1 = -self.L + h * np.arange(self.M)
@@ -127,10 +126,6 @@ class Grid:
         if spec is None:
             spec = _SPECTRA[id(self), real] = (HalfSpectrum if real else Spectrum)(self)
         return spec
-
-    @property
-    def k2(self) -> np.ndarray:
-        return 2.0 * self.half_k2
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -268,27 +263,16 @@ class HalfSpectrum(Spectrum):
 
 @dataclass
 class WaveField:
-    """Complex amplitude sampled on a Grid."""
+    """Amplitude sampled on a Grid, kept in its given dtype (optim.start_iterate picks a run's)."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values)
-        if values.shape != self.grid.shape:
-            raise ValueError(
-                f"field shape {values.shape} does not match grid shape {self.grid.shape}"
-            )
-        if not np.iscomplexobj(values):
-            values = values.astype(np.complex128)
-        self.values = values
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "WaveField":
-        return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
-
-    def copy(self) -> "WaveField":
-        return WaveField(self.grid, self.values.copy())
+        self.values = np.asarray(self.values)
+        if self.values.shape != self.grid.shape:
+            raise ValueError(f"field shape {self.values.shape} does not match grid shape "
+                             f"{self.grid.shape}")
 
     def normalized(self) -> "WaveField":
         n = norm(self)

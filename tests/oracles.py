@@ -79,7 +79,7 @@ def ifft_plain(values_hat: np.ndarray) -> np.ndarray:
 
 
 def kinetic_plain(grid, phi_hat: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(0.5 * grid.k2 * phi_hat)
+    return np.fft.ifftn(grid.half_k2 * phi_hat)
 
 
 def lz_plain(grid, phi_hat: np.ndarray) -> np.ndarray:
@@ -194,7 +194,7 @@ def step(phi: WaveField, p_dir: WaveField, theta: float) -> WaveField:
     """Great-circle update cos(theta) phi + sin(theta) p_hat, renormalized."""
     pnorm = spectral.norm(p_dir)
     if pnorm == 0.0:
-        return phi.copy()
+        return WaveField(phi.grid, phi.values.copy())
     values = np.cos(theta) * phi.values + np.sin(theta) * (p_dir.values / pnorm)
     return WaveField(phi.grid, values).normalized()
 

@@ -103,7 +103,7 @@ class TestKrylovSolve:
         p = preconditioner_at("kinetic", phi, params, shift=3.0)
 
         def apply_a(v):
-            return 3.0 * v + np.fft.ifft(0.5 * g.k2 * np.fft.fft(v))
+            return 3.0 * v + np.fft.ifft(g.half_k2 * np.fft.fft(v))
 
         rng = np.random.default_rng(6)
         b = WaveField(g, rng.standard_normal(64) + 1j * rng.standard_normal(64))
@@ -164,7 +164,8 @@ class TestKrylovSolve:
     def test_zero_rhs_returns_zero(self):
         g = Grid(1, 8.0, 16)
         calls = []
-        x, iters = krylov_solve(lambda v: calls.append(v) or v, WaveField.zeros(g), tol=1e-10)
+        zero = WaveField(g, np.zeros(g.shape, complex))
+        x, iters = krylov_solve(lambda v: calls.append(v) or v, zero, tol=1e-10)
         assert iters == 0 and calls == []
         assert not np.any(x.values)
 
@@ -280,7 +281,7 @@ class TestRunImaginaryTime:
 
     def test_fe_diverges_above_cfl(self):
         g, params, phi = linear_harmonic()
-        lam_max = 0.5 * float(np.max(g.k2)) + float(
+        lam_max = float(np.max(g.half_k2)) + float(
             np.max(model.sample_potential(params.potential, g)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -293,7 +294,7 @@ class TestRunImaginaryTime:
         # the rejected step leaves no record, and the result is the iterate
         # the last record describes
         g, params, phi = linear_harmonic()
-        lam_max = 0.5 * float(np.max(g.k2)) + float(
+        lam_max = float(np.max(g.half_k2)) + float(
             np.max(model.sample_potential(params.potential, g)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -331,14 +332,15 @@ class TestRunImaginaryTime:
         assert res.stop_detail.startswith("preconditioner shift must be positive")
 
     def test_each_record_counts_the_transforms_its_step_ran(self, monkeypatch):
-        # be_lambda/sym in 1D: a spy counts every Grid.fft/ifft call and
-        # notes the count as each step begins; a step runs until the next
-        # begins or the run ends, and nothing runs uncounted
+        # be_lambda/sym in 1D: a spy counts every Grid.fft/ifft call, and
+        # rfft/irfft of the real path, and notes the count as each step
+        # begins; a step runs until the next begins or the run ends, and
+        # nothing runs uncounted
         g = Grid(1, 16.0, 128)
         params = ModelParams(eta=250.0, omega=0.0,
                              potential=harmonic_lattice(1.0, 25.0, np.pi / 2))
         calls = [0]
-        for name in ("fft", "ifft"):
+        for name in ("fft", "ifft", "rfft", "irfft"):
             def spy(self, *args, _orig=getattr(Grid, name), **kwargs):
                 calls[0] += 1
                 return _orig(self, *args, **kwargs)
@@ -376,8 +378,8 @@ class TestRunImaginaryTime:
         shifts = []
         build = precond.build
         monkeypatch.setattr(precond, "build",
-                            lambda kind, grid, alpha, w: shifts.append(alpha) or build(
-                                kind, grid, alpha, w))
+                            lambda kind, grid, alpha, w, real: shifts.append(alpha) or build(
+                                kind, grid, alpha, w, real))
         imaginary_time_step(phi, SchemeKind("be", 0.01), params, "sym")
         assert shifts == [1.0 / 0.01 + evaluate(phi, params).energy.characteristic]
 
@@ -394,7 +396,7 @@ class TestRunImaginaryTime:
 
     def test_fe_converges_below_cfl(self):
         g, params, phi = linear_harmonic()
-        lam_max = 0.5 * float(np.max(g.k2)) + float(
+        lam_max = float(np.max(g.half_k2)) + float(
             np.max(model.sample_potential(params.potential, g)))
         res = run_imaginary_time(phi, SchemeKind("fe_lambda", 1.0 / lam_max), params,
                                  tol=1e-12, max_iter=50000)
@@ -450,6 +452,17 @@ class TestRunImaginaryTime:
             run_imaginary_time(phi, SchemeKind(scheme, 0.01), params, kind)
         with pytest.raises(ValueError, match=f"precond '{kind}'"):
             imaginary_time_step(phi, SchemeKind(scheme, 0.01), params, kind)
+        assert steps == []
+
+    @pytest.mark.parametrize("scheme", classic.SCHEMES)
+    def test_unknown_precond_named_before_first_step(self, scheme, monkeypatch):
+        # a step called directly once said "not Hermitian" for an implicit
+        # scheme and ran silently for an explicit one
+        g, params, phi = linear_harmonic(32)
+        steps = []
+        monkeypatch.setattr(model, "evaluate", lambda *a: steps.append(a))
+        with pytest.raises(ValueError, match="unknown preconditioner 'bogus'"):
+            imaginary_time_step(phi, SchemeKind(scheme, 0.01), params, "bogus")
         assert steps == []
 
     @pytest.mark.parametrize("kind", ["c1", "c2"])

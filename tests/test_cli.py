@@ -127,10 +127,12 @@ class TestSolveCommand:
     @pytest.mark.parametrize("method,override", [
         ("pcg", "solver.tol=inf"), ("be_lambda", "solver.tol=inf"),
         ("be_lambda", "solver.dt=inf"), ("be_lambda", "solver.inner_tol=inf"),
+        ("pcg", "grid.L=nan"), ("be_lambda", "grid.L=inf"),
     ])
     def test_infinite_tolerance_or_step_exits_2(self, tmp_path, capsys, method, override):
         # on this trap tol = inf once exited 0 as converged after one pcg
-        # step, dt = inf exited 1 as diverged and inner_tol = inf exited 0
+        # step, dt = inf exited 1 as diverged and inner_tol = inf exited 0;
+        # grid.L = nan passed the grid check and ended in a traceback, exit 1
         text = (HARMONIC_1D.replace("grid.L = 16", "grid.L = 8")
                 .replace("grid.M = 128", "grid.M = 64").replace("model.eta = 0", "model.eta = 10")
                 .replace("solver.method = pcg", f"solver.method = {method}"))
@@ -180,9 +182,9 @@ class TestSolveCommand:
         shifts = []
         build = precond.build
 
-        def spy(kind, grid, alpha, w):
+        def spy(kind, grid, alpha, w, real):
             shifts.append(alpha)
-            return build(kind, grid, alpha, w)
+            return build(kind, grid, alpha, w, real)
 
         monkeypatch.setattr(precond, "build", spy)
         out = str(tmp_path / "out")

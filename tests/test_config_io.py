@@ -209,6 +209,25 @@ class TestFieldDump:
             io.load_field(path)
         assert str(info.value).startswith(path + ": ")
 
+    @pytest.mark.parametrize("header,message", [
+        ((1.7, 16.0, 4.0), "header gives d = 1.7, M = 16.0, not integers"),
+        ((1.0, 16.9, 4.0), "header gives d = 1.0, M = 16.9, not integers"),
+        ((1.0, float("nan"), 4.0), "header gives d = 1.0, M = nan, not integers"),
+        ((1.0, 16.0, float("nan")), "L must be finite and positive, got nan"),
+        ((1.0, 16.0, float("inf")), "L must be finite and positive, got inf"),
+    ])
+    def test_corrupt_header_names_the_path(self, tmp_path, header, message):
+        # a header of d = 1.7, M = 64.9, L = nan once loaded as Grid(1, nan, 64)
+        import struct
+        path = str(tmp_path / "field.gpef")
+        io.save_field(path, WaveField(Grid(1, 4.0, 16), np.zeros(16, dtype=complex)))
+        raw = bytearray(open(path, "rb").read())
+        struct.pack_into("<3d", raw, 8, *header)
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(ValueError) as info:
+            io.load_field(path)
+        assert str(info.value) == f"{path}: {message}"
+
 
 class TestCsvOutputs:
     def _records(self):

@@ -242,7 +242,7 @@ class TestHamiltonian:
         f = random_normalized(g, 7)
         out = hamiltonian_at(phi, params)(f)
         v = model.sample_potential(params.potential, g)
-        direct = (-0.5 * np.fft.ifft(-g.k2 * np.fft.fft(f.values))
+        direct = (-0.5 * np.fft.ifft(-2 * g.half_k2 * np.fft.fft(f.values))
                   + (v + 5.0 * np.abs(phi.values) ** 2) * f.values)
         assert np.allclose(out.values, direct, atol=1e-12)
 
@@ -311,7 +311,7 @@ class TestDerivatives:
         g = Grid(1, 8.0, 32)
         params = ModelParams(eta=7.0, omega=0.0,
                              potential=PotentialSpec(kind="harmonic", harmonic_coeffs=(0.0,)))
-        z = WaveField.zeros(g)
+        z = WaveField(g, np.zeros(g.shape, complex))
         assert norm(gradient(z, params)) == 0
 
 
@@ -425,6 +425,29 @@ def test_evaluate_matches_plain_oracles(case):
         assert abs(got[name] - value) <= 1e-13 * scale, name
     assert ev.r_inf == pytest.approx(r_inf, rel=1e-13)
     assert np.max(np.abs(ev.h_phi - h)) <= 1e-13 * np.max(np.abs(h))
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.5])
+def test_evaluate_takes_the_spectrum_of_its_field(monkeypatch, omega):
+    # a real field takes half spectra without rotation, the full ones with
+    # it (H_lin phi is complex there); it evaluates as its complex copy does
+    g = Grid(2, 6.0, 16)
+    params = ModelParams(eta=20.0, omega=omega, potential=harmonic(1.0))
+    phi = WaveField(g, smooth_normalized(g, 4).values.real)
+    ref = evaluate(WaveField(g, phi.values.astype(complex)), params)
+    asked = []
+    spectrum = Grid.spectrum
+    monkeypatch.setattr(Grid, "spectrum", lambda grid, real: asked.append(real) or spectrum(
+        grid, real))
+    counter = FFTCounter()
+    ev = evaluate(phi, params, counter)
+    assert asked == [not omega] and counter.count == (3 if omega else 2)
+    assert ev.h_phi.dtype == (np.complex128 if omega else np.float64)
+    scale = ref.energy.kinetic + abs(ref.energy.rotation) + ref.energy.potential
+    for name in ("kinetic", "rotation", "potential", "interaction"):
+        assert abs(getattr(ev.energy, name) - getattr(ref.energy, name)) <= 1e-13 * scale, name
+    assert ev.lam == pytest.approx(ref.lam, rel=1e-13)
+    assert np.max(np.abs(ev.h_phi - ref.h_phi)) <= 1e-13 * np.max(np.abs(ref.h_phi))
 
 
 class TestThomasFermi:

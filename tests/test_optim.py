@@ -137,8 +137,8 @@ class TestThetaOpt:
         params = ModelParams(eta=0.0, omega=0.0, potential=harmonic(1.0))
         phi = random_normalized(g, 6)
         with pytest.raises(ValueError, match="zero"):
-            theta_opt(phi, WaveField.zeros(g), WaveField(g, 2.0 * evaluate(phi, params).h_phi),
-                      params, 1.0)
+            theta_opt(phi, WaveField(g, np.zeros(g.shape, complex)),
+                      WaveField(g, 2.0 * evaluate(phi, params).h_phi), params, 1.0)
 
 
 class TestStep:
@@ -596,7 +596,7 @@ def smooth_real(grid, seed):
 class TestRealPath:
     """Without rotation a real start runs in float64 with half-spectrum
     transforms; the complex engine, the reference, comes from patching the
-    one predicate that picks the dtype."""
+    one function that picks the dtype to see a rotation."""
 
     TOLS = {"energy_diff": 1e-10, "residual_inf": 1e-6, "iterate_diff": 1e-7}
 
@@ -613,16 +613,58 @@ class TestRealPath:
                            max_iter=300)
         assert optim._Engine(phi0, params, cfg, spectral.FFTCounter()).real
         res = solve(phi0, params, cfg)
+        start = optim.start_iterate
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(optim, "_carries_real", lambda u, omega: False)
+            mp.setattr(optim, "start_iterate", lambda phi, omega: start(phi, 1.0))
             assert optim._Engine(phi0, params, cfg, spectral.FFTCounter()).u.dtype == complex
             ref = solve(phi0, params, cfg)
-        assert res.phi.values.dtype == np.complex128
+        assert res.phi.values.dtype == np.float64
         assert (res.stop_reason, res.iterations, res.fft_total) == (
             ref.stop_reason, ref.iterations, ref.fft_total)
         assert [r.fft_count for r in res.records] == [r.fft_count for r in ref.records]
         assert res.energy == pytest.approx(ref.energy, rel=1e-13)
         assert res.lam == pytest.approx(ref.lam, rel=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(classic.SCHEMES),
+           st.sampled_from(precond.HERMITIAN), st.sampled_from(sorted(TOLS)),
+           st.sampled_from([0.0, 20.0]))
+    def test_schemes_match_the_complex_run(self, seed, scheme, kind, stop, eta):
+        # the six imaginary-time schemes take the same real path: float64
+        # iterates and MINRES vectors, against the complex run of the same
+        # start as the reference
+        g = Grid(1, 6.0, 64)
+        params = ModelParams(eta=eta, omega=0.0, potential=harmonic())
+        phi0 = smooth_real(g, seed)
+        dtypes = set()
+        solve_k = classic.krylov_solve
+
+        def krylov_spy(apply_a, b, *args, **kwargs):
+            x, iters = solve_k(lambda v: dtypes.add(v.dtype) or apply_a(v), b, *args, **kwargs)
+            dtypes.update((b.values.dtype, x.values.dtype))
+            return x, iters
+
+        def run():
+            return classic.run_imaginary_time(phi0, classic.SchemeKind(scheme, 0.005), params,
+                                              kind, stop=stop, tol=self.TOLS[stop], max_iter=60)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classic, "krylov_solve", krylov_spy)
+            res = run()
+        assert res.phi.values.dtype == np.float64
+        assert dtypes <= {np.dtype(np.float64)}
+        assert bool(dtypes) == (classic.WEIGHTS[scheme][0] > 0)
+        start = classic.start_iterate
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classic, "start_iterate", lambda phi, omega: start(phi, 1.0))
+            ref = run()
+        assert ref.phi.values.dtype == np.complex128
+        assert (res.stop_reason, res.iterations, res.fft_total, res.inner_total) == (
+            ref.stop_reason, ref.iterations, ref.fft_total, ref.inner_total)
+        assert [r.fft_count for r in res.records] == [r.fft_count for r in ref.records]
+        assert res.energy == pytest.approx(ref.energy, rel=1e-12)
+        for a, b in zip(res.records, ref.records):
+            assert a.energy == pytest.approx(b.energy, rel=1e-12)
 
     @pytest.mark.parametrize("case", ["imaginary part", "tiny imaginary part", "rotation"])
     def test_complex_start_or_rotation_runs_complex(self, case):
@@ -632,6 +674,7 @@ class TestRealPath:
         if case == "imaginary part":
             phi0 = WaveField(g, phi0.values * np.exp(0.1j * g.coordinate(0)))
         elif case == "tiny imaginary part":
+            phi0 = WaveField(g, phi0.values.astype(complex))
             phi0.values[3, 5] += 1e-300j
         params = ModelParams(eta=20.0, omega=omega, potential=harmonic())
         engine = optim._Engine(phi0, params, SolverConfig(precond="kinetic"),

@@ -283,5 +283,5 @@ class TestOperatorProperties:
         p = preconditioner_at("kinetic", phi, params, shift=0.9)
         grad = 2.0 * evaluate(phi, params).h_phi
         out = p.apply_values(grad)
-        expected = np.fft.ifft(np.fft.fft(grad) / (0.9 + 0.5 * g.k2))
+        expected = np.fft.ifft(np.fft.fft(grad) / (0.9 + g.half_k2))
         assert np.allclose(out, expected, atol=1e-13)

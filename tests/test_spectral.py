@@ -74,7 +74,7 @@ class TestInner:
 
     def test_zero_field(self):
         g = Grid(1, 4.0, 16)
-        z = WaveField.zeros(g)
+        z = WaveField(g, np.zeros(g.shape, complex))
         assert inner(z, z) == 0
 
     def test_plane_wave_direct_summation(self):
