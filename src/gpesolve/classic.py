@@ -290,8 +290,6 @@ def run_imaginary_time(
     t0 = time.perf_counter()
     counter = FFTCounter()
     ev = model.evaluate(start_iterate(phi0, params.omega), params, counter)
-    # held for the run: Grid.spectrum rebuilds a spectrum that nothing holds
-    spectrum = phi0.grid.spectrum(np.isrealobj(ev.phi.values))
     trial = None  # evaluation of the last step's iterate, accepted once the next one runs
 
     def step() -> dict:

@@ -97,10 +97,19 @@ def check_options(kind: str, shift: str | float, stop: str, tol: float, max_iter
         precond.check_shift(shift)
     if stop not in STOP_KINDS:
         raise ValueError(f"unknown stopping criterion {stop!r}")
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+    if not (_is_number(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite nonnegative number, got {tol!r}")
-    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
+    if not (_is_number(max_iter, numbers.Integral) and max_iter >= 0):
         raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
+
+
+def _is_number(x, abc: type) -> bool:
+    """Whether x is an instance of the numbers ABC and not a bool (True is
+    an Integral, and would read as 1).  An int, or a float for Real, skips
+    the ABC check."""
+    if type(x) is int or (type(x) is float and abc is numbers.Real):
+        return True
+    return isinstance(x, abc) and not isinstance(x, bool)
 
 
 @dataclass
@@ -258,9 +267,9 @@ class _Arc:
     eta_hd: float  # eta * h^d
 
     def delta_energy(self, theta: float) -> float:
-        c = np.cos(theta)
-        s = np.sin(theta)
-        quad = (self.qb - self.qa) * s * s + self.qc * np.sin(2.0 * theta)
+        c = math.cos(theta)
+        s = math.sin(theta)
+        quad = (self.qb - self.qa) * s * s + self.qc * math.sin(2.0 * theta)
         quart = 0.5 * self.eta_hd * (
             -s * s * (1.0 + c * c) * self.q40
             + s**4 * self.q04
@@ -296,7 +305,7 @@ def _line_search(arc: _Arc) -> tuple[float, int, float]:
         theta = -arc.slope0 / curv
     else:
         theta = THETA_DEFAULT
-    theta = min(theta, 0.5 * np.pi)
+    theta = min(theta, 0.5 * math.pi)
     if theta <= 0.0:
         theta = THETA_DEFAULT
     backtracks = 0
@@ -359,11 +368,15 @@ class _Engine:
         self.counter = counter
         self.hd = g.cell_volume
         self.v = model.sample_potential(params.potential, g)
+        self.v_flat = self.v.reshape(-1)
         self.eta = params.eta
         self.omega = params.omega
         self.u = start_iterate(phi0, self.omega).values
+        self.u_flat = self.u.reshape(-1)  # a view: u is only ever updated in place
         self.real = np.isrealobj(self.u)
         self.spec = g.spectrum(self.real)
+        # one preconditioner for the run, refreshed at each iterate
+        self.precond = precond.Preconditioner(cfg.precond, g, self.real)
         self.rotating = self.omega != 0.0
         self.pcg = cfg.method == "pcg"
         self.fourier = cfg.precond in precond.FOURIER_FIRST
@@ -395,10 +408,15 @@ class _Engine:
         self.r_prev: np.ndarray | None = None
 
     def _rdot(self, a: np.ndarray, b: np.ndarray) -> float:
-        return self.hd * np.vdot(a, b).real
+        return self.hd * float(np.vdot(a, b).real)
 
     def _norm(self, a: np.ndarray) -> float:
-        return float(np.sqrt(self.hd) * np.linalg.norm(a.ravel()))
+        # the sums np.linalg.norm forms, without its wrapper
+        a = a.ravel()
+        if a.dtype == np.float64:
+            return math.sqrt(self.hd) * math.sqrt(a.dot(a))
+        re, im = a.real, a.imag
+        return math.sqrt(self.hd) * math.sqrt(re.dot(re) + im.dot(im))
 
     def _images(self, x: np.ndarray, x_hat: np.ndarray | None = None,
                 ) -> tuple[np.ndarray | None, np.ndarray]:
@@ -417,10 +435,9 @@ class _Engine:
     def _scalars(self) -> None:
         """|u|^2, and from it lambda, the quadratic energy part qa, q40 and
         the characteristic energy alpha of the iterate."""
-        self.dens = np.abs(self.u)
-        np.square(self.dens, out=self.dens)
-        dens = self.dens.reshape(-1)
-        pot = self.hd * float(np.dot(self.v.reshape(-1), dens))
+        self.dens = _abs2(self.u)
+        dens = self.dens_flat = self.dens if self.grid.d == 1 else self.dens.reshape(-1)
+        pot = self.hd * float(np.dot(self.v_flat, dens))
         self.q40 = float(np.dot(dens, dens))
         inter2 = self.eta * self.hd * self.q40
         # <u, H_lin u>, and its kinetic part alone for the shift: the same
@@ -460,20 +477,17 @@ class _Engine:
             self.r = r if self.need_r_real else None
             if self.need_r_real:
                 self.counter.add()
-        return float(np.max(np.abs(self.r))) if self.r is not None else None
+        return float(np.abs(self.r).max()) if self.r is not None else None
 
     def _arc(self, p_hat: np.ndarray, lin_p: float, lin_c: float) -> _Arc:
         # lin_p = Re<p_hat, H_lin p_hat> and lin_c = Re<u, H_lin p_hat>
         # the nine pointwise sums as BLAS dot products of flat real vectors:
         # |p|^2 and Re(conj(u) p), the latter a strided view when complex
-        a1 = np.abs(p_hat)
-        np.square(a1, out=a1)
-        a1 = a1.reshape(-1)
-        a2 = np.conj(self.u)
-        a2 *= p_hat
-        a2 = a2.real.reshape(-1)
-        v = self.v.reshape(-1)
-        dens = self.dens.reshape(-1)
+        if self.grid.d > 1:
+            p_hat = p_hat.reshape(-1)
+        a1 = _abs2(p_hat)
+        a2 = _re_conj(self.u_flat, p_hat)
+        v, dens = self.v_flat, self.dens_flat
         return _Arc(
             qa=self.qa,
             qb=lin_p + self.hd * float(np.dot(v, a1)),
@@ -522,15 +536,17 @@ class _Engine:
         """The next search direction.  Raises Stop when there is none:
         zero_direction for a zero projected direction, diverged for a
         non-finite one or an adaptive shift that is not positive."""
-        g = self.grid
-        shift = self.alpha if self.cfg.shift == "adaptive" else float(self.cfg.shift)
+        shift = self.alpha if self.cfg.shift == "adaptive" else self.cfg.shift
+        p = self.precond
+        try:
+            p.refresh(shift, self.vd)
+        except ValueError as err:  # its shift check
+            raise Stop(DIVERGED, str(err)) from None
+        pr, pr_hat = p.apply_pair(self.r_hat if self.fourier else self.r, self.counter,
+                                  transformed=self.fourier)
         # nothing reads the diagonals after the apply, and holding them
         # through the rest of the direction would raise its peak memory
-        try:
-            pr, pr_hat = precond.build(self.cfg.precond, g, shift, self.vd, self.real).apply_pair(
-                self.r_hat if self.fourier else self.r, self.counter, transformed=self.fourier)
-        except ValueError as err:  # the shift check of precond.build
-            raise Stop(DIVERGED, str(err)) from None
+        p.fourier_diag = p.real_diag = None
         # mix and project in the space Pr came back in
         mix_hat = pr is None
         if mix_hat:
@@ -589,12 +605,12 @@ class _Engine:
     def accept(self, theta: float, bundle: _Bundle) -> float:
         """Apply the great-circle update in place; returns the sup-norm of
         the step.  Consumes the bundle: its arrays are reused."""
-        c = np.cos(theta)
-        s = np.sin(theta)
+        c = math.cos(theta)
+        s = math.sin(theta)
         scratch = np.multiply(bundle.p_hat, s)
         delta = np.multiply(self.u, c - 1.0)
         delta += scratch
-        step_inf = float(np.max(np.abs(delta)))
+        step_inf = float(np.abs(delta).max())
         self.u += delta
         nn = self._norm(self.u)
         self.u *= 1.0 / nn  # == self.u / nn, as in direction
@@ -616,6 +632,24 @@ class _Engine:
             bundle.p_hat_hat *= bundle.p_norm
             self.p_prev_hat = bundle.p_hat_hat
         return step_inf
+
+
+def _abs2(a: np.ndarray) -> np.ndarray:
+    """|a|^2, a fresh float64 array: one ufunc call for a float64 array."""
+    if a.dtype == np.float64:
+        return np.square(a)
+    out = np.abs(a)
+    return np.square(out, out=out)
+
+
+def _re_conj(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(conj(a) b) as float64, a strided view of a fresh complex product
+    for complex a: one ufunc call for a float64 a."""
+    if a.dtype == np.float64:
+        return np.multiply(a, b)
+    out = np.conj(a)
+    out *= b
+    return out.real
 
 
 def _negated(a: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:

@@ -9,11 +9,12 @@ V = 1/(alpha + V(x) + eta |phi_n|^2) in real space, with v = V^(1/2).
 FACTORS writes each product in the order its factors act on r, as the
 paper does: P_Delta = F, P_V = V, c1 = P_V P_Delta, c2 = P_Delta P_V and
 sym = P_V^(1/2) P_Delta P_V^(1/2).  Every per-kind rule is read from that
-table: the diagonals `build` forms, the loop of `apply_pair`,
-FOURIER_FIRST, FORMS_HAT and HERMITIAN.  The shift alpha is fixed, or
-the characteristic energy of the iterate (adaptive policy), which each
-caller has at hand.  The optimizer, the MINRES baselines and the
-conditioning diagnostic all go through `build`.
+table: the diagonals `Preconditioner.refresh` forms, the loop of
+`apply_pair`, FOURIER_FIRST, FORMS_HAT and HERMITIAN.  The shift alpha is
+fixed, or the characteristic energy of the iterate (adaptive policy), which
+each caller has at hand.  The optimizer holds one Preconditioner for a run
+and refreshes it at each iterate; the MINRES baselines and the conditioning
+diagnostic take one from `build`.
 """
 
 from __future__ import annotations
@@ -49,29 +50,50 @@ HERMITIAN = tuple(k for k in KINDS if FACTORS[k] == FACTORS[k][::-1])
 
 @dataclass
 class Preconditioner:
-    """Frozen diagonals of one preconditioner instance.
+    """One preconditioner kind on a grid; `refresh` forms its diagonals at
+    an iterate.
 
     Attributes:
         kind: One of KINDS.
-        alpha: Positive shift used in both diagonals.
+        grid: The grid it acts on.
+        real: Whether it acts on real grid values; `spectrum`,
+            grid.spectrum(real), takes its transforms (half spectra if so).
+        alpha: Positive shift used in both diagonals (NaN before a refresh).
         fourier_diag: F = 1/(alpha + |xi|^2/2) on the grid, or on the half
             spectrum when `real` (None where FACTORS has no F).
         real_diag: V = 1/(alpha + V + eta |phi_n|^2), or v = V^(1/2) where
             FACTORS has v (None where it has neither).
-        real: Whether it acts on real grid values; `spectrum`,
-            grid.spectrum(real), takes its transforms (half spectra if so).
     """
 
     kind: str
     grid: Grid
-    alpha: float
+    real: bool = False
+    alpha: float = math.nan
     fourier_diag: np.ndarray | None = None
     real_diag: np.ndarray | None = None
-    real: bool = False
     spectrum: Spectrum = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.kind not in FACTORS:
+            raise ValueError(f"unknown preconditioner kind {self.kind!r}")
         self.spectrum = self.grid.spectrum(self.real)
+
+    def refresh(self, alpha: float, w: np.ndarray | None) -> "Preconditioner":
+        """Form the diagonals with shift alpha at an iterate phi_n, given
+        w = V + eta |phi_n|^2 on the grid, and return self.  The identity
+        and kinetic kinds do not read w, so it may be None for them, and the
+        identity reads no shift.  The adaptive shift, the characteristic
+        energy of phi_n, is the caller's: in a trap negative somewhere it
+        need not be positive, and check_shift's ValueError says so."""
+        factors = FACTORS[self.kind]
+        if factors:
+            alpha = check_shift(alpha)
+        self.alpha = alpha
+        self.fourier_diag = 1.0 / (alpha + self.spectrum.half_k2) if "F" in factors else None
+        self.real_diag = 1.0 / (alpha + w) if "V" in factors.upper() else None
+        if "v" in factors:
+            np.sqrt(self.real_diag, out=self.real_diag)
+        return self
 
     def apply_pair(
         self, r: np.ndarray, counter: FFTCounter | None = None, transformed: bool = False,
@@ -107,8 +129,15 @@ class Preconditioner:
 
 
 def check_shift(shift) -> float:
-    """A preconditioner shift as a float; it must be finite and positive."""
-    alpha = float(shift) if isinstance(shift, numbers.Real) else math.nan
+    """A preconditioner shift as a float; it must be a finite, positive real
+    number and not a bool.  A float or an int skips the numbers.Real check,
+    an ABC lookup that costs more than the rest of the function."""
+    if type(shift) is float or type(shift) is int:
+        alpha = float(shift)
+    elif isinstance(shift, bool):
+        raise ValueError(f"preconditioner shift must be a number, not the bool {shift!r}")
+    else:
+        alpha = float(shift) if isinstance(shift, numbers.Real) else math.nan
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"preconditioner shift must be positive, got {shift!r}")
     return alpha
@@ -117,19 +146,7 @@ def check_shift(shift) -> float:
 def build(kind: str, grid: Grid, alpha: float, w: np.ndarray | None,
           real: bool = False) -> Preconditioner:
     """Preconditioner of `kind` with shift alpha at an iterate phi_n, given
-    w = V + eta |phi_n|^2 on the grid.  The identity and kinetic kinds do
-    not read w, so it may be None for them, and the identity reads no shift.
-    The adaptive shift, the characteristic energy of phi_n, is the caller's:
-    in a trap negative somewhere it need not be positive.  With `real` it
-    acts on real values, and its Fourier diagonal is on the half spectrum."""
-    factors = FACTORS.get(kind)
-    if factors is None:
-        raise ValueError(f"unknown preconditioner kind {kind!r}")
-    if factors:
-        alpha = check_shift(alpha)
-    p = Preconditioner(kind=kind, grid=grid, alpha=alpha, real=real)
-    p.fourier_diag = 1.0 / (alpha + p.spectrum.half_k2) if "F" in factors else None
-    p.real_diag = 1.0 / (alpha + w) if "V" in factors.upper() else None
-    if "v" in factors:
-        np.sqrt(p.real_diag, out=p.real_diag)
-    return p
+    w = V + eta |phi_n|^2 on the grid (Preconditioner.refresh).  With
+    `real` it acts on real values, and its Fourier diagonal is on the half
+    spectrum."""
+    return Preconditioner(kind=kind, grid=grid, real=real).refresh(alpha, w)

@@ -12,12 +12,10 @@ ones (Spectrum, HalfSpectrum).
 from __future__ import annotations
 
 import functools
-import weakref
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-_SPECTRA: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # Grid.spectrum
 
 
 class FFTCounter:
@@ -120,12 +118,17 @@ class Grid:
 
     def spectrum(self, real: bool) -> "Spectrum":
         """The half spectra of real grid arrays when `real`, else the full
-        ones of complex arrays: one of each per grid (by id; a Spectrum holds
-        its grid) while a caller holds it, so no grid keeps a solve's weights."""
-        spec = _SPECTRA.get((id(self), real))
-        if spec is None:
-            spec = _SPECTRA[id(self), real] = (HalfSpectrum if real else Spectrum)(self)
-        return spec
+        ones of complex arrays: one of each per grid, built on first use and
+        held for the grid's lifetime."""
+        return self._half_spectrum if real else self._full_spectrum
+
+    @functools.cached_property
+    def _full_spectrum(self) -> "Spectrum":
+        return Spectrum(self)
+
+    @functools.cached_property
+    def _half_spectrum(self) -> "HalfSpectrum":
+        return HalfSpectrum(self)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -148,7 +151,7 @@ class Grid:
     def fft(self, values: np.ndarray, counter: FFTCounter | None = None,
             out: np.ndarray | None = None) -> np.ndarray:
         if counter is not None:
-            counter.add()
+            counter.count += 1
         if out is None:
             out = np.empty(self.shape, np.complex128)
         return (np.fft.fft if self.d == 1 else np.fft.fftn)(values, out=out)
@@ -156,19 +159,19 @@ class Grid:
     def ifft(self, values_hat: np.ndarray, counter: FFTCounter | None = None,
              out: np.ndarray | None = None) -> np.ndarray:
         if counter is not None:
-            counter.add()
+            counter.count += 1
         if out is None:
             out = np.empty(self.shape, np.complex128)
         return (np.fft.ifft if self.d == 1 else np.fft.ifftn)(values_hat, out=out)
 
     def rfft(self, values: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
         if counter is not None:
-            counter.add()
+            counter.count += 1
         return np.fft.rfft(values) if self.d == 1 else np.fft.rfftn(values)
 
     def irfft(self, values_hat: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
         if counter is not None:
-            counter.add()
+            counter.count += 1
         if self.d == 1:
             return np.fft.irfft(values_hat, n=self.M)
         return np.fft.irfftn(values_hat, s=self.shape, axes=tuple(range(self.d)))
@@ -219,22 +222,26 @@ class Spectrum:
         return out, x_hat
 
     def dot(self, a_hat: np.ndarray, b_hat: np.ndarray) -> float:
-        return self.scale * np.vdot(a_hat, b_hat).real
+        return self.scale * float(np.vdot(a_hat, b_hat).real)
 
     def norm(self, a_hat: np.ndarray) -> float:
-        return float(np.sqrt(self.scale) * np.linalg.norm(a_hat.ravel()))
+        # the sums np.linalg.norm forms, without its wrapper
+        a = a_hat.ravel()
+        re, im = a.real, a.imag
+        return math.sqrt(self.scale) * math.sqrt(re.dot(re) + im.dot(im))
 
     def kinetic(self, a_hat: np.ndarray, b_hat: np.ndarray | None = None) -> float:
         if b_hat is None:
             return self.scale * float(np.sum(self.half_k2 * np.abs(a_hat) ** 2))
-        return self.scale * np.vdot(a_hat, self.half_k2 * b_hat).real
+        return self.scale * float(np.vdot(a_hat, self.half_k2 * b_hat).real)
 
 
 class HalfSpectrum(Spectrum):
     """Half spectra of real grid arrays (Grid.rfft).  A Parseval sum counts
     each interior mode of the last axis twice, for its conjugate partner,
     and the DC and Nyquist modes once: one dot of the float64 views,
-    weighted by mode_pairs, or by kin_pairs, those times the kinetic symbol."""
+    weighted by mode_pairs, or by kin_pairs, those times the kinetic symbol
+    (both in the shape of the views, which np.vdot flattens)."""
 
     def __init__(self, grid: Grid) -> None:
         super().__init__(grid)
@@ -244,18 +251,18 @@ class HalfSpectrum(Spectrum):
         self.half_k2 = grid.half_k2_r
         weights = np.full(self.half_k2.shape, 2.0)
         weights[..., [0, -1]] = 1.0
-        self.mode_pairs = np.repeat(weights, 2, axis=-1).reshape(-1)
-        self.kin_pairs = np.repeat(weights * self.half_k2, 2, axis=-1).reshape(-1)
+        self.mode_pairs = np.repeat(weights, 2, axis=-1)
+        self.kin_pairs = np.repeat(weights * self.half_k2, 2, axis=-1)
 
     def _pair_dot(self, a_hat: np.ndarray, b_hat: np.ndarray, weights: np.ndarray) -> float:
-        a = a_hat.view(np.float64).reshape(-1)
-        return self.scale * float(np.dot(a * weights, b_hat.view(np.float64).reshape(-1)))
+        a = a_hat.view(np.float64)
+        return self.scale * float(np.vdot(a * weights, b_hat.view(np.float64)))
 
     def dot(self, a_hat, b_hat):
         return self._pair_dot(a_hat, b_hat, self.mode_pairs)
 
     def norm(self, a_hat):
-        return float(np.sqrt(self.dot(a_hat, a_hat)))
+        return math.sqrt(self.dot(a_hat, a_hat))
 
     def kinetic(self, a_hat, b_hat=None):
         return self._pair_dot(a_hat, a_hat if b_hat is None else b_hat, self.kin_pairs)
@@ -355,11 +362,36 @@ def rotating_linear(grid: Grid, omega: float, values: np.ndarray, hat: bool = Fa
     return out, first
 
 
+def _pad_modes(a_hat: np.ndarray, axis: int, m2: int, half: bool) -> np.ndarray:
+    """The modes of a_hat along `axis` (in FFT order, M of them, or the
+    M/2 + 1 non-negative ones of a half spectrum when `half`) placed on m2 > M
+    modes, the rest zero.  The unmatched -M/2 mode is split evenly between
+    the +/- M/2 modes; a half spectrum keeps only +M/2, whose conjugate
+    partner the inverse real transform supplies."""
+    m = 2 * (a_hat.shape[axis] - 1) if half else a_hat.shape[axis]
+    shape = list(a_hat.shape)
+    shape[axis] = m2 // 2 + 1 if half else m2
+    out = np.zeros(shape, dtype=np.complex128)
+
+    def at(index):
+        return (slice(None),) * axis + (index,)
+
+    out[at(slice(0, m // 2))] = a_hat[at(slice(0, m // 2))]
+    nyquist = 0.5 * a_hat[at(m // 2)]
+    out[at(m // 2)] = nyquist
+    if not half:
+        out[at(m2 - m // 2)] += nyquist
+        out[at(slice(m2 - m // 2 + 1, None))] = a_hat[at(slice(m // 2 + 1, None))]
+    return out
+
+
 def spectral_interpolate(phi: WaveField, target: Grid) -> WaveField:
     """Zero-padding Fourier interpolation onto a finer grid, then renormalize.
 
     The unmatched -M/2 mode of the coarse grid is split evenly between the
-    +/- M/2 modes of the fine grid, which keeps real fields real.  The
+    +/- M/2 modes of the fine grid, which keeps real fields real.  A float64
+    field is padded on its half spectrum (rfft, irfft) and stays float64;
+    any other is padded on its full spectrum and comes back complex128.  The
     result has unit discrete norm.
     """
     g = phi.grid
@@ -369,20 +401,10 @@ def spectral_interpolate(phi: WaveField, target: Grid) -> WaveField:
         raise ValueError("target grid must be at least as fine")
     if target.M == g.M:
         return phi.normalized()
-    M, M2, d = g.M, target.M, g.d
-    coarse = np.fft.fftshift(g.fft(phi.values))
-    fine = np.zeros(target.shape, dtype=np.complex128)
-    off = (M2 - M) // 2
-    block = tuple(slice(off, off + M) for _ in range(d))
-    fine[block] = coarse
-    for ax in range(d):
-        lo = [slice(None)] * d
-        hi = [slice(None)] * d
-        lo[ax] = off
-        hi[ax] = off + M
-        nyquist = fine[tuple(lo)].copy()
-        fine[tuple(lo)] = 0.5 * nyquist
-        fine[tuple(hi)] = fine[tuple(hi)] + 0.5 * nyquist
-    values = target.ifft(np.fft.ifftshift(fine))
-    values *= (M2 / M) ** d
+    real = phi.values.dtype == np.float64
+    hat = g.rfft(phi.values) if real else g.fft(phi.values)
+    for ax in range(g.d):
+        hat = _pad_modes(hat, ax, target.M, half=real and ax == g.d - 1)
+    values = target.irfft(hat) if real else target.ifft(hat)
+    values *= (target.M / g.M) ** g.d
     return WaveField(target, values).normalized()

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gpesolve import WaveField, bench, classic, precond, runs, spectral_interpolate
+from gpesolve import WaveField, bench, classic, optim, precond, runs, spectral_interpolate
 from gpesolve.cli import main
 from gpesolve.config import RunConfig
 from gpesolve.runs import run_multigrid, run_single
@@ -316,6 +316,19 @@ class TestMultigridCommand:
         assert abs(float(summary["energy"]) - np.sqrt(2) / 2) <= 1e-10
         assert os.path.exists(os.path.join(out, "level0_M64_convergence.csv"))
         assert os.path.exists(os.path.join(out, "level1_M128_convergence.csv"))
+
+    def test_real_start_stays_real_on_every_level(self, tmp_path, monkeypatch):
+        # without rotation each level's zero-padded start is float64, so
+        # every level runs on the real path, not only the first
+        real = []
+        solve_once = runs._solve_once
+        monkeypatch.setattr(runs, "_solve_once", lambda cfg, grid, params, phi0, **kw: (
+            real.append(np.isrealobj(optim.start_iterate(phi0, 0.0).values))
+            or solve_once(cfg, grid, params, phi0, **kw)))
+        cfg = RunConfig.from_text(HARMONIC_1D + "multigrid.levels = 32:1e-8,64:1e-10,128:1e-12\n")
+        summary = run_multigrid(cfg, str(tmp_path / "mg"))
+        assert summary["converged"] == "true"
+        assert real == [True, True, True]
 
     def test_continuation_starts_each_level_from_the_last(self):
         # level k > 0 starts from level k - 1's result, zero-padded

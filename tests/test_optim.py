@@ -1,6 +1,8 @@
 """Sphere-constrained PG/PCG solvers: arc geometry, stepsizes, stopping."""
 
 import dataclasses
+import os
+import sys
 import tracemalloc
 import warnings
 
@@ -534,7 +536,9 @@ class TestPeakArrays:
     half-square at 64^2, in units of one complex grid array, pinned per
     kind and method as the transform budget is.  STILL pins the same trap
     without rotation, from a real guess: the engine's float64 path, whose
-    iterates take half a complex array and its transforms about as much."""
+    iterates take half a complex array and its transforms about as much.
+    The grid holds its spectra from the first solve on, so neither table
+    counts them: the half spectrum's two weight arrays are about one unit."""
 
     PEAK = {
         ("identity", "pg"): 14.26, ("identity", "pcg"): 13.27,
@@ -545,12 +549,12 @@ class TestPeakArrays:
         ("sym", "pg"): 14.26, ("sym", "pcg"): 13.27,
     }
     STILL = {
-        ("identity", "pg"): 7.90, ("identity", "pcg"): 7.38,
-        ("kinetic", "pg"): 7.37, ("kinetic", "pcg"): 7.39,
-        ("potential", "pg"): 7.87, ("potential", "pcg"): 7.38,
-        ("c1", "pg"): 7.15, ("c1", "pcg"): 8.18,
-        ("c2", "pg"): 8.90, ("c2", "pcg"): 8.89,
-        ("sym", "pg"): 7.87, ("sym", "pcg"): 7.88,
+        ("identity", "pg"): 6.87, ("identity", "pcg"): 6.35,
+        ("kinetic", "pg"): 6.34, ("kinetic", "pcg"): 6.35,
+        ("potential", "pg"): 6.83, ("potential", "pcg"): 6.35,
+        ("c1", "pg"): 6.10, ("c1", "pcg"): 7.14,
+        ("c2", "pg"): 7.87, ("c2", "pcg"): 7.85,
+        ("sym", "pg"): 6.83, ("sym", "pcg"): 6.84,
     }
 
     @staticmethod
@@ -579,6 +583,47 @@ class TestPeakArrays:
     def test_peak_arrays_real_path(self, kind, method):
         assert self.peak_arrays(kind, method, 0.0) == pytest.approx(self.STILL[kind, method],
                                                                     abs=0.1)
+
+
+class TestCallsPerIteration:
+    """Calls of gpesolve functions per pcg iteration on the 1D lattice trap
+    (the float64 path), pinned per kind as the transform budget is: the
+    engine's Python-level overhead, which dominates a small 1D iteration,
+    counted so that a regression fails here rather than hiding in timing
+    noise.  Only frames whose code lies in the gpesolve package count, so
+    the pins do not depend on the numpy version."""
+
+    CEILING = {"identity": 36, "kinetic": 46, "potential": 37, "c1": 43, "c2": 39, "sym": 41}
+
+    @staticmethod
+    def calls(kind, iterations):
+        g = Grid(1, 16.0, 128)
+        params = ModelParams(eta=250.0, omega=0.0,
+                             potential=harmonic_lattice(1.0, 25.0, np.pi / 2))
+        phi0 = thomas_fermi_initial(g, params)
+        cfg = SolverConfig(method="pcg", precond=kind, tol=0.0, max_iter=iterations)
+        package = os.path.dirname(optim.__file__) + os.sep
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                count += 1
+
+        sys.setprofile(profile)
+        try:
+            res = solve(phi0, params, cfg)
+        finally:
+            sys.setprofile(None)
+        assert (res.stop_reason, res.iterations) == ("max_iter", iterations)
+        return count
+
+    @pytest.mark.parametrize("kind", precond.KINDS)
+    def test_ceiling(self, kind):
+        # the difference of two run lengths leaves out the set-up and the
+        # final evaluation
+        per_iteration = (self.calls(kind, 30) - self.calls(kind, 10)) / 20
+        assert per_iteration <= self.CEILING[kind]
 
 
 def smooth_real(grid, seed):
@@ -841,6 +886,28 @@ class TestSolverConfigValidation:
             ref = solve(phi0, params, dataclasses.replace(cfg, method=method))
             assert [r.energy for r in res.records] == [r.energy for r in ref.records]
         assert any(r.beta > 0 for r in pcg.records) and all(r.beta == 0 for r in pg.records)
+
+    @pytest.mark.parametrize("option,match", [
+        ({"precond": "kinetic", "shift": True}, "preconditioner shift must be a number, not the bool"),
+        ({"max_iter": True}, "max_iter must be a nonnegative integer"),
+        ({"max_iter": False}, "max_iter must be a nonnegative integer"),
+        ({"tol": True}, "tol must be a finite"),
+    ])
+    def test_bool_rejected_by_name(self, option, match):
+        # True is a number to Python: shift=True once ran as 1.0 and
+        # max_iter=True as 1
+        with pytest.raises(ValueError, match=match):
+            SolverConfig(**option)
+        with pytest.raises(ValueError, match=match):
+            optim.check_options(option.get("precond", "sym"), option.get("shift", "adaptive"),
+                                "energy_diff", option.get("tol", 1e-12),
+                                option.get("max_iter", 10))
+
+    def test_numpy_numbers_accepted(self):
+        cfg = SolverConfig(precond="kinetic", shift=np.float64(2.5), tol=np.float32(1e-6),
+                           max_iter=np.int64(7))
+        assert (cfg.shift, cfg.max_iter) == (2.5, 7)
+        assert SolverConfig(tol=0, max_iter=0).max_iter == 0
 
     def test_positive_and_adaptive_shift_accepted(self):
         assert SolverConfig(precond="kinetic", shift=2.5).shift == 2.5

@@ -66,6 +66,58 @@ class TestBuild:
         g, params, phi = setup_1d
         with pytest.raises(ValueError, match="kind"):
             precond.build("chebyshev", g, 1.0, None)
+        with pytest.raises(ValueError, match="unknown preconditioner kind 'chebyshev'"):
+            precond.Preconditioner("chebyshev", g)
+
+
+class TestCheckShift:
+    @pytest.mark.parametrize("shift", [True, False])
+    def test_bool_rejected_by_name(self, shift):
+        # True is a numbers.Real, and once read as the shift 1.0
+        with pytest.raises(ValueError, match="^preconditioner shift must be a number, not the bool"):
+            precond.check_shift(shift)
+
+    @pytest.mark.parametrize("shift", [2.5, 3, np.float64(2.5), np.float32(2.5), np.int64(3)])
+    def test_python_and_numpy_reals_accepted(self, shift):
+        alpha = precond.check_shift(shift)
+        assert type(alpha) is float and alpha == float(shift)
+
+    @pytest.mark.parametrize("shift", [0, -1.0, np.float64(-2.0), np.nan, "2.5", None,
+                                       np.bool_(True), 1j])
+    def test_not_a_positive_real_rejected(self, shift):
+        with pytest.raises(ValueError, match="^preconditioner shift must be positive"):
+            precond.check_shift(shift)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(precond.KINDS), st.booleans(), st.sampled_from([(1, 32), (2, 16)]),
+       st.integers(0, 2**32 - 1), st.floats(0.01, 100.0), st.floats(0.01, 100.0),
+       st.booleans())
+def test_refreshed_preconditioner_equals_a_fresh_build(kind, real, shape, seed, alpha0, alpha,
+                                                       transformed):
+    # the optimizer holds one Preconditioner for a run and refreshes it at
+    # each iterate: after any earlier refresh, it applies bit for bit as a
+    # fresh build at the same shift and w does
+    d, m = shape
+    g = Grid(d, 6.0, m)
+    rng = np.random.default_rng(seed)
+    w0, w = (rng.random(g.shape) * 50.0 for _ in range(2))
+    r = rng.standard_normal(g.shape)
+    if not real:
+        r = r + 1j * rng.standard_normal(g.shape)
+    held = precond.Preconditioner(kind, g, real)
+    assert held.refresh(alpha0, w0) is held
+    held.refresh(alpha, w)
+    fresh = precond.build(kind, g, alpha, w, real)
+    assert held.alpha == fresh.alpha
+    spec = g.spectrum(real)
+    for got, want in zip(held.apply_pair(spec.fft(r) if transformed else r.copy(),
+                                         transformed=transformed),
+                         fresh.apply_pair(spec.fft(r) if transformed else r.copy(),
+                                          transformed=transformed)):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_tables_derived_from_factors():

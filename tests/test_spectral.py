@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpesolve import Grid, WaveField, inner, norm, spectral_interpolate
-from gpesolve import spectral
+from gpesolve import (Grid, ModelParams, WaveField, evaluate, harmonic_lattice, inner, norm,
+                      spectral_interpolate)
+from gpesolve import classic, spectral
 
 from oracles import (
     dense_lz_matrix,
@@ -433,6 +434,43 @@ class TestInterpolation:
             spectral_interpolate(u, Grid(1, 4.0, 64))
         with pytest.raises(ValueError, match="at least as fine"):
             spectral_interpolate(u, Grid(1, 8.0, 16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 8), (1, 64), (2, 8), (2, 16), (3, 4), (3, 8)]), st.integers(1, 32),
+       st.integers(0, 2**32 - 1), st.floats(0.5, 20.0))
+def test_real_interpolation_matches_the_complex_one(shape, extra, seed, half_width):
+    # a float64 field is padded on its half spectrum, and stays float64 (it
+    # once came back complex128 with imaginary parts of about 6e-17, which
+    # put every later multigrid level on the complex path); its complex128
+    # copy is padded on the full spectrum
+    d, m = shape
+    g = Grid(d, half_width, m)
+    u = WaveField(g, np.random.default_rng(seed).standard_normal(g.shape))
+    target = Grid(d, half_width, m + 2 * extra)
+    real = spectral_interpolate(u, target).values
+    full = spectral_interpolate(WaveField(g, u.values.astype(np.complex128)), target).values
+    assert real.dtype == np.float64 and full.dtype == np.complex128
+    # transform roundoff: eps log2(N) relative, 1.6e-15 for 128 points
+    tol = np.finfo(float).eps * np.log2(target.size)
+    assert np.max(np.abs(real - full)) <= tol * np.max(np.abs(full))
+
+
+def test_grid_holds_its_spectra(monkeypatch):
+    # each grid builds its half spectrum once, whoever asks and however often
+    built = []
+    init = spectral.HalfSpectrum.__init__
+    monkeypatch.setattr(spectral.HalfSpectrum, "__init__",
+                        lambda self, grid: built.append(grid) or init(self, grid))
+    g = Grid(1, 16.0, 128)
+    params = ModelParams(eta=250.0, potential=harmonic_lattice(1.0, 25.0, np.pi / 2))
+    phi = WaveField(g, np.exp(-g.x1**2)).normalized()
+    for _ in range(10):
+        evaluate(phi, params)
+    classic.imaginary_time_step(phi, classic.SchemeKind("be", 0.01), params, "identity")
+    assert built == [g]
+    assert g.spectrum(True) is g.spectrum(True) and g.spectrum(False) is g.spectrum(False)
+    assert g.spectrum(False) is not g.spectrum(True) and built == [g]
 
 
 class TestWaveField:
