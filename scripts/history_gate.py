@@ -19,6 +19,11 @@ which saves rerunning an unchanged tree.  The grid:
   Thomas-Fermi guess, energy_diff stop at tol 1e-11;
 * classic.run_imaginary_time with be_lambda, cn_lambda and fe_lambda on a
   small 1D lattice problem under each of the three stops;
+* the complex MINRES path: be_lambda/sym and cn_lambda/sym on the 2D
+  half-square trap (eta = 100, omega = 0.5, L = 8, M = 32, guess d,
+  dt = 0.1, energy_diff stop at tol 1e-8), and be_lambda/sym on the 1D
+  lattice problem from its Thomas-Fermi guess times exp(0.5i x), a complex
+  start at omega = 0 (max_iter 400);
 * the config path: RunConfig.from_text and runs._solve_once for pcg/sym and
   be_lambda/sym on a 1D lattice problem, each with the adaptive shift and
   with a fixed solver.shift;
@@ -30,8 +35,9 @@ which saves rerunning an unchanged tree.  The grid:
 Every numeric IterationRecord column, the iteration count, the stop reason,
 the final energy, multiplier and residual, and fft_total must agree.  Floats
 are compared through repr(), so NaN equals NaN and -0.0 differs from 0.0.
-A differing run prints its iteration counts as old→new and the relative
-difference of its final energy, and the summary counts the runs whose
+A differing run prints its iteration counts as old→new, the relative
+difference of its final energy and, for the imaginary-time schemes, its
+total of MINRES iterations as old→new, and the summary counts the runs whose
 iteration count changed.  The final field is
 compared too and reported separately, and so is the largest relative
 difference of the final energy over the runs where it differs.  Exit code 0 when everything agrees, 1 otherwise.
@@ -78,6 +84,7 @@ def _summarize(result) -> dict:
         "lam": repr(float(result.lam)),
         "r_inf": repr(float(result.r_inf)),
         "fft_total": result.fft_total,
+        "inner_total": result.inner_total,
         "field_sha256": hashlib.sha256(result.phi.values.tobytes()).hexdigest(),
     }
 
@@ -90,7 +97,7 @@ def dump(out_path: str) -> None:
     from gpesolve.config import RunConfig
     from gpesolve.model import ModelParams
     from gpesolve.runs import _solve_once, initial_field
-    from gpesolve.spectral import Grid
+    from gpesolve.spectral import Grid, WaveField
 
     lattice = model.harmonic_lattice(1.0, 25.0, np.pi / 2)
     problems = {
@@ -122,6 +129,18 @@ def dump(out_path: str) -> None:
             res = classic.run_imaginary_time(phi0, classic.SchemeKind(scheme=scheme, dt=dt), params,
                                              precond_kind=kind, stop=stop, tol=tol, max_iter=3000)
             runs[f"classic/{scheme}/{stop}"] = _summarize(res)
+    complex_phi0 = WaveField(grid, phi0.values * np.exp(0.5j * grid.x1))
+    res = classic.run_imaginary_time(complex_phi0, classic.SchemeKind(scheme="be_lambda", dt=0.01),
+                                     params, precond_kind="sym", stop="energy_diff", tol=1e-10,
+                                     max_iter=400)
+    runs["classic/complex_1d/be_lambda"] = _summarize(res)
+    grid = Grid(2, 8.0, 32)
+    params = ModelParams(eta=100.0, omega=0.5, potential=model.half_square())
+    phi0 = model.initial_guess("d", grid, params)
+    for scheme in ("be_lambda", "cn_lambda"):
+        res = classic.run_imaginary_time(phi0, classic.SchemeKind(scheme=scheme, dt=0.1), params,
+                                         precond_kind="sym", stop="energy_diff", tol=1e-8)
+        runs[f"classic/rotating_2d/{scheme}"] = _summarize(res)
     for name, overrides in CONFIG_RUNS.items():
         cfg = RunConfig.from_text(CONFIG_1D, overrides)
         grid, params = cfg.grid(), cfg.model_params()
@@ -185,6 +204,8 @@ def main(argv: list[str]) -> int:
         iteration_diffs += a["iterations"] != b["iterations"]
         iterations = (f"iterations {a['iterations']}→{b['iterations']}, energy {rel:.2e}" if bad
                       else f"{a['iterations']} iterations")
+        if bad and a["inner_total"]:
+            iterations += f", inner {a['inner_total']}→{b['inner_total']}"
         print(f"{status:<12} {name}: {iterations}, {a['stop_reason']}, "
               f"fft_total {a['fft_total']}")
     print(f"{len(old)} runs, {failures} differ in the history, "

@@ -91,11 +91,6 @@ def _realify(z: np.ndarray) -> np.ndarray:
     return np.concatenate([z.real.ravel(), z.imag.ravel()])
 
 
-def _rdot(a: np.ndarray, b: np.ndarray) -> float:
-    """Re <a, b>, the real part of the Euclidean inner product."""
-    return float(np.vdot(a, b).real)
-
-
 def krylov_solve(
     apply_a,
     b: WaveField,
@@ -110,7 +105,11 @@ def krylov_solve(
     the discrete inner product; the preconditioner must be Hermitian
     positive definite.  Then the Lanczos coefficients alpha = Re<v, Av> and
     beta = sqrt(Re<r, Pr>) are real, and MINRES (Paige & Saunders 1975)
-    runs on vectors of b's dtype with its real Givens recursion.
+    runs on vectors of b's dtype with its real Givens recursion.  The
+    solver owns the array `apply_a` returns and updates it in place, so
+    `apply_a` must return a fresh array or its argument itself, which the
+    solver then copies.  Every other vector of the recursion is written
+    into arrays allocated once per solve; b is left alone.
 
     One Krylov run, from x = 0: whenever the recursive estimate of the
     P-norm residual falls to its target, first tol times its start value,
@@ -129,17 +128,17 @@ def krylov_solve(
     if b_norm == 0.0:
         return WaveField(grid, x), 0
 
-    def psolve(r: np.ndarray) -> np.ndarray:
-        return r if p is None else p.apply_values(r, counter)
+    apply_p = None if p is None else p.apply_values
 
     def fail(why: str, res: float):
         return KrylovError(f"MINRES did not converge ({why} after {iters} iterations, "
                            f"rel residual={res:.3e})", best=x, residual=res, iterations=iters)
 
+    # Re<a, b> is float(np.vdot(a, b).real), written out: no helper call
     iters = 0
     r1 = r2 = rhs
-    y = psolve(r2)
-    beta = _rdot(r2, y)
+    y = r2 if apply_p is None else apply_p(r2, counter)
+    beta = float(np.vdot(r2, y).real)
     if not (math.isfinite(beta) and beta > 0.0):
         raise fail("preconditioned norm of b is not positive", 1.0)
     beta = math.sqrt(beta)
@@ -148,21 +147,23 @@ def krylov_solve(
     cs, sn = -1.0, 0.0
     phibar = beta
     target = tol * beta
-    w = w2 = np.zeros_like(x)
+    v, w, w1, w2, tmp = np.zeros((5,) + x.shape, x.dtype)
     res = 1.0  # true relative residual of the current x
     while iters < max_iter:
         iters += 1
         # Lanczos step: v_k, and the next residual r2 = beta_{k+1} P^-1 v_{k+1}
-        v = y * (1.0 / beta)
-        y = apply_a(v)  # may be v itself, so not updated in place
+        np.multiply(y, 1.0 / beta, out=v)
+        y = apply_a(v)
+        if y is v:
+            y = v.copy()
         if iters >= 2:
-            y = y - (beta / old_beta) * r1
-        alpha = _rdot(v, y)
-        y = y - (alpha / beta) * r2
+            y -= np.multiply(r1, beta / old_beta, out=tmp)
+        alpha = float(np.vdot(v, y).real)
+        y -= np.multiply(r2, alpha / beta, out=tmp)
         r1, r2 = r2, y
-        y = psolve(r2)
+        y = r2 if apply_p is None else apply_p(r2, counter)
         old_beta = beta
-        beta = _rdot(r2, y)
+        beta = float(np.vdot(r2, y).real)
         if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise fail("non-finite value", math.nan)
         if beta < 0.0:
@@ -180,9 +181,12 @@ def krylov_solve(
         cs, sn = gbar / gamma, beta / gamma
         phi = cs * phibar
         phibar *= sn
-        w1, w2 = w2, w
-        w = (v - old_eps * w1 - delta * w2) * (1.0 / gamma)
-        x += phi * w
+        # w = (v - old_eps w1 - delta w2) / gamma, into the array w1 frees
+        w1, w2, w = w2, w, w1
+        np.subtract(v, np.multiply(w1, old_eps, out=w), out=w)
+        w -= np.multiply(w2, delta, out=tmp)
+        w *= 1.0 / gamma
+        x += np.multiply(w, phi, out=tmp)
         res = math.nan
         if phibar <= target:
             res = float(np.linalg.norm(rhs - apply_a(x))) / b_norm
@@ -218,10 +222,34 @@ def imaginary_time_step(
     instead of evaluating phi_n again.  Returns (phi_{n+1}, of phi_n's dtype,
     and the inner iteration count).  Raises optim.Stop(diverged) when the
     preconditioner shift is not positive or the field before projection has
-    zero or non-finite norm.
+    zero or non-finite norm.  A run (run_imaginary_time) takes the same step
+    with one preconditioner refreshed at each iterate; this entry point
+    makes its own.
     """
     check_precond(scheme.scheme, precond_kind)
     ev = phi_n if isinstance(phi_n, model.Evaluation) else model.evaluate(phi_n, params, counter)
+    return _step(ev, scheme, params, _preconditioner(scheme, precond_kind, ev.phi), shift,
+                 counter)
+
+
+def _preconditioner(scheme: SchemeKind, kind: str,
+                    phi: WaveField) -> precond.Preconditioner | None:
+    """The preconditioner the MINRES solves of `scheme` read, of phi's dtype:
+    None for the identity and for an explicit scheme, which solves nothing."""
+    if kind == precond.IDENTITY or scheme_weight(scheme.scheme)[0] == 0.0:
+        return None
+    return precond.Preconditioner(kind, phi.grid, np.isrealobj(phi.values))
+
+
+def _step(ev: model.Evaluation, scheme: SchemeKind, params: ModelParams,
+          p: precond.Preconditioner | None, shift: str | float,
+          counter: FFTCounter | None) -> tuple[WaveField, int]:
+    """imaginary_time_step from the evaluation of phi_n, refreshing p there.
+
+    The implicit operator is (1/dt + w A) x = w H_lin x + d x, with H_lin
+    the linear part of H (Spectrum.linear, 2 transform units) and the real
+    diagonal d = 1/dt + w (V + eta |phi_n|^2 - s lambda) formed once here.
+    """
     phi_n = ev.phi
     g = phi_n.grid
     dt = scheme.dt
@@ -233,20 +261,26 @@ def imaginary_time_step(
 
     if w == 0.0:
         return _project(g, phi_n.values - dt * apply_shifted(h_phi, phi_n.values)), 0
-    apply_h = model.frozen_hamiltonian(params, g, ev.w, counter)
-    p = None
-    if precond_kind != precond.IDENTITY:
+    if p is not None:
         if shift == "adaptive":
             # the implicit operator carries the extra 1/dt shift, so the
             # preconditioner diagonal mirrors it on top of the adaptive one
             shift = 1.0 / dt + ev.energy.characteristic
         try:
-            p = precond.build(precond_kind, g, shift, ev.w, np.isrealobj(phi_n.values))
-        except ValueError as err:  # the shift check of precond.build
+            p.refresh(shift, ev.w)
+        except ValueError as err:  # the shift check of Preconditioner.refresh
             raise Stop(DIVERGED, str(err)) from None
+    linear = g.spectrum(np.isrealobj(phi_n.values)).linear
+    omega = params.omega
+    diag = w * (ev.w - lam) if s else w * ev.w
+    diag += 1.0 / dt
 
     def apply_a(x):
-        return x / dt + w * apply_shifted(apply_h(x), x)
+        out, _ = linear(x, omega, counter)
+        if w != 1.0:
+            out *= w
+        out += diag * x
+        return out
 
     rhs = phi_n.values / dt - (1.0 - w) * apply_shifted(h_phi, phi_n.values)
     tilde, inner_iters = krylov_solve(
@@ -282,7 +316,8 @@ def run_imaginary_time(
 
     Each iterate is evaluated once (model.evaluate): the evaluation gives
     the record of the step that produced the iterate, the next step's
-    H phi, lambda and adaptive shift, and the final result.
+    H phi, lambda and adaptive shift, and the final result.  One
+    preconditioner serves the run, refreshed at each iterate.
     """
     check_options(precond_kind, shift, stop, tol, max_iter)
     check_precond(scheme.scheme, precond_kind)
@@ -290,6 +325,7 @@ def run_imaginary_time(
     t0 = time.perf_counter()
     counter = FFTCounter()
     ev = model.evaluate(start_iterate(phi0, params.omega), params, counter)
+    p = _preconditioner(scheme, precond_kind, ev.phi)
     trial = None  # evaluation of the last step's iterate, accepted once the next one runs
 
     def step() -> dict:
@@ -297,8 +333,7 @@ def run_imaginary_time(
         if trial is not None:
             ev = trial
         try:
-            phi_next, inner_iters = imaginary_time_step(
-                ev, scheme, params, precond_kind, shift=shift, counter=counter)
+            phi_next, inner_iters = _step(ev, scheme, params, p, shift, counter)
         except KrylovError as err:
             raise Stop(INNER_SOLVER_FAILED, str(err)) from None
         step_inf = float(np.max(np.abs(phi_next.values - ev.phi.values)))

@@ -291,7 +291,8 @@ def evaluate(phi: WaveField, params: ModelParams, counter: FFTCounter | None = N
     rotation it also completes the forward transform (3 units): the kinetic
     energy comes from the transform by Parseval and the rotation energy as
     the rest of <phi, H_lin phi>.  A float64 phi takes half spectra, but not
-    under rotation, where H_lin phi is complex.
+    under rotation, where H_lin phi is complex.  Every scalar, the energy
+    parts among them, is a Python float.
     """
     g = phi.grid
     hd = g.cell_volume
@@ -300,7 +301,7 @@ def evaluate(phi: WaveField, params: ModelParams, counter: FFTCounter | None = N
     rotating = params.omega != 0.0
     spec = g.spectrum(np.isrealobj(u) and not rotating)
     h_phi, u_hat = spec.linear(u, params.omega, counter, hat=rotating)
-    lin = (hd * np.vdot(u, h_phi)).real
+    lin = hd * float(np.vdot(u, h_phi).real)
     kinetic = spec.kinetic(u_hat) if rotating else lin
     rotation = lin - kinetic if rotating else 0.0
     v = sample_potential(params.potential, g)
@@ -308,9 +309,9 @@ def evaluate(phi: WaveField, params: ModelParams, counter: FFTCounter | None = N
     interaction = 0.5 * params.eta * hd * float(np.sum(dens**2))
     w = v + params.eta * dens
     h_phi += w * u
-    lam = (hd * np.vdot(h_phi, u)).real
+    lam = hd * float(np.vdot(h_phi, u).real)
     r_inf = float(np.max(np.abs(h_phi - lam * u)))
-    return Evaluation(phi, h_phi, float(lam), r_inf,
+    return Evaluation(phi, h_phi, lam, r_inf,
                       EnergyBreakdown(kinetic, potential, interaction, rotation), w)
 
 

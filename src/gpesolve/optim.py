@@ -119,7 +119,8 @@ class IterationRecord:
     pg/pcg rows hold lam and r_inf of the iterate the step started from
     (r_inf is NaN where the residual stayed in Fourier space), and energy,
     energy_delta and step_inf of the step itself.  Imaginary-time rows
-    describe the iterate after the step throughout.
+    describe the iterate after the step throughout.  The methods hand in
+    Python numbers, never numpy scalars, so the CSV gets plain reprs.
     """
 
     n: int
@@ -138,11 +139,6 @@ class IterationRecord:
 
     CSV_FIELDS = ("n", "energy", "lam", "r_inf", "step_inf", "theta", "beta",
                   "backtracks", "fft_count", "energy_delta", "restarted", "wall_time")
-
-    def __post_init__(self) -> None:
-        for name in ("energy", "lam", "r_inf", "step_inf", "theta", "beta",
-                     "wall_time", "energy_delta"):
-            setattr(self, name, float(getattr(self, name)))
 
 
 @dataclass

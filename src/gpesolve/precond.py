@@ -12,9 +12,9 @@ sym = P_V^(1/2) P_Delta P_V^(1/2).  Every per-kind rule is read from that
 table: the diagonals `Preconditioner.refresh` forms, the loop of
 `apply_pair`, FOURIER_FIRST, FORMS_HAT and HERMITIAN.  The shift alpha is
 fixed, or the characteristic energy of the iterate (adaptive policy), which
-each caller has at hand.  The optimizer holds one Preconditioner for a run
-and refreshes it at each iterate; the MINRES baselines and the conditioning
-diagnostic take one from `build`.
+each caller has at hand.  The optimizer and the imaginary-time runs hold
+one Preconditioner for a run and refresh it at each iterate; the
+conditioning diagnostic takes one from `build`.
 """
 
 from __future__ import annotations

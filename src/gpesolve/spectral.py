@@ -23,12 +23,12 @@ class FFTCounter:
     the optimizers' cost model (the per-iteration budget of criterion 12).
 
     Grid.fft and Grid.ifft charge one unit per full d-dimensional transform,
-    and so do Grid.rfft and Grid.irfft, their half-spectrum forms for a real
-    field, though they do about half the work.  The one-axis passes
-    (Grid.fft_axis, Grid.ifft_axis) charge nothing themselves: the callers
-    of the operators built from them charge the units of the full-transform
-    images they stand for, one for -Lap/2, one for Lz and one for a
-    completed forward transform.  So the units stay comparable across
+    and so do HalfSpectrum.fft and HalfSpectrum.ifft, their half-spectrum
+    forms for a real field, though they do about half the work.  The
+    one-axis passes (Grid.fft_axis, Grid.ifft_axis) charge nothing
+    themselves: the callers of the operators built from them charge the
+    units of the full-transform images they stand for, one for -Lap/2, one
+    for Lz and one for a completed forward transform.  So the units stay comparable across
     implementations while the real work differs: a rotating 2D iteration
     runs 5 (identity, potential) to 9 (sym, c1) one-axis passes for its 3
     to 5 units.
@@ -64,17 +64,16 @@ class Grid:
         half_k2_r: half_k2 on the half spectrum of rfft, the first M/2+1
             modes of the last axis (a property, formed on first use).
 
-    fft and ifft are the only full transforms of the package, rfft and irfft
-    their half-spectrum forms for real fields (the M/2+1 non-negative modes
-    of the last axis, the rest following by Hermitian symmetry), and
-    fft_axis and ifft_axis the only one-axis ones; spectrum(real) is where
-    a caller picks between the first two pairs.  fft and ifft take any
-    input and return complex grid arrays.  They and the one-axis transforms
-    write through `out=`, fresh unless the caller passes one (the input
-    itself for an in-place transform), which lets numpy run its passes
-    after the first in place; the result is the same bit for bit.  rfft and
-    irfft return fresh arrays.  In 1D all four call numpy's 1D transforms,
-    which numpy's n-D ones wrap: the same bits without the wrapper's cost.
+    fft and ifft are the only full transforms of the package and fft_axis
+    and ifft_axis the only one-axis ones; their half-spectrum forms for
+    real fields are HalfSpectrum's, and spectrum(real) is where a caller
+    picks between the two formats.  fft and ifft take any input and return
+    complex grid arrays.  They and the one-axis transforms write through
+    `out=`, fresh unless the caller passes one (the input itself for an
+    in-place transform), which lets numpy run its passes after the first in
+    place; the result is the same bit for bit.  In 1D both call numpy's 1D
+    transforms, which numpy's n-D ones wrap: the same bits without the
+    wrapper's cost.
     """
 
     d: int
@@ -164,18 +163,6 @@ class Grid:
             out = np.empty(self.shape, np.complex128)
         return (np.fft.ifft if self.d == 1 else np.fft.ifftn)(values_hat, out=out)
 
-    def rfft(self, values: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
-        if counter is not None:
-            counter.count += 1
-        return np.fft.rfft(values) if self.d == 1 else np.fft.rfftn(values)
-
-    def irfft(self, values_hat: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
-        if counter is not None:
-            counter.count += 1
-        if self.d == 1:
-            return np.fft.irfft(values_hat, n=self.M)
-        return np.fft.irfftn(values_hat, s=self.shape, axes=tuple(range(self.d)))
-
     def fft_axis(self, values: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
         """Forward transform along `axis` only (charges no unit, see FFTCounter)."""
         if out is None:
@@ -237,22 +224,38 @@ class Spectrum:
 
 
 class HalfSpectrum(Spectrum):
-    """Half spectra of real grid arrays (Grid.rfft).  A Parseval sum counts
-    each interior mode of the last axis twice, for its conjugate partner,
-    and the DC and Nyquist modes once: one dot of the float64 views,
-    weighted by mode_pairs, or by kin_pairs, those times the kinetic symbol
-    (both in the shape of the views, which np.vdot flattens)."""
+    """Half spectra of real grid arrays: the M/2+1 non-negative modes of
+    the last axis, the rest following by Hermitian symmetry.  fft and ifft
+    are numpy's real transforms, one unit each (FFTCounter); they return
+    fresh arrays, since no half spectrum fits a grid array.  A Parseval sum
+    counts each interior mode of the last axis twice, for its conjugate
+    partner, and the DC and Nyquist modes once: one dot of the float64
+    views, weighted by mode_pairs, or by kin_pairs, those times the kinetic
+    symbol (both in the shape of the views, which np.vdot flattens)."""
 
     def __init__(self, grid: Grid) -> None:
-        super().__init__(grid)
-        # out is never used: no half spectrum fits a grid array
-        self.fft = lambda values, counter=None, out=None: grid.rfft(values, counter)
-        self.ifft = lambda values_hat, counter=None, out=None: grid.irfft(values_hat, counter)
+        # not Spectrum.__init__, whose bound transforms would hide the methods
+        self.grid = grid
+        self.scale = grid.cell_volume / grid.size
         self.half_k2 = grid.half_k2_r
         weights = np.full(self.half_k2.shape, 2.0)
         weights[..., [0, -1]] = 1.0
         self.mode_pairs = np.repeat(weights, 2, axis=-1)
         self.kin_pairs = np.repeat(weights * self.half_k2, 2, axis=-1)
+
+    def fft(self, values: np.ndarray, counter: FFTCounter | None = None, out=None) -> np.ndarray:
+        if counter is not None:
+            counter.count += 1
+        return np.fft.rfft(values) if self.grid.d == 1 else np.fft.rfftn(values)
+
+    def ifft(self, values_hat: np.ndarray, counter: FFTCounter | None = None,
+             out=None) -> np.ndarray:
+        if counter is not None:
+            counter.count += 1
+        g = self.grid
+        if g.d == 1:
+            return np.fft.irfft(values_hat, n=g.M)
+        return np.fft.irfftn(values_hat, s=g.shape, axes=tuple(range(g.d)))
 
     def _pair_dot(self, a_hat: np.ndarray, b_hat: np.ndarray, weights: np.ndarray) -> float:
         a = a_hat.view(np.float64)
@@ -390,7 +393,7 @@ def spectral_interpolate(phi: WaveField, target: Grid) -> WaveField:
 
     The unmatched -M/2 mode of the coarse grid is split evenly between the
     +/- M/2 modes of the fine grid, which keeps real fields real.  A float64
-    field is padded on its half spectrum (rfft, irfft) and stays float64;
+    field is padded on its half spectrum (HalfSpectrum) and stays float64;
     any other is padded on its full spectrum and comes back complex128.  The
     result has unit discrete norm.
     """
@@ -402,9 +405,9 @@ def spectral_interpolate(phi: WaveField, target: Grid) -> WaveField:
     if target.M == g.M:
         return phi.normalized()
     real = phi.values.dtype == np.float64
-    hat = g.rfft(phi.values) if real else g.fft(phi.values)
+    hat = g.spectrum(real).fft(phi.values)
     for ax in range(g.d):
         hat = _pad_modes(hat, ax, target.M, half=real and ax == g.d - 1)
-    values = target.irfft(hat) if real else target.ifft(hat)
+    values = target.spectrum(real).ifft(hat)
     values *= (target.M / g.M) ** g.d
     return WaveField(target, values).normalized()

@@ -10,14 +10,18 @@ at the end (tangent projection, second-order angle, arc step, arc energy
 coefficients) are composed from the plain transforms and the package's
 Hessian rather than from the fused iteration engine that the solvers run.
 `preconditioner_at` builds a preconditioner at an iterate as the solvers do.
+`krylov_solve_plain` is the MINRES loop with a fresh array for every vector
+operation, which the buffered classic.krylov_solve must match bit for bit.
 """
 
 import csv
 import io
+import math
 
 import numpy as np
 
 from gpesolve import model, precond, spectral
+from gpesolve.classic import KrylovError
 from gpesolve.optim import _Arc
 from gpesolve.spectral import WaveField
 
@@ -228,3 +232,90 @@ def arc_from_fields(phi: WaveField, p_hat: WaveField, params: model.ModelParams)
         eta_hd=params.eta * hd,
     )
 
+
+
+# ---------------------------------------------------------------------------
+# allocating MINRES
+# ---------------------------------------------------------------------------
+
+def _rdot(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.vdot(a, b).real)
+
+
+def krylov_solve_plain(apply_a, b: WaveField, p=None, tol=1e-10, max_iter=2000, counter=None):
+    """classic.krylov_solve with every vector formed in a fresh array: the
+    same recursion, order of operations and stop rules."""
+    grid = b.grid
+    rhs = b.values
+    x = np.zeros_like(rhs)
+    b_norm = float(np.linalg.norm(rhs))
+    if b_norm == 0.0:
+        return WaveField(grid, x), 0
+
+    def psolve(r):
+        return r if p is None else p.apply_values(r, counter)
+
+    def fail(why, res):
+        return KrylovError(f"MINRES did not converge ({why} after {iters} iterations, "
+                           f"rel residual={res:.3e})", best=x, residual=res, iterations=iters)
+
+    iters = 0
+    r1 = r2 = rhs
+    y = psolve(r2)
+    beta = _rdot(r2, y)
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise fail("preconditioned norm of b is not positive", 1.0)
+    beta = math.sqrt(beta)
+    old_beta = 0.0
+    eps = dbar = 0.0
+    cs, sn = -1.0, 0.0
+    phibar = beta
+    target = tol * beta
+    w = w2 = np.zeros_like(x)
+    res = 1.0
+    while iters < max_iter:
+        iters += 1
+        v = y * (1.0 / beta)
+        y = apply_a(v)
+        if iters >= 2:
+            y = y - (beta / old_beta) * r1
+        alpha = _rdot(v, y)
+        y = y - (alpha / beta) * r2
+        r1, r2 = r2, y
+        y = psolve(r2)
+        old_beta = beta
+        beta = _rdot(r2, y)
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise fail("non-finite value", math.nan)
+        if beta < 0.0:
+            raise fail("preconditioner not positive definite", res)
+        beta = math.sqrt(beta)
+        old_eps = eps
+        delta = cs * dbar + sn * alpha
+        gbar = sn * dbar - cs * alpha
+        eps = sn * beta
+        dbar = -cs * beta
+        gamma = math.hypot(gbar, beta)
+        if gamma == 0.0:
+            raise fail("singular operator", res)
+        cs, sn = gbar / gamma, beta / gamma
+        phi = cs * phibar
+        phibar *= sn
+        w1, w2 = w2, w
+        w = (v - old_eps * w1 - delta * w2) * (1.0 / gamma)
+        x += phi * w
+        res = math.nan
+        if phibar <= target:
+            res = float(np.linalg.norm(rhs - apply_a(x))) / b_norm
+            if not math.isfinite(res):
+                raise fail("non-finite value", res)
+            if res <= tol:
+                return WaveField(grid, x), iters
+            if beta == 0.0:
+                break
+            target = phibar * min(0.5, 0.5 * tol / res)
+    if math.isnan(res):
+        res = float(np.linalg.norm(rhs - apply_a(x))) / b_norm
+    if math.isfinite(res) and res <= max(10.0 * tol, 1e-12):
+        return WaveField(grid, x), iters
+    raise fail("breakdown" if iters < max_iter else f"max_iter={max_iter} reached", res)

@@ -1,11 +1,13 @@
 """Imaginary-time schemes, the MINRES inner solver, and spectral analysis."""
 
+import os
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpesolve import (
     Grid,
@@ -14,12 +16,13 @@ from gpesolve import (
     WaveField,
     evaluate,
     harmonic,
+    half_square,
     harmonic_lattice,
     initial_guess,
     norm,
     thomas_fermi_initial,
 )
-from gpesolve import classic, model, precond
+from gpesolve import classic, model, precond, spectral
 from gpesolve.classic import (
     KrylovError,
     SchemeKind,
@@ -32,7 +35,7 @@ from gpesolve.classic import (
 )
 from gpesolve.optim import SolverConfig, solve
 
-from oracles import dense_hamiltonian_1d, preconditioner_at
+from oracles import dense_hamiltonian_1d, krylov_solve_plain, preconditioner_at
 
 
 def linear_harmonic(grid_m=64, box=16.0):
@@ -176,6 +179,50 @@ class TestKrylovSolve:
                              check=True).stdout
         assert out.strip() == "[]"
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([4, 8, 16, 32]),
+           st.sampled_from([np.float64, np.complex128]),
+           st.sampled_from(["none", "diagonal", "sym"]), st.sampled_from(["dense", "identity"]),
+           st.sampled_from([1e-6, 1e-10, 1e-13]))
+    def test_matches_the_allocating_loop(self, seed, m, dtype, kind, operator, tol):
+        # on a random Hermitian positive definite operator, or one that
+        # returns its argument, the buffered solver gives the allocating
+        # loop's x bit for bit, its iteration count and its failure, and
+        # leaves b alone
+        g = Grid(1, 8.0, m)
+        rng = np.random.default_rng(seed)
+        real = dtype is np.float64
+
+        def draw(*shape):
+            z = rng.standard_normal(shape)
+            return z if real else z + 1j * rng.standard_normal(shape)
+
+        a = draw(m, m)
+        a = a @ a.conj().T + rng.uniform(0.1, m) * np.eye(m)
+        apply_a = (lambda v: v) if operator == "identity" else (lambda v: a @ v)
+        p = None
+        if kind == "diagonal":
+            p = precond.Preconditioner("potential", g, real, alpha=1.0,
+                                       real_diag=rng.uniform(0.1, 2.0, m))
+        elif kind == "sym":
+            p = precond.build("sym", g, rng.uniform(0.5, 5.0), rng.uniform(0.0, 10.0, m), real)
+        b = WaveField(g, draw(m))
+        before = b.values.copy()
+
+        def run(solver):
+            try:
+                x, iters = solver(apply_a, b, p, tol=tol, max_iter=3 * m)
+                return x.values, iters, None
+            except KrylovError as err:
+                return err.best, err.iterations, str(err)
+
+        x, iters, failure = run(krylov_solve)
+        assert b.values.tobytes() == before.tobytes()
+        x_ref, iters_ref, failure_ref = run(krylov_solve_plain)
+        assert x.dtype == x_ref.dtype == np.dtype(dtype)
+        assert x.tobytes() == x_ref.tobytes()
+        assert (iters, failure) == (iters_ref, failure_ref)
+
     def test_failure_carries_best_iterate(self):
         g = Grid(1, 8.0, 16)
         rng = np.random.default_rng(7)
@@ -271,6 +318,82 @@ class TestImaginaryTimeStep:
         assert 50 <= d_lam[0] / d_lam[1] <= 200
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["be", "be_lambda", "cn", "cn_lambda"]),
+           st.sampled_from(["1d float64", "1d complex", "2d rotating"]),
+           st.floats(1e-3, 0.1))
+    def test_operator_is_the_frozen_hamiltonian(self, seed, scheme, case, dt):
+        # the step's operator w H_lin + d, d formed once per step, is
+        # x/dt + w (H x - s lambda x) with H the frozen Hamiltonian at phi_n
+        rng = np.random.default_rng(seed)
+        if case == "2d rotating":
+            g = Grid(2, 8.0, 16)
+            params = ModelParams(eta=100.0, omega=0.5, potential=half_square())
+        else:
+            g = Grid(1, 16.0, 64)
+            params = ModelParams(eta=250.0, potential=harmonic_lattice(1.0, 25.0, np.pi / 2))
+
+        def draw():
+            z = rng.standard_normal(g.shape)
+            return z if case == "1d float64" else z + 1j * rng.standard_normal(g.shape)
+
+        phi = WaveField(g, draw() * np.exp(-np.abs(g.coordinate(0)))).normalized()
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classic, "krylov_solve", lambda *a, **kw: calls.append(a) or (a[1], 0))
+            imaginary_time_step(phi, SchemeKind(scheme, dt), params, "sym")
+        apply_a = calls[0][0]
+        ev = evaluate(phi, params)
+        apply_h = model.frozen_hamiltonian(params, g, ev.w)
+        w, s = classic.WEIGHTS[scheme]
+        x = draw()
+        want = x / dt + w * (apply_h(x) - s * ev.lam * x)
+        got = apply_a(x)
+        assert got.dtype == phi.values.dtype
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+class TestMinresCallsPerIteration:
+    """Calls of gpesolve functions per MINRES iteration of be_lambda/sym on
+    the 1D lattice trap (the float64 path), the outer step's own calls
+    spread over its inner iterations: the Python-level overhead of an
+    implicit scheme, counted so that a regression fails here rather than
+    hiding in timing noise.  Only frames whose code lies in the gpesolve
+    package count, as in test_optim.TestCallsPerIteration."""
+
+    CEILING = 15.0
+
+    @staticmethod
+    def calls(steps):
+        g = Grid(1, 16.0, 128)
+        params = ModelParams(eta=250.0, omega=0.0,
+                             potential=harmonic_lattice(1.0, 25.0, np.pi / 2))
+        phi0 = thomas_fermi_initial(g, params)
+        package = os.path.dirname(classic.__file__) + os.sep
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                count += 1
+
+        sys.setprofile(profile)
+        try:
+            res = run_imaginary_time(phi0, SchemeKind("be_lambda", 0.01), params, "sym",
+                                     stop="residual_inf", tol=0.0, max_iter=steps)
+        finally:
+            sys.setprofile(None)
+        assert (res.stop_reason, res.iterations) == ("max_iter", steps)
+        return count, res.inner_total
+
+    def test_ceiling(self):
+        # the difference of two run lengths leaves out the set-up and the
+        # final evaluation
+        (c10, i10), (c30, i30) = self.calls(10), self.calls(30)
+        assert i30 > i10
+        assert (c30 - c10) / (i30 - i10) <= self.CEILING
+
+
 class TestRunImaginaryTime:
     def test_be_lambda_reaches_harmonic_ground_state(self):
         g, params, phi = linear_harmonic()
@@ -333,21 +456,22 @@ class TestRunImaginaryTime:
 
     def test_each_record_counts_the_transforms_its_step_ran(self, monkeypatch):
         # be_lambda/sym in 1D: a spy counts every Grid.fft/ifft call, and
-        # rfft/irfft of the real path, and notes the count as each step
-        # begins; a step runs until the next begins or the run ends, and
-        # nothing runs uncounted
+        # the half-spectrum transforms of the real path, and notes the count
+        # as each step begins; a step runs until the next begins or the run
+        # ends, and nothing runs uncounted
         g = Grid(1, 16.0, 128)
         params = ModelParams(eta=250.0, omega=0.0,
                              potential=harmonic_lattice(1.0, 25.0, np.pi / 2))
         calls = [0]
-        for name in ("fft", "ifft", "rfft", "irfft"):
-            def spy(self, *args, _orig=getattr(Grid, name), **kwargs):
+        for owner, name in ((Grid, "fft"), (Grid, "ifft"), (spectral.HalfSpectrum, "fft"),
+                            (spectral.HalfSpectrum, "ifft")):
+            def spy(self, *args, _orig=getattr(owner, name), **kwargs):
                 calls[0] += 1
                 return _orig(self, *args, **kwargs)
-            monkeypatch.setattr(Grid, name, spy)
+            monkeypatch.setattr(owner, name, spy)
         starts = []
-        step = classic.imaginary_time_step
-        monkeypatch.setattr(classic, "imaginary_time_step",
+        step = classic._step
+        monkeypatch.setattr(classic, "_step",
                             lambda *a, **kw: starts.append(calls[0]) or step(*a, **kw))
         res = run_imaginary_time(thomas_fermi_initial(g, params), SchemeKind("be_lambda", 0.01),
                                  params, "sym", tol=1e-10, max_iter=40)
@@ -376,10 +500,9 @@ class TestRunImaginaryTime:
                              potential=harmonic_lattice(1.0, 25.0, np.pi / 2))
         phi = thomas_fermi_initial(g, params)
         shifts = []
-        build = precond.build
-        monkeypatch.setattr(precond, "build",
-                            lambda kind, grid, alpha, w, real: shifts.append(alpha) or build(
-                                kind, grid, alpha, w, real))
+        refresh = precond.Preconditioner.refresh
+        monkeypatch.setattr(precond.Preconditioner, "refresh",
+                            lambda self, alpha, w: shifts.append(alpha) or refresh(self, alpha, w))
         imaginary_time_step(phi, SchemeKind("be", 0.01), params, "sym")
         assert shifts == [1.0 / 0.01 + evaluate(phi, params).energy.characteristic]
 

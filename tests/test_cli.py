@@ -180,13 +180,13 @@ class TestSolveCommand:
         text = HARMONIC_1D.replace("solver.method = pcg", "solver.method = be_lambda")
         cfg = write_cfg(tmp_path, text + "solver.tol = 1e-9\n")
         shifts = []
-        build = precond.build
+        refresh = precond.Preconditioner.refresh
 
-        def spy(kind, grid, alpha, w, real):
+        def spy(self, alpha, w):
             shifts.append(alpha)
-            return build(kind, grid, alpha, w, real)
+            return refresh(self, alpha, w)
 
-        monkeypatch.setattr(precond, "build", spy)
+        monkeypatch.setattr(precond.Preconditioner, "refresh", spy)
         out = str(tmp_path / "out")
         assert main(["solve", "--config", cfg, "--set", "solver.shift=1e6", "--out", out]) == 0
         assert shifts and set(shifts) == {1e6}

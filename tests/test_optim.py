@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gpesolve import (
     Grid,
@@ -26,7 +26,7 @@ from gpesolve import (
     solve_pg,
     thomas_fermi_initial,
 )
-from gpesolve import classic, model, optim, precond, spectral
+from gpesolve import classic, io, model, optim, precond, spectral
 from gpesolve.optim import IterationRecord, SolverConfig, check_stop, solve
 
 from oracles import (arc_from_fields, dense_hamiltonian_1d, kinetic_plain, lz_plain, step,
@@ -269,6 +269,42 @@ class TestLinesearch:
         for theta in np.linspace(-np.pi, np.pi, 13):
             expected = energy(step(phi, p, theta), params).total - e0
             assert arc.delta_energy(theta) == pytest.approx(expected, abs=1e-10 * (1.0 + abs(e0)))
+
+
+class TestRecordFieldTypes:
+    """Every method hands its records Python numbers, never numpy scalars,
+    whose repr would reach the CSV as np.float64(...)."""
+
+    @staticmethod
+    def run(method, omega):
+        g = Grid(2, 8.0, 16)
+        params = ModelParams(eta=50.0, omega=omega, potential=half_square())
+        phi0 = model.initial_guess("gauss", g, params)
+        if method in classic.SCHEMES:
+            kind = "sym" if classic.WEIGHTS[method][0] > 0 else "identity"
+            return classic.run_imaginary_time(phi0, classic.SchemeKind(method, 0.005), params,
+                                              kind, max_iter=5)
+        return solve(phi0, params, SolverConfig(method=method, precond="sym", max_iter=5))
+
+    @pytest.mark.parametrize("omega", [0.0, 0.5])
+    @pytest.mark.parametrize("method", ("pg", "pcg") + classic.SCHEMES)
+    def test_numeric_fields_are_python_numbers(self, method, omega):
+        res = self.run(method, omega)
+        assert res.records
+        for rec in res.records:
+            for f in dataclasses.fields(rec):
+                value = getattr(rec, f.name)
+                if f.name == "inner_iters" and method in ("pg", "pcg"):
+                    assert value is None
+                else:
+                    assert type(value) in (float, int, bool), (f.name, type(value))
+
+    @pytest.mark.parametrize("omega", [0.0, 0.5])
+    @pytest.mark.parametrize("method", ["pcg", "be_lambda"])
+    def test_csv_holds_no_numpy_text(self, method, omega):
+        text = io.records_csv_text(self.run(method, omega).records,
+                                   inner_iters=method in classic.SCHEMES)
+        assert "np." not in text
 
 
 class TestCheckStop:
@@ -649,7 +685,20 @@ class TestRealPath:
     @given(st.sampled_from([(1, 64), (2, 16), (3, 8)]), st.integers(0, 2**32 - 1),
            st.sampled_from(precond.KINDS), st.sampled_from(["pg", "pcg"]),
            st.sampled_from(sorted(TOLS)), st.sampled_from([0.0, 20.0]))
+    # draws where rounding, amplified on the way out of a saddle, parts the
+    # two runs: 153 and 154 iterations; 62 on both, the energies 1.4e-12
+    # and lambda 3.1e-9 relative apart; 84 and 228 iterations
+    @example((1, 64), 835, "identity", "pcg", "residual_inf", 20.0)
+    @example((1, 64), 835, "kinetic", "pcg", "energy_diff", 20.0)
+    @example((1, 64), 1298653028, "c2", "pg", "residual_inf", 20.0)
     def test_matches_the_complex_engine(self, shape, seed, kind, method, stop, eta):
+        # the two paths round differently, so neither the exact iteration
+        # count at a stopping threshold nor the energy along the way is
+        # shared.  Shared are the decisions of each step, seen in its
+        # transforms, against the complex run of exactly the real run's
+        # length, and the state each run stops at: the same stop reason, the
+        # energy (second order in the iterate's error) within 1e-11 relative
+        # and lambda within the residual sup norms of the two runs
         d, m = shape
         g = Grid(d, 6.0, m)
         params = ModelParams(eta=eta, omega=0.0, potential=harmonic())
@@ -663,12 +712,14 @@ class TestRealPath:
             mp.setattr(optim, "start_iterate", lambda phi, omega: start(phi, 1.0))
             assert optim._Engine(phi0, params, cfg, spectral.FFTCounter()).u.dtype == complex
             ref = solve(phi0, params, cfg)
+            same_length = solve(phi0, params,
+                                dataclasses.replace(cfg, tol=0.0, max_iter=res.iterations))
         assert res.phi.values.dtype == np.float64
-        assert (res.stop_reason, res.iterations, res.fft_total) == (
-            ref.stop_reason, ref.iterations, ref.fft_total)
-        assert [r.fft_count for r in res.records] == [r.fft_count for r in ref.records]
-        assert res.energy == pytest.approx(ref.energy, rel=1e-13)
-        assert res.lam == pytest.approx(ref.lam, rel=1e-13)
+        assert same_length.iterations == res.iterations
+        assert [r.fft_count for r in res.records] == [r.fft_count for r in same_length.records]
+        assert res.stop_reason == ref.stop_reason
+        assert res.energy == pytest.approx(ref.energy, rel=1e-11)
+        assert abs(res.lam - ref.lam) <= 1e-13 * abs(ref.lam) + res.r_inf + ref.r_inf
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(classic.SCHEMES),
@@ -836,7 +887,7 @@ class TestFusedImageDrift:
             theta, _, _ = optim._line_search(bundle.arc)
             engine.accept(theta, bundle)
         assert engine.u.dtype == np.float64
-        uhat = g.rfft(engine.u)
+        uhat = g.spectrum(True).fft(engine.u)
         assert (engine.uhat is None) == (kind == "sym")
         assert (engine.hu is None) == (kind == "kinetic")
         fresh = [(engine.uhat, uhat), (engine.hu, g.spectrum(True).kinetic_image(uhat))]

@@ -302,12 +302,13 @@ def test_half_spectrum_transforms(shape, seed, half_width):
     x, y = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
     before = x.copy()
     counter = spectral.FFTCounter()
-    x_half, y_half = g.rfft(x, counter), g.rfft(y)
+    half = g.spectrum(True)
+    x_half, y_half = half.fft(x, counter), half.fft(y)
     assert x_half.shape == g.shape[:-1] + (m // 2 + 1,) and np.array_equal(x, before)
     full = g.fft(x)
     assert np.max(np.abs(x_half - full[..., : m // 2 + 1])) <= 1e-13 * np.max(np.abs(full))
     half_before = x_half.copy()
-    back = g.irfft(x_half, counter)
+    back = half.ifft(x_half, counter)
     assert back.dtype == np.float64 and back.shape == g.shape
     assert np.array_equal(x_half, half_before)
     assert np.max(np.abs(back - x)) <= 1e-14 * np.max(np.abs(x)) * m
@@ -347,7 +348,7 @@ def test_spectrum_sums_of_both_formats(shape, seed, half_width):
              "kinetic": hd * np.dot(x.ravel(), kin_x.ravel()),
              "kinetic_xy": hd * np.dot(x.ravel(), kin_y.ravel())}
     scale = hd * np.linalg.norm(x) * np.linalg.norm(y) * (1.0 + np.max(g.half_k2))
-    for spec, fft in ((full, g.fft), (half, g.rfft)):
+    for spec, fft in ((full, g.fft), (half, np.fft.rfftn)):
         x_hat, y_hat = spec.fft(x), spec.fft(y)
         assert np.array_equal(x_hat, fft(x))
         sums = {"dot": spec.dot(x_hat, y_hat), "norm": spec.norm(x_hat),
