@@ -29,7 +29,7 @@ from .model import (
     initial_guess,
     thomas_fermi_initial,
 )
-from .precond import Preconditioner, build as build_preconditioner
+from .precond import Preconditioner
 from .optim import (
     IterationRecord,
     SolveResult,
@@ -47,7 +47,7 @@ __all__ = [
     "find_vortices", "harmonic", "harmonic_lattice", "harmonic_quartic",
     "half_square", "hessian_quadratic_form", "initial_guess",
     "thomas_fermi_initial",
-    "Preconditioner", "build_preconditioner",
+    "Preconditioner",
     "IterationRecord", "SolveResult", "SolverConfig", "check_stop",
     "solve_pcg", "solve_pg",
     "__version__",

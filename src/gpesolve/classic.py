@@ -15,6 +15,7 @@ dt/(1 - dt*lambda).
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from . import model, precond
 from .model import ModelParams
 from .optim import (DIVERGED, INNER_SOLVER_FAILED, STOP_ENERGY, SolveResult, Stop, check_options,
                     drive, start_iterate)
-from .spectral import FFTCounter, Grid, WaveField, norm
+from .spectral import FFTCounter, Grid, WaveField, is_number, norm
 
 FE = "fe"
 FE_LAMBDA = "fe_lambda"
@@ -69,12 +70,14 @@ class SchemeKind:
 
     def __post_init__(self) -> None:
         scheme_weight(self.scheme)  # raises ValueError for an unknown scheme
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
-        if not (math.isfinite(self.inner_tol) and self.inner_tol > 0):
-            raise ValueError(f"inner_tol must be finite and positive, got {self.inner_tol}")
-        if self.inner_max_iter < 1:
-            raise ValueError("inner_max_iter must be positive")
+        if not (is_number(self.dt) and math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
+        if not (is_number(self.inner_tol) and math.isfinite(self.inner_tol)
+                and self.inner_tol > 0):
+            raise ValueError(f"inner_tol must be finite and positive, got {self.inner_tol!r}")
+        if not (is_number(self.inner_max_iter, numbers.Integral) and self.inner_max_iter >= 1):
+            raise ValueError(f"inner_max_iter must be a positive integer, got "
+                             f"{self.inner_max_iter!r}")
 
 
 class KrylovError(RuntimeError):
@@ -238,7 +241,7 @@ def _preconditioner(scheme: SchemeKind, kind: str,
     None for the identity and for an explicit scheme, which solves nothing."""
     if kind == precond.IDENTITY or scheme_weight(scheme.scheme)[0] == 0.0:
         return None
-    return precond.Preconditioner(kind, phi.grid, np.isrealobj(phi.values))
+    return precond.Preconditioner(kind, phi.grid.spectrum(np.isrealobj(phi.values)))
 
 
 def _step(ev: model.Evaluation, scheme: SchemeKind, params: ModelParams,
@@ -486,6 +489,14 @@ def _real_linear_matrix(apply_fn, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def check_condition_size(grid: Grid) -> None:
+    """Raise ValueError unless the dense conditioning diagnostic fits grid:
+    its matrices have order twice the number of unknowns."""
+    if 2 * grid.size > 8192:
+        raise ValueError(f"dense conditioning diagnostic is limited to 4096 unknowns, "
+                         f"got {grid.size}")
+
+
 def precond_hessian_condition(
     phi_star: WaveField,
     params: ModelParams,
@@ -497,11 +508,10 @@ def precond_hessian_condition(
     (Pi projects out the iterate) and returns the ratio of the largest to the
     smallest nonzero eigenvalue magnitude.  The gauge direction i*phi is an
     exact null vector at stationary points and is excluded along with phi.
-    Small grids only.
+    Small grids only (check_condition_size).
     """
     g = phi_star.grid
-    if 2 * g.size > 8192:
-        raise ValueError("dense conditioning diagnostic is limited to 4096 unknowns")
+    check_condition_size(g)
     warning = None
     ev = model.evaluate(phi_star, params)
     if ev.r_inf > 1e-6:

@@ -109,8 +109,10 @@ def _cmd_analyze(args) -> int:
     # conditioning of the preconditioned projected Hessian at the solution
     cfg = RunConfig.from_file(args.config, args.overrides)
     grid = cfg.grid()
-    if 2 * grid.size > 8192:
-        print("condition analysis needs a small grid (total unknowns <= 4096)", file=sys.stderr)
+    try:
+        classic.check_condition_size(grid)
+    except ValueError as err:
+        print(f"condition analysis needs a small grid: {err}", file=sys.stderr)
         return 2
     params = cfg.model_params()
     from .runs import initial_field, _solve_once
@@ -125,7 +127,7 @@ def _cmd_analyze(args) -> int:
     ev = model.evaluate(result.phi, params)
     shift = ev.energy.characteristic if solver_cfg.shift == "adaptive" else solver_cfg.shift
     try:
-        p = precond.build(kind, grid, shift, ev.w)
+        p = precond.Preconditioner(kind, grid.spectrum(False)).refresh(shift, ev.w)
     except ValueError as err:  # an adaptive shift that is not positive
         print(f"condition analysis failed: {err}", file=sys.stderr)
         return 1

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .spectral import FFTCounter, Grid, WaveField
+from .spectral import FFTCounter, Grid, WaveField, is_number
 
 HARMONIC = "harmonic"
 HARMONIC_LATTICE = "harmonic_plus_lattice"
@@ -185,10 +185,10 @@ class ModelParams:
     potential: PotentialSpec = PotentialSpec()
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.eta) and self.eta >= 0):
+        if not (is_number(self.eta) and math.isfinite(self.eta) and self.eta >= 0):
             raise ValueError(f"eta must be a finite nonnegative number, got {self.eta!r}")
-        if not math.isfinite(self.omega):
-            raise ValueError(f"omega must be finite, got {self.omega!r}")
+        if not (is_number(self.omega) and math.isfinite(self.omega)):
+            raise ValueError(f"omega must be a finite number, got {self.omega!r}")
 
     def check_dimension(self, d: int) -> None:
         """Raise ValueError unless the model is defined in dimension d:

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import model, precond, spectral
 from .model import ModelParams
-from .spectral import FFTCounter, WaveField
+from .spectral import FFTCounter, WaveField, is_number
 
 STOP_ENERGY = "energy_diff"
 STOP_RESIDUAL = "residual_inf"
@@ -97,19 +97,10 @@ def check_options(kind: str, shift: str | float, stop: str, tol: float, max_iter
         precond.check_shift(shift)
     if stop not in STOP_KINDS:
         raise ValueError(f"unknown stopping criterion {stop!r}")
-    if not (_is_number(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+    if not (is_number(tol) and math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite nonnegative number, got {tol!r}")
-    if not (_is_number(max_iter, numbers.Integral) and max_iter >= 0):
+    if not (is_number(max_iter, numbers.Integral) and max_iter >= 0):
         raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
-
-
-def _is_number(x, abc: type) -> bool:
-    """Whether x is an instance of the numbers ABC and not a bool (True is
-    an Integral, and would read as 1).  An int, or a float for Real, skips
-    the ABC check."""
-    if type(x) is int or (type(x) is float and abc is numbers.Real):
-        return True
-    return isinstance(x, abc) and not isinstance(x, bool)
 
 
 @dataclass
@@ -372,7 +363,7 @@ class _Engine:
         self.real = np.isrealobj(self.u)
         self.spec = g.spectrum(self.real)
         # one preconditioner for the run, refreshed at each iterate
-        self.precond = precond.Preconditioner(cfg.precond, g, self.real)
+        self.precond = precond.Preconditioner(cfg.precond, self.spec)
         self.rotating = self.omega != 0.0
         self.pcg = cfg.method == "pcg"
         self.fourier = cfg.precond in precond.FOURIER_FIRST

@@ -3,8 +3,9 @@ potential parts of the Hessian, their compositions, and the symmetrized
 combination.
 
 Every kind is a product of two diagonals refreshed at the current iterate:
-F = 1/(alpha + |xi|^2/2) in Fourier space, on the iterate's spectrum
-(Grid.spectrum: half spectra on the optimizer's float64 path), and
+F = 1/(alpha + |xi|^2/2) in Fourier space, on the spectrum the
+preconditioner is built on (the iterate's: Grid.spectrum, half spectra on
+the float64 path), and
 V = 1/(alpha + V(x) + eta |phi_n|^2) in real space, with v = V^(1/2).
 FACTORS writes each product in the order its factors act on r, as the
 paper does: P_Delta = F, P_V = V, c1 = P_V P_Delta, c2 = P_Delta P_V and
@@ -13,19 +14,19 @@ table: the diagonals `Preconditioner.refresh` forms, the loop of
 `apply_pair`, FOURIER_FIRST, FORMS_HAT and HERMITIAN.  The shift alpha is
 fixed, or the characteristic energy of the iterate (adaptive policy), which
 each caller has at hand.  The optimizer and the imaginary-time runs hold
-one Preconditioner for a run and refresh it at each iterate; the
-conditioning diagnostic takes one from `build`.
+one Preconditioner for a run and refresh it at each iterate; a caller with
+one iterate writes Preconditioner(kind, spectrum).refresh(alpha, w).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FFTCounter, Grid, Spectrum
+from .spectral import FFTCounter, Spectrum
 
 IDENTITY = "identity"
 KINETIC = "kinetic"
@@ -50,33 +51,29 @@ HERMITIAN = tuple(k for k in KINDS if FACTORS[k] == FACTORS[k][::-1])
 
 @dataclass
 class Preconditioner:
-    """One preconditioner kind on a grid; `refresh` forms its diagonals at
-    an iterate.
+    """One preconditioner kind on a spectrum; `refresh` forms its diagonals
+    at an iterate.
 
     Attributes:
         kind: One of KINDS.
-        grid: The grid it acts on.
-        real: Whether it acts on real grid values; `spectrum`,
-            grid.spectrum(real), takes its transforms (half spectra if so).
+        spectrum: The spectrum that takes its transforms: Grid.spectrum(real),
+            half spectra for real grid values, full ones for complex.
         alpha: Positive shift used in both diagonals (NaN before a refresh).
-        fourier_diag: F = 1/(alpha + |xi|^2/2) on the grid, or on the half
-            spectrum when `real` (None where FACTORS has no F).
+        fourier_diag: F = 1/(alpha + |xi|^2/2) on the spectrum (None where
+            FACTORS has no F).
         real_diag: V = 1/(alpha + V + eta |phi_n|^2), or v = V^(1/2) where
             FACTORS has v (None where it has neither).
     """
 
     kind: str
-    grid: Grid
-    real: bool = False
+    spectrum: Spectrum
     alpha: float = math.nan
     fourier_diag: np.ndarray | None = None
     real_diag: np.ndarray | None = None
-    spectrum: Spectrum = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in FACTORS:
             raise ValueError(f"unknown preconditioner kind {self.kind!r}")
-        self.spectrum = self.grid.spectrum(self.real)
 
     def refresh(self, alpha: float, w: np.ndarray | None) -> "Preconditioner":
         """Form the diagonals with shift alpha at an iterate phi_n, given
@@ -142,11 +139,3 @@ def check_shift(shift) -> float:
         raise ValueError(f"preconditioner shift must be positive, got {shift!r}")
     return alpha
 
-
-def build(kind: str, grid: Grid, alpha: float, w: np.ndarray | None,
-          real: bool = False) -> Preconditioner:
-    """Preconditioner of `kind` with shift alpha at an iterate phi_n, given
-    w = V + eta |phi_n|^2 on the grid (Preconditioner.refresh).  With
-    `real` it acts on real values, and its Fourier diagonal is on the half
-    spectrum."""
-    return Preconditioner(kind=kind, grid=grid, real=real).refresh(alpha, w)

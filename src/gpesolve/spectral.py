@@ -4,15 +4,17 @@ The domain is the square box [-L, L]^d with periodic boundary conditions,
 sampled on M uniform points per axis (x_k = -L + k*h, h = 2L/M).  Transforms
 follow the unscaled-forward / (1/M per axis)-inverse convention, so the
 discrete Fourier frequencies are xi_p = p*pi/L for p = -M/2 .. M/2-1 in
-standard FFT ordering.  Grid.spectrum is the one place a caller chooses
-between the full spectra of complex fields and the half spectra of real
-ones (Spectrum, HalfSpectrum).
+standard FFT ordering.  This module is the only one that calls numpy.fft:
+the full transforms of complex fields are Spectrum's and the half-spectrum
+ones of real fields HalfSpectrum's, Grid.spectrum is the one place a caller
+chooses between them, and rotating_linear runs the one-axis passes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,16 +24,15 @@ class FFTCounter:
     """Tracks the spectral-transform budget of a solver run, in the units of
     the optimizers' cost model (the per-iteration budget of criterion 12).
 
-    Grid.fft and Grid.ifft charge one unit per full d-dimensional transform,
-    and so do HalfSpectrum.fft and HalfSpectrum.ifft, their half-spectrum
-    forms for a real field, though they do about half the work.  The
-    one-axis passes (Grid.fft_axis, Grid.ifft_axis) charge nothing
-    themselves: the callers of the operators built from them charge the
-    units of the full-transform images they stand for, one for -Lap/2, one
-    for Lz and one for a completed forward transform.  So the units stay comparable across
-    implementations while the real work differs: a rotating 2D iteration
-    runs 5 (identity, potential) to 9 (sym, c1) one-axis passes for its 3
-    to 5 units.
+    Spectrum.fft and Spectrum.ifft charge one unit per full d-dimensional
+    transform, and so do HalfSpectrum.fft and HalfSpectrum.ifft, their
+    half-spectrum forms for a real field, though they do about half the
+    work.  The one-axis passes of rotating_linear charge nothing themselves:
+    its callers charge the units of the full-transform images they stand
+    for, one for -Lap/2, one for Lz and one for a completed forward
+    transform.  So the units stay comparable across implementations while
+    the real work differs: a rotating 2D iteration runs 5 (identity,
+    potential) to 9 (sym, c1) one-axis passes for its 3 to 5 units.
     """
 
     __slots__ = ("count",)
@@ -43,10 +44,19 @@ class FFTCounter:
         self.count += n
 
 
+def is_number(x, abc: type = numbers.Real) -> bool:
+    """Whether x is an instance of the numbers ABC and not a bool (True is
+    an Integral, and would read as 1).  An int, or a float for Real, skips
+    the ABC check."""
+    if type(x) is int or (type(x) is float and abc is numbers.Real):
+        return True
+    return isinstance(x, abc) and not isinstance(x, bool)
+
+
 def check_points(m: int) -> None:
     """Raise ValueError unless m is a valid number of grid points per axis."""
-    if m < 4 or m % 2 != 0:
-        raise ValueError(f"M must be an even integer >= 4, got {m}")
+    if not (is_number(m, numbers.Integral) and m >= 4 and m % 2 == 0):
+        raise ValueError(f"M must be an even integer >= 4, got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -61,19 +71,10 @@ class Grid:
         x1: 1-D coordinate samples, x_k = -L + k*h.
         freqs: 1-D Fourier frequencies p*pi/L in FFT ordering.
         half_k2: |xi|^2/2 on the grid (the kinetic symbol).
-        half_k2_r: half_k2 on the half spectrum of rfft, the first M/2+1
-            modes of the last axis (a property, formed on first use).
 
-    fft and ifft are the only full transforms of the package and fft_axis
-    and ifft_axis the only one-axis ones; their half-spectrum forms for
-    real fields are HalfSpectrum's, and spectrum(real) is where a caller
-    picks between the two formats.  fft and ifft take any input and return
-    complex grid arrays.  They and the one-axis transforms write through
-    `out=`, fresh unless the caller passes one (the input itself for an
-    in-place transform), which lets numpy run its passes after the first in
-    place; the result is the same bit for bit.  In 1D both call numpy's 1D
-    transforms, which numpy's n-D ones wrap: the same bits without the
-    wrapper's cost.
+    The grid takes no transform itself: spectrum(real) gives the object
+    that takes them, the half spectra of real grid arrays or the full ones
+    of complex arrays.
     """
 
     d: int
@@ -82,24 +83,19 @@ class Grid:
     h: float = field(init=False, compare=False)
     x1: np.ndarray = field(init=False, compare=False, repr=False)
     freqs: np.ndarray = field(init=False, compare=False, repr=False)
-    freqs_first: np.ndarray = field(init=False, compare=False, repr=False)
     half_k2: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.d not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
+        if not (is_number(self.d, numbers.Integral) and self.d in (1, 2, 3)):
+            raise ValueError(f"dimension must be 1, 2 or 3, got {self.d!r}")
         check_points(self.M)
-        if not (np.isfinite(self.L) and self.L > 0):
-            raise ValueError(f"L must be finite and positive, got {self.L}")
+        if not (is_number(self.L) and math.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"L must be finite and positive, got {self.L!r}")
         object.__setattr__(self, "L", float(self.L))
         h = 2.0 * self.L / self.M
         x1 = -self.L + h * np.arange(self.M)
         # integer frequencies [0 .. M/2-1, -M/2 .. -1] scaled by pi/L
         freqs = np.fft.fftfreq(self.M, d=1.0 / self.M) * (np.pi / self.L)
-        # first derivatives zero the unmatched -M/2 mode (odd-derivative
-        # convention that keeps real fields real); even powers keep it
-        freqs_first = freqs.copy()
-        freqs_first[self.M // 2] = 0.0
         k2 = np.zeros((self.M,) * self.d)
         for ax in range(self.d):
             shape = [1] * self.d
@@ -108,12 +104,7 @@ class Grid:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "x1", x1)
         object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "freqs_first", freqs_first)
         object.__setattr__(self, "half_k2", 0.5 * k2)
-
-    @functools.cached_property
-    def half_k2_r(self) -> np.ndarray:
-        return np.ascontiguousarray(self.half_k2[..., : self.M // 2 + 1])
 
     def spectrum(self, real: bool) -> "Spectrum":
         """The half spectra of real grid arrays when `real`, else the full
@@ -147,47 +138,42 @@ class Grid:
         shape[axis] = self.M
         return self.x1.reshape(shape)
 
+
+class Spectrum:
+    """Full spectra of complex grid arrays (HalfSpectrum: of real ones).
+
+    fft and ifft are the full d-dimensional transforms, one unit each
+    (FFTCounter).  They take any input and return complex grid arrays,
+    written through `out=`, fresh unless the caller passes one (the input
+    itself for an in-place transform), which lets numpy run its passes
+    after the first in place; the result is the same bit for bit.  In 1D
+    they call numpy's 1D transforms, which numpy's n-D ones wrap: the same
+    bits without the wrapper's cost.  half_k2 is the kinetic symbol.  The
+    Parseval sums take the images of grid arrays a and b: dot is Re<a, b>,
+    norm ||a|| and kinetic Re<a, -Lap/2 b>, b = a when not given."""
+
+    def __init__(self, grid: Grid) -> None:
+        self.grid = grid
+        self.half_k2 = grid.half_k2
+        self.scale = grid.cell_volume / grid.size  # Parseval factor
+
     def fft(self, values: np.ndarray, counter: FFTCounter | None = None,
             out: np.ndarray | None = None) -> np.ndarray:
         if counter is not None:
             counter.count += 1
+        g = self.grid
         if out is None:
-            out = np.empty(self.shape, np.complex128)
-        return (np.fft.fft if self.d == 1 else np.fft.fftn)(values, out=out)
+            out = np.empty(g.shape, np.complex128)
+        return (np.fft.fft if g.d == 1 else np.fft.fftn)(values, out=out)
 
     def ifft(self, values_hat: np.ndarray, counter: FFTCounter | None = None,
              out: np.ndarray | None = None) -> np.ndarray:
         if counter is not None:
             counter.count += 1
+        g = self.grid
         if out is None:
-            out = np.empty(self.shape, np.complex128)
-        return (np.fft.ifft if self.d == 1 else np.fft.ifftn)(values_hat, out=out)
-
-    def fft_axis(self, values: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Forward transform along `axis` only (charges no unit, see FFTCounter)."""
-        if out is None:
-            out = np.empty(self.shape, np.complex128)
-        return np.fft.fft(values, axis=axis, out=out)
-
-    def ifft_axis(self, values: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Inverse transform along `axis` only (charges no unit, see FFTCounter)."""
-        if out is None:
-            out = np.empty(self.shape, np.complex128)
-        return np.fft.ifft(values, axis=axis, out=out)
-
-
-class Spectrum:
-    """Full spectra of complex grid arrays (HalfSpectrum: of real ones).
-    fft and ifft write into `out` where the result fits it and return it;
-    half_k2 is the kinetic symbol.  The Parseval sums take the images of
-    grid arrays a and b: dot is Re<a, b>, norm ||a|| and kinetic
-    Re<a, -Lap/2 b>, b = a when not given."""
-
-    def __init__(self, grid: Grid) -> None:
-        self.grid = grid
-        self.fft, self.ifft = grid.fft, grid.ifft
-        self.half_k2 = grid.half_k2
-        self.scale = grid.cell_volume / grid.size  # Parseval factor
+            out = np.empty(g.shape, np.complex128)
+        return (np.fft.ifft if g.d == 1 else np.fft.ifftn)(values_hat, out=out)
 
     def kinetic_image(self, a_hat: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
         """-Lap/2 a: one inverse transform of half_k2 a_hat, in place where it fits."""
@@ -225,19 +211,18 @@ class Spectrum:
 
 class HalfSpectrum(Spectrum):
     """Half spectra of real grid arrays: the M/2+1 non-negative modes of
-    the last axis, the rest following by Hermitian symmetry.  fft and ifft
-    are numpy's real transforms, one unit each (FFTCounter); they return
-    fresh arrays, since no half spectrum fits a grid array.  A Parseval sum
+    the last axis, the rest following by Hermitian symmetry, and half_k2
+    the kinetic symbol on them.  fft and ifft override Spectrum's with
+    numpy's real transforms, one unit each (FFTCounter); they return fresh
+    arrays, since no half spectrum fits a grid array.  A Parseval sum
     counts each interior mode of the last axis twice, for its conjugate
     partner, and the DC and Nyquist modes once: one dot of the float64
     views, weighted by mode_pairs, or by kin_pairs, those times the kinetic
     symbol (both in the shape of the views, which np.vdot flattens)."""
 
     def __init__(self, grid: Grid) -> None:
-        # not Spectrum.__init__, whose bound transforms would hide the methods
-        self.grid = grid
-        self.scale = grid.cell_volume / grid.size
-        self.half_k2 = grid.half_k2_r
+        super().__init__(grid)
+        self.half_k2 = np.ascontiguousarray(grid.half_k2[..., : grid.M // 2 + 1])
         weights = np.full(self.half_k2.shape, 2.0)
         weights[..., [0, -1]] = 1.0
         self.mode_pairs = np.repeat(weights, 2, axis=-1)
@@ -313,27 +298,28 @@ def _axis_multipliers(grid: Grid, omega: float) -> tuple[np.ndarray, ...]:
     The coordinate factor of each rotation term is constant along the axis
     of its derivative: -omega Lz = omega y (-i d_x) - omega x (-i d_y).  So
     m_0 = xi_x^2/2 + omega y xi_x, m_1 = xi_y^2/2 - omega x xi_y and, in 3D,
-    m_2 = xi_z^2/2, the first derivatives on freqs_first (Grid).
+    m_2 = xi_z^2/2.  First derivatives zero the unmatched -M/2 mode (the
+    odd-derivative convention that keeps real fields real); even powers
+    keep it.
 
     One table holds m_0 and m_1.  The grid is the same on every axis, and
-    xi^2/2 is even and freqs_first odd under p -> -p mod M (the unmatched
-    -M/2 mode maps to itself with xi = 0), so m_1[i, j] = m_0[-j mod M, i]
-    exactly.  With row 0 repeated at its end, the table read from the last
-    row back to row 1 and transposed is m_1: half the memory of two tables.
+    xi^2/2 is even and the first-derivative xi odd under p -> -p mod M (the
+    unmatched -M/2 mode maps to itself with xi = 0), so m_1[i, j] =
+    m_0[-j mod M, i] exactly.  With row 0 repeated at its end, the table
+    read from the last row back to row 1 and transposed is m_1: half the
+    memory of two tables.
     """
-    def freqs(axis: int, first: bool = False) -> np.ndarray:
-        shape = [1] * grid.d
-        shape[axis] = grid.M
-        return (grid.freqs_first if first else grid.freqs).reshape(shape)
-
     m = grid.M
+    xi = grid.freqs.reshape((m,) + (1,) * (grid.d - 1))
+    xi_first = xi.copy()
+    xi_first[m // 2] = 0.0
     table = np.empty((m + 1, m) + (1,) * (grid.d - 2))
-    table[:m] = 0.5 * freqs(0) ** 2 + omega * grid.coordinate(1) * freqs(0, first=True)
+    table[:m] = 0.5 * xi ** 2 + omega * grid.coordinate(1) * xi_first
     table[m] = table[0]
     table.setflags(write=False)
     mults = [table[:m], table[m:0:-1].swapaxes(0, 1)]
     if grid.d == 3:
-        mults.append(0.5 * freqs(2) ** 2)
+        mults.append(0.5 * grid.freqs.reshape(1, 1, m) ** 2)
     return tuple(mults)
 
 
@@ -351,17 +337,18 @@ def rotating_linear(grid: Grid, omega: float, values: np.ndarray, hat: bool = Fa
     if grid.d < 2:
         raise ValueError("the rotating operator requires d >= 2")
     mults = _axis_multipliers(grid, float(omega))
-    first = grid.fft_axis(values, 0)
+    fft, ifft = np.fft.fft, np.fft.ifft  # looked up per call, so a patch sees every pass
+    first = fft(values, axis=0)
     out = np.multiply(mults[0], first, out=None if hat else first)
-    grid.ifft_axis(out, 0, out=out)
+    ifft(out, axis=0, out=out)
     for ax in range(1, grid.d):
-        part = grid.fft_axis(values, ax)
+        part = fft(values, axis=ax)
         part *= mults[ax]
-        out += grid.ifft_axis(part, ax, out=part)
+        out += ifft(part, axis=ax, out=part)
     if not hat:
         return out, None
     for ax in range(1, grid.d):
-        grid.fft_axis(first, ax, out=first)
+        fft(first, axis=ax, out=first)
     return out, first
 
 

@@ -70,7 +70,7 @@ def dense_lz_matrix(m: int, box: float) -> np.ndarray:
 
 
 # plain numpy.fft transforms with the package's arithmetic, computed out of
-# place: Grid.fft/ifft and Spectrum.kinetic_image must equal them bit for
+# place: Spectrum.fft/ifft and Spectrum.kinetic_image must equal them bit for
 # bit, and the one-axis spectral.rotating_linear must equal kinetic_plain -
 # omega lz_plain to rounding
 
@@ -89,8 +89,11 @@ def kinetic_plain(grid, phi_hat: np.ndarray) -> np.ndarray:
 def lz_plain(grid, phi_hat: np.ndarray) -> np.ndarray:
     x = grid.coordinate(0)
     y = grid.coordinate(1)
-    dy = np.fft.ifftn(1j * grid.freqs_first.reshape(y.shape) * phi_hat)
-    dx = np.fft.ifftn(1j * grid.freqs_first.reshape(x.shape) * phi_hat)
+    # first derivatives zero the unmatched -M/2 mode
+    freqs_first = grid.freqs.copy()
+    freqs_first[grid.M // 2] = 0.0
+    dy = np.fft.ifftn(1j * freqs_first.reshape(y.shape) * phi_hat)
+    dx = np.fft.ifftn(1j * freqs_first.reshape(x.shape) * phi_hat)
     return -1j * (x * dy - y * dx)
 
 
@@ -159,11 +162,12 @@ def density_csv_text(phi: WaveField) -> str:
 
 def preconditioner_at(kind: str, phi: WaveField, params: model.ModelParams,
                       shift="adaptive") -> precond.Preconditioner:
-    """precond.build at the iterate phi, with the adaptive shift (the
-    characteristic energy of phi) unless a fixed one is given."""
+    """A preconditioner on phi's full spectrum refreshed at the iterate phi,
+    with the adaptive shift (the characteristic energy of phi) unless a
+    fixed one is given."""
     ev = model.evaluate(phi, params)
     alpha = ev.energy.characteristic if shift == "adaptive" else shift
-    return precond.build(kind, phi.grid, alpha, ev.w)
+    return precond.Preconditioner(kind, phi.grid.spectrum(False)).refresh(alpha, ev.w)
 
 
 # ---------------------------------------------------------------------------

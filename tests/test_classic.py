@@ -69,6 +69,16 @@ class TestSchemeKind:
             with pytest.raises(ValueError, match="inner_max_iter"):
                 SchemeKind(inner_max_iter=bad)
 
+    @pytest.mark.parametrize("option,value", [
+        ("dt", True), ("dt", "0.1"), ("dt", None), ("inner_tol", True), ("inner_tol", "1e-8"),
+        ("inner_tol", None), ("inner_max_iter", True), ("inner_max_iter", 2.5),
+        ("inner_max_iter", "100"),
+    ])
+    def test_not_a_number_refused_by_name(self, option, value):
+        # a bool once read as 1, and a string or None raised a bare TypeError
+        with pytest.raises(ValueError, match=f"^{option} must be"):
+            SchemeKind(**{option: value})
+
     @pytest.mark.parametrize("option", ["dt", "inner_tol"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), -float("inf")])
     def test_step_and_inner_tol_must_be_finite(self, option, value):
@@ -121,7 +131,7 @@ class TestKrylovSolve:
         q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
         eigs = np.concatenate([np.linspace(-6.0, -0.5, 7), np.linspace(0.7, 40.0, 9)])
         a = (q * eigs) @ q.conj().T
-        p = precond.Preconditioner(kind="potential", grid=g, alpha=1.0,
+        p = precond.Preconditioner(kind="potential", spectrum=g.spectrum(False), alpha=1.0,
                                    real_diag=1.0 / (1.0 + np.abs(np.diag(a))))
         b = WaveField(g, rng.standard_normal(16) + 1j * rng.standard_normal(16))
         x, _ = krylov_solve(lambda v: a @ v, b, p, tol=1e-12)
@@ -202,10 +212,11 @@ class TestKrylovSolve:
         apply_a = (lambda v: v) if operator == "identity" else (lambda v: a @ v)
         p = None
         if kind == "diagonal":
-            p = precond.Preconditioner("potential", g, real, alpha=1.0,
+            p = precond.Preconditioner("potential", g.spectrum(real), alpha=1.0,
                                        real_diag=rng.uniform(0.1, 2.0, m))
         elif kind == "sym":
-            p = precond.build("sym", g, rng.uniform(0.5, 5.0), rng.uniform(0.0, 10.0, m), real)
+            p = precond.Preconditioner("sym", g.spectrum(real)).refresh(
+                rng.uniform(0.5, 5.0), rng.uniform(0.0, 10.0, m))
         b = WaveField(g, draw(m))
         before = b.values.copy()
 
@@ -455,7 +466,7 @@ class TestRunImaginaryTime:
         assert res.stop_detail.startswith("preconditioner shift must be positive")
 
     def test_each_record_counts_the_transforms_its_step_ran(self, monkeypatch):
-        # be_lambda/sym in 1D: a spy counts every Grid.fft/ifft call, and
+        # be_lambda/sym in 1D: a spy counts every Spectrum.fft/ifft call, and
         # the half-spectrum transforms of the real path, and notes the count
         # as each step begins; a step runs until the next begins or the run
         # ends, and nothing runs uncounted
@@ -463,8 +474,8 @@ class TestRunImaginaryTime:
         params = ModelParams(eta=250.0, omega=0.0,
                              potential=harmonic_lattice(1.0, 25.0, np.pi / 2))
         calls = [0]
-        for owner, name in ((Grid, "fft"), (Grid, "ifft"), (spectral.HalfSpectrum, "fft"),
-                            (spectral.HalfSpectrum, "ifft")):
+        for owner, name in ((spectral.Spectrum, "fft"), (spectral.Spectrum, "ifft"),
+                            (spectral.HalfSpectrum, "fft"), (spectral.HalfSpectrum, "ifft")):
             def spy(self, *args, _orig=getattr(owner, name), **kwargs):
                 calls[0] += 1
                 return _orig(self, *args, **kwargs)
@@ -709,6 +720,13 @@ class TestConditioning:
             p = preconditioner_at("kinetic", phi, params)
             sigmas.append(precond_hessian_condition(phi, params, p).sigma)
         assert max(sigmas) / min(sigmas) < 2.0
+
+    def test_large_grid_refused(self):
+        g = Grid(2, 4.0, 66)  # 4356 unknowns
+        phi = WaveField(g, np.ones(g.shape)).normalized()
+        p = preconditioner_at("kinetic", phi, ModelParams())
+        with pytest.raises(ValueError, match="limited to 4096 unknowns, got 4356"):
+            precond_hessian_condition(phi, ModelParams(), p)
 
     def test_nonstationary_warning(self):
         g = Grid(1, 4.0, 16)

@@ -442,6 +442,16 @@ init.kind = gauss
         out = capsys.readouterr().out
         assert "sigma = " in out
 
+    def test_condition_refuses_a_large_grid_before_solving(self, tmp_path, capsys, monkeypatch):
+        # classic.check_condition_size is the one size rule; the CLI reads
+        # it before it spends a solve on a grid the diagnostic refuses
+        cfg = write_cfg(tmp_path, HARMONIC_1D.replace("grid.M = 128", "grid.M = 4098"))
+        monkeypatch.setattr(runs, "_solve_once", lambda *a, **kw: pytest.fail("solved"))
+        assert main(["analyze", "condition", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("condition analysis needs a small grid: dense conditioning "
+                              "diagnostic is limited to 4096 unknowns, got 4098")
+
     def test_condition_takes_no_out(self, tmp_path, capsys):
         # analyze condition writes no files, so --out is a usage error
         cfg = write_cfg(tmp_path, HARMONIC_1D)

@@ -120,6 +120,16 @@ class TestPotentials:
             PotentialSpec(gamma=(0.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("option,value", [
+    ("eta", True), ("eta", "1.0"), ("eta", None), ("omega", False), ("omega", "0.5"),
+    ("omega", None),
+])
+def test_model_params_refuse_a_non_number_by_name(option, value):
+    # a bool once read as 1 or 0, and a string or None raised a bare TypeError
+    with pytest.raises(ValueError, match=f"^{option} must be a finite"):
+        ModelParams(**{option: value})
+
+
 class TestRotationBound:
     """|omega| must stay below the confining frequency of the rotation plane,
     where the rotating energy is bounded below; the quartic trap is exempt."""

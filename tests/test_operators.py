@@ -63,8 +63,8 @@ def test_lz_hermitian(problem):
     g, params, (_, u, v) = setup(2, *problem[1:])
 
     def lz(a):
-        return g.spectrum(False).kinetic_image(g.fft(a)) - spectral.rotating_linear(
-            g, params.omega, a)[0]
+        full = g.spectrum(False)
+        return full.kinetic_image(full.fft(a)) - spectral.rotating_linear(g, params.omega, a)[0]
 
     lu, lv = lz(u), lz(v)
     scale = size(g, u) * size(g, lv) + size(g, lu) * size(g, v)

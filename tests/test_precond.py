@@ -41,10 +41,10 @@ class TestBuild:
     def test_diagonals_from_shift_and_w(self, kind, setup_1d):
         g, params, phi = setup_1d
         w = evaluate(phi, params).w
-        p = precond.build(kind, g, 2.5, w)
+        p = precond.Preconditioner(kind, g.spectrum(False)).refresh(2.5, w)
         fourier = kind in ("kinetic", "c1", "c2", "sym")
         real = kind in ("potential", "c1", "c2", "sym")
-        assert (p.kind, p.alpha, p.grid) == (kind, 2.5, g)
+        assert (p.kind, p.alpha, p.spectrum.grid) == (kind, 2.5, g)
         assert (p.fourier_diag is not None, p.real_diag is not None) == (fourier, real)
         if fourier:
             assert np.array_equal(p.fourier_diag, 1.0 / (2.5 + g.half_k2))
@@ -60,14 +60,14 @@ class TestBuild:
     def test_nonpositive_shift_rejected(self, setup_1d):
         g, params, phi = setup_1d
         with pytest.raises(ValueError, match="positive"):
-            precond.build("kinetic", g, -1.0, None)
+            precond.Preconditioner("kinetic", g.spectrum(False)).refresh(-1.0, None)
 
     def test_unknown_kind_rejected(self, setup_1d):
         g, params, phi = setup_1d
         with pytest.raises(ValueError, match="kind"):
-            precond.build("chebyshev", g, 1.0, None)
+            precond.Preconditioner("chebyshev", g.spectrum(False)).refresh(1.0, None)
         with pytest.raises(ValueError, match="unknown preconditioner kind 'chebyshev'"):
-            precond.Preconditioner("chebyshev", g)
+            precond.Preconditioner("chebyshev", g.spectrum(False))
 
 
 class TestCheckShift:
@@ -105,10 +105,10 @@ def test_refreshed_preconditioner_equals_a_fresh_build(kind, real, shape, seed, 
     r = rng.standard_normal(g.shape)
     if not real:
         r = r + 1j * rng.standard_normal(g.shape)
-    held = precond.Preconditioner(kind, g, real)
+    held = precond.Preconditioner(kind, g.spectrum(real))
     assert held.refresh(alpha0, w0) is held
     held.refresh(alpha, w)
-    fresh = precond.build(kind, g, alpha, w, real)
+    fresh = precond.Preconditioner(kind, g.spectrum(real)).refresh(alpha, w)
     assert held.alpha == fresh.alpha
     spec = g.spectrum(real)
     for got, want in zip(held.apply_pair(spec.fft(r) if transformed else r.copy(),
@@ -141,10 +141,10 @@ def test_real_build_matches_complex_build(kind, d, m, transformed):
     rng = np.random.default_rng(17 * d + m)
     r = rng.standard_normal(g.shape)
     w = 1.0 + rng.random(g.shape)
-    full = precond.build(kind, g, 2.5, w)
-    half = precond.build(kind, g, 2.5, w, real=True)
+    full = precond.Preconditioner(kind, g.spectrum(False)).refresh(2.5, w)
+    half = precond.Preconditioner(kind, g.spectrum(True)).refresh(2.5, w)
     assert half.spectrum is g.spectrum(True) and full.spectrum is g.spectrum(False)
-    pr_full, hat_full = full.apply_pair(g.fft(r) if transformed else r.astype(complex),
+    pr_full, hat_full = full.apply_pair(full.spectrum.fft(r) if transformed else r.astype(complex),
                                         transformed=transformed)
     pr_half, hat_half = half.apply_pair(half.spectrum.fft(r) if transformed else r,
                                         transformed=transformed)
@@ -243,7 +243,7 @@ def test_hermitian_positive_on_random_fields(kind, case):
     phi_n, u, v = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape) for _ in range(3))
     phi_n /= np.sqrt(g.cell_volume) * np.linalg.norm(phi_n)
     vd = model.sample_potential(harmonic(1.0), g) + eta * np.abs(phi_n) ** 2
-    p = precond.build(kind, g, alpha, vd)
+    p = precond.Preconditioner(kind, g.spectrum(False)).refresh(alpha, vd)
     pu, pv = p.apply_values(u), p.apply_values(v)
     wu, wv = weighted(p, u), weighted(p, v)
 

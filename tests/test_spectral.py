@@ -29,14 +29,14 @@ def random_field(grid, seed=0):
 def apply_laplacian(u):
     """The Laplacian through the package's kinetic operator -Lap/2."""
     g = u.grid
-    return WaveField(g, -2.0 * g.spectrum(False).kinetic_image(g.fft(u.values)))
+    return WaveField(g, -2.0 * g.spectrum(False).kinetic_image(g.spectrum(False).fft(u.values)))
 
 
 def apply_lz(u, omega=0.5):
     """Lz through the one-axis operator -Lap/2 - omega Lz, less its
     kinetic part, over omega."""
     g = u.grid
-    kinetic = g.spectrum(False).kinetic_image(g.fft(u.values))
+    kinetic = g.spectrum(False).kinetic_image(g.spectrum(False).fft(u.values))
     return WaveField(g, (kinetic - spectral.rotating_linear(g, omega, u.values)[0]) / omega)
 
 
@@ -60,6 +60,17 @@ class TestGrid:
             Grid(4, 8.0, 16)
         with pytest.raises(ValueError, match="positive"):
             Grid(1, -1.0, 16)
+
+    @pytest.mark.parametrize("args,message", [
+        ((True, 1.0, 8), "dimension"), ((2.0, 1.0, 8), "dimension"),
+        ((1, True, 8), "L"), ((1, "1.0", 8), "L"), ((1, None, 8), "L"),
+        ((1, 1.0, 4.0), "M"), ((1, 1.0, "8"), "M"), ((1, 1.0, None), "M"),
+    ])
+    def test_non_number_refused_by_name(self, args, message):
+        # a bool once read as 1, and a string, a float M or None raised a
+        # TypeError or numpy's own message
+        with pytest.raises(ValueError, match=f"^{message} must be"):
+            Grid(*args)
 
     def test_equality_ignores_cached_arrays(self):
         assert Grid(2, 8.0, 16) == Grid(2, 8.0, 16)
@@ -112,12 +123,12 @@ def test_grid_fft_parseval(shape, seed, half_width):
     g = Grid(d, half_width, m)
     rng = np.random.default_rng(seed)
     u, v = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape) for _ in range(2))
-    u_hat, v_hat = g.fft(u), g.fft(v)
+    u_hat, v_hat = g.spectrum(False).fft(u), g.spectrum(False).fft(v)
     direct = g.cell_volume * np.vdot(u, v)
     via_hat = g.cell_volume / g.size * np.vdot(u_hat, v_hat)
     scale = g.cell_volume * np.linalg.norm(u) * np.linalg.norm(v)
     assert abs(direct - via_hat) <= 1e-13 * scale
-    assert np.max(np.abs(g.ifft(u_hat) - u)) <= 1e-14 * np.max(np.abs(u)) * m
+    assert np.max(np.abs(g.spectrum(False).ifft(u_hat) - u)) <= 1e-14 * np.max(np.abs(u)) * m
 
 
 class TestLaplacian:
@@ -154,7 +165,7 @@ class TestLaplacian:
     def test_fft_roundtrip(self):
         g = Grid(2, 6.0, 32)
         u = random_field(g, 9)
-        back = g.ifft(g.fft(u.values))
+        back = g.spectrum(False).ifft(g.spectrum(False).fft(u.values))
         assert np.max(np.abs(back - u.values)) <= 1e-13 * np.max(np.abs(u.values))
 
 
@@ -213,7 +224,7 @@ def test_rotating_linear_matches_full_transforms(shape, seed, omega, half_width)
     rng = np.random.default_rng(seed)
     u, v = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape) for _ in range(2))
     before = u.copy()
-    u_hat = g.fft(u)
+    u_hat = g.spectrum(False).fft(u)
     expected = kinetic_plain(g, u_hat) - omega * lz_plain(g, u_hat)
     hu, hat = spectral.rotating_linear(g, omega, u, hat=True)
     assert np.max(np.abs(hu - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -242,14 +253,14 @@ def test_spectrum_linear_is_the_one_linear_part(d, omega, hat):
     counter = spectral.FFTCounter()
     out, u_hat = g.spectrum(False).linear(u, omega, counter, hat=hat)
     if omega == 0.0:
-        assert np.array_equal(out, g.spectrum(False).kinetic_image(g.fft(u)))
+        assert np.array_equal(out, g.spectrum(False).kinetic_image(g.spectrum(False).fft(u)))
         assert counter.count == 2
     else:
         assert np.array_equal(out, spectral.rotating_linear(g, omega, u)[0])
         assert counter.count == 2 + hat
     assert (u_hat is None) == (not hat)
     if hat:
-        assert np.max(np.abs(u_hat - g.fft(u))) <= 1e-13 * np.max(np.abs(u_hat))
+        assert np.max(np.abs(u_hat - g.spectrum(False).fft(u))) <= 1e-13 * np.max(np.abs(u_hat))
     assert np.array_equal(u, before)
 
 
@@ -277,16 +288,16 @@ def test_interpolate_then_truncate_returns_input(shape, extra, seed, half_width)
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 64), st.integers(0, 2**32 - 1), st.booleans())
 def test_1d_transforms_equal_nd_numpy(half_m, seed, real):
-    # in 1D Grid.fft/ifft call numpy's 1D transforms, not the n-D wrapper
+    # in 1D Spectrum.fft/ifft call numpy's 1D transforms, not the n-D wrapper
     g = Grid(1, 4.0, 2 * half_m)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(g.shape)
     if not real:
         a = a + 1j * rng.standard_normal(g.shape)
-    assert g.fft(a).tobytes() == np.fft.fftn(a).tobytes()
-    assert g.ifft(a).tobytes() == np.fft.ifftn(a).tobytes()
+    assert g.spectrum(False).fft(a).tobytes() == np.fft.fftn(a).tobytes()
+    assert g.spectrum(False).ifft(a).tobytes() == np.fft.ifftn(a).tobytes()
     out = a.astype(np.complex128)
-    assert g.fft(out, out=out) is out and out.tobytes() == np.fft.fftn(a).tobytes()
+    assert g.spectrum(False).fft(out, out=out) is out and out.tobytes() == np.fft.fftn(a).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -305,7 +316,7 @@ def test_half_spectrum_transforms(shape, seed, half_width):
     half = g.spectrum(True)
     x_half, y_half = half.fft(x, counter), half.fft(y)
     assert x_half.shape == g.shape[:-1] + (m // 2 + 1,) and np.array_equal(x, before)
-    full = g.fft(x)
+    full = g.spectrum(False).fft(x)
     assert np.max(np.abs(x_half - full[..., : m // 2 + 1])) <= 1e-13 * np.max(np.abs(full))
     half_before = x_half.copy()
     back = half.ifft(x_half, counter)
@@ -316,7 +327,7 @@ def test_half_spectrum_transforms(shape, seed, half_width):
     weights = np.full(x_half.shape, 2.0)
     weights[..., [0, -1]] = 1.0
     via_half = g.cell_volume / g.size * np.sum(weights * (np.conj(x_half) * y_half).real)
-    via_full = g.cell_volume / g.size * np.vdot(full, g.fft(y)).real
+    via_full = g.cell_volume / g.size * np.vdot(full, g.spectrum(False).fft(y)).real
     direct = g.cell_volume * np.dot(x.ravel(), y.ravel())
     scale = g.cell_volume * np.linalg.norm(x) * np.linalg.norm(y)
     assert abs(via_half - via_full) <= 1e-13 * scale
@@ -325,7 +336,7 @@ def test_half_spectrum_transforms(shape, seed, half_width):
     kin, exact = g.spectrum(True).kinetic_image(x_half), kinetic_plain(g, full)
     assert kin.dtype == np.float64
     assert np.max(np.abs(kin - exact)) <= 1e-13 * np.max(np.abs(exact)) * m
-    assert np.array_equal(g.half_k2_r, g.half_k2[..., : m // 2 + 1])
+    assert np.array_equal(g.spectrum(True).half_k2, g.half_k2[..., : m // 2 + 1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -341,14 +352,14 @@ def test_spectrum_sums_of_both_formats(shape, seed, half_width):
     x, y = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
     full, half = g.spectrum(False), g.spectrum(True)
     assert half is g.spectrum(True) and full is g.spectrum(False)
-    assert np.array_equal(half.half_k2, g.half_k2_r) and full.half_k2 is g.half_k2
-    kin_x, kin_y = (kinetic_plain(g, g.fft(a)).real for a in (x, y))
+    assert np.array_equal(half.half_k2, g.half_k2[..., : m // 2 + 1]) and full.half_k2 is g.half_k2
+    kin_x, kin_y = (kinetic_plain(g, g.spectrum(False).fft(a)).real for a in (x, y))
     hd = g.cell_volume
     exact = {"dot": hd * np.dot(x.ravel(), y.ravel()), "norm": np.sqrt(hd) * np.linalg.norm(x),
              "kinetic": hd * np.dot(x.ravel(), kin_x.ravel()),
              "kinetic_xy": hd * np.dot(x.ravel(), kin_y.ravel())}
     scale = hd * np.linalg.norm(x) * np.linalg.norm(y) * (1.0 + np.max(g.half_k2))
-    for spec, fft in ((full, g.fft), (half, np.fft.rfftn)):
+    for spec, fft in ((full, g.spectrum(False).fft), (half, np.fft.rfftn)):
         x_hat, y_hat = spec.fft(x), spec.fft(y)
         assert np.array_equal(x_hat, fft(x))
         sums = {"dot": spec.dot(x_hat, y_hat), "norm": spec.norm(x_hat),
@@ -369,8 +380,9 @@ class TestTransforms:
 
     @staticmethod
     def operators(g):
-        return [("fft", g.fft, fft_plain), ("ifft", g.ifft, ifft_plain),
-                ("kinetic", lambda a: g.spectrum(False).kinetic_image(a),
+        full = g.spectrum(False)
+        return [("fft", full.fft, fft_plain), ("ifft", full.ifft, ifft_plain),
+                ("kinetic", lambda a: full.kinetic_image(a),
                  lambda a: kinetic_plain(g, a))]
 
     @pytest.mark.parametrize("d,real", CASES)
@@ -391,7 +403,7 @@ class TestTransforms:
     def test_kinetic_charges_one_unit(self):
         g = Grid(2, 5.0, 16)
         counter = spectral.FFTCounter()
-        g.spectrum(False).kinetic_image(g.fft(random_field(g).values), counter)
+        g.spectrum(False).kinetic_image(g.spectrum(False).fft(random_field(g).values), counter)
         assert counter.count == 1
 
 
