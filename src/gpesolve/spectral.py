@@ -4,10 +4,16 @@ The domain is the square box [-L, L]^d with periodic boundary conditions,
 sampled on M uniform points per axis (x_k = -L + k*h, h = 2L/M).  Transforms
 follow the unscaled-forward / (1/M per axis)-inverse convention, so the
 discrete Fourier frequencies are xi_p = p*pi/L for p = -M/2 .. M/2-1 in
-standard FFT ordering.  This module is the only one that calls numpy.fft:
-the full transforms of complex fields are Spectrum's and the half-spectrum
-ones of real fields HalfSpectrum's, Grid.spectrum is the one place a caller
-chooses between them, and rotating_linear runs the one-axis passes.
+standard FFT ordering.  This module is the only one that transforms: the
+full transforms of complex fields are Spectrum's and the half-spectrum ones
+of real fields HalfSpectrum's, Grid.spectrum is the one place a caller
+chooses between them, and rotating_linear runs the one-axis passes.  The 1D
+transforms call the pocketfft gufuncs of numpy.fft._pocketfft_umath, which
+numpy's 1D functions wrap, with the factors those pass: the same bits
+without the wrapper's Python frames, about 6 us a call, half the time of
+an rfft at M = 128 (README, "Transform budget").  The n-D transforms and
+the one-axis passes call numpy.fft, whose wrapper costs under 1% of a
+256^2 pass.
 """
 
 from __future__ import annotations
@@ -20,6 +26,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+try:
+    # the 1D transforms numpy.fft.fft, ifft, rfft (of an even number of
+    # points) and irfft wrap
+    from numpy.fft._pocketfft_umath import (fft as _FFT, ifft as _IFFT, irfft as _IRFFT,
+                                            rfft_n_even as _RFFT)
+except ImportError as err:
+    raise ImportError(f"gpesolve.spectral calls numpy's pocketfft gufuncs: {err} "
+                      f"(numpy {np.__version__})") from err
+
+
 class FFTCounter:
     """Tracks the spectral-transform budget of a solver run, in the units of
     the optimizers' cost model (the per-iteration budget of criterion 12).
@@ -27,12 +43,15 @@ class FFTCounter:
     Spectrum.fft and Spectrum.ifft charge one unit per full d-dimensional
     transform, and so do HalfSpectrum.fft and HalfSpectrum.ifft, their
     half-spectrum forms for a real field, though they do about half the
-    work.  The one-axis passes of rotating_linear charge nothing themselves:
-    its callers charge the units of the full-transform images they stand
-    for, one for -Lap/2, one for Lz and one for a completed forward
-    transform.  So the units stay comparable across implementations while
-    the real work differs: a rotating 2D iteration runs 5 (identity,
-    potential) to 9 (sym, c1) one-axis passes for its 3 to 5 units.
+    work.  The count is taken in those methods, not in what they call, so
+    it counts the 1D transforms (pocketfft gufuncs) and the n-D ones
+    (numpy.fft) alike.  The one-axis passes of rotating_linear charge
+    nothing themselves: its callers charge the units of the full-transform
+    images they stand for, one for -Lap/2, one for Lz and one for a
+    completed forward transform.  So the units stay comparable across
+    implementations while the real work differs: a rotating 2D iteration
+    runs 5 (identity, potential) to 9 (sym, c1) one-axis passes for its 3
+    to 5 units.
     """
 
     __slots__ = ("count",)
@@ -143,19 +162,21 @@ class Spectrum:
     """Full spectra of complex grid arrays (HalfSpectrum: of real ones).
 
     fft and ifft are the full d-dimensional transforms, one unit each
-    (FFTCounter).  They take any input and return complex grid arrays,
+    (FFTCounter).  They take grid arrays and return complex grid arrays,
     written through `out=`, fresh unless the caller passes one (the input
     itself for an in-place transform), which lets numpy run its passes
     after the first in place; the result is the same bit for bit.  In 1D
-    they call numpy's 1D transforms, which numpy's n-D ones wrap: the same
-    bits without the wrapper's cost.  half_k2 is the kinetic symbol.  The
-    Parseval sums take the images of grid arrays a and b: dot is Re<a, b>,
-    norm ||a|| and kinetic Re<a, -Lap/2 b>, b = a when not given."""
+    they call the pocketfft gufuncs (the module docstring) with numpy's
+    factors, 1 forward and inv_m = 1/M inverse: numpy.fft's bits without
+    its wrapper.  half_k2 is the kinetic symbol.  The Parseval sums take
+    the images of grid arrays a and b: dot is Re<a, b>, norm ||a|| and
+    kinetic Re<a, -Lap/2 b>, b = a when not given."""
 
     def __init__(self, grid: Grid) -> None:
         self.grid = grid
         self.half_k2 = grid.half_k2
         self.scale = grid.cell_volume / grid.size  # Parseval factor
+        self.inv_m = 1.0 / grid.M
 
     def fft(self, values: np.ndarray, counter: FFTCounter | None = None,
             out: np.ndarray | None = None) -> np.ndarray:
@@ -164,7 +185,9 @@ class Spectrum:
         g = self.grid
         if out is None:
             out = np.empty(g.shape, np.complex128)
-        return (np.fft.fft if g.d == 1 else np.fft.fftn)(values, out=out)
+        if g.d == 1:
+            return _FFT(values, 1.0, out=out)
+        return np.fft.fftn(values, out=out)
 
     def ifft(self, values_hat: np.ndarray, counter: FFTCounter | None = None,
              out: np.ndarray | None = None) -> np.ndarray:
@@ -173,7 +196,9 @@ class Spectrum:
         g = self.grid
         if out is None:
             out = np.empty(g.shape, np.complex128)
-        return (np.fft.ifft if g.d == 1 else np.fft.ifftn)(values_hat, out=out)
+        if g.d == 1:
+            return _IFFT(values_hat, self.inv_m, out=out)
+        return np.fft.ifftn(values_hat, out=out)
 
     def kinetic_image(self, a_hat: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
         """-Lap/2 a: one inverse transform of half_k2 a_hat, in place where it fits."""
@@ -198,10 +223,7 @@ class Spectrum:
         return self.scale * float(np.vdot(a_hat, b_hat).real)
 
     def norm(self, a_hat: np.ndarray) -> float:
-        # the sums np.linalg.norm forms, without its wrapper
-        a = a_hat.ravel()
-        re, im = a.real, a.imag
-        return math.sqrt(self.scale) * math.sqrt(re.dot(re) + im.dot(im))
+        return math.sqrt(self.scale) * l2_norm(a_hat)
 
     def kinetic(self, a_hat: np.ndarray, b_hat: np.ndarray | None = None) -> float:
         if b_hat is None:
@@ -212,13 +234,15 @@ class Spectrum:
 class HalfSpectrum(Spectrum):
     """Half spectra of real grid arrays: the M/2+1 non-negative modes of
     the last axis, the rest following by Hermitian symmetry, and half_k2
-    the kinetic symbol on them.  fft and ifft override Spectrum's with
-    numpy's real transforms, one unit each (FFTCounter); they return fresh
-    arrays, since no half spectrum fits a grid array.  A Parseval sum
-    counts each interior mode of the last axis twice, for its conjugate
-    partner, and the DC and Nyquist modes once: one dot of the float64
-    views, weighted by mode_pairs, or by kin_pairs, those times the kinetic
-    symbol (both in the shape of the views, which np.vdot flattens)."""
+    the kinetic symbol on them.  fft and ifft override Spectrum's with the
+    real transforms, one unit each (FFTCounter), in 1D pocketfft's gufuncs
+    as Spectrum's.  They return fresh arrays, half spectra of half_k2's
+    shape or float64 grid arrays, and ignore `out=`: no half spectrum fits
+    a grid array.  A Parseval sum counts each interior mode of the last
+    axis twice, for its conjugate partner, and the DC and Nyquist modes
+    once: one dot of the float64 views, weighted by mode_pairs, or by
+    kin_pairs, those times the kinetic symbol (both in the shape of the
+    views, which np.vdot flattens)."""
 
     def __init__(self, grid: Grid) -> None:
         super().__init__(grid)
@@ -231,7 +255,9 @@ class HalfSpectrum(Spectrum):
     def fft(self, values: np.ndarray, counter: FFTCounter | None = None, out=None) -> np.ndarray:
         if counter is not None:
             counter.count += 1
-        return np.fft.rfft(values) if self.grid.d == 1 else np.fft.rfftn(values)
+        if self.grid.d == 1:
+            return _RFFT(values, 1.0, out=np.empty(self.half_k2.shape, np.complex128))
+        return np.fft.rfftn(values)
 
     def ifft(self, values_hat: np.ndarray, counter: FFTCounter | None = None,
              out=None) -> np.ndarray:
@@ -239,7 +265,7 @@ class HalfSpectrum(Spectrum):
             counter.count += 1
         g = self.grid
         if g.d == 1:
-            return np.fft.irfft(values_hat, n=g.M)
+            return _IRFFT(values_hat, self.inv_m, out=np.empty(g.M))
         return np.fft.irfftn(values_hat, s=g.shape, axes=tuple(range(g.d)))
 
     def _pair_dot(self, a_hat: np.ndarray, b_hat: np.ndarray, weights: np.ndarray) -> float:
@@ -287,8 +313,20 @@ def inner(u: WaveField, v: WaveField) -> complex:
     return u.grid.cell_volume * np.vdot(u.values, v.values)
 
 
+def l2_norm(a: np.ndarray) -> float:
+    """The Euclidean norm of an array: the sums np.linalg.norm forms,
+    without its wrapper, and its value bit for bit for float64 and
+    complex128 (the imaginary part of a float64 array adds 0.0; any other
+    dtype is summed in one of those)."""
+    if a.dtype != np.float64 and a.dtype != np.complex128:
+        a = a.astype(np.complex128 if a.dtype.kind == "c" else np.float64)
+    a = a.ravel()
+    re, im = a.real, a.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def norm(u: WaveField) -> float:
-    return float(np.sqrt(u.grid.cell_volume) * np.linalg.norm(u.values.ravel()))
+    return math.sqrt(u.grid.cell_volume) * l2_norm(u.values)
 
 
 @functools.lru_cache(maxsize=8)

@@ -60,3 +60,11 @@ def test_one_home_for_the_fourier_format():
     faults += ["precond defines build" for n in modules["precond.py"].body
                if isinstance(n, ast.FunctionDef) and n.name == "build"]
     assert faults == []
+
+
+def test_pocketfft_gufuncs_named_in_spectral_only():
+    # the 1D transforms call numpy's private pocketfft gufuncs: one module
+    # depends on that private name
+    naming = [path.name for path in sorted(SRC.glob("*.py"))
+              if "_pocketfft" in path.read_text()]
+    assert naming == ["spectral.py"]

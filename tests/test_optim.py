@@ -497,8 +497,15 @@ class TestFailureStops:
         values[7] = bad
         if bad == 0.0:
             values[:] = 0.0
-        # every transform of the package is a numpy.fft call, full or half
+        # every transform of the package: a spectrum's fft/ifft, whose 1D
+        # forms call pocketfft's gufuncs, or a numpy.fft call, full or half
         transforms = []
+        for owner, name in ((spectral.Spectrum, "fft"), (spectral.Spectrum, "ifft"),
+                            (spectral.HalfSpectrum, "fft"), (spectral.HalfSpectrum, "ifft")):
+            def spy(self, *args, _f=getattr(owner, name), **kwargs):
+                transforms.append(1)
+                return _f(self, *args, **kwargs)
+            monkeypatch.setattr(owner, name, spy)
         for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
             def counted(*args, _f=getattr(np.fft, name), **kwargs):
                 transforms.append(1)
@@ -624,29 +631,39 @@ class TestPeakArrays:
                                                                     abs=0.1)
 
 
+def numpy_fft_frame(frame):
+    """Whether a frame runs code of numpy.fft's Python wrapper."""
+    return frame.f_code.co_filename == np.fft._pocketfft.__file__
+
+
 class TestCallsPerIteration:
     """Calls of gpesolve functions per pcg iteration on the 1D lattice trap
     (the float64 path), pinned per kind as the transform budget is: the
     engine's Python-level overhead, which dominates a small 1D iteration,
     counted so that a regression fails here rather than hiding in timing
     noise.  Only frames whose code lies in the gpesolve package count, so
-    the pins do not depend on the numpy version."""
+    the pins do not depend on the numpy version.  Frames of numpy.fft's
+    wrapper are counted apart: the 1D spectra call pocketfft's gufuncs
+    without it."""
 
     CEILING = {"identity": 36, "kinetic": 46, "potential": 37, "c1": 43, "c2": 39, "sym": 41}
 
     @staticmethod
-    def calls(kind, iterations):
+    def calls(kind, iterations, counted=None):
         g = Grid(1, 16.0, 128)
         params = ModelParams(eta=250.0, omega=0.0,
                              potential=harmonic_lattice(1.0, 25.0, np.pi / 2))
         phi0 = thomas_fermi_initial(g, params)
         cfg = SolverConfig(method="pcg", precond=kind, tol=0.0, max_iter=iterations)
         package = os.path.dirname(optim.__file__) + os.sep
+        if counted is None:
+            def counted(frame):
+                return frame.f_code.co_filename.startswith(package)
         count = 0
 
         def profile(frame, event, arg):
             nonlocal count
-            if event == "call" and frame.f_code.co_filename.startswith(package):
+            if event == "call" and counted(frame):
                 count += 1
 
         sys.setprofile(profile)
@@ -663,6 +680,12 @@ class TestCallsPerIteration:
         # final evaluation
         per_iteration = (self.calls(kind, 30) - self.calls(kind, 10)) / 20
         assert per_iteration <= self.CEILING[kind]
+
+    @pytest.mark.parametrize("kind", precond.KINDS)
+    def test_no_numpy_fft_wrapper(self, kind):
+        per_iteration = (self.calls(kind, 30, numpy_fft_frame)
+                         - self.calls(kind, 10, numpy_fft_frame)) / 20
+        assert per_iteration == 0
 
 
 def smooth_real(grid, seed):

@@ -1,5 +1,7 @@
 """Grid, transforms, differential operators and spectral interpolation."""
 
+import runpy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -298,6 +300,49 @@ def test_1d_transforms_equal_nd_numpy(half_m, seed, real):
     assert g.spectrum(False).ifft(a).tobytes() == np.fft.ifftn(a).tobytes()
     out = a.astype(np.complex128)
     assert g.spectrum(False).fft(out, out=out) is out and out.tobytes() == np.fft.fftn(a).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 2048), st.integers(0, 2**32 - 1), st.booleans())
+def test_1d_spectra_equal_numpy_fft(half_m, seed, real):
+    # the 1D spectra call pocketfft's gufuncs, numpy.fft's 1D functions
+    # without their wrapper: the same bits, fresh with the input left alone
+    # and, for a full spectrum, in place
+    m = 2 * half_m
+    g = Grid(1, 4.0, m)
+    full, half = g.spectrum(False), g.spectrum(True)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(m)
+    if not real:
+        a = a + 1j * rng.standard_normal(m)
+    x = rng.standard_normal(m)  # the real field of a half spectrum
+    modes = np.ascontiguousarray(a[: half_m + 1])  # a half spectrum, M/2+1 modes
+    cases = [("fft", full.fft, a, np.fft.fft(a)), ("ifft", full.ifft, a, np.fft.ifft(a)),
+             ("rfft", half.fft, x, np.fft.rfft(x)),
+             ("irfft", half.ifft, modes, np.fft.irfft(modes, n=m))]
+    for name, op, arg, want in cases:
+        before = arg.copy()
+        got = op(arg)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+        assert arg.tobytes() == before.tobytes() and not np.shares_memory(got, arg), name
+    for name, op, want in (("fft", full.fft, np.fft.fft(a)), ("ifft", full.ifft, np.fft.ifft(a))):
+        arg = a.astype(np.complex128)
+        assert op(arg, out=arg) is arg and arg.tobytes() == want.tobytes(), name
+
+
+def test_numpy_has_the_1d_gufuncs(monkeypatch):
+    # the gufuncs the 1D spectra call, by name and signature: a numpy that
+    # moves or reshapes them fails here, and importing spectral without one
+    # names it
+    from numpy.fft import _pocketfft_umath as umath
+    for name, signature in (("fft", "(n),()->(m)"), ("ifft", "(m),()->(n)"),
+                            ("rfft_n_even", "(n),()->(m)"), ("irfft", "(m),()->(n)")):
+        assert isinstance(getattr(umath, name, None), np.ufunc), name
+        assert getattr(umath, name).signature == signature, name
+    monkeypatch.delattr(umath, "rfft_n_even")
+    with pytest.raises(ImportError, match=rf"'rfft_n_even'.*\(numpy {np.__version__}\)$"):
+        runpy.run_path(spectral.__file__)
 
 
 @settings(max_examples=40, deadline=None)
