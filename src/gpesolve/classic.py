@@ -25,7 +25,7 @@ from . import model, precond
 from .model import ModelParams
 from .optim import (DIVERGED, INNER_SOLVER_FAILED, STOP_ENERGY, SolveResult, Stop, check_options,
                     drive, start_iterate)
-from .spectral import FFTCounter, Grid, WaveField, is_number, norm
+from .spectral import FFTCounter, Grid, WaveField, is_number, l2_norm, norm
 
 FE = "fe"
 FE_LAMBDA = "fe_lambda"
@@ -90,10 +90,6 @@ class KrylovError(RuntimeError):
         self.iterations = iterations
 
 
-def _realify(z: np.ndarray) -> np.ndarray:
-    return np.concatenate([z.real.ravel(), z.imag.ravel()])
-
-
 def krylov_solve(
     apply_a,
     b: WaveField,
@@ -108,42 +104,45 @@ def krylov_solve(
     the discrete inner product; the preconditioner must be Hermitian
     positive definite.  Then the Lanczos coefficients alpha = Re<v, Av> and
     beta = sqrt(Re<r, Pr>) are real, and MINRES (Paige & Saunders 1975)
-    runs on vectors of b's dtype with its real Givens recursion.  The
-    solver owns the array `apply_a` returns and updates it in place, so
-    `apply_a` must return a fresh array or its argument itself, which the
-    solver then copies.  Every other vector of the recursion is written
-    into arrays allocated once per solve; b is left alone.
+    runs its real Givens recursion on the real representation (spectral) of
+    grid arrays of b's dtype, float64 or complex128: every inner product and
+    norm is one dot of real vectors.  The solver owns the array `apply_a`
+    returns and updates it in place, so `apply_a` must return a fresh
+    C-ordered array or its argument itself, which the solver then copies.
+    Every other vector of the recursion is written into arrays allocated
+    once per solve; b and Pr are left alone.
 
     One Krylov run, from x = 0: whenever the recursive estimate of the
     P-norm residual falls to its target, first tol times its start value,
-    the true relative residual ||b - Ax|| / ||b|| is computed.  At or below
-    tol the solve returns; otherwise the target is tightened in proportion
-    and the same recursion goes on.  Returns (x, iteration count), the count
-    excluding those checks.  Raises KrylovError on a non-finite value or a
-    preconditioner that is not positive definite, and when the run ends
-    (max_iter, or an invariant Krylov subspace) with the relative residual
-    above max(10 tol, 1e-12).
+    and at max_iter, the true relative residual ||b - Ax|| / ||b|| is
+    computed.  At or below tol the solve returns; otherwise the target is
+    tightened in proportion and the same recursion goes on.  Returns (x,
+    iteration count), the count excluding those checks.  Raises KrylovError
+    on a non-finite value or a preconditioner that is not positive
+    definite, and when the run ends (max_iter, or an invariant Krylov
+    subspace) with the relative residual above max(10 tol, 1e-12).
     """
     grid = b.grid
-    rhs = b.values
-    x = np.zeros_like(rhs)
-    # ||a|| is spectral.l2_norm(a), written out: no helper call
-    a = rhs.ravel()
-    b_norm = math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag))
+    rhs = np.asarray(b.values, np.result_type(b.values, np.float64))
+    # the recursion runs on flat float64 views (_r); a 1D float64 array is one
+    x, v = np.zeros(rhs.shape, rhs.dtype), np.zeros(rhs.shape, rhs.dtype)
+    rhs_r, x_r = rhs.ravel().view(np.float64), x.ravel().view(np.float64)
+    v_r = v.ravel().view(np.float64)
+    flat = rhs.dtype != np.float64 or rhs.ndim != 1
+    b_norm = math.sqrt(rhs_r.dot(rhs_r))
     if b_norm == 0.0:
         return WaveField(grid, x), 0
-
-    apply_p = None if p is None else p.apply_values
 
     def fail(why: str, res: float):
         return KrylovError(f"MINRES did not converge ({why} after {iters} iterations, "
                            f"rel residual={res:.3e})", best=x, residual=res, iterations=iters)
 
-    # Re<a, b> is float(np.vdot(a, b).real), written out: no helper call
     iters = 0
-    r1 = r2 = rhs
-    y = r2 if apply_p is None else apply_p(r2, counter)
-    beta = float(np.vdot(r2, y).real)
+    r1 = r2 = y_r = rhs_r
+    if p is not None:
+        y = p.apply_pair(rhs, counter)[0]
+        y_r = y.ravel().view(np.float64) if flat else y
+    beta = r2.dot(y_r)
     if not (math.isfinite(beta) and beta > 0.0):
         raise fail("preconditioned norm of b is not positive", 1.0)
     beta = math.sqrt(beta)
@@ -152,23 +151,26 @@ def krylov_solve(
     cs, sn = -1.0, 0.0
     phibar = beta
     target = tol * beta
-    v, w, w1, w2, tmp = np.zeros((5,) + x.shape, x.dtype)
+    w, w1, w2, tmp = np.zeros((4,) + v_r.shape)
     res = 1.0  # true relative residual of the current x
     while iters < max_iter:
         iters += 1
         # Lanczos step: v_k, and the next residual r2 = beta_{k+1} P^-1 v_{k+1}
-        np.multiply(y, 1.0 / beta, out=v)
+        np.multiply(y_r, 1.0 / beta, out=v_r)
         y = apply_a(v)
         if y is v:
             y = v.copy()
+        y_r = y.ravel().view(np.float64) if flat else y
         if iters >= 2:
-            y -= np.multiply(r1, beta / old_beta, out=tmp)
-        alpha = float(np.vdot(v, y).real)
-        y -= np.multiply(r2, alpha / beta, out=tmp)
-        r1, r2 = r2, y
-        y = r2 if apply_p is None else apply_p(r2, counter)
+            y_r -= np.multiply(r1, beta / old_beta, out=tmp)
+        alpha = v_r.dot(y_r)
+        y_r -= np.multiply(r2, alpha / beta, out=tmp)
+        r1, r2 = r2, y_r
+        if p is not None:
+            y = p.apply_pair(y, counter)[0]
+            y_r = y.ravel().view(np.float64) if flat else y
         old_beta = beta
-        beta = float(np.vdot(r2, y).real)
+        beta = r2.dot(y_r)
         if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise fail("non-finite value", math.nan)
         if beta < 0.0:
@@ -188,25 +190,23 @@ def krylov_solve(
         phibar *= sn
         # w = (v - old_eps w1 - delta w2) / gamma, into the array w1 frees
         w1, w2, w = w2, w, w1
-        np.subtract(v, np.multiply(w1, old_eps, out=w), out=w)
+        np.subtract(v_r, np.multiply(w1, old_eps, out=w), out=w)
         w -= np.multiply(w2, delta, out=tmp)
         w *= 1.0 / gamma
-        x += np.multiply(w, phi, out=tmp)
+        x_r += np.multiply(w, phi, out=tmp)
         res = math.nan
-        if phibar <= target:
-            a = (rhs - apply_a(x)).ravel()
-            res = math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag)) / b_norm
-            if not math.isfinite(res):
-                raise fail("non-finite value", res)
-            if res <= tol:
-                return WaveField(grid, x), iters
-            if beta == 0.0:
-                break  # invariant Krylov subspace: the run cannot go on
-            target = phibar * min(0.5, 0.5 * tol / res)
-    if math.isnan(res):
-        a = (rhs - apply_a(x)).ravel()
-        res = math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag)) / b_norm
-    if math.isfinite(res) and res <= max(10.0 * tol, 1e-12):
+        if phibar > target and iters < max_iter:
+            continue
+        a = (rhs - apply_a(x)).ravel().view(np.float64)
+        res = math.sqrt(a.dot(a)) / b_norm
+        if not math.isfinite(res):
+            raise fail("non-finite value", res)
+        if res <= tol:
+            return WaveField(grid, x), iters
+        if beta == 0.0:
+            break  # invariant Krylov subspace: the run cannot go on
+        target = phibar * min(0.5, 0.5 * tol / res)
+    if res <= max(10.0 * tol, 1e-12):
         return WaveField(grid, x), iters
     raise fail("breakdown" if iters < max_iter else f"max_iter={max_iter} reached", res)
 
@@ -436,15 +436,15 @@ def amplification_analysis(
     a_factor = np.linalg.solve(np.eye(n) + w * dt * h, np.eye(n) - (1.0 - w) * dt * h)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) + 0j
-    x = x / np.linalg.norm(x)
+    x = x / l2_norm(x)
     errors = []
     for _ in range(n_iter):
         x = a_factor @ x
-        nx = np.linalg.norm(x)
+        nx = l2_norm(x)
         if nx == 0 or not np.isfinite(nx):
             break
         x = x / nx
-        err = np.linalg.norm(x - v_top * np.vdot(v_top, x))
+        err = l2_norm(x - v_top * (v_top.conj() @ x))
         errors.append(err)
     observed = None
     if not degenerate:
@@ -480,16 +480,15 @@ class ConditionReport:
 
 
 def _real_linear_matrix(apply_fn, shape: tuple[int, ...]) -> np.ndarray:
-    """Assemble the real 2N x 2N matrix of a real-linear complex operator."""
-    n = int(np.prod(shape))
-    out = np.zeros((2 * n, 2 * n))
-    basis = np.zeros(n, dtype=complex)
-    for j in range(n):
-        basis[j] = 1.0
-        out[:, j] = _realify(apply_fn(basis.reshape(shape)))
-        basis[j] = 1j
-        out[:, n + j] = _realify(apply_fn(basis.reshape(shape)))
-        basis[j] = 0.0
+    """The real 2N x 2N matrix of a real-linear complex operator on the real
+    representation (spectral): columns 2j and 2j + 1 the images of 1 and i at j."""
+    unit = np.zeros(2 * math.prod(shape))
+    basis = unit.view(np.complex128).reshape(shape)
+    out = np.empty((unit.size, unit.size))
+    for j in range(unit.size):
+        unit[j] = 1.0
+        out[:, j] = np.asarray(apply_fn(basis), np.complex128).ravel().view(np.float64)
+        unit[j] = 0.0
     return out
 
 
@@ -525,7 +524,7 @@ def precond_hessian_condition(
     n = g.size
     b_mat = _real_linear_matrix(lambda x: half_hess(x) - ev.lam * x, g.shape)  # 1/2 Hess - lambda
     p_mat = _real_linear_matrix(p.apply_values, g.shape)
-    q = _realify(phi_star.values)
+    q = np.asarray(phi_star.values, np.complex128).ravel().view(np.float64)
     pi = np.eye(2 * n) - g.cell_volume * np.outer(q, q)
     m = pi @ p_mat @ b_mat @ pi
     eig = np.linalg.eigvals(m)

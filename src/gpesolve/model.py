@@ -291,17 +291,19 @@ def evaluate(phi: WaveField, params: ModelParams, counter: FFTCounter | None = N
     rotation it also completes the forward transform (3 units): the kinetic
     energy comes from the transform by Parseval and the rotation energy as
     the rest of <phi, H_lin phi>.  A float64 phi takes half spectra, but not
-    under rotation, where H_lin phi is complex.  Every scalar, the energy
-    parts among them, is a Python float.
+    under rotation, where H_lin phi is complex: there phi is read as
+    complex128, as spectral.rdot needs.  Every scalar, the energy parts
+    among them, is a Python float.
     """
     g = phi.grid
     hd = g.cell_volume
-    u = phi.values
-    dens = np.abs(u) ** 2
     rotating = params.omega != 0.0
-    spec = g.spectrum(np.isrealobj(u) and not rotating)
+    u = np.asarray(phi.values,
+                   np.result_type(phi.values, np.complex128 if rotating else np.float64))
+    dens = np.abs(u) ** 2
+    spec = g.spectrum(u.dtype == np.float64)
     h_phi, u_hat = spec.linear(u, params.omega, counter, hat=rotating)
-    lin = hd * float(np.vdot(u, h_phi).real)
+    lin = hd * spectral.rdot(u, h_phi)
     kinetic = spec.kinetic(u_hat) if rotating else lin
     rotation = lin - kinetic if rotating else 0.0
     v = sample_potential(params.potential, g)
@@ -309,7 +311,7 @@ def evaluate(phi: WaveField, params: ModelParams, counter: FFTCounter | None = N
     interaction = 0.5 * params.eta * hd * float(np.sum(dens**2))
     w = v + params.eta * dens
     h_phi += w * u
-    lam = hd * float(np.vdot(h_phi, u).real)
+    lam = hd * spectral.rdot(h_phi, u)
     r_inf = float(np.max(np.abs(h_phi - lam * u)))
     return Evaluation(phi, h_phi, lam, r_inf,
                       EnergyBreakdown(kinetic, potential, interaction, rotation), w)
@@ -334,10 +336,10 @@ def half_hessian(params: ModelParams, grid: Grid, phi: np.ndarray):
 
 def hessian_quadratic_form(phi: WaveField, f: WaveField, params: ModelParams) -> float:
     """Second derivative of the energy at phi along f: d^2/dt^2 E(phi + t f),
-    which is 2 Re<f, half_hessian f>."""
+    which is 2 Re<f, half_hessian f>, f read in the dtype of its image."""
     spectral.check_same_grid(phi, f)
     bf = half_hessian(params, phi.grid, phi.values)(f.values)
-    return 2.0 * spectral.inner(f, WaveField(f.grid, bf)).real
+    return 2.0 * f.grid.cell_volume * spectral.rdot(np.asarray(f.values, bf.dtype), bf)
 
 
 def thomas_fermi_mu(params: ModelParams, d: int) -> float:

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import model, precond, spectral
 from .model import ModelParams
-from .spectral import FFTCounter, WaveField, is_number
+from .spectral import FFTCounter, WaveField, is_number, l2_norm, rdot
 
 STOP_ENERGY = "energy_diff"
 STOP_RESIDUAL = "residual_inf"
@@ -394,17 +394,6 @@ class _Engine:
         self.p_prev_hat: np.ndarray | None = None
         self.r_prev: np.ndarray | None = None
 
-    def _rdot(self, a: np.ndarray, b: np.ndarray) -> float:
-        return self.hd * float(np.vdot(a, b).real)
-
-    def _norm(self, a: np.ndarray) -> float:
-        # the sums np.linalg.norm forms, without its wrapper
-        a = a.ravel()
-        if a.dtype == np.float64:
-            return math.sqrt(self.hd) * math.sqrt(a.dot(a))
-        re, im = a.real, a.imag
-        return math.sqrt(self.hd) * math.sqrt(re.dot(re) + im.dot(im))
-
     def _images(self, x: np.ndarray, x_hat: np.ndarray | None = None,
                 ) -> tuple[np.ndarray | None, np.ndarray]:
         """(H_lin x, transform of x), given the transform where it is at hand.
@@ -432,7 +421,7 @@ class _Engine:
         if self.hu is None:
             kin = lin = self.spec.kinetic(self.uhat)
         else:
-            lin = self._rdot(self.u, self.hu)
+            lin = self.hd * rdot(self.u, self.hu)
             kin = self.spec.kinetic(self.uhat) if self.rotating else lin
         self.qa = lin + pot
         self.lam = self.qa + self.eta * self.hd * self.q40
@@ -486,7 +475,7 @@ class _Engine:
         )
 
     def _mix_cg(self, pr: np.ndarray, r: np.ndarray, p_prev: np.ndarray | None,
-                u_rep: np.ndarray, rdot, force_restart: bool,
+                u_rep: np.ndarray, dot, scale: float, force_restart: bool,
                 ) -> tuple[np.ndarray, float, bool, float, float | None]:
         """Polak-Ribiere direction beta p_prev - Pr with descent safeguard;
         returns (direction, beta, restarted, <r, Pr>, c_u), where c_u is
@@ -494,25 +483,24 @@ class _Engine:
         The direction is a fresh array or p_prev itself, updated in place.
 
         All arrays must live in the same representation (real space or
-        Fourier coefficients); `u_rep` is the iterate in that
-        representation and rdot(a, b) the matching real inner product
-        (_rdot, or the spectrum's dot).
+        Fourier coefficients); `u_rep` is the iterate there, and scale *
+        dot(a, b) the real inner product: h^d rdot, or 1.0 spectrum.dot.
         """
         if not self.pcg:
             return _negated(pr, r), 0.0, force_restart, np.nan, None
-        prp = rdot(r, pr)
+        prp = scale * dot(r, pr)
         beta = 0.0
         restarted = force_restart
         if (not force_restart and self.r_prev is not None and p_prev is not None
                 and self.prp_prev is not None and self.prp_prev > 0.0):
-            beta = max(0.0, rdot(r - self.r_prev, pr) / self.prp_prev)
+            beta = max(0.0, scale * dot(r - self.r_prev, pr) / self.prp_prev)
         if beta > 0.0:
             dvec = np.multiply(p_prev, beta, out=p_prev)
             dvec -= pr
             # descent check on the projected direction:
             # Re<grad E, proj dvec> = 2(Re<r, dvec> - Re<u, dvec> Re<r, u>)
-            c_u = rdot(u_rep, dvec)
-            slope = 2.0 * (rdot(r, dvec) - c_u * rdot(r, u_rep))
+            c_u = scale * dot(u_rep, dvec)
+            slope = 2.0 * (scale * dot(r, dvec) - c_u * (scale * dot(r, u_rep)))
             if slope < 0.0:
                 return dvec, beta, restarted, prp, c_u
             beta = 0.0
@@ -538,16 +526,18 @@ class _Engine:
         mix_hat = pr is None
         if mix_hat:
             pr, r, p_prev, u_rep = pr_hat, self.r_hat, self.p_prev_hat, self.uhat
-            rdot, norm = self.spec.dot, self.spec.norm
+            dot, norm, scale = self.spec.dot, self.spec.norm, 1.0
         else:
-            r, p_prev, u_rep, rdot, norm = self.r, self.p_prev_real, self.u, self._rdot, self._norm
-        dvec, beta, restarted, prp, c_u = self._mix_cg(pr, r, p_prev, u_rep, rdot, force_restart)
+            r, p_prev, u_rep = self.r, self.p_prev_real, self.u
+            dot, norm, scale = rdot, l2_norm, self.hd
+        dvec, beta, restarted, prp, c_u = self._mix_cg(pr, r, p_prev, u_rep, dot, scale,
+                                                       force_restart)
         pr = None  # dead unless it is dvec; holding it would raise the peak
         # dvec is fresh or the dead p_prev: project and normalize it in place
         if c_u is None:
-            c_u = rdot(u_rep, dvec)
+            c_u = scale * dot(u_rep, dvec)
         dvec -= c_u * u_rep
-        p_norm = norm(dvec)
+        p_norm = math.sqrt(scale) * norm(dvec)
         if not math.isfinite(p_norm):
             raise Stop(DIVERGED)
         if p_norm == 0.0:
@@ -576,8 +566,8 @@ class _Engine:
             lin_p = self.spec.kinetic(p_hat_hat)
             lin_c = self.spec.kinetic(self.uhat, p_hat_hat)
         else:
-            lin_p = self._rdot(p_hat, hp)
-            lin_c = self._rdot(self.u, hp)
+            lin_p = self.hd * rdot(p_hat, hp)
+            lin_c = self.hd * rdot(self.u, hp)
         if self.uhat is None:
             p_hat_hat = None  # read by nothing after this
         arc = self._arc(p_hat, lin_p, lin_c)
@@ -599,7 +589,7 @@ class _Engine:
         delta += scratch
         step_inf = float(np.abs(delta).max())
         self.u += delta
-        nn = self._norm(self.u)
+        nn = math.sqrt(self.hd) * l2_norm(self.u)
         self.u *= 1.0 / nn  # == self.u / nn, as in direction
         # the images follow by the same combination: x <- (c x + s x_p) / nn;
         # a half spectrum does not fit the scratch array

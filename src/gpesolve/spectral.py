@@ -14,6 +14,9 @@ without the wrapper's Python frames, about 6 us a call, half the time of
 an rfft at M = 128 (README, "Transform budget").  The n-D transforms and
 the one-axis passes call numpy.fft, whose wrapper costs under 1% of a
 256^2 pass.
+The real representation of a grid array is its flat float64 view, real
+and imaginary parts interleaved: every real inner product Re<a, b> of the
+package is rdot, one dot of those views, and every norm l2_norm.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_F64, _C128 = np.dtype(np.float64), np.dtype(np.complex128)
 
 try:
     # the 1D transforms numpy.fft.fft, ifft, rfft (of an even number of
@@ -220,15 +224,13 @@ class Spectrum:
         return out, x_hat
 
     def dot(self, a_hat: np.ndarray, b_hat: np.ndarray) -> float:
-        return self.scale * float(np.vdot(a_hat, b_hat).real)
+        return self.scale * rdot(a_hat, b_hat)
 
     def norm(self, a_hat: np.ndarray) -> float:
         return math.sqrt(self.scale) * l2_norm(a_hat)
 
     def kinetic(self, a_hat: np.ndarray, b_hat: np.ndarray | None = None) -> float:
-        if b_hat is None:
-            return self.scale * float(np.sum(self.half_k2 * np.abs(a_hat) ** 2))
-        return self.scale * float(np.vdot(a_hat, self.half_k2 * b_hat).real)
+        return self.scale * rdot(a_hat, self.half_k2 * (a_hat if b_hat is None else b_hat))
 
 
 class HalfSpectrum(Spectrum):
@@ -240,9 +242,9 @@ class HalfSpectrum(Spectrum):
     shape or float64 grid arrays, and ignore `out=`: no half spectrum fits
     a grid array.  A Parseval sum counts each interior mode of the last
     axis twice, for its conjugate partner, and the DC and Nyquist modes
-    once: one dot of the float64 views, weighted by mode_pairs, or by
-    kin_pairs, those times the kinetic symbol (both in the shape of the
-    views, which np.vdot flattens)."""
+    once: rdot of the float64 views, one of them weighted by mode_pairs,
+    or by kin_pairs, those times the kinetic symbol (both in the shape of
+    the views)."""
 
     def __init__(self, grid: Grid) -> None:
         super().__init__(grid)
@@ -268,18 +270,15 @@ class HalfSpectrum(Spectrum):
             return _IRFFT(values_hat, self.inv_m, out=np.empty(g.M))
         return np.fft.irfftn(values_hat, s=g.shape, axes=tuple(range(g.d)))
 
-    def _pair_dot(self, a_hat: np.ndarray, b_hat: np.ndarray, weights: np.ndarray) -> float:
-        a = a_hat.view(np.float64)
-        return self.scale * float(np.vdot(a * weights, b_hat.view(np.float64)))
-
     def dot(self, a_hat, b_hat):
-        return self._pair_dot(a_hat, b_hat, self.mode_pairs)
+        return self.scale * rdot(a_hat.view(_F64) * self.mode_pairs, b_hat.view(_F64))
 
     def norm(self, a_hat):
         return math.sqrt(self.dot(a_hat, a_hat))
 
     def kinetic(self, a_hat, b_hat=None):
-        return self._pair_dot(a_hat, a_hat if b_hat is None else b_hat, self.kin_pairs)
+        return self.scale * rdot(a_hat.view(_F64) * self.kin_pairs,
+                                 (a_hat if b_hat is None else b_hat).view(_F64))
 
 
 @dataclass
@@ -313,16 +312,25 @@ def inner(u: WaveField, v: WaveField) -> complex:
     return u.grid.cell_volume * np.vdot(u.values, v.values)
 
 
+def rdot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re<a, b>, unweighted, as a Python float: one BLAS dot of the flat
+    float64 views of a and b, both float64 or both complex128 (TypeError
+    otherwise: a caller mixing them promotes first).  A 1D float64 pair
+    reaches ndarray.dot as it is."""
+    t = a.dtype
+    if t != b.dtype or (t != _F64 and t != _C128):
+        raise TypeError(f"rdot takes two float64 or two complex128 arrays, got {t} and {b.dtype}")
+    if t != _F64 or a.ndim != 1:
+        a, b = a.ravel().view(_F64), b.ravel().view(_F64)
+    return float(a.dot(b))
+
+
 def l2_norm(a: np.ndarray) -> float:
-    """The Euclidean norm of an array: the sums np.linalg.norm forms,
-    without its wrapper, and its value bit for bit for float64 and
-    complex128 (the imaginary part of a float64 array adds 0.0; any other
-    dtype is summed in one of those)."""
-    if a.dtype != np.float64 and a.dtype != np.complex128:
-        a = a.astype(np.complex128 if a.dtype.kind == "c" else np.float64)
-    a = a.ravel()
-    re, im = a.real, a.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    """||a||, sqrt(rdot(a, a)) bit for bit without the call to rdot; any
+    other dtype is summed in float64 or complex128."""
+    if a.dtype != _F64 or a.ndim != 1:
+        a = np.asarray(a, np.result_type(a, np.float64)).ravel().view(_F64)
+    return math.sqrt(a.dot(a))
 
 
 def norm(u: WaveField) -> float:

@@ -12,6 +12,9 @@ Hessian rather than from the fused iteration engine that the solvers run.
 `preconditioner_at` builds a preconditioner at an iterate as the solvers do.
 `krylov_solve_plain` is the MINRES loop with a fresh array for every vector
 operation, which the buffered classic.krylov_solve must match bit for bit.
+`hessian_condition_plain` assembles the conditioning diagnostic's matrix on
+the concatenated real representation [Re z, Im z], a permutation of the
+interleaved float64 view classic.precond_hessian_condition assembles on.
 """
 
 import csv
@@ -21,7 +24,7 @@ import math
 import numpy as np
 
 from gpesolve import model, precond, spectral
-from gpesolve.classic import KrylovError
+from gpesolve.classic import NULL_TOL, KrylovError
 from gpesolve.optim import _Arc
 from gpesolve.spectral import WaveField
 
@@ -242,17 +245,14 @@ def arc_from_fields(phi: WaveField, p_hat: WaveField, params: model.ModelParams)
 # allocating MINRES
 # ---------------------------------------------------------------------------
 
-def _rdot(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.vdot(a, b).real)
-
-
 def krylov_solve_plain(apply_a, b: WaveField, p=None, tol=1e-10, max_iter=2000, counter=None):
-    """classic.krylov_solve with every vector formed in a fresh array: the
-    same recursion, order of operations and stop rules."""
+    """classic.krylov_solve with every vector formed in a fresh grid array
+    and every inner product and norm spectral.rdot or l2_norm: the same
+    recursion, order of operations and stop rules."""
     grid = b.grid
     rhs = b.values
     x = np.zeros_like(rhs)
-    b_norm = float(np.linalg.norm(rhs))
+    b_norm = spectral.l2_norm(rhs)
     if b_norm == 0.0:
         return WaveField(grid, x), 0
 
@@ -266,7 +266,7 @@ def krylov_solve_plain(apply_a, b: WaveField, p=None, tol=1e-10, max_iter=2000, 
     iters = 0
     r1 = r2 = rhs
     y = psolve(r2)
-    beta = _rdot(r2, y)
+    beta = spectral.rdot(r2, y)
     if not (math.isfinite(beta) and beta > 0.0):
         raise fail("preconditioned norm of b is not positive", 1.0)
     beta = math.sqrt(beta)
@@ -283,12 +283,12 @@ def krylov_solve_plain(apply_a, b: WaveField, p=None, tol=1e-10, max_iter=2000, 
         y = apply_a(v)
         if iters >= 2:
             y = y - (beta / old_beta) * r1
-        alpha = _rdot(v, y)
+        alpha = spectral.rdot(v, y)
         y = y - (alpha / beta) * r2
         r1, r2 = r2, y
         y = psolve(r2)
         old_beta = beta
-        beta = _rdot(r2, y)
+        beta = spectral.rdot(r2, y)
         if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise fail("non-finite value", math.nan)
         if beta < 0.0:
@@ -309,17 +309,57 @@ def krylov_solve_plain(apply_a, b: WaveField, p=None, tol=1e-10, max_iter=2000, 
         w = (v - old_eps * w1 - delta * w2) * (1.0 / gamma)
         x += phi * w
         res = math.nan
-        if phibar <= target:
-            res = float(np.linalg.norm(rhs - apply_a(x))) / b_norm
-            if not math.isfinite(res):
-                raise fail("non-finite value", res)
-            if res <= tol:
-                return WaveField(grid, x), iters
-            if beta == 0.0:
-                break
-            target = phibar * min(0.5, 0.5 * tol / res)
-    if math.isnan(res):
-        res = float(np.linalg.norm(rhs - apply_a(x))) / b_norm
-    if math.isfinite(res) and res <= max(10.0 * tol, 1e-12):
+        if phibar > target and iters < max_iter:
+            continue
+        res = spectral.l2_norm(rhs - apply_a(x)) / b_norm
+        if not math.isfinite(res):
+            raise fail("non-finite value", res)
+        if res <= tol:
+            return WaveField(grid, x), iters
+        if beta == 0.0:
+            break
+        target = phibar * min(0.5, 0.5 * tol / res)
+    if res <= max(10.0 * tol, 1e-12):
         return WaveField(grid, x), iters
     raise fail("breakdown" if iters < max_iter else f"max_iter={max_iter} reached", res)
+
+
+# ---------------------------------------------------------------------------
+# dense conditioning on the concatenated real representation
+# ---------------------------------------------------------------------------
+
+def realify(z: np.ndarray) -> np.ndarray:
+    """[Re z, Im z] of a grid array, flattened."""
+    return np.concatenate([z.real.ravel(), z.imag.ravel()])
+
+
+def real_linear_matrix_concat(apply_fn, shape) -> np.ndarray:
+    """The real 2N x 2N matrix of a real-linear operator on complex grid
+    arrays: column j the image of the unit at point j, column N + j that of i."""
+    n = int(np.prod(shape))
+    out = np.zeros((2 * n, 2 * n))
+    basis = np.zeros(n, dtype=complex)
+    for j in range(n):
+        basis[j] = 1.0
+        out[:, j] = realify(apply_fn(basis.reshape(shape)))
+        basis[j] = 1j
+        out[:, n + j] = realify(apply_fn(basis.reshape(shape)))
+        basis[j] = 0.0
+    return out
+
+
+def hessian_condition_plain(phi: WaveField, params: model.ModelParams,
+                            p: precond.Preconditioner) -> tuple[float, np.ndarray]:
+    """(sigma, eigenvalues) of Pi P (Hess/2 - lambda) Pi, as
+    classic.precond_hessian_condition defines them, on [Re, Im]."""
+    g = phi.grid
+    lam = model.evaluate(phi, params).lam
+    half_hess = model.half_hessian(params, g, phi.values)
+    b_mat = real_linear_matrix_concat(lambda x: half_hess(x) - lam * x, g.shape)
+    p_mat = real_linear_matrix_concat(p.apply_values, g.shape)
+    q = realify(phi.values)
+    pi = np.eye(2 * g.size) - g.cell_volume * np.outer(q, q)
+    eig = np.linalg.eigvals(pi @ p_mat @ b_mat @ pi)
+    mags = np.abs(eig)
+    top = mags.max()
+    return float(top / mags[mags > NULL_TOL * top].min()), eig

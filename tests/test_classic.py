@@ -35,7 +35,8 @@ from gpesolve.classic import (
 )
 from gpesolve.optim import SolverConfig, solve
 
-from oracles import dense_hamiltonian_1d, krylov_solve_plain, preconditioner_at
+from oracles import (dense_hamiltonian_1d, hessian_condition_plain, krylov_solve_plain,
+                     preconditioner_at)
 
 
 def linear_harmonic(grid_m=64, box=16.0):
@@ -732,6 +733,22 @@ class TestConditioning:
             p = preconditioner_at("kinetic", phi, params)
             sigmas.append(precond_hessian_condition(phi, params, p).sigma)
         assert max(sigmas) / min(sigmas) < 2.0
+
+    @pytest.mark.parametrize("kind", precond.HERMITIAN)
+    @pytest.mark.parametrize("d,m,omega", [(1, 16, 0.0), (2, 8, 0.5)])
+    def test_matches_the_concatenated_realification(self, kind, d, m, omega):
+        # the interleaved float64 view is a permutation of [Re, Im]: the
+        # same sigma and spectrum, at a complex nonlinear iterate
+        g = Grid(d, 4.0, m)
+        params = ModelParams(eta=10.0, omega=omega, potential=harmonic(1.0))
+        r2 = sum(g.coordinate(ax) ** 2 for ax in range(d))
+        phi = WaveField(g, np.exp(-r2 / 2.0) * (1.0 + 0.3j * g.coordinate(0))).normalized()
+        p = preconditioner_at(kind, phi, params)
+        rep = precond_hessian_condition(phi, params, p)
+        sigma, eig = hessian_condition_plain(phi, params, p)
+        assert rep.sigma == pytest.approx(sigma, rel=1e-10)
+        got, want = np.sort(np.abs(rep.eigenvalues)), np.sort(np.abs(eig))
+        assert np.max(np.abs(got - want)) <= 1e-10 * want[-1]
 
     def test_large_grid_refused(self):
         g = Grid(2, 4.0, 66)  # 4356 unknowns

@@ -68,3 +68,53 @@ def test_pocketfft_gufuncs_named_in_spectral_only():
     naming = [path.name for path in sorted(SRC.glob("*.py"))
               if "_pocketfft" in path.read_text()]
     assert naming == ["spectral.py"]
+
+
+REAL_SPELLINGS = ("np.vdot", "numpy.vdot", "np.linalg.norm", "numpy.linalg.norm")
+
+
+def real_sum_spellings(tree):
+    """(line, enclosing top-level function or class) of every spelling of a
+    real inner product or norm other than spectral.rdot and l2_norm: np.vdot,
+    np.linalg.norm, x.real.dot, x.imag.dot and their imports."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner_owner = owner
+            if owner is None and isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner_owner = child.name
+            if isinstance(child, ast.Attribute) and (
+                    dotted(child) in REAL_SPELLINGS or (
+                        child.attr == "dot" and isinstance(child.value, ast.Attribute)
+                        and child.value.attr in ("real", "imag"))):
+                found.append((child.lineno, owner))
+            elif isinstance(child, ast.ImportFrom) and (
+                    (child.module == "numpy" and any(a.name == "vdot" for a in child.names))
+                    or (child.module == "numpy.linalg"
+                        and any(a.name == "norm" for a in child.names))):
+                found.append((child.lineno, owner))
+            visit(child, inner_owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_home_for_the_real_inner_product():
+    # Re<a, b> is spectral.rdot and ||a|| spectral.l2_norm, on the float64
+    # view of a grid array; only they and the complex inner product name
+    # the other spellings
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert [owner for _, owner in real_sum_spellings(modules["spectral.py"])] == ["inner"]
+    assert real_sum_spellings(ast.parse("a.real.dot(b); np.linalg.norm(a)")) == [(1, None)] * 2
+    faults = []
+    for name, tree in modules.items():
+        allowed = ("rdot", "l2_norm", "inner") if name == "spectral.py" else ()
+        faults += [f"{name}:{line} spells a real inner product or norm"
+                   for line, owner in real_sum_spellings(tree) if owner not in allowed]
+    faults += ["classic defines _realify" for n in modules["classic.py"].body
+               if isinstance(n, ast.FunctionDef) and n.name == "_realify"]
+    engine = class_def(modules["optim.py"], "_Engine")
+    faults += [f"_Engine defines {n.name}" for n in engine.body
+               if isinstance(n, ast.FunctionDef) and n.name in ("_rdot", "_norm")]
+    assert faults == []

@@ -21,7 +21,7 @@ from gpesolve import (
     norm,
     thomas_fermi_initial,
 )
-from gpesolve import model
+from gpesolve import model, spectral
 from gpesolve.classic import SchemeKind, run_imaginary_time
 from gpesolve.optim import SolverConfig, solve
 from gpesolve.spectral import FFTCounter
@@ -389,8 +389,9 @@ evaluate_cases = st.tuples(
 @given(evaluate_cases)
 def test_evaluate_matches_plain_oracles(case):
     # each energy part, lambda, r_inf, H_phi phi and w against the plain
-    # transforms and direct sums: bit for bit without rotation, within 1e-13
-    # of the energy scale (of max|H_phi phi| for H_phi phi) with it
+    # transforms and direct sums, the inner products spectral.rdot: bit for
+    # bit without rotation, within 1e-13 of the energy scale (of
+    # max|H_phi phi| for H_phi phi) with it
     d, seed, eta, omega = case
     g = {1: Grid(1, 6.0, 64), 2: Grid(2, 6.0, 16), 3: Grid(3, 6.0, 8)}[d]
     omega = omega if d > 1 else 0.0
@@ -406,17 +407,17 @@ def test_evaluate_matches_plain_oracles(case):
     v = params.potential.sample(g)
     dens = np.abs(u) ** 2
     h = kinetic_plain(g, u_hat)
-    kinetic = (hd * np.vdot(u, h)).real
+    kinetic = hd * spectral.rdot(u, h)
     rotation = 0.0
     if omega:
         lz_u = lz_plain(g, u_hat)
-        rotation = -omega * (hd * np.vdot(u, lz_u)).real
+        rotation = -omega * hd * spectral.rdot(u, lz_u)
         h = h - omega * lz_u
     potential = hd * float(np.sum(v * dens))
     interaction = 0.5 * eta * hd * float(np.sum(dens**2))
     w = v + eta * dens
     h = h + w * u
-    lam = (hd * np.vdot(h, u)).real
+    lam = hd * spectral.rdot(h, u)
     r_inf = float(np.max(np.abs(h - lam * u)))
     want = {"kinetic": kinetic, "rotation": rotation, "potential": potential,
             "interaction": interaction, "total": kinetic + potential + interaction + rotation,
@@ -458,6 +459,19 @@ def test_evaluate_takes_the_spectrum_of_its_field(monkeypatch, omega):
         assert abs(getattr(ev.energy, name) - getattr(ref.energy, name)) <= 1e-13 * scale, name
     assert ev.lam == pytest.approx(ref.lam, rel=1e-13)
     assert np.max(np.abs(ev.h_phi - ref.h_phi)) <= 1e-13 * np.max(np.abs(ref.h_phi))
+
+
+@pytest.mark.parametrize("omega,real_phi", [(0.0, True), (0.5, True), (0.5, False)])
+def test_hessian_form_reads_a_real_direction_in_its_image_dtype(omega, real_phi):
+    # a float64 f whose image is complex (under rotation) is read as
+    # complex, as spectral.rdot needs: the value of its complex copy
+    g = Grid(2, 6.0, 16)
+    params = ModelParams(eta=20.0, omega=omega, potential=harmonic(1.0))
+    f = WaveField(g, smooth_normalized(g, 5).values.real)
+    phi = smooth_normalized(g, 4)
+    phi = WaveField(g, phi.values.real) if real_phi else phi
+    want = hessian_quadratic_form(phi, WaveField(g, f.values.astype(complex)), params)
+    assert hessian_quadratic_form(phi, f, params) == pytest.approx(want, rel=1e-13)
 
 
 class TestThomasFermi:

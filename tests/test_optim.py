@@ -552,7 +552,7 @@ class TestFailureStops:
         g, params, phi0 = self.harmonic_1d()
         monkeypatch.setattr(precond.Preconditioner, "apply_pair",
                             lambda self, r, counter=None, transformed=False:
-                            (np.full(r.shape, fill, dtype=complex), None))
+                            (np.full(r.shape, fill, dtype=r.dtype), None))
         res = solve(phi0, params, SolverConfig(method="pcg", precond="sym"))
         assert (res.converged, res.stop_reason, res.iterations) == (converged, reason, 0)
         assert np.isfinite(res.energy)
@@ -599,7 +599,7 @@ class TestPeakArrays:
         ("kinetic", "pg"): 6.34, ("kinetic", "pcg"): 6.35,
         ("potential", "pg"): 6.83, ("potential", "pcg"): 6.35,
         ("c1", "pg"): 6.10, ("c1", "pcg"): 7.14,
-        ("c2", "pg"): 7.87, ("c2", "pcg"): 7.85,
+        ("c2", "pg"): 7.87, ("c2", "pcg"): 7.62,
         ("sym", "pg"): 6.83, ("sym", "pcg"): 6.84,
     }
 

@@ -1,5 +1,6 @@
 """Grid, transforms, differential operators and spectral interpolation."""
 
+import math
 import runpy
 
 import numpy as np
@@ -529,6 +530,75 @@ def test_grid_holds_its_spectra(monkeypatch):
     assert built == [g]
     assert g.spectrum(True) is g.spectrum(True) and g.spectrum(False) is g.spectrum(False)
     assert g.spectrum(False) is not g.spectrum(True) and built == [g]
+
+
+LAYOUTS = ("contiguous", "strided", "column", "transposed")
+
+
+@st.composite
+def real_rep_arrays(draw, dtype=None):
+    """Two float64 or two complex128 arrays of one 1-3D shape, each laid out
+    C-contiguous, strided along its first axis, as a column of a larger
+    array (evecs[:, 0]) or transposed."""
+    shape = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)))
+    dtype = dtype or draw(st.sampled_from([np.float64, np.complex128]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def draw_array():
+        layout = draw(st.sampled_from(LAYOUTS))
+        big = {"strided": (2 * shape[0],) + shape[1:], "column": shape + (3,),
+               "transposed": shape[::-1]}.get(layout, shape)
+        a = rng.standard_normal(big)
+        if dtype is np.complex128:
+            a = a + 1j * rng.standard_normal(big)
+        if layout == "strided":
+            a = a[::2]
+        elif layout == "column":
+            a = a[..., 1]
+        elif layout == "transposed":
+            a = a.T
+        return a
+
+    return draw_array(), draw_array()
+
+
+@settings(max_examples=150, deadline=None)
+@given(real_rep_arrays())
+def test_rdot_and_l2_norm_are_the_real_inner_product_and_norm(pair):
+    # Re<a, b> and ||a|| on any layout, and the norm the square root of the
+    # inner product bit for bit
+    a, b = pair
+    a0, b0 = a.copy(), b.copy()
+    got = spectral.rdot(a, b)
+    assert type(got) is float and type(spectral.l2_norm(a)) is float
+    assert abs(got - np.vdot(a, b).real) <= 1e-14 * np.linalg.norm(a) * np.linalg.norm(b)
+    assert spectral.l2_norm(a) == math.sqrt(spectral.rdot(a, a))
+    assert spectral.l2_norm(a) == pytest.approx(np.linalg.norm(a), rel=1e-14)
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(real_rep_arrays(np.float64))
+def test_rdot_of_float64_is_ndarray_dot(pair):
+    # bit for bit ndarray.dot: of a 1D pair as it is, strided or not (BLAS
+    # sums a strided pair in another order than its contiguous copy), and
+    # of the flat arrays otherwise
+    a, b = pair
+    assert spectral.rdot(a, b) == (a.dot(b) if a.ndim == 1 else a.ravel().dot(b.ravel()))
+
+
+def test_rdot_refuses_mixed_and_other_dtypes():
+    # one dtype rule: a caller with a float64 and a complex128 array
+    # promotes first (model.evaluate reads a real phi as complex under
+    # rotation); the norm sums any other dtype in float64 or complex128
+    x = np.arange(1.0, 7.0)
+    for a, b in [(x, x + 0j), (x + 0j, x), (x.astype(np.float32),) * 2,
+                 (x.astype(np.complex64),) * 2, (x.astype(int),) * 2]:
+        with pytest.raises(TypeError, match=f"got {a.dtype} and {b.dtype}$"):
+            spectral.rdot(a, b)
+    for a in (x.astype(np.float32), x.astype(int), (x + 2j).astype(np.complex64)):
+        wide = a.astype(np.complex128 if a.dtype.kind == "c" else np.float64)
+        assert spectral.l2_norm(a) == spectral.l2_norm(wide)
 
 
 class TestWaveField:
