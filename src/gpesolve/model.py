@@ -320,13 +320,15 @@ def evaluate(phi: WaveField, params: ModelParams, counter: FFTCounter | None = N
 def half_hessian(params: ModelParams, grid: Grid, phi: np.ndarray):
     """Half the energy Hessian at grid values phi, as a map on grid values:
     x -> H_phi x + eta (|phi|^2 x + phi^2 conj(x)).  It is real-linear, not
-    complex-linear, and symmetric under Re<., .>."""
+    complex-linear, and symmetric under Re<., .>.  x is read in the result
+    dtype of phi and x: a float64 x at a complex phi as complex128."""
     dens = np.abs(phi) ** 2
     apply_h = frozen_hamiltonian(
         params, grid, sample_potential(params.potential, grid) + params.eta * dens)
     phi_sq = phi**2
 
     def apply_b(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, np.result_type(phi, x))
         out = apply_h(x)
         out += params.eta * (dens * x + phi_sq * np.conj(x))
         return out

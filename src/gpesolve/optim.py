@@ -368,11 +368,11 @@ class _Engine:
         self.pcg = cfg.method == "pcg"
         self.fourier = cfg.precond in precond.FOURIER_FIRST
         forms_hat = cfg.precond in precond.FORMS_HAT
-        self.hu, uhat = self._images(self.u)
         # without rotation uhat is read by the kinds with a Fourier-space
         # residual, and by those that form the transform of p_hat from that
         # of Pr; with rotation by every kind, for the kinetic energy of the shift
-        self.uhat = uhat if self.rotating or self.fourier or forms_hat else None
+        self.carry_hat = self.rotating or self.fourier or forms_hat
+        self.hu, self.uhat = self._images(self.u)
         # a Fourier-space residual is brought to real space only for the
         # residual stop, and under pcg where Pr comes back in real space
         # (its PR inner products)
@@ -395,16 +395,20 @@ class _Engine:
         self.r_prev: np.ndarray | None = None
 
     def _images(self, x: np.ndarray, x_hat: np.ndarray | None = None,
-                ) -> tuple[np.ndarray | None, np.ndarray]:
+                ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """(H_lin x, transform of x), given the transform where it is at hand.
         Without rotation the kinds that take their kinetic terms by Parseval
-        (FOURIER_FIRST) form no H_lin x (None).  Charged (FFTCounter) a unit
-        for the transform, for Lz and for -Lap/2, but not for those kinds."""
+        (FOURIER_FIRST) form no H_lin x (None), and the kinds that carry no
+        transform (carry_hat) get -Lap/2 x from one spectrum.multiplier and
+        no transform (None).  Charged (FFTCounter) a unit for the transform,
+        for Lz and for -Lap/2, but not for those kinds."""
         if self.rotating:
             hx, formed = spectral.rotating_linear(self.grid, self.omega, x, hat=x_hat is None)
             self.counter.add(1 + (not self.fourier) + (formed is not None))
             return hx, (x_hat if formed is None else formed)
         if x_hat is None:
+            if not self.carry_hat:
+                return self.spec.multiplier(x, self.spec.half_k2, self.counter), None
             x_hat = self.spec.fft(x, self.counter)
         return (None if self.fourier else self.spec.kinetic_image(x_hat, self.counter)), x_hat
 
@@ -568,8 +572,6 @@ class _Engine:
         else:
             lin_p = self.hd * rdot(p_hat, hp)
             lin_c = self.hd * rdot(self.u, hp)
-        if self.uhat is None:
-            p_hat_hat = None  # read by nothing after this
         arc = self._arc(p_hat, lin_p, lin_c)
         if arc.slope0 > 0.0:
             for a in (p_hat, p_hat_hat, hp):

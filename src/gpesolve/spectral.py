@@ -7,13 +7,15 @@ discrete Fourier frequencies are xi_p = p*pi/L for p = -M/2 .. M/2-1 in
 standard FFT ordering.  This module is the only one that transforms: the
 full transforms of complex fields are Spectrum's and the half-spectrum ones
 of real fields HalfSpectrum's, Grid.spectrum is the one place a caller
-chooses between them, and rotating_linear runs the one-axis passes.  The 1D
-transforms call the pocketfft gufuncs of numpy.fft._pocketfft_umath, which
-numpy's 1D functions wrap, with the factors those pass: the same bits
-without the wrapper's Python frames, about 6 us a call, half the time of
-an rfft at M = 128 (README, "Transform budget").  The n-D transforms and
-the one-axis passes call numpy.fft, whose wrapper costs under 1% of a
-256^2 pass.
+chooses between them, and rotating_linear runs the one-axis passes.  A
+spectrum's multiplier is ifft(symbol fft(x)) in one call: the Fourier
+diagonal of a preconditioner applied to grid values, and -Lap/2 x where no
+caller needs the transform of x.  The 1D transforms call the pocketfft
+gufuncs of numpy.fft._pocketfft_umath, which numpy's 1D functions wrap,
+with the factors those pass: the same bits without the wrapper's Python
+frames, about 6 us a call, half the time of an rfft at M = 128 (README,
+"Transform budget").  The n-D transforms and the one-axis passes call
+numpy.fft, whose wrapper costs under 1% of a 256^2 pass.
 The real representation of a grid array is its flat float64 view, real
 and imaginary parts interleaved: every real inner product Re<a, b> of the
 package is rdot, one dot of those views, and every norm l2_norm.
@@ -47,15 +49,17 @@ class FFTCounter:
     Spectrum.fft and Spectrum.ifft charge one unit per full d-dimensional
     transform, and so do HalfSpectrum.fft and HalfSpectrum.ifft, their
     half-spectrum forms for a real field, though they do about half the
-    work.  The count is taken in those methods, not in what they call, so
-    it counts the 1D transforms (pocketfft gufuncs) and the n-D ones
-    (numpy.fft) alike.  The one-axis passes of rotating_linear charge
-    nothing themselves: its callers charge the units of the full-transform
-    images they stand for, one for -Lap/2, one for Lz and one for a
-    completed forward transform.  So the units stay comparable across
-    implementations while the real work differs: a rotating 2D iteration
-    runs 5 (identity, potential) to 9 (sym, c1) one-axis passes for its 3
-    to 5 units.
+    work.  multiplier, of either spectrum, charges the two units of the
+    forward and inverse transform it runs (the preconditioners on grid
+    values, and -Lap/2 without rotation).  The count is taken in those
+    methods, not in what they call, so it counts the 1D transforms
+    (pocketfft gufuncs) and the n-D ones (numpy.fft) alike.  The one-axis
+    passes of rotating_linear charge nothing themselves: its callers
+    charge the units of the full-transform images they stand for, one for
+    -Lap/2, one for Lz and one for a completed forward transform.  So the
+    units stay comparable across implementations while the real work
+    differs: a rotating 2D iteration runs 5 (identity, potential) to 9
+    (sym, c1) one-axis passes for its 3 to 5 units.
     """
 
     __slots__ = ("count",)
@@ -172,9 +176,10 @@ class Spectrum:
     after the first in place; the result is the same bit for bit.  In 1D
     they call the pocketfft gufuncs (the module docstring) with numpy's
     factors, 1 forward and inv_m = 1/M inverse: numpy.fft's bits without
-    its wrapper.  half_k2 is the kinetic symbol.  The Parseval sums take
-    the images of grid arrays a and b: dot is Re<a, b>, norm ||a|| and
-    kinetic Re<a, -Lap/2 b>, b = a when not given."""
+    its wrapper.  multiplier runs a symbol between the two transforms in
+    one call, 2 units.  half_k2 is the kinetic symbol.  The Parseval sums
+    take the images of grid arrays a and b: dot is Re<a, b>, norm ||a||
+    and kinetic Re<a, -Lap/2 b>, b = a when not given."""
 
     def __init__(self, grid: Grid) -> None:
         self.grid = grid
@@ -204,20 +209,45 @@ class Spectrum:
             return _IFFT(values_hat, self.inv_m, out=out)
         return np.fft.ifftn(values_hat, out=out)
 
+    def multiplier(self, x: np.ndarray, symbol: np.ndarray, counter: FFTCounter | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """ifft(symbol fft(x)) for grid values x and a symbol on the
+        spectrum, 2 units: fft and ifft's bits from one call.  The forward
+        transform is written into `out=` (x itself for an in-place
+        multiplier), else into a fresh array, and the rest runs in place
+        there; in 1D on the pocketfft gufuncs, as fft and ifft."""
+        if counter is not None:
+            counter.count += 2
+        g = self.grid
+        if out is None:
+            out = np.empty(g.shape, np.complex128)
+        if g.d == 1:
+            x_hat = _FFT(x, 1.0, out=out)
+            x_hat *= symbol
+            return _IFFT(x_hat, self.inv_m, out=x_hat)
+        x_hat = np.fft.fftn(x, out=out)
+        x_hat *= symbol
+        return np.fft.ifftn(x_hat, out=x_hat)
+
     def kinetic_image(self, a_hat: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
-        """-Lap/2 a: one inverse transform of half_k2 a_hat, in place where it fits."""
+        """-Lap/2 a from the transform a_hat at hand: one inverse transform
+        of half_k2 a_hat, in place where it fits.  Without the transform,
+        multiplier(a, half_k2) forms the same bits."""
         prod = np.multiply(self.half_k2, a_hat, dtype=np.complex128)
         return self.ifft(prod, counter, out=prod)
 
     def linear(self, x: np.ndarray, omega: float, counter: FFTCounter | None = None,
                hat: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
         """(-Lap/2 x - omega Lz x, transform of x when `hat`, else None).
-        Without rotation: fft and kinetic_image, 2 units.  With it the
-        one-axis passes of rotating_linear, charged its two images and one
-        unit more when they complete the transform."""
+        Without rotation: multiplier(x, half_k2), or fft and kinetic_image
+        when `hat`, 2 units.  With it the one-axis passes of
+        rotating_linear, charged its two images and one unit more when they
+        complete the transform."""
         if omega == 0.0:
+            if not hat:
+                return self.multiplier(x, self.half_k2, counter), None
             x_hat = self.fft(x, counter)
-            return self.kinetic_image(x_hat, counter), (x_hat if hat else None)
+            return self.kinetic_image(x_hat, counter), x_hat
         out, x_hat = rotating_linear(self.grid, omega, x, hat=hat)
         if counter is not None:
             counter.add(2 + hat)
@@ -238,13 +268,13 @@ class HalfSpectrum(Spectrum):
     the last axis, the rest following by Hermitian symmetry, and half_k2
     the kinetic symbol on them.  fft and ifft override Spectrum's with the
     real transforms, one unit each (FFTCounter), in 1D pocketfft's gufuncs
-    as Spectrum's.  They return fresh arrays, half spectra of half_k2's
-    shape or float64 grid arrays, and ignore `out=`: no half spectrum fits
-    a grid array.  A Parseval sum counts each interior mode of the last
-    axis twice, for its conjugate partner, and the DC and Nyquist modes
-    once: rdot of the float64 views, one of them weighted by mode_pairs,
-    or by kin_pairs, those times the kinetic symbol (both in the shape of
-    the views)."""
+    as Spectrum's, and multiplier with them.  They return fresh arrays,
+    half spectra of half_k2's shape or float64 grid arrays, and ignore
+    `out=`: no half spectrum fits a grid array.  A Parseval sum counts
+    each interior mode of the last axis twice, for its conjugate partner,
+    and the DC and Nyquist modes once: rdot of the float64 views, one of
+    them weighted by mode_pairs, or by kin_pairs, those times the kinetic
+    symbol (both in the shape of the views)."""
 
     def __init__(self, grid: Grid) -> None:
         super().__init__(grid)
@@ -269,6 +299,22 @@ class HalfSpectrum(Spectrum):
         if g.d == 1:
             return _IRFFT(values_hat, self.inv_m, out=np.empty(g.M))
         return np.fft.irfftn(values_hat, s=g.shape, axes=tuple(range(g.d)))
+
+    def multiplier(self, x: np.ndarray, symbol: np.ndarray, counter: FFTCounter | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """Spectrum.multiplier on half spectra: the half spectrum is a fresh
+        temporary, and the float64 result is written into `out=` (x itself
+        is fine), else into a fresh array."""
+        if counter is not None:
+            counter.count += 2
+        g = self.grid
+        if g.d == 1:
+            x_hat = _RFFT(x, 1.0, out=np.empty(self.half_k2.shape, np.complex128))
+            x_hat *= symbol
+            return _IRFFT(x_hat, self.inv_m, out=np.empty(g.M) if out is None else out)
+        x_hat = np.fft.rfftn(x)
+        x_hat *= symbol
+        return np.fft.irfftn(x_hat, s=g.shape, axes=tuple(range(g.d)), out=out)
 
     def dot(self, a_hat, b_hat):
         return self.scale * rdot(a_hat.view(_F64) * self.mode_pairs, b_hat.view(_F64))

@@ -9,7 +9,10 @@ writer the package's block writer must match byte for byte.  The unfused sphere 
 at the end (tangent projection, second-order angle, arc step, arc energy
 coefficients) are composed from the plain transforms and the package's
 Hessian rather than from the fused iteration engine that the solvers run.
-`preconditioner_at` builds a preconditioner at an iterate as the solvers do.
+`preconditioner_at` builds a preconditioner at an iterate as the solvers do,
+and `apply_per_factor` applies one to grid values a factor at a time, with
+a spectrum transform at each change of space, the reference the
+real-to-real Preconditioner.apply_pair must match bit for bit.
 `krylov_solve_plain` is the MINRES loop with a fresh array for every vector
 operation, which the buffered classic.krylov_solve must match bit for bit.
 `hessian_condition_plain` assembles the conditioning diagnostic's matrix on
@@ -171,6 +174,21 @@ def preconditioner_at(kind: str, phi: WaveField, params: model.ModelParams,
     ev = model.evaluate(phi, params)
     alpha = ev.energy.characteristic if shift == "adaptive" else shift
     return precond.Preconditioner(kind, phi.grid.spectrum(False)).refresh(alpha, ev.w)
+
+
+def apply_per_factor(p: precond.Preconditioner, r: np.ndarray, counter=None):
+    """p applied to grid values r one factor at a time (precond.FACTORS),
+    each in its own space, with a spectrum fft or ifft where the space
+    changes, as Preconditioner.apply_pair runs transformed input: (Pr,
+    transform of Pr where the last factor formed it, else None)."""
+    spec, x, hat = p.spectrum, r, False
+    for f in precond.FACTORS[p.kind]:
+        if hat != (f == "F"):
+            x = (spec.ifft if hat else spec.fft)(x, counter, out=None if x is r else x)
+            hat = not hat
+        x = np.multiply(x, p.fourier_diag if f == "F" else p.real_diag,
+                        out=None if x is r else x)
+    return (spec.ifft(x, counter), x) if hat else (x, None)
 
 
 # ---------------------------------------------------------------------------

@@ -374,7 +374,7 @@ class TestMinresCallsPerIteration:
     package count, as in test_optim.TestCallsPerIteration, and apart from
     them frames of numpy.fft's wrapper, which the 1D spectra skip."""
 
-    CEILING = 15.0
+    CEILING = 11.0
 
     @staticmethod
     def calls(steps, counted=None):
@@ -480,19 +480,20 @@ class TestRunImaginaryTime:
 
     def test_each_record_counts_the_transforms_its_step_ran(self, monkeypatch):
         # be_lambda/sym in 1D: a spy counts every Spectrum.fft/ifft call, and
-        # the half-spectrum transforms of the real path, and notes the count
-        # as each step begins; a step runs until the next begins or the run
-        # ends, and nothing runs uncounted
+        # the half-spectrum transforms of the real path, each multiplier
+        # call as its two transforms, and notes the count as each step
+        # begins; a step runs until the next begins or the run ends, and
+        # nothing runs uncounted
         g = Grid(1, 16.0, 128)
         params = ModelParams(eta=250.0, omega=0.0,
                              potential=harmonic_lattice(1.0, 25.0, np.pi / 2))
         calls = [0]
-        for owner, name in ((spectral.Spectrum, "fft"), (spectral.Spectrum, "ifft"),
-                            (spectral.HalfSpectrum, "fft"), (spectral.HalfSpectrum, "ifft")):
-            def spy(self, *args, _orig=getattr(owner, name), **kwargs):
-                calls[0] += 1
-                return _orig(self, *args, **kwargs)
-            monkeypatch.setattr(owner, name, spy)
+        for owner in (spectral.Spectrum, spectral.HalfSpectrum):
+            for name, units in (("fft", 1), ("ifft", 1), ("multiplier", 2)):
+                def spy(self, *args, _orig=getattr(owner, name), _units=units, **kwargs):
+                    calls[0] += _units
+                    return _orig(self, *args, **kwargs)
+                monkeypatch.setattr(owner, name, spy)
         starts = []
         step = classic._step
         monkeypatch.setattr(classic, "_step",

@@ -474,6 +474,26 @@ def test_hessian_form_reads_a_real_direction_in_its_image_dtype(omega, real_phi)
     assert hessian_quadratic_form(phi, f, params) == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.parametrize("d,omega", [(1, 0.0), (2, 0.0), (2, 0.5)])
+def test_half_hessian_reads_a_real_direction_in_the_dtype_of_phi(d, omega):
+    # without rotation H x of a float64 x is float64 while phi^2 conj(x) is
+    # complex at a complex phi: x is read as complex128 there, the value of
+    # its complex copy bit for bit; at a float64 phi it stays float64
+    g = Grid(d, 6.0, 32 if d == 1 else 16)
+    params = ModelParams(eta=20.0, omega=omega, potential=harmonic(1.0))
+    phi = smooth_normalized(g, 4)
+    f = smooth_normalized(g, 5).values.real
+    b = model.half_hessian(params, g, phi.values)
+    got, want = b(f), b(f.astype(complex))
+    assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+    assert (hessian_quadratic_form(phi, WaveField(g, f), params)
+            == hessian_quadratic_form(phi, WaveField(g, f.astype(complex)), params))
+    if omega == 0.0:
+        real_phi = WaveField(g, phi.values.real)
+        assert model.half_hessian(params, g, real_phi.values)(f).dtype == np.float64
+        assert type(hessian_quadratic_form(real_phi, WaveField(g, f), params)) is float
+
+
 class TestThomasFermi:
     def test_mu_1d_closed_form(self):
         params = ModelParams(eta=250.0, omega=0.0, potential=harmonic(1.0))

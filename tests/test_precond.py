@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from gpesolve import Grid, ModelParams, WaveField, evaluate, harmonic, inner, norm
 from gpesolve import model, precond
+from gpesolve.spectral import FFTCounter
 
-from oracles import preconditioner_at, second_derivative_matrix
+from oracles import apply_per_factor, preconditioner_at, second_derivative_matrix
 
 
 def random_normalized(grid, seed=0):
@@ -118,6 +119,34 @@ def test_refreshed_preconditioner_equals_a_fresh_build(kind, real, shape, seed, 
         assert (got is None) == (want is None)
         if got is not None:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(precond.KINDS), st.booleans(),
+       st.sampled_from([(1, 16), (1, 32), (2, 8), (2, 16)]), st.integers(0, 2**32 - 1),
+       st.floats(0.01, 100.0))
+def test_real_space_apply_matches_the_per_factor_path(kind, real, shape, seed, alpha):
+    # grid values in and out, each F one spectrum.multiplier outside
+    # FORMS_HAT: the bits, the transform and the units of the path that
+    # transforms at each change of space; r is left alone
+    d, m = shape
+    g = Grid(d, 6.0, m)
+    rng = np.random.default_rng(seed)
+    w = rng.random(g.shape) * 50.0
+    r = rng.standard_normal(g.shape)
+    if not real:
+        r = r + 1j * rng.standard_normal(g.shape)
+    p = precond.Preconditioner(kind, g.spectrum(real)).refresh(alpha, w)
+    before = r.copy()
+    counted, counted_per_factor = FFTCounter(), FFTCounter()
+    got = p.apply_pair(r, counted)
+    want = apply_per_factor(p, r.copy(), counted_per_factor)
+    assert r.tobytes() == before.tobytes()
+    assert counted.count == counted_per_factor.count == 2 * precond.FACTORS[kind].count("F")
+    for a, b in zip(got, want):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_tables_derived_from_factors():

@@ -453,6 +453,35 @@ class TestTransforms:
         assert counter.count == 1
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(1, 4), (1, 16), (1, 64), (2, 4), (2, 8), (2, 16), (3, 4), (3, 8)]),
+       st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans())
+def test_multiplier_is_ifft_of_symbol_times_fft(shape, seed, half, complex_values, in_place):
+    # multiplier(x, s) is the spectrum's own ifft(s * fft(x)) bit for bit,
+    # for 2 units, into a fresh array or into x itself; a half spectrum
+    # takes float64 values, a full one float64 or complex128 (in place
+    # only complex128, the dtype of its result)
+    d, m = shape
+    g = Grid(d, 3.0, m)
+    spec = g.spectrum(half)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(g.shape)
+    if complex_values and not half:
+        x = x + 1j * rng.standard_normal(g.shape)
+    symbol = rng.standard_normal(spec.half_k2.shape)
+    want = spec.ifft(symbol * spec.fft(x))
+    in_place = in_place and x.dtype == want.dtype
+    before = x.copy()
+    counter = spectral.FFTCounter()
+    got = spec.multiplier(x, symbol, counter, out=x if in_place else None)
+    assert counter.count == 2
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if in_place:
+        assert got is x
+    else:
+        assert x.tobytes() == before.tobytes() and not np.shares_memory(got, x)
+
+
 class TestInterpolation:
     def test_same_grid_is_normalization(self):
         g = Grid(1, 8.0, 32)
