@@ -8,13 +8,17 @@ The energy of a normalized field phi is
 with mean-field Hamiltonian H_phi = -1/2 Laplacian + V + eta |phi|^2
 - omega Lz, gradient grad E = 2 H_phi phi, chemical potential
 lambda = <H_phi phi, phi> and half Hessian x -> H_phi x + eta (|phi|^2 x
-+ phi^2 conj(x)).  `frozen_hamiltonian` is the one H and `half_hessian`
-the one Hessian; `evaluate` is the one evaluation of an iterate (energy,
-H_phi phi, lambda, residual), which `energy` reads.
++ phi^2 conj(x)).  Its linear part -Lap/2 - omega Lz is Spectrum.linear
+wherever it is applied: `evaluate` and the implicit MINRES operator of
+classic call it, and `frozen_hamiltonian` adds w = V + eta |phi|^2 to it
+for `half_hessian`, its only caller.  `half_hessian` is the one Hessian;
+`evaluate` is the one evaluation of an iterate (energy, H_phi phi, lambda,
+residual), which `energy` reads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -204,19 +208,11 @@ class ModelParams:
                              f"{freq!r} of the rotation plane")
 
 
-_potential_cache: dict[tuple[PotentialSpec, Grid], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def sample_potential(spec: PotentialSpec, grid: Grid) -> np.ndarray:
-    """Sampled trap values, cached per (spec, grid)."""
-    key = (spec, grid)
-    v = _potential_cache.get(key)
-    if v is None:
-        v = spec.sample(grid)
-        v.setflags(write=False)
-        if len(_potential_cache) > 64:
-            _potential_cache.clear()
-        _potential_cache[key] = v
+    """Sampled trap values, cached per (spec, grid) and read-only."""
+    v = spec.sample(grid)
+    v.setflags(write=False)
     return v
 
 

@@ -308,21 +308,6 @@ def _line_search(arc: _Arc) -> tuple[float, int, float]:
 # fused iteration engine
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Bundle:
-    """Direction data produced once per iteration."""
-
-    arc: _Arc
-    p_hat: np.ndarray
-    p_hat_hat: np.ndarray | None  # transform of p_hat (engines that carry uhat)
-    hp: np.ndarray | None  # linear part of H applied to p_hat (engines that carry hu)
-    p_norm: float
-    beta: float
-    restarted: bool
-    r: np.ndarray | None  # residual in the space the CG mixing ran in
-    prp: float  # <r, P r>
-
-
 class _Engine:
     """State and update rule of the fused PG/PCG iteration.
 
@@ -341,6 +326,10 @@ class _Engine:
     and carry uhat in place of hu, and uhat is carried only for the kinds
     that read it (precond.FOURIER_FIRST and FORMS_HAT).  The CG memory is
     kept only under pcg, in the representations the kind mixes in.
+
+    An iteration is begin, direction and accept(theta), each reading what
+    the one before left on the engine: begin the residual, vd, lambda and
+    alpha, direction the search direction, held until the next direction.
 
     The iterate keeps the dtype start_iterate gives it, and with it the
     spectrum that takes every transform and Parseval sum of the engine.
@@ -404,7 +393,7 @@ class _Engine:
         for Lz and for -Lap/2, but not for those kinds."""
         if self.rotating:
             hx, formed = spectral.rotating_linear(self.grid, self.omega, x, hat=x_hat is None)
-            self.counter.add(1 + (not self.fourier) + (formed is not None))
+            self.counter.count += 1 + (not self.fourier) + (formed is not None)
             return hx, (x_hat if formed is None else formed)
         if x_hat is None:
             if not self.carry_hat:
@@ -456,7 +445,7 @@ class _Engine:
             self.r_hat = self.spec.fft(r, self.counter, out=None if self.need_r_real else r)
             self.r = r if self.need_r_real else None
             if self.need_r_real:
-                self.counter.add()
+                self.counter.count += 1
         return float(np.abs(self.r).max()) if self.r is not None else None
 
     def _arc(self, p_hat: np.ndarray, lin_p: float, lin_c: float) -> _Arc:
@@ -511,10 +500,16 @@ class _Engine:
             restarted = True
         return _negated(pr, r), beta, restarted, prp, None
 
-    def direction(self, force_restart: bool) -> _Bundle:
-        """The next search direction.  Raises Stop when there is none:
-        zero_direction for a zero projected direction, diverged for a
-        non-finite one or an adaptive shift that is not positive."""
+    def direction(self, force_restart: bool) -> _Arc:
+        """The next search direction; returns its arc for the line search.
+        Its last statements leave the direction on the engine for accept:
+        arc, p_hat, its transform p_hat_hat and hp = H_lin p_hat (None where
+        not carried), p_norm, beta, restarted, prp = <r, Pr> and r_mix, the
+        residual in the mixing space.  The previous iteration's arrays are
+        released there, as these replace them, not earlier: that costs page
+        faults.  Raises Stop when there is none: zero_direction for a zero
+        projected direction, diverged for a non-finite one or an adaptive
+        shift that is not positive."""
         shift = self.alpha if self.cfg.shift == "adaptive" else self.cfg.shift
         p = self.precond
         try:
@@ -578,15 +573,19 @@ class _Engine:
                 if a is not None:
                     _negated(a)
             arc.flip()
-        return _Bundle(arc=arc, p_hat=p_hat, p_hat_hat=p_hat_hat, hp=hp,
-                       p_norm=p_norm, beta=beta, restarted=restarted, r=r, prp=prp)
+        self.arc, self.p_hat, self.p_hat_hat, self.hp = arc, p_hat, p_hat_hat, hp
+        self.p_norm, self.beta, self.restarted = p_norm, beta, restarted
+        self.prp, self.r_mix = prp, r
+        return arc
 
-    def accept(self, theta: float, bundle: _Bundle) -> float:
-        """Apply the great-circle update in place; returns the sup-norm of
-        the step.  Consumes the bundle: its arrays are reused."""
+    def accept(self, theta: float) -> float:
+        """Step to angle theta along the direction `direction` left, in
+        place; returns the sup-norm of the step.  Consumes that direction:
+        under pcg p_hat, or p_hat_hat, scaled back by p_norm, becomes the CG
+        memory."""
         c = math.cos(theta)
         s = math.sin(theta)
-        scratch = np.multiply(bundle.p_hat, s)
+        scratch = np.multiply(self.p_hat, s)
         delta = np.multiply(self.u, c - 1.0)
         delta += scratch
         step_inf = float(np.abs(delta).max())
@@ -595,21 +594,21 @@ class _Engine:
         self.u *= 1.0 / nn  # == self.u / nn, as in direction
         # the images follow by the same combination: x <- (c x + s x_p) / nn;
         # a half spectrum does not fit the scratch array
-        for x, xp in ((self.uhat, bundle.p_hat_hat), (self.hu, bundle.hp)):
+        for x, xp in ((self.uhat, self.p_hat_hat), (self.hu, self.hp)):
             if x is not None:
                 x *= c / nn
                 x += np.multiply(xp, s / nn, out=scratch if xp.shape == scratch.shape else None)
-        self.energy += bundle.arc.delta_energy(theta)
+        self.energy += self.arc.delta_energy(theta)
         # CG memory
         if self.pcg:
-            self.prp_prev = bundle.prp
-            self.r_prev = bundle.r
+            self.prp_prev = self.prp
+            self.r_prev = self.r_mix
         if self.keep_real:
-            bundle.p_hat *= bundle.p_norm
-            self.p_prev_real = bundle.p_hat
+            self.p_hat *= self.p_norm
+            self.p_prev_real = self.p_hat
         if self.keep_hat:
-            bundle.p_hat_hat *= bundle.p_norm
-            self.p_prev_hat = bundle.p_hat_hat
+            self.p_hat_hat *= self.p_norm
+            self.p_prev_hat = self.p_hat_hat
         return step_inf
 
 
@@ -646,35 +645,31 @@ def solve(phi0: WaveField, params: ModelParams, cfg: SolverConfig,
     t0 = time.perf_counter()
     counter = counter if counter is not None else FFTCounter()
     engine = _Engine(phi0, params, cfg, counter)
-    # the consumed bundle lives until the next direction is formed: freeing
-    # its arrays an iteration early costs page faults on every iteration
-    bundle = None
     force_restart = False
 
     def step() -> dict:
-        nonlocal bundle, force_restart
+        nonlocal force_restart
         r_inf = engine.begin()
         # a row's r_inf is its starting iterate's, so that stop is due before the step
         if cfg.stop == STOP_RESIDUAL and r_inf is not None and r_inf <= cfg.tol:
             raise Stop(STOP_RESIDUAL)
-        bundle = engine.direction(force_restart)
-        theta, backtracks, d_e = _line_search(bundle.arc)
+        theta, backtracks, d_e = _line_search(engine.direction(force_restart))
         if d_e >= 0.0:
             raise Stop(BACKTRACKING_EXHAUSTED, "energy could not be decreased after "
                        f"{MAX_BACKTRACKS} step halvings (tolerance at roundoff floor?)")
-        step_inf = engine.accept(theta, bundle)
+        step_inf = engine.accept(theta)
         force_restart = backtracks > 0
         return dict(energy=engine.energy, lam=engine.lam,
                     r_inf=math.nan if r_inf is None else r_inf, step_inf=step_inf,
-                    theta=theta, beta=bundle.beta, backtracks=backtracks,
-                    energy_delta=d_e, restarted=bundle.restarted)
+                    theta=theta, beta=engine.beta, backtracks=backtracks,
+                    energy_delta=d_e, restarted=engine.restarted)
 
     def finish(diverged: bool) -> tuple:
-        nonlocal engine, bundle
+        nonlocal engine
         phi = WaveField(engine.grid, engine.u)
         # only the iterate outlives the engine: free the rest before the
         # final evaluation, charged to the run like every other transform
-        engine = bundle = None
+        engine = None
         ev = model.evaluate(phi, params, counter)
         return phi, ev.energy.total, ev.lam, ev.r_inf
 

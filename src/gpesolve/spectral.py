@@ -59,16 +59,14 @@ class FFTCounter:
     -Lap/2, one for Lz and one for a completed forward transform.  So the
     units stay comparable across implementations while the real work
     differs: a rotating 2D iteration runs 5 (identity, potential) to 9
-    (sym, c1) one-axis passes for its 3 to 5 units.
+    (sym, c1) one-axis passes for its 3 to 5 units.  Every charge is
+    spelled `counter.count += n`.
     """
 
     __slots__ = ("count",)
 
     def __init__(self) -> None:
         self.count = 0
-
-    def add(self, n: int = 1) -> None:
-        self.count += n
 
 
 def is_number(x, abc: type = numbers.Real) -> bool:
@@ -171,9 +169,11 @@ class Spectrum:
 
     fft and ifft are the full d-dimensional transforms, one unit each
     (FFTCounter).  They take grid arrays and return complex grid arrays,
-    written through `out=`, fresh unless the caller passes one (the input
-    itself for an in-place transform), which lets numpy run its passes
-    after the first in place; the result is the same bit for bit.  In 1D
+    written through `out=`, fresh unless the caller passes a complex128
+    one (the input itself for an in-place transform), which lets numpy run
+    its passes after the first in place; the result is the same bit for
+    bit.  An `out=` of any other dtype is treated as absent, as
+    HalfSpectrum does, so a float64 input may name itself.  In 1D
     they call the pocketfft gufuncs (the module docstring) with numpy's
     factors, 1 forward and inv_m = 1/M inverse: numpy.fft's bits without
     its wrapper.  multiplier runs a symbol between the two transforms in
@@ -192,7 +192,7 @@ class Spectrum:
         if counter is not None:
             counter.count += 1
         g = self.grid
-        if out is None:
+        if out is None or out.dtype != _C128:
             out = np.empty(g.shape, np.complex128)
         if g.d == 1:
             return _FFT(values, 1.0, out=out)
@@ -203,7 +203,7 @@ class Spectrum:
         if counter is not None:
             counter.count += 1
         g = self.grid
-        if out is None:
+        if out is None or out.dtype != _C128:
             out = np.empty(g.shape, np.complex128)
         if g.d == 1:
             return _IFFT(values_hat, self.inv_m, out=out)
@@ -219,7 +219,7 @@ class Spectrum:
         if counter is not None:
             counter.count += 2
         g = self.grid
-        if out is None:
+        if out is None or out.dtype != _C128:
             out = np.empty(g.shape, np.complex128)
         if g.d == 1:
             x_hat = _FFT(x, 1.0, out=out)
@@ -250,7 +250,7 @@ class Spectrum:
             return self.kinetic_image(x_hat, counter), x_hat
         out, x_hat = rotating_linear(self.grid, omega, x, hat=hat)
         if counter is not None:
-            counter.add(2 + hat)
+            counter.count += 2 + hat
         return out, x_hat
 
     def dot(self, a_hat: np.ndarray, b_hat: np.ndarray) -> float:

@@ -118,3 +118,21 @@ def test_one_home_for_the_real_inner_product():
     faults += [f"_Engine defines {n.name}" for n in engine.body
                if isinstance(n, ast.FunctionDef) and n.name in ("_rdot", "_norm")]
     assert faults == []
+
+
+def test_the_engine_keeps_its_direction():
+    # direction leaves the search direction on the engine and accept reads
+    # it there, with no record of its own between them; a transform is
+    # charged as counter.count += n, with no second spelling
+    modules = {name: ast.parse((SRC / name).read_text()) for name in ("optim.py", "spectral.py")}
+    faults = [f"optim defines {n.name}" for n in modules["optim.py"].body
+              if isinstance(n, ast.ClassDef) and n.name == "_Bundle"]
+    accept = next(n for n in class_def(modules["optim.py"], "_Engine").body
+                  if isinstance(n, ast.FunctionDef) and n.name == "accept")
+    args = [a.arg for a in accept.args.args]
+    if args != ["self", "theta"]:
+        faults.append(f"_Engine.accept takes {args[1:]}")
+    counter = class_def(modules["spectral.py"], "FFTCounter")
+    faults += [f"FFTCounter defines {n.name}" for n in counter.body
+               if isinstance(n, ast.FunctionDef) and n.name == "add"]
+    assert faults == []

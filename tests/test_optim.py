@@ -400,8 +400,7 @@ class TestOneAxisPasses:
             for _ in range(5):
                 passes.clear()
                 engine.begin()
-                bundle = engine.direction(False)
-                engine.accept(optim._line_search(bundle.arc)[0], bundle)
+                engine.accept(optim._line_search(engine.direction(False))[0])
                 per_iteration.add(sum(passes))
             assert per_iteration == {table[kind] + extra}, omega
 
@@ -805,8 +804,7 @@ class TestRealPath:
         assert not engine.real and engine.u.dtype == np.complex128
         assert engine.uhat.shape == g.shape
         engine.begin()
-        bundle = engine.direction(False)
-        engine.accept(optim._line_search(bundle.arc)[0], bundle)
+        engine.accept(optim._line_search(engine.direction(False))[0])
         assert engine.u.dtype == engine.uhat.dtype == np.complex128
 
 
@@ -871,10 +869,10 @@ class TestFusedImageDrift:
                                spectral.FFTCounter())
         for _ in range(2000):
             engine.begin()
-            bundle = engine.direction(False)
-            assert isinstance(bundle, optim._Bundle), bundle
-            theta, _, _ = optim._line_search(bundle.arc)
-            engine.accept(theta, bundle)
+            arc = engine.direction(False)
+            assert isinstance(arc, optim._Arc), arc
+            theta, _, _ = optim._line_search(arc)
+            engine.accept(theta)
         uhat = g.spectrum(False).fft(engine.u)
         hu = kinetic_plain(g, uhat) - params.omega * lz_plain(g, uhat)
         for carried, exact in ((engine.uhat, uhat), (engine.hu, hu)):
@@ -892,8 +890,7 @@ class TestFusedImageDrift:
                                spectral.FFTCounter())
         for _ in range(20):
             engine.begin()
-            bundle = engine.direction(False)
-            engine.accept(optim._line_search(bundle.arc)[0], bundle)
+            engine.accept(optim._line_search(engine.direction(False))[0])
         engine.begin()
         expected = evaluate(WaveField(g, engine.u), params).energy.characteristic
         assert engine.alpha == pytest.approx(expected, rel=1e-12)
@@ -910,9 +907,8 @@ class TestFusedImageDrift:
                                spectral.FFTCounter())
         for _ in range(200):
             engine.begin()
-            bundle = engine.direction(False)
-            theta, _, _ = optim._line_search(bundle.arc)
-            engine.accept(theta, bundle)
+            theta, _, _ = optim._line_search(engine.direction(False))
+            engine.accept(theta)
         assert engine.u.dtype == np.float64
         uhat = g.spectrum(True).fft(engine.u)
         assert (engine.uhat is None) == (kind == "sym")

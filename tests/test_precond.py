@@ -187,6 +187,27 @@ def test_real_build_matches_complex_build(kind, d, m, transformed):
         assert np.max(np.abs(hat_half - modes)) <= 1e-13 * np.max(np.abs(modes))
 
 
+@pytest.mark.parametrize("d,m", [(1, 32), (2, 16), (3, 8)])
+@pytest.mark.parametrize("kind", precond.KINDS)
+def test_full_spectrum_takes_float64_values(kind, d, m):
+    # a build on the full spectrum applies to float64 grid values as to the
+    # same values in complex128, bit for bit and at the same units; c2 and
+    # sym transform a float64 product of theirs, which must not be written
+    # into itself
+    g = Grid(d, 6.0, m)
+    rng = np.random.default_rng(31 * d + m)
+    r = rng.standard_normal(g.shape)
+    w = 1.0 + rng.random(g.shape)
+    p = precond.Preconditioner(kind, g.spectrum(False)).refresh(2.5, w)
+    before = r.copy()
+    counted, counted_complex = FFTCounter(), FFTCounter()
+    got = p.apply_values(r, counted)
+    want = p.apply_values(r.astype(complex), counted_complex)
+    assert r.tobytes() == before.tobytes()
+    assert counted.count == counted_complex.count
+    assert got.astype(complex).tobytes() == want.tobytes()
+
+
 class TestApply:
     def test_identity(self, setup_1d):
         g, params, phi = setup_1d
