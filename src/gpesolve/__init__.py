@@ -35,8 +35,7 @@ from .optim import (
     SolveResult,
     SolverConfig,
     check_stop,
-    solve_pcg,
-    solve_pg,
+    solve,
 )
 
 __version__ = "0.1.0"
@@ -48,7 +47,6 @@ __all__ = [
     "half_square", "hessian_quadratic_form", "initial_guess",
     "thomas_fermi_initial",
     "Preconditioner",
-    "IterationRecord", "SolveResult", "SolverConfig", "check_stop",
-    "solve_pcg", "solve_pg",
+    "IterationRecord", "SolveResult", "SolverConfig", "check_stop", "solve",
     "__version__",
 ]

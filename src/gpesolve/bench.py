@@ -17,8 +17,6 @@ from . import classic, model, optim, runs
 from .model import ModelParams
 from .spectral import Grid
 
-SUITES = ("solvers_1d", "precond_1d", "eta_sweep_1d", "rotation_2d", "multigrid_2d")
-
 TABLE_FIELDS = [
     "suite", "method", "precond", "d", "L", "M", "h", "eta", "omega", "init",
     "iters", "inner_iters", "ffts", "wall_time", "energy", "converged",
@@ -94,7 +92,7 @@ def suite_precond_1d(paper_scale: bool = False, tol: float = 1e-12) -> list[dict
     phi0 = model.thomas_fermi_initial(grid, params)
     rows = []
     for kind in ("kinetic", "potential", "c1", "c2", "sym"):
-        for method in ("pg", "pcg"):
+        for method in optim.METHODS:
             rows.append(_run_opt("precond_1d", method, kind, grid, params, phi0, tol))
     return rows
 
@@ -108,7 +106,7 @@ def suite_eta_sweep_1d(paper_scale: bool = False, tol: float = 1e-12) -> list[di
     for eta in etas:
         params = _lattice_params(eta)
         phi0 = model.thomas_fermi_initial(grid, params)
-        for method in ("pg", "pcg"):
+        for method in optim.METHODS:
             rows.append(_run_opt("eta_sweep_1d", method, "sym", grid, params, phi0, tol))
     return rows
 
@@ -143,15 +141,19 @@ def suite_multigrid_2d(paper_scale: bool = False, tol: float = 1e-12) -> list[di
         t0 = time.perf_counter()
         total_iters = 0
         total_ffts = 0
+        converged = True
         for grid, result in runs.continuation(
                 [(m, tol) for m in levels], Grid(2, box, levels[0]),
                 lambda g: model.initial_guess(init, g, params),
                 lambda phi0, eps: optim.solve(phi0, params, _opt("pcg", "sym", eps))):
             total_iters += result.iterations
             total_ffts += result.fft_total
+            converged = converged and result.converged
         row = _row("multigrid_2d", "pcg_multigrid", "sym", grid, params, init, result)
         row["iters"] = total_iters
         row["ffts"] = total_ffts
+        # the continuation converged only if every level did, as in runs.run_multigrid
+        row["converged"] = str(converged).lower()
         row["wall_time"] = round(time.perf_counter() - t0, 4)
         rows.append(row)
         # fixed finest grid for comparison
@@ -160,7 +162,7 @@ def suite_multigrid_2d(paper_scale: bool = False, tol: float = 1e-12) -> list[di
     return rows
 
 
-_SUITE_FN = {
+SUITES = {
     "solvers_1d": suite_solvers_1d,
     "precond_1d": suite_precond_1d,
     "eta_sweep_1d": suite_eta_sweep_1d,
@@ -170,14 +172,8 @@ _SUITE_FN = {
 
 
 def run_benchmark(suite: str, paper_scale: bool = False) -> list[dict]:
-    """Run one suite (or 'all'); deterministic for a fixed seed."""
-    if suite == "all":
-        names = list(SUITES)
-    elif suite in _SUITE_FN:
-        names = [suite]
-    else:
-        raise ValueError(f"unknown benchmark suite {suite!r}; choose from {SUITES} or 'all'")
-    rows = []
-    for name in names:
-        rows.extend(_SUITE_FN[name](paper_scale))
-    return rows
+    """Run one suite of SUITES (or 'all'); deterministic for a fixed seed."""
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown benchmark suite {suite!r}; choose from {tuple(SUITES)} or 'all'")
+    names = list(SUITES) if suite == "all" else [suite]
+    return [row for name in names for row in SUITES[name](paper_scale)]

@@ -14,8 +14,6 @@ from . import classic, model, optim
 from .model import ModelParams, PotentialSpec
 from .spectral import Grid, check_points
 
-SCHEME_METHODS = classic.SCHEMES
-
 
 class ConfigError(ValueError):
     """Invalid or missing configuration; carries the offending key."""
@@ -40,10 +38,6 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: empty key")
         out[key] = value
     return out
-
-
-def format_config(mapping: dict[str, str]) -> str:
-    return "\n".join(f"{key} = {mapping[key]}" for key in sorted(mapping)) + "\n"
 
 
 def apply_overrides(mapping: dict[str, str], overrides: list[str]) -> dict[str, str]:
@@ -157,7 +151,7 @@ class RunConfig:
             raise ConfigError(f"{key}: {err}", key) from None
         _check("model.omega", params.check_dimension, grid.d)
         self.solver_config()
-        if self.method in SCHEME_METHODS:
+        if self.method in classic.SCHEMES:
             self.scheme()
             _check("solver.precond", classic.check_precond, self.method,
                    self.mapping["solver.precond"])
@@ -179,9 +173,6 @@ class RunConfig:
         except (OSError, UnicodeDecodeError) as err:  # missing, a directory, not UTF-8
             raise ConfigError(f"cannot read config file {path}: {err}") from None
         return cls.from_text(text, overrides)
-
-    def to_text(self) -> str:
-        return format_config({k: v for k, v in self.mapping.items() if v != ""})
 
     # -- typed accessors ----------------------------------------------------
     @property
@@ -223,7 +214,7 @@ class RunConfig:
     def solver_config(self) -> optim.SolverConfig:
         """The options every method shares, checked for every method; the
         `method` field is set only for pg/pcg."""
-        method = {} if self.method in SCHEME_METHODS else {"method": ("solver.method", _text)}
+        method = {} if self.method in classic.SCHEMES else {"method": ("solver.method", _text)}
         return self._typed(
             optim.SolverConfig(),
             **method,

@@ -9,9 +9,9 @@ with mean-field Hamiltonian H_phi = -1/2 Laplacian + V + eta |phi|^2
 - omega Lz, gradient grad E = 2 H_phi phi, chemical potential
 lambda = <H_phi phi, phi> and half Hessian x -> H_phi x + eta (|phi|^2 x
 + phi^2 conj(x)).  Its linear part -Lap/2 - omega Lz is Spectrum.linear
-wherever it is applied: `evaluate` and the implicit MINRES operator of
-classic call it, and `frozen_hamiltonian` adds w = V + eta |phi|^2 to it
-for `half_hessian`, its only caller.  `half_hessian` is the one Hessian;
+wherever it is applied: `evaluate` and `half_hessian` add w = V + eta
+|phi|^2 to its image, and the implicit MINRES operator of classic scales
+it and adds a diagonal.  `half_hessian` is the one Hessian;
 `evaluate` is the one evaluation of an iterate (energy, H_phi phi, lambda,
 residual), which `energy` reads.
 """
@@ -242,21 +242,6 @@ def energy(phi: WaveField, params: ModelParams, counter: FFTCounter | None = Non
     return evaluate(phi, params, counter).energy
 
 
-def frozen_hamiltonian(params: ModelParams, grid: Grid, w: np.ndarray,
-                       counter: FFTCounter | None = None):
-    """H = -1/2 Lap - omega Lz + w for a real array w on the grid, as a map on
-    grid values; w = V + eta |phi|^2 is the mean-field Hamiltonian at phi.
-    The linear part is Spectrum.linear, 2 transform units, on the spectrum
-    of the values' dtype: half spectra for float64 values."""
-
-    def apply_h(values: np.ndarray) -> np.ndarray:
-        out, _ = grid.spectrum(np.isrealobj(values)).linear(values, params.omega, counter)
-        out += w * values
-        return out
-
-    return apply_h
-
-
 @dataclass
 class Evaluation:
     """One evaluation of a unit-norm iterate phi, from `evaluate`.
@@ -317,15 +302,17 @@ def half_hessian(params: ModelParams, grid: Grid, phi: np.ndarray):
     """Half the energy Hessian at grid values phi, as a map on grid values:
     x -> H_phi x + eta (|phi|^2 x + phi^2 conj(x)).  It is real-linear, not
     complex-linear, and symmetric under Re<., .>.  x is read in the result
-    dtype of phi and x: a float64 x at a complex phi as complex128."""
+    dtype of phi and x: a float64 x at a complex phi as complex128.  The
+    linear part is Spectrum.linear on the spectrum of x's dtype: half
+    spectra for float64 values."""
     dens = np.abs(phi) ** 2
-    apply_h = frozen_hamiltonian(
-        params, grid, sample_potential(params.potential, grid) + params.eta * dens)
+    w = sample_potential(params.potential, grid) + params.eta * dens
     phi_sq = phi**2
 
     def apply_b(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, np.result_type(phi, x))
-        out = apply_h(x)
+        out, _ = grid.spectrum(np.isrealobj(x)).linear(x, params.omega)
+        out += w * x
         out += params.eta * (dens * x + phi_sq * np.conj(x))
         return out
 

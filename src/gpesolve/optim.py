@@ -33,7 +33,6 @@ Any other start, or any rotation, runs in complex128.  phi keeps the dtype.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
 import time
@@ -70,6 +69,9 @@ THETA_DEFAULT = 0.1
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 30
 
+# the sphere-constrained methods of SolverConfig.method
+METHODS = ("pg", "pcg")
+
 
 @dataclass
 class SolverConfig:
@@ -83,7 +85,7 @@ class SolverConfig:
     max_iter: int = 10000
 
     def __post_init__(self) -> None:
-        if self.method not in ("pg", "pcg"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         check_options(self.precond, self.shift, self.stop, self.tol, self.max_iter)
 
@@ -641,7 +643,9 @@ def _negated(a: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
 
 def solve(phi0: WaveField, params: ModelParams, cfg: SolverConfig,
           counter: FFTCounter | None = None) -> SolveResult:
-    """Run the configured PG/PCG ground-state iteration from phi0."""
+    """Run the configured ground-state iteration from phi0: cfg.method is
+    pg, the preconditioned gradient (Riemannian steepest descent), or pcg,
+    the preconditioned conjugate gradient (Polak-Ribiere)."""
     t0 = time.perf_counter()
     counter = counter if counter is not None else FFTCounter()
     engine = _Engine(phi0, params, cfg, counter)
@@ -675,24 +679,3 @@ def solve(phi0: WaveField, params: ModelParams, cfg: SolverConfig,
 
     return drive(step, finish, engine.energy, cfg.stop, cfg.tol, cfg.max_iter, counter, t0)
 
-
-def solve_pg(phi0: WaveField, params: ModelParams, cfg: SolverConfig | None = None,
-             **kwargs) -> SolveResult:
-    """Preconditioned gradient iteration (Riemannian steepest descent)."""
-    cfg = _with_method(cfg, "pg", kwargs)
-    return solve(phi0, params, cfg)
-
-
-def solve_pcg(phi0: WaveField, params: ModelParams, cfg: SolverConfig | None = None,
-              **kwargs) -> SolveResult:
-    """Preconditioned conjugate gradient iteration (Polak-Ribiere)."""
-    cfg = _with_method(cfg, "pcg", kwargs)
-    return solve(phi0, params, cfg)
-
-
-def _with_method(cfg: SolverConfig | None, method: str, kwargs) -> SolverConfig:
-    if cfg is None:
-        return SolverConfig(method=method, **kwargs)
-    if kwargs:
-        raise TypeError("pass either a SolverConfig or keyword options, not both")
-    return dataclasses.replace(cfg, method=method)

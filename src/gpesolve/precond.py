@@ -10,12 +10,13 @@ V = 1/(alpha + V(x) + eta |phi_n|^2) in real space, with v = V^(1/2).
 FACTORS writes each product in the order its factors act on r, as the
 paper does: P_Delta = F, P_V = V, c1 = P_V P_Delta, c2 = P_Delta P_V and
 sym = P_V^(1/2) P_Delta P_V^(1/2).  Every per-kind rule is read from that
-table: the diagonals `Preconditioner.refresh` forms, the loops of
-`apply_pair`, FOURIER_FIRST, FORMS_HAT and HERMITIAN.  On grid values a
-kind outside FORMS_HAT runs each F as one Spectrum.multiplier, charged its
-two transforms: the apply of the MINRES baselines, the conditioning
-diagnostic and the optimizer's identity, potential and sym kinds.  The
-shift alpha is fixed, or the characteristic energy of the iterate
+table: the diagonals `Preconditioner.refresh` forms, the one loop of
+`apply_pair`, FOURIER_FIRST, FORMS_HAT and HERMITIAN.  That loop scales by
+V and v in real space and by F in Fourier space, with a transform where
+the space changes; an F on grid values of a kind outside FORMS_HAT is one
+Spectrum.multiplier, charged its two transforms: the apply of the MINRES
+baselines, the conditioning diagnostic and the optimizer's identity,
+potential and sym kinds.  The shift alpha is fixed, or the characteristic energy of the iterate
 (adaptive policy), which each caller has at hand.  The optimizer and the imaginary-time runs hold
 one Preconditioner for a run and refresh it at each iterate; a caller with
 one iterate writes Preconditioner(kind, spectrum).refresh(alpha, w).
@@ -100,31 +101,28 @@ class Preconditioner:
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Apply to grid values r, or to their transform when `transformed`.
 
-        The factors act in turn (FACTORS).  Grid values in and out (r
-        untransformed, a kind outside FORMS_HAT): V and v scale in real
-        space and each F is one spectrum.multiplier, 2 units.  Otherwise
-        each factor acts in its own space and a transform runs where the
-        space changes.  r is left alone; every array formed from it is
-        transformed and scaled in place where the spectrum's format allows.
-        Returns (Pr, transform of Pr).  The transform is returned where the
-        last factor formed it (FORMS_HAT), else None.  Pr is None where r
-        came as a transform and never left Fourier space (the kinetic
-        kind): the result is left there.  The identity returns r itself.
+        One loop runs the factors in turn (FACTORS).  A V or v factor scales
+        in real space, after an inverse transform if x is a transform.  An F
+        on grid values of a kind outside FORMS_HAT is one
+        spectrum.multiplier, 2 units; any other F transforms forward if x is
+        on the grid, and scales.  r is left alone; every array formed from
+        it is transformed and scaled in place where the spectrum's format
+        allows.  Returns (Pr, transform of Pr).  The transform is returned
+        where the last factor formed it (FORMS_HAT), else None.  Pr is None
+        where r came as a transform and never left Fourier space (the
+        kinetic kind): the result is left there.  The identity returns r
+        itself.
         """
         spec, x, hat, was_real = self.spectrum, r, transformed, not transformed
-        if was_real and self.kind not in FORMS_HAT:
-            for f in FACTORS[self.kind]:
-                if f == "F":
-                    x = spec.multiplier(x, self.fourier_diag, counter, out=None if x is r else x)
-                else:
-                    x = np.multiply(x, self.real_diag, out=None if x is r else x)
-            return x, None
         for f in FACTORS[self.kind]:
-            if hat != (f == "F"):
-                x = (spec.ifft if hat else spec.fft)(x, counter, out=None if x is r else x)
-                hat, was_real = not hat, True
-            diag = self.fourier_diag if f == "F" else self.real_diag
-            x = np.multiply(x, diag, out=None if x is r else x)
+            if f == "F" and not hat and self.kind not in FORMS_HAT:
+                x = spec.multiplier(x, self.fourier_diag, counter, out=None if x is r else x)
+            else:
+                if hat != (f == "F"):
+                    x = (spec.ifft if hat else spec.fft)(x, counter, out=None if x is r else x)
+                    hat, was_real = not hat, True
+                diag = self.fourier_diag if f == "F" else self.real_diag
+                x = np.multiply(x, diag, out=None if x is r else x)
         if not hat:
             return x, None
         if x is r:  # the identity applied to a transform

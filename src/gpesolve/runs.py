@@ -27,7 +27,7 @@ def _solve_once(
     solver_cfg = cfg.solver_config()
     if tol is not None:
         solver_cfg = dataclasses.replace(solver_cfg, tol=tol)
-    if cfg.method in ("pg", "pcg"):
+    if cfg.method in optim.METHODS:
         return optim.solve(phi0, params, solver_cfg)
     return classic.run_imaginary_time(
         phi0, cfg.scheme(), params, precond_kind=solver_cfg.precond, stop=solver_cfg.stop,
@@ -76,7 +76,7 @@ def run_single(cfg: RunConfig, outdir: str) -> dict:
     phi0 = initial_field(cfg, grid, params)
     make_outdir(outdir)
     result = _solve_once(cfg, grid, params, phi0)
-    inner = cfg.method not in ("pg", "pcg")
+    inner = cfg.method not in optim.METHODS
     io.write_records_csv(os.path.join(outdir, "convergence.csv"), result.records, inner_iters=inner)
     io.save_field(os.path.join(outdir, "field.gpef"), result.phi)
     io.write_density_csv(os.path.join(outdir, "density.csv"), result.phi)
@@ -118,7 +118,7 @@ def run_multigrid(cfg: RunConfig, outdir: str) -> dict:
     for level, (grid, result) in enumerate(steps):
         io.write_records_csv(
             os.path.join(outdir, f"level{level}_M{grid.M}_convergence.csv"),
-            result.records, inner_iters=cfg.method not in ("pg", "pcg"))
+            result.records, inner_iters=cfg.method not in optim.METHODS)
         levels[f"level{level}_energy"] = repr(float(result.energy))
         levels[f"level{level}_iterations"] = result.iterations
         levels[f"level{level}_stop_reason"] = result.stop_reason

@@ -9,6 +9,8 @@ writer the package's block writer must match byte for byte.  The unfused sphere 
 at the end (tangent projection, second-order angle, arc step, arc energy
 coefficients) are composed from the plain transforms and the package's
 Hessian rather than from the fused iteration engine that the solvers run.
+`frozen_hamiltonian` is H_phi as a map on grid values, the Hamiltonian that
+model.half_hessian and the implicit MINRES operator apply inline.
 `preconditioner_at` builds a preconditioner at an iterate as the solvers do,
 and `apply_per_factor` applies one to grid values a factor at a time, with
 a spectrum transform at each change of space, the reference the
@@ -164,6 +166,20 @@ def density_csv_text(phi: WaveField) -> str:
     for i in range(dens.size):
         writer.writerow([repr(float(c[i])) for c in cols] + [repr(float(dens[i]))])
     return buf.getvalue()
+
+
+def frozen_hamiltonian(params: model.ModelParams, grid, w: np.ndarray):
+    """H = -1/2 Lap - omega Lz + w for a real array w on the grid, as a map on
+    grid values; w = V + eta |phi|^2 is the mean-field Hamiltonian at phi.
+    The linear part is Spectrum.linear on the spectrum of the values' dtype:
+    half spectra for float64 values."""
+
+    def apply_h(values: np.ndarray) -> np.ndarray:
+        out, _ = grid.spectrum(np.isrealobj(values)).linear(values, params.omega)
+        out += w * values
+        return out
+
+    return apply_h
 
 
 def preconditioner_at(kind: str, phi: WaveField, params: model.ModelParams,

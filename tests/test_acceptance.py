@@ -30,7 +30,7 @@ from gpesolve import (
 )
 from gpesolve import model
 from gpesolve.classic import SchemeKind, amplification_analysis, imaginary_time_step, run_imaginary_time
-from gpesolve.optim import SolverConfig, solve, solve_pcg, solve_pg
+from gpesolve.optim import SolverConfig, solve
 from oracles import dense_hamiltonian_1d
 
 
@@ -51,7 +51,7 @@ def test_criterion_01_linear_analytic_target():
     params = ModelParams(eta=0.0, omega=0.0, potential=harmonic(1.0))
     phi0 = initial_guess("gauss", grid, params)
     t0 = time.perf_counter()
-    res = solve_pcg(phi0, params, precond="sym", tol=1e-13, max_iter=50)
+    res = solve(phi0, params, SolverConfig(method="pcg", precond="sym", tol=1e-13, max_iter=50))
     elapsed = time.perf_counter() - t0
     err = abs(res.energy - np.sqrt(2.0) / 2.0)
     ok = err <= 1e-10 and res.iterations <= 50 and elapsed < 1.0 and res.converged
@@ -69,7 +69,8 @@ def test_criterion_02_dense_oracle_equivalence():
             potential=harmonic_lattice(rng.uniform(0.5, 2.0), rng.uniform(0.0, 30.0),
                                        rng.uniform(0.2, 1.5)))
         phi0 = WaveField(grid, rng.standard_normal(32) + 1j * rng.standard_normal(32)).normalized()
-        res = solve_pcg(phi0, params, precond="sym", tol=1e-16, max_iter=4000)
+        res = solve(phi0, params, SolverConfig(method="pcg", precond="sym", tol=1e-16,
+                                               max_iter=4000))
         h_mat = dense_hamiltonian_1d(32, 8.0, model.sample_potential(params.potential, grid))
         evals, evecs = np.linalg.eigh(h_mat)
         worst_lam = max(worst_lam, abs(res.lam - evals[0]))
@@ -189,7 +190,7 @@ def test_criterion_06_amplification_rates():
 
 def _pcg_iters(kind, box, m, tol=1e-14):
     grid, params, phi0 = lattice_1d(250.0, box, m)
-    res = solve_pcg(phi0, params, precond=kind, tol=tol, max_iter=100000)
+    res = solve(phi0, params, SolverConfig(method="pcg", precond=kind, tol=tol, max_iter=100000))
     assert res.converged
     return res.iterations
 
@@ -212,8 +213,8 @@ def test_criterion_07_preconditioner_scaling_trends():
 
 def test_criterion_08_method_ordering():
     grid, params, phi0 = lattice_1d(250.0, 16.0, 1024)  # h = 1/32
-    pcg = solve_pcg(phi0, params, precond="sym", tol=1e-12, max_iter=100000)
-    pg = solve_pg(phi0, params, precond="sym", tol=1e-12, max_iter=100000)
+    pcg = solve(phi0, params, SolverConfig(method="pcg", precond="sym", tol=1e-12, max_iter=100000))
+    pg = solve(phi0, params, SolverConfig(method="pg", precond="sym", tol=1e-12, max_iter=100000))
     be = run_imaginary_time(phi0, SchemeKind("be_lambda", 0.01), params, "sym",
                             tol=1e-12, max_iter=100000)
     ok = (pcg.converged and pg.converged and be.converged
@@ -238,7 +239,8 @@ def _rotating_ground_state():
             grid = Grid(2, 16.0, level_m)
             phi0 = (initial_guess(guess, grid, params) if phi is None
                     else spectral_interpolate(phi, grid))
-            res = solve_pcg(phi0, params, precond="sym", tol=eps, max_iter=30000)
+            res = solve(phi0, params, SolverConfig(method="pcg", precond="sym", tol=eps,
+                                                   max_iter=30000))
             phi = res.phi
         if best is None or res.energy < best[1]:
             best = (guess, res.energy, res.phi)

@@ -5,12 +5,13 @@ import pytest
 from gpesolve import (
     Grid,
     ModelParams,
+    SolverConfig,
     half_square,
     initial_guess,
     spectral_interpolate,
-    solve_pcg,
+    solve,
 )
-from gpesolve import bench
+from gpesolve import bench, optim
 
 
 class TestPrecondSuite:
@@ -69,11 +70,13 @@ class TestMultigridContinuation:
         coarse = Grid(2, 16.0, 64)
         fine = Grid(2, 16.0, 128)
         phi0 = initial_guess("d", coarse, params)
-        res_c = solve_pcg(phi0, params, precond="sym", tol=tol, max_iter=30000)
+        res_c = solve(phi0, params, SolverConfig(method="pcg", precond="sym", tol=tol,
+                                                 max_iter=30000))
         seeded = spectral_interpolate(res_c.phi, fine)
-        res_mg = solve_pcg(seeded, params, precond="sym", tol=tol, max_iter=30000)
-        res_fixed = solve_pcg(initial_guess("d", fine, params), params,
-                              precond="sym", tol=tol, max_iter=30000)
+        res_mg = solve(seeded, params, SolverConfig(method="pcg", precond="sym", tol=tol,
+                                                    max_iter=30000))
+        res_fixed = solve(initial_guess("d", fine, params), params,
+                          SolverConfig(method="pcg", precond="sym", tol=tol, max_iter=30000))
         assert res_mg.converged and res_fixed.converged
         assert res_mg.energy <= res_fixed.energy + 1e-6
         # coarse-level transforms cost 4x less per unit, so compare the
@@ -105,6 +108,24 @@ multigrid.levels = 32:1e-9,64:1e-10
             rows = list(csv.DictReader(open(os.path.join(out, name))))
             energies = [float(r["energy"]) for r in rows]
             assert all(b <= a for a, b in zip(energies, energies[1:]))
+
+
+class TestMultigridSuite:
+    def test_a_level_that_stops_short_fails_the_row(self, monkeypatch):
+        # the continuation row once took converged from the finest level
+        # alone; a coarse level stopped at max_iter must make it false
+        def fake_solve(phi0, params, cfg):
+            stop = optim.MAX_ITER if phi0.grid.M == 64 else optim.STOP_ENERGY
+            return optim.SolveResult(phi=phi0, records=[], stop_reason=stop, energy=0.0,
+                                     lam=0.0, r_inf=0.0, fft_total=0, wall_time=0.0)
+
+        monkeypatch.setattr(optim, "solve", fake_solve)
+        rows = bench.suite_multigrid_2d()
+        continued = [row for row in rows if row["method"] == "pcg_multigrid"]
+        fixed = [row for row in rows if row["method"] == "pcg"]
+        assert len(continued) == len(fixed) == 4
+        assert all(row["converged"] == "false" for row in continued)
+        assert all(row["converged"] == "true" for row in fixed)
 
 
 class TestHarness:

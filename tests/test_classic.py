@@ -35,8 +35,8 @@ from gpesolve.classic import (
 )
 from gpesolve.optim import SolverConfig, solve
 
-from oracles import (dense_hamiltonian_1d, hessian_condition_plain, krylov_solve_plain,
-                     preconditioner_at)
+from oracles import (dense_hamiltonian_1d, frozen_hamiltonian, hessian_condition_plain,
+                     krylov_solve_plain, preconditioner_at)
 
 
 def linear_harmonic(grid_m=64, box=16.0):
@@ -313,7 +313,7 @@ class TestImaginaryTimeStep:
         g, params, phi = linear_harmonic()
 
         def defect(scheme_name, dt):
-            apply_h = model.frozen_hamiltonian(params, g, evaluate(phi, params).w)
+            apply_h = frozen_hamiltonian(params, g, evaluate(phi, params).w)
             h_phi = apply_h(phi.values)
             lam = g.cell_volume * np.vdot(phi.values, h_phi).real
             if scheme_name == "be":
@@ -356,7 +356,7 @@ class TestImaginaryTimeStep:
             imaginary_time_step(phi, SchemeKind(scheme, dt), params, "sym")
         apply_a = calls[0][0]
         ev = evaluate(phi, params)
-        apply_h = model.frozen_hamiltonian(params, g, ev.w)
+        apply_h = frozen_hamiltonian(params, g, ev.w)
         w, s = classic.WEIGHTS[scheme]
         x = draw()
         want = x / dt + w * (apply_h(x) - s * ev.lam * x)

@@ -7,7 +7,7 @@ import pytest
 
 from gpesolve import Grid, WaveField
 from gpesolve import io, model
-from gpesolve.config import ConfigError, RunConfig, apply_overrides, format_config, parse_config_text
+from gpesolve.config import ConfigError, RunConfig, apply_overrides, parse_config_text
 from gpesolve.optim import IterationRecord
 
 from oracles import density_csv_text
@@ -30,13 +30,6 @@ class TestConfigParsing:
         assert cfg.model_params().eta == 250.0
         assert cfg.method == "pcg"
         assert cfg.init_kind() == "tf"  # auto: eta > 0
-
-    def test_round_trip_identity(self):
-        cfg = RunConfig.from_text(MINIMAL)
-        text = cfg.to_text()
-        again = RunConfig.from_text(text)
-        assert again.mapping == cfg.mapping
-        assert parse_config_text(format_config(parse_config_text(MINIMAL))) == parse_config_text(MINIMAL)
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="grid.L"):

@@ -136,3 +136,34 @@ def test_the_engine_keeps_its_direction():
     faults += [f"FFTCounter defines {n.name}" for n in counter.body
                if isinstance(n, ast.FunctionDef) and n.name == "add"]
     assert faults == []
+
+
+def test_one_entry_per_operation():
+    # optim.solve is the one PG/PCG entry, the frozen Hamiltonian is a test
+    # oracle, RunConfig writes no text, apply_pair runs its factors in one
+    # loop and bench lists its suites once
+    modules = {name: ast.parse((SRC / name).read_text())
+               for name in ("optim.py", "model.py", "config.py", "precond.py", "bench.py")}
+
+    def defined(name):
+        """Every function, class and assigned name of a module, at any depth."""
+        names = set()
+        for n in ast.walk(modules[name]):
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+                names.add(n.name)
+            elif isinstance(n, ast.Assign):
+                names.update(t.id for t in n.targets if isinstance(t, ast.Name))
+        return names
+
+    absent = {"optim.py": ("solve_pg", "solve_pcg", "_with_method"),
+              "model.py": ("frozen_hamiltonian",),
+              "config.py": ("format_config", "to_text"),
+              "bench.py": ("_SUITE_FN",)}
+    faults = [f"{name[:-3]} defines {n}" for name, names in absent.items()
+              for n in names if n in defined(name)]
+    apply_pair = next(n for n in class_def(modules["precond.py"], "Preconditioner").body
+                      if isinstance(n, ast.FunctionDef) and n.name == "apply_pair")
+    loops = sum(isinstance(n, ast.For) for n in ast.walk(apply_pair))
+    if loops != 1:
+        faults.append(f"Preconditioner.apply_pair holds {loops} for loops")
+    assert faults == []

@@ -26,7 +26,7 @@ from gpesolve.classic import SchemeKind, run_imaginary_time
 from gpesolve.optim import SolverConfig, solve
 from gpesolve.spectral import FFTCounter
 
-from oracles import dense_hamiltonian_1d, kinetic_plain, lz_plain
+from oracles import dense_hamiltonian_1d, frozen_hamiltonian, kinetic_plain, lz_plain
 
 
 def random_normalized(grid, seed=0):
@@ -52,8 +52,8 @@ def smooth_normalized(grid, seed=0):
 
 
 def hamiltonian_at(phi, params):
-    """H_phi as a map on fields: model.frozen_hamiltonian at the w of phi."""
-    apply_h = model.frozen_hamiltonian(params, phi.grid, evaluate(phi, params).w)
+    """H_phi as a map on fields: the frozen Hamiltonian at the w of phi."""
+    apply_h = frozen_hamiltonian(params, phi.grid, evaluate(phi, params).w)
     return lambda f: WaveField(f.grid, apply_h(f.values))
 
 

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from gpesolve import FFTCounter, Grid, ModelParams, energy, half_square, model, spectral
 from gpesolve import WaveField, hessian_quadratic_form
 
+from oracles import frozen_hamiltonian
+
 GRIDS = {1: Grid(1, 8.0, 32), 2: Grid(2, 6.0, 16)}
 
 # dimension, field seed, eta, omega (used in 2D only, never 0 there)
@@ -31,9 +33,9 @@ def setup(d, seed, eta, omega):
 
 
 def hamiltonian(params, g, phi):
-    """H_phi as a map on grid values: model.frozen_hamiltonian at phi's w."""
+    """H_phi as a map on grid values: the frozen Hamiltonian at phi's w."""
     w = model.sample_potential(params.potential, g) + params.eta * np.abs(phi) ** 2
-    return model.frozen_hamiltonian(params, g, w)
+    return frozen_hamiltonian(params, g, w)
 
 
 def dot(g, a, b):
@@ -103,15 +105,3 @@ def test_energy_transform_units(d, omega, units):
     counter = FFTCounter()
     energy(WaveField(g, phi), params, counter)
     assert counter.count == units
-
-
-@pytest.mark.parametrize("d,omega", [(2, 0.5), (2, 0.0), (1, 0.0)])
-def test_frozen_hamiltonian_units(d, omega):
-    # two images per apply: -Lap/2 and Lz with rotation, the forward
-    # transform and -Lap/2 without
-    g, params, (phi, u, _) = setup(d, 0, 10.0, omega)
-    counter = FFTCounter()
-    apply_h = model.frozen_hamiltonian(params, g, np.abs(phi) ** 2, counter)
-    apply_h(u)
-    apply_h(u)
-    assert counter.count == 4

@@ -22,8 +22,6 @@ from gpesolve import (
     half_square,
     inner,
     norm,
-    solve_pcg,
-    solve_pg,
     thomas_fermi_initial,
 )
 from gpesolve import classic, io, model, optim, precond, spectral
@@ -173,7 +171,8 @@ class TestSolvePG:
         phi0 = model.initial_guess("gauss", g, params)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = solve_pg(phi0, params, precond="sym", tol=1e-18, max_iter=2000)
+            res = solve(phi0, params, SolverConfig(method="pg", precond="sym", tol=1e-18,
+                                                   max_iter=2000))
         assert abs(res.energy - np.sqrt(2) / 2) <= 1e-10
         assert res.r_inf <= 1e-8
 
@@ -182,7 +181,8 @@ class TestSolvePG:
         params = ModelParams(eta=0.0, omega=0.0,
                              potential=harmonic_lattice(1.0, 10.0, 0.7))
         phi0 = model.initial_guess("gauss", g, params)
-        res = solve_pg(phi0, params, precond="sym", tol=1e-16, max_iter=4000)
+        res = solve(phi0, params, SolverConfig(method="pg", precond="sym", tol=1e-16,
+                                               max_iter=4000))
         h_mat = dense_hamiltonian_1d(32, 8.0, model.sample_potential(params.potential, g))
         evals, evecs = np.linalg.eigh(h_mat)
         assert res.lam == pytest.approx(evals[0], abs=1e-8)
@@ -216,8 +216,10 @@ class TestSolvePCG:
                 potential=harmonic_lattice(rng.uniform(0.5, 2.0), rng.uniform(5, 30),
                                            rng.uniform(0.3, 1.5)))
             phi0 = random_normalized(g, seed + 100)
-            cg = solve_pcg(phi0, params, precond="identity", tol=1e-12, max_iter=30000)
-            pg = solve_pg(phi0, params, precond="identity", tol=1e-12, max_iter=30000)
+            cg = solve(phi0, params, SolverConfig(method="pcg", precond="identity", tol=1e-12,
+                                                  max_iter=30000))
+            pg = solve(phi0, params, SolverConfig(method="pg", precond="identity", tol=1e-12,
+                                                  max_iter=30000))
             assert cg.converged
             if cg.iterations < pg.iterations:
                 wins += 1
@@ -228,8 +230,10 @@ class TestSolvePCG:
         g = Grid(1, 16.0, 256)  # h = 1/8
         params = ModelParams(eta=250.0, omega=0.0, potential=harmonic_lattice(1.0, 25.0, np.pi / 2))
         phi0 = thomas_fermi_initial(g, params)
-        cg = solve_pcg(phi0, params, precond="identity", tol=1e-12, max_iter=60000)
-        pg = solve_pg(phi0, params, precond="identity", tol=1e-12, max_iter=60000)
+        cg = solve(phi0, params, SolverConfig(method="pcg", precond="identity", tol=1e-12,
+                                              max_iter=60000))
+        pg = solve(phi0, params, SolverConfig(method="pg", precond="identity", tol=1e-12,
+                                              max_iter=60000))
         be = run_imaginary_time(phi0, SchemeKind(scheme="be", dt=0.01), params,
                                 precond_kind="identity", tol=1e-12, max_iter=60000)
         assert cg.converged
@@ -241,14 +245,16 @@ class TestSolvePCG:
         g = Grid(1, 8.0, 32)
         params = ModelParams(eta=0.0, omega=0.0, potential=harmonic(1.0))
         phi0 = model.initial_guess("gauss", g, params)
-        res = solve_pcg(phi0, params, precond="sym", tol=1e-13, max_iter=500)
+        res = solve(phi0, params, SolverConfig(method="pcg", precond="sym", tol=1e-13,
+                                               max_iter=500))
         assert res.records[0].beta == 0.0  # no previous direction on entry
 
     def test_restart_after_backtracking(self):
         g = Grid(2, 6.0, 32)
         params = ModelParams(eta=100.0, omega=0.6, potential=half_square())
         phi0 = model.initial_guess("b", g, params)
-        res = solve_pcg(phi0, params, precond="sym", tol=1e-12, max_iter=3000)
+        res = solve(phi0, params, SolverConfig(method="pcg", precond="sym", tol=1e-12,
+                                               max_iter=3000))
         assert res.converged
         for prev, rec in zip(res.records, res.records[1:]):
             if prev.backtracks > 0:
@@ -426,7 +432,8 @@ class TestSolverInvariants:
         phi0 = thomas_fermi_initial(g, params)
         phi = phi0
         for n_steps in (0, 3, 10):
-            res = solve_pcg(phi0, params, precond="sym", tol=0.0, max_iter=max(n_steps, 1))
+            res = solve(phi0, params, SolverConfig(method="pcg", precond="sym", tol=0.0,
+                                                   max_iter=max(n_steps, 1)))
             phi = res.phi if n_steps else phi0
             r, lam = residual(phi, params)
             floor = np.finfo(float).eps * abs(lam)
@@ -437,8 +444,9 @@ class TestSolverInvariants:
         params = ModelParams(eta=60.0, omega=0.4, potential=half_square())
         phi0 = model.initial_guess("d", g, params)
         shifted = WaveField(g, np.exp(1j * 1.234) * phi0.values)
-        r1 = solve_pcg(phi0, params, precond="sym", tol=1e-11, max_iter=200)
-        r2 = solve_pcg(shifted, params, precond="sym", tol=1e-11, max_iter=200)
+        r1 = solve(phi0, params, SolverConfig(method="pcg", precond="sym", tol=1e-11, max_iter=200))
+        r2 = solve(shifted, params, SolverConfig(method="pcg", precond="sym", tol=1e-11,
+                                                 max_iter=200))
         n = min(r1.iterations, r2.iterations)
         for a, b in zip(r1.records[:n], r2.records[:n]):
             assert a.energy == pytest.approx(b.energy, abs=1e-10)
@@ -447,7 +455,8 @@ class TestSolverInvariants:
         g = Grid(1, 16.0, 128)
         params = ModelParams(eta=250.0, omega=0.0, potential=harmonic(1.0))
         phi0 = thomas_fermi_initial(g, params)
-        res = solve_pcg(phi0, params, precond="identity", tol=1e-14, max_iter=3)
+        res = solve(phi0, params, SolverConfig(method="pcg", precond="identity", tol=1e-14,
+                                               max_iter=3))
         assert not res.converged
         assert res.stop_reason == "max_iter"
         assert res.iterations == 3
@@ -456,7 +465,8 @@ class TestSolverInvariants:
         g = Grid(2, 6.0, 32)
         params = ModelParams(eta=100.0, omega=0.5, potential=half_square())
         phi0 = model.initial_guess("b", g, params)
-        res = solve_pcg(phi0, params, precond="sym", tol=1e-11, max_iter=500)
+        res = solve(phi0, params, SolverConfig(method="pcg", precond="sym", tol=1e-11,
+                                               max_iter=500))
         # whenever beta > 0 was used the step decreased the energy
         for rec in res.records:
             if rec.beta > 0:
@@ -847,8 +857,9 @@ def test_solve_from_fortran_ordered_field():
     base = model.initial_guess("d", g, params).values
     guess = WaveField(g, base.T.copy().T)
     assert guess.values.flags.f_contiguous and not guess.values.flags.c_contiguous
-    ref = solve_pcg(WaveField(g, base), params, precond="sym", tol=1e-10, max_iter=60)
-    res = solve_pcg(guess, params, precond="sym", tol=1e-10, max_iter=60)
+    ref = solve(WaveField(g, base), params, SolverConfig(method="pcg", precond="sym", tol=1e-10,
+                                                         max_iter=60))
+    res = solve(guess, params, SolverConfig(method="pcg", precond="sym", tol=1e-10, max_iter=60))
     assert [r.energy for r in res.records] == [r.energy for r in ref.records]
     assert np.array_equal(res.phi.values, ref.phi.values)
     assert np.array_equal(guess.values, base)
@@ -939,27 +950,6 @@ class TestSolverConfigValidation:
         # tol = inf once stopped every run after its first step, as converged
         with pytest.raises(ValueError, match="tol must be a finite"):
             SolverConfig(tol=tol)
-
-    def test_config_and_keywords_are_exclusive(self):
-        g = Grid(1, 8.0, 32)
-        phi0 = model.initial_guess("gauss", g, ModelParams())
-        for entry in (solve_pg, solve_pcg):
-            with pytest.raises(TypeError, match="not both"):
-                entry(phi0, ModelParams(), SolverConfig(), tol=1e-8)
-
-    def test_entry_point_runs_its_method(self):
-        # a SolverConfig given to solve_pcg or solve_pg runs that entry's
-        # method, whatever its own says
-        g = Grid(1, 8.0, 32)
-        params = ModelParams(eta=10.0, potential=harmonic(1.0))
-        phi0 = model.initial_guess("gauss", g, params)
-        cfg = SolverConfig(method="pg", precond="sym", tol=1e-10, max_iter=50)
-        pcg = solve_pcg(phi0, params, cfg)
-        pg = solve_pg(phi0, params, dataclasses.replace(cfg, method="pcg"))
-        for res, method in ((pcg, "pcg"), (pg, "pg")):
-            ref = solve(phi0, params, dataclasses.replace(cfg, method=method))
-            assert [r.energy for r in res.records] == [r.energy for r in ref.records]
-        assert any(r.beta > 0 for r in pcg.records) and all(r.beta == 0 for r in pg.records)
 
     @pytest.mark.parametrize("option,match", [
         ({"precond": "kinetic", "shift": True}, "preconditioner shift must be a number, not the bool"),
