@@ -212,7 +212,7 @@ def krylov_solve(
 
 
 def imaginary_time_step(
-    phi_n: WaveField | model.Evaluation,
+    phi_n: WaveField,
     scheme: SchemeKind,
     params: ModelParams,
     precond_kind: str = precond.IDENTITY,
@@ -225,18 +225,15 @@ def imaginary_time_step(
     the density and lambda frozen at phi_n: w = 0 updates directly,
     phi~ = phi_n - dt A phi_n; otherwise preconditioned MINRES solves the
     Hermitian system (1/dt + w A) phi~ = phi_n/dt - (1 - w) A phi_n.
-    phi_n may be given as its model.Evaluation, which the step then reads
-    instead of evaluating phi_n again.  Returns (phi_{n+1}, of phi_n's dtype,
-    and the inner iteration count).  Raises optim.Stop(diverged) when the
-    preconditioner shift is not positive or the field before projection has
-    zero or non-finite norm.  A run (run_imaginary_time) takes the same step
-    with one preconditioner refreshed at each iterate; this entry point
-    makes its own.
+    Returns (phi_{n+1}, of phi_n's dtype, and the inner iteration count).
+    Raises optim.Stop(diverged) when the preconditioner shift is not
+    positive or the field before projection has zero or non-finite norm.
+    A run (run_imaginary_time) takes the same step (_step) from the
+    evaluation it has, with one preconditioner refreshed at each iterate.
     """
     check_precond(scheme.scheme, precond_kind)
-    ev = phi_n if isinstance(phi_n, model.Evaluation) else model.evaluate(phi_n, params, counter)
-    return _step(ev, scheme, params, _preconditioner(scheme, precond_kind, ev.phi), shift,
-                 counter)
+    return _step(model.evaluate(phi_n, params, counter), scheme, params,
+                 _preconditioner(scheme, precond_kind, phi_n), shift, counter)
 
 
 def _preconditioner(scheme: SchemeKind, kind: str,
@@ -500,23 +497,24 @@ def check_condition_size(grid: Grid) -> None:
                          f"got {grid.size}")
 
 
-def precond_hessian_condition(
-    phi_star: WaveField,
-    params: ModelParams,
-    p: precond.Preconditioner,
-) -> ConditionReport:
+def precond_hessian_condition(phi_star: WaveField, params: ModelParams, kind: str,
+                              shift: str | float) -> ConditionReport:
     """Condition number of the projected, preconditioned energy Hessian.
 
     Densely assembles M = Pi P (Hess - lambda) Pi in the real representation
     (Pi projects out the iterate) and returns the ratio of the largest to the
     smallest nonzero eigenvalue magnitude.  The gauge direction i*phi is an
     exact null vector at stationary points and is excluded along with phi.
-    Small grids only (check_condition_size).
+    P is the `kind` preconditioner on the full spectrum, refreshed at phi_star
+    with `shift`, or its characteristic energy when "adaptive" (a shift that
+    is not positive raises ValueError).  Small grids only (check_condition_size).
     """
     g = phi_star.grid
     check_condition_size(g)
     warning = None
     ev = model.evaluate(phi_star, params)
+    alpha = ev.energy.characteristic if shift == "adaptive" else shift
+    p = precond.Preconditioner(kind, g.spectrum(False)).refresh(alpha, ev.w)
     if ev.r_inf > 1e-6:
         warning = (f"iterate is not stationary (residual sup-norm {ev.r_inf:.2e}); "
                    "sigma is unreliable")

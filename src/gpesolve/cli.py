@@ -2,12 +2,14 @@
 
 Verbs: `solve` (single run), `multigrid` (coarse-to-fine continuation),
 `bench` (benchmark suites), `analyze` (amplification-factor and
-Hessian-conditioning diagnostics).  Exit codes: 0 when the run's stop
-reason counts as converged in optim.STOP_CONVERGED, 1 when it does not
-(and when `analyze condition` cannot build its preconditioner at the
-solution), 2 for a configuration error: an invalid key or value, a config
-file that cannot be read, an output directory that cannot be made (checked
-before any solve), or an `analyze amplification` option outside its domain.
+Hessian-conditioning diagnostics).  Exit codes: 0 when the run's summary
+reads converged (its stop reason counts as converged in
+optim.STOP_CONVERGED) and, for `bench`, when every row does; 1 when it
+does not (and when `analyze condition` cannot build its preconditioner at
+the solution); 2 for a configuration error: an invalid key or value, a
+config file that cannot be read, an output directory that cannot be made
+(checked before any solve), or an `analyze amplification` option outside
+its domain.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ import sys
 
 import numpy as np
 
-from . import bench, classic, io, model, optim, precond
+from . import bench, classic, io, precond, runs
 from .config import ConfigError, RunConfig
-from .runs import make_outdir, run_multigrid, run_single
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -66,10 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args, multigrid: bool) -> int:
     cfg = RunConfig.from_file(args.config, args.overrides)
     outdir = args.out or cfg.output_dir or "gpesolve_out"
-    summary = run_multigrid(cfg, outdir) if multigrid else run_single(cfg, outdir)
+    summary = (runs.run_multigrid if multigrid else runs.run_single)(cfg, outdir)
     for key, value in summary.items():
         print(f"{key} = {value}")
-    if optim.STOP_CONVERGED[summary["stop_reason"]]:
+    if summary["converged"] == "true":
         return 0
     print(f"solver failed: {summary['stop_reason']}", file=sys.stderr)
     return 1
@@ -77,14 +78,19 @@ def _cmd_solve(args, multigrid: bool) -> int:
 
 def _cmd_bench(args) -> int:
     outdir = args.out or "gpesolve_bench"
-    make_outdir(outdir)
+    runs.make_outdir(outdir)
     rows = bench.run_benchmark(args.suite, paper_scale=args.paper_scale)
     path = os.path.join(outdir, f"{args.suite}.csv")
     io.write_table_csv(path, rows, bench.TABLE_FIELDS)
     print(f"wrote {len(rows)} rows to {path}")
     for row in rows:
         print("  ".join(f"{k}={row[k]}" for k in ("suite", "method", "precond", "M", "eta",
-                                                  "omega", "iters", "inner_iters", "energy")))
+                                                  "omega", "iters", "inner_iters", "energy",
+                                                  "converged")))
+    failed = sum(row["converged"] == "false" for row in rows)
+    if failed:
+        print(f"solver failed: {failed} of {len(rows)} rows did not converge", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -115,23 +121,18 @@ def _cmd_analyze(args) -> int:
         print(f"condition analysis needs a small grid: {err}", file=sys.stderr)
         return 2
     params = cfg.model_params()
-    from .runs import initial_field, _solve_once
-
-    result = _solve_once(cfg, grid, params, initial_field(cfg, grid, params))
+    result = runs._solve_once(cfg, grid, params, runs.initial_field(cfg, grid, params))
     if not result.converged:
         detail = f" ({result.stop_detail})" if result.stop_detail else ""
         print(f"solver failed: {result.stop_reason}{detail}", file=sys.stderr)
         return 1
     solver_cfg = cfg.solver_config()
     kind = args.precond or solver_cfg.precond
-    ev = model.evaluate(result.phi, params)
-    shift = ev.energy.characteristic if solver_cfg.shift == "adaptive" else solver_cfg.shift
     try:
-        p = precond.Preconditioner(kind, grid.spectrum(False)).refresh(shift, ev.w)
+        report = classic.precond_hessian_condition(result.phi, params, kind, solver_cfg.shift)
     except ValueError as err:  # an adaptive shift that is not positive
         print(f"condition analysis failed: {err}", file=sys.stderr)
         return 1
-    report = classic.precond_hessian_condition(result.phi, params, p)
     print(f"precond = {kind}")
     print(f"sigma = {report.sigma}")
     if report.warning:

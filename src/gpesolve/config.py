@@ -1,8 +1,9 @@
 """Run configuration: flat `key = value` text with dotted sections.
 
-Lines are `section.key = value`; `#` starts a comment.  Unknown keys are
-rejected so typos fail fast.  `--set key=value` overrides are applied on
-the parsed mapping before typing.
+Lines are `section.key = value`; `#` starts a comment.  Each key is
+declared once, in _KEYS, with its default text and the parser of its
+typed value; unknown keys are rejected so typos fail fast.  `--set
+key=value` overrides are applied on the parsed mapping before typing.
 """
 
 from __future__ import annotations
@@ -50,36 +51,6 @@ def apply_overrides(mapping: dict[str, str], overrides: list[str]) -> dict[str, 
     return out
 
 
-_DEFAULTS: dict[str, str] = {
-    "grid.d": "",
-    "grid.L": "",
-    "grid.M": "",
-    "model.eta": "0",
-    "model.omega": "0",
-    "potential.kind": "harmonic",
-    "potential.gamma": "1",
-    "potential.kappa": "0",
-    "potential.q": "0",
-    "potential.alpha": "0",
-    "potential.kappa_quartic": "0",
-    "potential.harmonic_coeffs": "",
-    "solver.method": "pcg",
-    "solver.precond": "sym",
-    "solver.shift": "adaptive",
-    "solver.stop": "energy_diff",
-    "solver.tol": "1e-12",
-    "solver.max_iter": "10000",
-    "solver.dt": "0.01",
-    "solver.inner_tol": "1e-10",
-    "solver.inner_max_iter": "2000",
-    "init.kind": "auto",
-    "multigrid.levels": "",
-    "output.dir": "",
-}
-
-_REQUIRED = ("grid.d", "grid.L", "grid.M")
-
-
 def _to_float(value: str, key: str) -> float:
     try:
         return float(value)
@@ -125,6 +96,38 @@ def _to_coeffs(value: str, key: str) -> tuple[float, ...] | None:
     return _to_floats(value, key) or None
 
 
+# each key's default text and the parser of its typed value; grid.* has
+# no default (_REQUIRED); init, multigrid and output keys are read as text
+_KEYS = {
+    "grid.d": ("", _to_int),
+    "grid.L": ("", _to_float),
+    "grid.M": ("", _to_int),
+    "model.eta": ("0", _to_float),
+    "model.omega": ("0", _to_float),
+    "potential.kind": ("harmonic", _text),
+    "potential.gamma": ("1", _to_axes(1.0)),
+    "potential.kappa": ("0", _to_axes(0.0)),
+    "potential.q": ("0", _to_axes(0.0)),
+    "potential.alpha": ("0", _to_float),
+    "potential.kappa_quartic": ("0", _to_float),
+    "potential.harmonic_coeffs": ("", _to_coeffs),
+    "solver.method": ("pcg", _text),
+    "solver.precond": ("sym", _text),
+    "solver.shift": ("adaptive", _to_shift),
+    "solver.stop": ("energy_diff", _text),
+    "solver.tol": ("1e-12", _to_float),
+    "solver.max_iter": ("10000", _to_int),
+    "solver.dt": ("0.01", _to_float),
+    "solver.inner_tol": ("1e-10", _to_float),
+    "solver.inner_max_iter": ("2000", _to_int),
+    "init.kind": ("auto", _text),
+    "multigrid.levels": ("", _text),
+    "output.dir": ("", _text),
+}
+
+_REQUIRED = ("grid.d", "grid.L", "grid.M")
+
+
 @dataclass
 class RunConfig:
     """Typed view of one run's configuration."""
@@ -132,15 +135,14 @@ class RunConfig:
     mapping: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        unknown = sorted(set(self.mapping) - set(_DEFAULTS))
+        unknown = sorted(set(self.mapping) - set(_KEYS))
         if unknown:
             raise ConfigError(f"unknown configuration key {unknown[0]!r}", unknown[0])
         for key in _REQUIRED:
             if not self.mapping.get(key, ""):
                 raise ConfigError(f"missing required configuration key {key!r}", key)
-        merged = dict(_DEFAULTS)
-        merged.update(self.mapping)
-        self.mapping = merged
+        self.mapping = {key: self.mapping.get(key, default)
+                        for key, (default, _) in _KEYS.items()}
         # eager validation of the typed views and the rules that join them
         grid = self.grid()
         params = self.model_params()
@@ -183,56 +185,40 @@ class RunConfig:
     def output_dir(self) -> str:
         return self.mapping["output.dir"]
 
-    def _typed(self, obj, **fields):
+    def _typed(self, obj, **keys):
         """Set obj's fields one key at a time, starting from obj's valid
         values, so any error names the key that caused it.  Each field is
-        given as (key, parse), parse turning the key's text into the value."""
-        for name, (key, parse) in fields.items():
-            obj = _check(key, replace, obj, **{name: parse(self.mapping[key], key)})
+        given as the key whose text its parser (_KEYS) turns into the value."""
+        for name, key in keys.items():
+            obj = _check(key, replace, obj, **{name: _KEYS[key][1](self.mapping[key], key)})
         return obj
 
     def grid(self) -> Grid:
-        return self._typed(Grid(1, 1.0, 4), d=("grid.d", _to_int), L=("grid.L", _to_float),
-                           M=("grid.M", _to_int))
+        return self._typed(Grid(1, 1.0, 4), d="grid.d", L="grid.L", M="grid.M")
 
     def potential(self) -> PotentialSpec:
         return self._typed(
-            PotentialSpec(),
-            kind=("potential.kind", _text),
-            gamma=("potential.gamma", _to_axes(1.0)),
-            kappa=("potential.kappa", _to_axes(0.0)),
-            q=("potential.q", _to_axes(0.0)),
-            alpha=("potential.alpha", _to_float),
-            kappa_quartic=("potential.kappa_quartic", _to_float),
-            harmonic_coeffs=("potential.harmonic_coeffs", _to_coeffs),
-        )
+            PotentialSpec(), kind="potential.kind", gamma="potential.gamma",
+            kappa="potential.kappa", q="potential.q", alpha="potential.alpha",
+            kappa_quartic="potential.kappa_quartic",
+            harmonic_coeffs="potential.harmonic_coeffs")
 
     def model_params(self) -> ModelParams:
-        return self._typed(ModelParams(potential=self.potential()),
-                           eta=("model.eta", _to_float), omega=("model.omega", _to_float))
+        return self._typed(ModelParams(potential=self.potential()), eta="model.eta",
+                           omega="model.omega")
 
     def solver_config(self) -> optim.SolverConfig:
         """The options every method shares, checked for every method; the
         `method` field is set only for pg/pcg."""
-        method = {} if self.method in classic.SCHEMES else {"method": ("solver.method", _text)}
-        return self._typed(
-            optim.SolverConfig(),
-            **method,
-            precond=("solver.precond", _text),
-            shift=("solver.shift", _to_shift),
-            stop=("solver.stop", _text),
-            tol=("solver.tol", _to_float),
-            max_iter=("solver.max_iter", _to_int),
-        )
+        method = {} if self.method in classic.SCHEMES else {"method": "solver.method"}
+        return self._typed(optim.SolverConfig(), **method, precond="solver.precond",
+                           shift="solver.shift", stop="solver.stop", tol="solver.tol",
+                           max_iter="solver.max_iter")
 
     def scheme(self) -> classic.SchemeKind:
-        return self._typed(
-            classic.SchemeKind(),
-            scheme=("solver.method", _text),
-            dt=("solver.dt", _to_float),
-            inner_tol=("solver.inner_tol", _to_float),
-            inner_max_iter=("solver.inner_max_iter", _to_int),
-        )
+        return self._typed(classic.SchemeKind(), scheme="solver.method", dt="solver.dt",
+                           inner_tol="solver.inner_tol",
+                           inner_max_iter="solver.inner_max_iter")
 
     def init_kind(self) -> str:
         kind = self.mapping["init.kind"]

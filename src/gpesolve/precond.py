@@ -110,8 +110,8 @@ class Preconditioner:
         allows.  Returns (Pr, transform of Pr).  The transform is returned
         where the last factor formed it (FORMS_HAT), else None.  Pr is None
         where r came as a transform and never left Fourier space (the
-        kinetic kind): the result is left there.  The identity returns r
-        itself.
+        kinetic kind and the identity): the result is left there.  The
+        identity returns r itself, on grid values and on a transform.
         """
         spec, x, hat, was_real = self.spectrum, r, transformed, not transformed
         for f in FACTORS[self.kind]:
@@ -125,12 +125,11 @@ class Preconditioner:
                 x = np.multiply(x, diag, out=None if x is r else x)
         if not hat:
             return x, None
-        if x is r:  # the identity applied to a transform
-            return spec.ifft(x, counter), None
         return (spec.ifft(x, counter) if was_real else None), x
 
     def apply_values(self, r: np.ndarray, counter: FFTCounter | None = None) -> np.ndarray:
-        """Pr for raw grid values (MINRES baselines, conditioning diagnostic)."""
+        """Pr for grid values in an array the caller owns (a copy of r for
+        the identity); the conditioning diagnostic assembles P through it."""
         pr, _ = self.apply_pair(r, counter)
         return r.copy() if pr is r else pr
 

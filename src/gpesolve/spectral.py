@@ -238,16 +238,13 @@ class Spectrum:
 
     def linear(self, x: np.ndarray, omega: float, counter: FFTCounter | None = None,
                hat: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-        """(-Lap/2 x - omega Lz x, transform of x when `hat`, else None).
-        Without rotation: multiplier(x, half_k2), or fft and kinetic_image
-        when `hat`, 2 units.  With it the one-axis passes of
+        """(-Lap/2 x - omega Lz x, transform of x when `hat` and rotating,
+        else None).  Without rotation: multiplier(x, half_k2), 2 units, and
+        no transform, whatever `hat` says.  With it the one-axis passes of
         rotating_linear, charged its two images and one unit more when they
         complete the transform."""
         if omega == 0.0:
-            if not hat:
-                return self.multiplier(x, self.half_k2, counter), None
-            x_hat = self.fft(x, counter)
-            return self.kinetic_image(x_hat, counter), x_hat
+            return self.multiplier(x, self.half_k2, counter), None
         out, x_hat = rotating_linear(self.grid, omega, x, hat=hat)
         if counter is not None:
             counter.count += 2 + hat

@@ -400,6 +400,20 @@ class TestBenchCommand:
         with pytest.raises(SystemExit):
             main(["bench", "nosuchsuite"])
 
+    def test_a_row_that_did_not_converge_exits_1(self, tmp_path, capsys, monkeypatch):
+        # the exit code and the printed rows say what the CSV's converged
+        # column says: a solve stopped at max_iter fails the suite
+        def fake_solve(phi0, params, cfg):
+            return optim.SolveResult(phi=phi0, records=[], stop_reason=optim.MAX_ITER, energy=0.0,
+                                     lam=0.0, r_inf=0.0, fft_total=0, wall_time=0.0)
+
+        monkeypatch.setattr(optim, "solve", fake_solve)
+        assert main(["bench", "rotation_2d", "--out", str(tmp_path / "bench")]) == 1
+        captured = capsys.readouterr()
+        rows = [line for line in captured.out.splitlines() if line.startswith("suite=")]
+        assert rows and all(line.endswith("converged=false") for line in rows)
+        assert captured.err == f"solver failed: {len(rows)} of {len(rows)} rows did not converge\n"
+
 
 class TestAnalyzeCommand:
     def test_amplification(self, capsys):
@@ -467,14 +481,14 @@ init.kind = gauss
         seen = []
         analyze = classic.precond_hessian_condition
         monkeypatch.setattr(classic, "precond_hessian_condition",
-                            lambda phi, params, p: seen.append(p) or analyze(phi, params, p))
+                            lambda phi, params, kind, shift: seen.append(shift)
+                            or analyze(phi, params, kind, shift))
         sigmas = []
         for shift in ("50", "0.5", "adaptive"):
             assert main(["analyze", "condition", "--config", cfg,
                          "--set", f"solver.shift={shift}"]) == 0
             sigmas.append(capsys.readouterr().out.split("sigma = ")[1].split()[0])
-        assert [p.alpha for p in seen[:2]] == [50.0, 0.5]
-        assert seen[2].alpha not in (50.0, 0.5) and len(set(sigmas)) == 3
+        assert seen == [50.0, 0.5, "adaptive"] and len(set(sigmas)) == 3
 
     @pytest.mark.parametrize("method,message", [
         # the adaptive shift is negative at the Gaussian: the solve ends diverged

@@ -8,7 +8,9 @@ import pytest
 from gpesolve import Grid, WaveField
 from gpesolve import io, model
 from gpesolve.config import ConfigError, RunConfig, apply_overrides, parse_config_text
-from gpesolve.optim import IterationRecord
+from gpesolve.classic import SchemeKind
+from gpesolve.model import ModelParams, PotentialSpec
+from gpesolve.optim import IterationRecord, SolverConfig
 
 from oracles import density_csv_text
 
@@ -147,6 +149,19 @@ class TestConfigParsing:
     def test_init_kind_validation(self):
         with pytest.raises(ConfigError, match="init.kind"):
             RunConfig.from_text(MINIMAL + "init.kind = vortexlattice\n")
+
+    def test_defaults_are_the_library_defaults(self):
+        # the key table's default text is a second home of the library's
+        # defaults: a config that sets only the grid must read them back
+        grid_only = "grid.d = 1\ngrid.L = 16\ngrid.M = 64\n"
+        cfg = RunConfig.from_text(grid_only)
+        assert cfg.solver_config() == SolverConfig()
+        assert cfg.model_params() == ModelParams()
+        assert cfg.model_params().potential == PotentialSpec()
+        scheme = RunConfig.from_text(grid_only, overrides=["solver.method=be"]).scheme()
+        default = SchemeKind()
+        assert (scheme.dt, scheme.inner_tol, scheme.inner_max_iter) == (
+            default.dt, default.inner_tol, default.inner_max_iter)
 
 
 class TestFieldDump:

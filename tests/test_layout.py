@@ -1,6 +1,6 @@
 """The single homes of the design, read from the package source: the
-Fourier format lives in spectral alone, and a preconditioner is built on the
-spectrum it applies through."""
+Fourier format lives in spectral alone, a preconditioner is built on the
+spectrum it applies through, and each fact has one home."""
 
 import ast
 import pathlib
@@ -166,4 +166,41 @@ def test_one_entry_per_operation():
     loops = sum(isinstance(n, ast.For) for n in ast.walk(apply_pair))
     if loops != 1:
         faults.append(f"Preconditioner.apply_pair holds {loops} for loops")
+    assert faults == []
+
+
+def test_one_home_per_fact():
+    # each config key is declared once with its default and parser, the
+    # conditioning diagnostic builds its own preconditioner from its one
+    # evaluation, and three branches no program ran are gone
+    modules = {name: ast.parse((SRC / name).read_text())
+               for name in ("config.py", "cli.py", "precond.py", "spectral.py", "classic.py")}
+
+    def function(tree, name, owner=None):
+        body = class_def(tree, owner).body if owner else tree.body
+        return next(n for n in body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+    def names(node):
+        """Every name and attribute a node reads."""
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    faults = ["config defines _DEFAULTS" for n in ast.walk(modules["config.py"])
+              if isinstance(n, ast.Name) and n.id == "_DEFAULTS" and isinstance(n.ctx, ast.Store)]
+    analyze = function(modules["cli.py"], "_cmd_analyze")
+    faults += [f"cli._cmd_analyze names {n}" for n in ("Preconditioner", "refresh", "evaluate")
+               if n in names(analyze)]
+    faults += [f"cli imports in {f.name}" for f in ast.walk(modules["cli.py"])
+               if isinstance(f, ast.FunctionDef) for n in ast.walk(f)
+               if isinstance(n, (ast.Import, ast.ImportFrom))]
+    apply_pair = function(modules["precond.py"], "apply_pair", "Preconditioner")
+    faults += ["Preconditioner.apply_pair branches on an is comparison"
+               for n in ast.walk(apply_pair) if isinstance(n, ast.If)
+               and isinstance(n.test, ast.Compare) and isinstance(n.test.ops[0], ast.Is)]
+    linear = function(modules["spectral.py"], "linear", "Spectrum")
+    faults += [f"Spectrum.linear calls {n}" for n in ("fft", "kinetic_image")
+               if any(isinstance(c, ast.Call) and n in names(c.func) for c in ast.walk(linear))]
+    step = function(modules["classic.py"], "imaginary_time_step")
+    faults += ["imaginary_time_step holds an isinstance" for n in ast.walk(step)
+               if isinstance(n, ast.Name) and n.id == "isinstance"]
     assert faults == []

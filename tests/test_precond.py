@@ -340,7 +340,7 @@ class TestOperatorProperties:
             for transformed, arg in ((False, r), (True, np.fft.fftn(r))):
                 pr, pr_hat = p.apply_pair(arg, transformed=transformed)
                 if pr is None:  # left in Fourier space
-                    assert (kind, transformed) == ("kinetic", True)
+                    assert transformed and kind in ("identity", "kinetic")
                     pr = np.fft.ifftn(pr_hat)
                 assert np.max(np.abs(pr - expected)) <= 1e-14 * np.max(np.abs(expected))
                 if kind == "c2":

@@ -249,20 +249,22 @@ def test_rotating_linear_matches_full_transforms(shape, seed, omega, half_width)
 def test_spectrum_linear_is_the_one_linear_part(d, omega, hat):
     # Spectrum.linear is the kinetic image of the transform without
     # rotation and the one-axis operator with it, bit for bit, charged 2
-    # units and 1 more where the rotating passes complete the transform
+    # units and 1 more where the rotating passes complete the transform;
+    # only they return it
     g = Grid(d, 5.0, {1: 32, 2: 16, 3: 8}[d])
     u = random_field(g, d).values
     before = u.copy()
     counter = spectral.FFTCounter()
     out, u_hat = g.spectrum(False).linear(u, omega, counter, hat=hat)
-    if omega == 0.0:
+    rotating = omega != 0.0
+    if not rotating:
         assert np.array_equal(out, g.spectrum(False).kinetic_image(g.spectrum(False).fft(u)))
         assert counter.count == 2
     else:
         assert np.array_equal(out, spectral.rotating_linear(g, omega, u)[0])
         assert counter.count == 2 + hat
-    assert (u_hat is None) == (not hat)
-    if hat:
+    assert (u_hat is None) == (not (hat and rotating))
+    if u_hat is not None:
         assert np.max(np.abs(u_hat - g.spectrum(False).fft(u))) <= 1e-13 * np.max(np.abs(u_hat))
     assert np.array_equal(u, before)
 
