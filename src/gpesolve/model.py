@@ -75,6 +75,12 @@ class PotentialSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
+        # NaN passes the sign tests below, and alpha, q and harmonic_coeffs
+        # have none
+        for name in ("gamma", "kappa", "q", "alpha", "kappa_quartic", "harmonic_coeffs"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if any(g <= 0 for g in self.gamma):
             raise ValueError("trap frequencies gamma must be positive")
         if any(k < 0 for k in self.kappa) or self.kappa_quartic < 0:

@@ -197,7 +197,8 @@ def drive(step, finish, e0: float, stop: str, tol: float, max_iter: int,
     step() runs one iteration and returns its IterationRecord fields but n,
     fft_count and wall_time, or raises Stop.  A step with E or lambda not
     finite, or E > e0 + 10(|e0| + 1), is rejected and ends the run as
-    diverged.  finish(diverged) returns the final (phi, E, lambda, r_inf).
+    diverged, with a detail naming the quantity that is not finite or the
+    bound.  finish(diverged) returns the final (phi, E, lambda, r_inf).
     """
     records: list[IterationRecord] = []
     reason, detail = MAX_ITER, ""
@@ -209,9 +210,14 @@ def drive(step, finish, e0: float, stop: str, tol: float, max_iter: int,
         except Stop as err:
             reason, detail = err.reason, err.detail
             break
-        energy = fields["energy"]
-        if not (math.isfinite(energy) and math.isfinite(fields["lam"])) or energy > bound:
-            reason = DIVERGED
+        energy, lam = fields["energy"], fields["lam"]
+        if not (math.isfinite(energy) and math.isfinite(lam)):
+            name, value = ("energy", energy) if not math.isfinite(energy) else ("lambda", lam)
+            reason, detail = DIVERGED, f"the step's {name} is {value!r}, not finite"
+            break
+        if energy > bound:
+            reason, detail = DIVERGED, (f"the step's energy {energy!r} exceeds the bound "
+                                        f"E0 + 10(|E0| + 1) = {bound!r}, with E0 = {e0!r}")
             break
         records.append(IterationRecord(n=len(records), fft_count=counter.count - count0,
                                        wall_time=time.perf_counter() - t0, **fields))
@@ -333,6 +339,13 @@ class _Engine:
     the one before left on the engine: begin the residual, vd, lambda and
     alpha, direction the search direction, held until the next direction.
 
+    The nine real pointwise sums an iteration needs (two for the iterate,
+    seven for the arc of its direction) are two BLAS products over block,
+    one C-ordered float64 array of four grid rows: V, |u|^2, |p_hat|^2 and
+    Re(conj(u) p_hat).  Each row is written in place, so the sums read
+    contiguous float64 rows whatever the iterate's dtype, and no numpy
+    dispatcher runs between them.
+
     The iterate keeps the dtype start_iterate gives it, and with it the
     spectrum that takes every transform and Parseval sum of the engine.
     """
@@ -345,12 +358,16 @@ class _Engine:
         self.cfg = cfg
         self.counter = counter
         self.hd = g.cell_volume
-        self.v = model.sample_potential(params.potential, g)
-        self.v_flat = self.v.reshape(-1)
         self.eta = params.eta
         self.omega = params.omega
         self.u = start_iterate(phi0, self.omega).values
         self.u_flat = self.u.reshape(-1)  # a view: u is only ever updated in place
+        # _scalars writes row 1 of the block and _arc rows 2-3.  Until _arc,
+        # begin keeps V + eta |u|^2 in row 3 and V + eta |u|^2 - lambda in
+        # row 2, arrays the iteration would otherwise allocate.
+        self.block = np.empty((4, g.size))
+        self.v, self.dens, self.shifted, self.vd = (row.reshape(g.shape) for row in self.block)
+        self.v[...] = model.sample_potential(params.potential, g)
         self.real = np.isrealobj(self.u)
         self.spec = g.spectrum(self.real)
         # one preconditioner for the run, refreshed at each iterate
@@ -404,12 +421,14 @@ class _Engine:
         return (None if self.fourier else self.spec.kinetic_image(x_hat, self.counter)), x_hat
 
     def _scalars(self) -> None:
-        """|u|^2, and from it lambda, the quadratic energy part qa, q40 and
-        the characteristic energy alpha of the iterate."""
-        self.dens = _abs2(self.u)
-        dens = self.dens_flat = self.dens if self.grid.d == 1 else self.dens.reshape(-1)
-        pot = self.hd * float(np.dot(self.v_flat, dens))
-        self.q40 = float(np.dot(dens, dens))
+        """|u|^2 into the block's row 1, and from it lambda, the quadratic
+        energy part qa, q40 = sum |u|^4 and the characteristic energy alpha
+        of the iterate.  The two pointwise sums, sum V|u|^2 and q40, are
+        one ndarray.dot of rows 0-1 with row 1."""
+        block = self.block
+        _abs2(self.u_flat, out=block[1])
+        pot, self.q40 = block[:2].dot(block[1]).tolist()
+        pot *= self.hd
         inter2 = self.eta * self.hd * self.q40
         # <u, H_lin u>, and its kinetic part alone for the shift: the same
         # number without rotation
@@ -427,11 +446,11 @@ class _Engine:
         sup norm, or None when the residual stays in Fourier space."""
         self._scalars()
         # V + eta |u|^2, shared with the preconditioner's real-space diagonal
-        self.vd = np.multiply(self.dens, self.eta)
+        np.multiply(self.dens, self.eta, out=self.vd)
         self.vd += self.v
         # (vd - lam) u + H_lin u, a fresh array each iteration: r_prev keeps
         # the last one
-        r = (self.vd - self.lam) * self.u
+        r = np.subtract(self.vd, self.lam, out=self.shifted) * self.u
         if self.hu is not None:
             r += self.hu
         if not self.fourier:
@@ -451,21 +470,20 @@ class _Engine:
         return float(np.abs(self.r).max()) if self.r is not None else None
 
     def _arc(self, p_hat: np.ndarray, lin_p: float, lin_c: float) -> _Arc:
-        # lin_p = Re<p_hat, H_lin p_hat> and lin_c = Re<u, H_lin p_hat>
-        # the nine pointwise sums as BLAS dot products of flat real vectors:
-        # |p|^2 and Re(conj(u) p), the latter a strided view when complex
-        if self.grid.d > 1:
-            p_hat = p_hat.reshape(-1)
-        a1 = _abs2(p_hat)
-        a2 = _re_conj(self.u_flat, p_hat)
-        v, dens = self.v_flat, self.dens_flat
+        """The arc of the direction p_hat, given lin_p = Re<p_hat, H_lin
+        p_hat> and lin_c = Re<u, H_lin p_hat>.  |p_hat|^2 and Re(conj(u)
+        p_hat) go to the block's rows 2-3, and the arc's seven pointwise
+        sums are one ndarray.dot of those rows with the block's transpose,
+        a 2 x 4 product of which one entry, row 3 against row 2, repeats
+        q13."""
+        block = self.block
+        p_flat = p_hat.reshape(-1)
+        _abs2(p_flat, out=block[2])
+        _re_conj(self.u_flat, p_flat, out=block[3])
+        (v1, d1, q04, q13), (v2, d2, _, q22b) = block[2:].dot(block.T).tolist()
         return _Arc(
-            qa=self.qa,
-            qb=lin_p + self.hd * float(np.dot(v, a1)),
-            qc=lin_c + self.hd * float(np.dot(v, a2)),
-            q40=self.q40, q04=float(np.dot(a1, a1)),
-            q22a=float(np.dot(dens, a1)), q22b=float(np.dot(a2, a2)),
-            q31=float(np.dot(dens, a2)), q13=float(np.dot(a1, a2)),
+            qa=self.qa, qb=lin_p + self.hd * v1, qc=lin_c + self.hd * v2,
+            q40=self.q40, q04=q04, q22a=d1, q22b=q22b, q31=d2, q13=q13,
             eta_hd=self.eta * self.hd,
         )
 
@@ -488,7 +506,8 @@ class _Engine:
         restarted = force_restart
         if (not force_restart and self.r_prev is not None and p_prev is not None
                 and self.prp_prev is not None and self.prp_prev > 0.0):
-            beta = max(0.0, scale * dot(r - self.r_prev, pr) / self.prp_prev)
+            # <r - r_prev, Pr> without forming r - r_prev
+            beta = max(0.0, (prp - scale * dot(self.r_prev, pr)) / self.prp_prev)
         if beta > 0.0:
             dvec = np.multiply(p_prev, beta, out=p_prev)
             dvec -= pr
@@ -540,7 +559,7 @@ class _Engine:
         dvec -= c_u * u_rep
         p_norm = math.sqrt(scale) * norm(dvec)
         if not math.isfinite(p_norm):
-            raise Stop(DIVERGED)
+            raise Stop(DIVERGED, f"the search direction's norm is {p_norm!r}, not finite")
         if p_norm == 0.0:
             raise Stop(ZERO_DIRECTION)
         # numpy divides a complex by a real d as a multiply by 1/d, so this
@@ -614,22 +633,29 @@ class _Engine:
         return step_inf
 
 
-def _abs2(a: np.ndarray) -> np.ndarray:
-    """|a|^2, a fresh float64 array: one ufunc call for a float64 array."""
+def _abs2(a: np.ndarray, out: np.ndarray) -> None:
+    """|a|^2 written into `out`, a float64 array of a's shape (a row of
+    the engine's block): one ufunc call for a float64 a, two for a complex
+    one, with no array allocated."""
     if a.dtype == np.float64:
-        return np.square(a)
-    out = np.abs(a)
-    return np.square(out, out=out)
+        np.square(a, out=out)
+    else:
+        np.square(np.abs(a, out=out), out=out)
 
 
-def _re_conj(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re(conj(a) b) as float64, a strided view of a fresh complex product
-    for complex a: one ufunc call for a float64 a."""
+def _re_conj(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Re(conj(a) b) written into `out`, a float64 array of a's shape (a
+    row of the engine's block): one ufunc call for float64 a and b.  For
+    complex ones conj(a) b is formed in a fresh complex array and its real
+    part copied out, so that the sums read it as a contiguous row, not as
+    a strided view; conj-multiply is faster than summing the two products
+    of the float64 views."""
     if a.dtype == np.float64:
-        return np.multiply(a, b)
-    out = np.conj(a)
-    out *= b
-    return out.real
+        np.multiply(a, b, out=out)
+    else:
+        prod = np.conj(a)
+        prod *= b
+        out[...] = prod.real
 
 
 def _negated(a: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:

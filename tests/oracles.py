@@ -9,6 +9,9 @@ writer the package's block writer must match byte for byte.  The unfused sphere 
 at the end (tangent projection, second-order angle, arc step, arc energy
 coefficients) are composed from the plain transforms and the package's
 Hessian rather than from the fused iteration engine that the solvers run.
+`pointwise_sums_separate` forms the nine real pointwise sums of the fused
+engine each as its own np.dot of flat float64 vectors, the reference for
+the engine's two block products.
 `frozen_hamiltonian` is H_phi as a map on grid values, the Hamiltonian that
 model.half_hessian and the implicit MINRES operator apply inline.
 `preconditioner_at` builds a preconditioner at an iterate as the solvers do,
@@ -273,6 +276,22 @@ def arc_from_fields(phi: WaveField, p_hat: WaveField, params: model.ModelParams)
         eta_hd=params.eta * hd,
     )
 
+
+def pointwise_sums_separate(v: np.ndarray, u: np.ndarray, p_hat: np.ndarray) -> dict:
+    """The nine real pointwise sums of the fused engine for potential v,
+    iterate u and direction p_hat, each one np.dot of flat vectors: the
+    iterate's pot = V.|u|^2 and q40 = |u|^2.|u|^2; the arc's vp = V.|p|^2
+    and vc = V.Re(conj(u) p), and q04, q22a, q22b, q31, q13 as _Arc names
+    them.  Maps each name to (sum, sum of the absolute products), the
+    second the scale of the sum's rounding error."""
+    v, u, p = (np.ravel(a) for a in (v, u, p_hat))
+    dens = np.abs(u) ** 2
+    a1 = np.abs(p) ** 2
+    a2 = (np.conj(u) * p).real
+    pairs = dict(pot=(v, dens), q40=(dens, dens), vp=(v, a1), vc=(v, a2), q04=(a1, a1),
+                 q22a=(dens, a1), q22b=(a2, a2), q31=(dens, a2), q13=(a1, a2))
+    return {name: (float(np.dot(a, b)), float(np.dot(np.abs(a), np.abs(b))))
+            for name, (a, b) in pairs.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Command-line interface and run orchestration."""
 
 import csv
+import math
 import os
+import re
 import warnings
 
 from types import SimpleNamespace
@@ -144,6 +146,19 @@ class TestSolveCommand:
         assert err.startswith(f"configuration error: {key}: ") and "finite" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("override", [
+        "potential.gamma=nan", "potential.gamma=inf", "potential.harmonic_coeffs=-inf",
+    ])
+    def test_non_finite_potential_field_exits_2(self, tmp_path, capsys, override):
+        # NaN passed the trap's sign checks, and harmonic_coeffs had none
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", write_cfg(tmp_path, HARMONIC_1D), "--set", override,
+                     "--out", out]) == 2
+        key = override.split("=")[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key}: ") and "finite" in err
+        assert "Traceback" not in err and not os.path.exists(out)
+
     @pytest.mark.parametrize("verb,overrides,key", [
         ("solve", ["potential.kind=harmonic_plus_quartic"], "potential.kind"),
         ("solve", ["grid.d=2", "grid.M=16", "potential.harmonic_coeffs=1"],
@@ -214,9 +229,10 @@ class TestSolveCommand:
                 "solver.precond = sym\ninit.kind = gauss\n")
         cases = (
             # the count sits at the roundoff floor, so it follows the rounding
-            # of the engine's real-arithmetic path
+            # of the engine's real-arithmetic path and of its pointwise sums
+            # (117 when each sum was its own dot product)
             (["solver.method=pcg", "solver.tol=0"], "energy could not be decreased",
-             "backtracking_exhausted", "117"),
+             "backtracking_exhausted", "84"),
             (["solver.method=be_lambda", "solver.inner_max_iter=1", "solver.inner_tol=1e-14"],
              "MINRES did not converge", "inner_solver_failed", "0"),
         )
@@ -245,6 +261,45 @@ class TestSolveCommand:
         assert "solver failed: diverged" in err and "Traceback" not in err
         summary = read_summary(out)
         assert (summary["stop_reason"], summary["converged"]) == ("diverged", "false")
+
+    # each diverged stop names its cause in the summary
+    DIVERGING_1D = ("grid.d = 1\ngrid.L = 8\ngrid.M = 64\nmodel.eta = 10\n"
+                    "init.kind = gauss\n")
+
+    def diverged_detail(self, tmp_path, overrides):
+        cfg = write_cfg(tmp_path, self.DIVERGING_1D)
+        out = str(tmp_path / "out")
+        args = ["solve", "--config", cfg, "--out", out]
+        for item in overrides:
+            args += ["--set", item]
+        with pytest.warns(RuntimeWarning):
+            assert main(args) == 1
+        summary = read_summary(out)
+        assert (summary["stop_reason"], summary["converged"]) == ("diverged", "false")
+        return summary["stop_detail"]
+
+    def test_diverged_past_the_energy_bound_names_it(self, tmp_path):
+        # forward Euler at too large a step climbs in energy until drive
+        # rejects a step above the bound
+        detail = self.diverged_detail(tmp_path, ["solver.method=fe", "solver.dt=0.05"])
+        match = re.fullmatch(r"the step's energy (\S+) exceeds the bound "
+                             r"E0 \+ 10\(\|E0\| \+ 1\) = (\S+), with E0 = (\S+)", detail)
+        assert match, detail
+        energy, bound, e0 = map(float, match.groups())
+        assert bound == e0 + 10.0 * (abs(e0) + 1.0) and energy > bound
+
+    def test_diverged_on_a_non_finite_energy_names_it(self, tmp_path, monkeypatch):
+        # no configuration is known to reach this stop on its own: a NaN
+        # energy change along every arc stands in for one
+        monkeypatch.setattr(optim._Arc, "delta_energy", lambda self, theta: math.nan)
+        detail = self.diverged_detail(tmp_path, ["solver.method=pcg"])
+        assert detail == "the step's energy is nan, not finite"
+
+    def test_diverged_on_a_non_finite_direction_names_it(self, tmp_path):
+        # at eta = 1e300 the unpreconditioned gradient overflows
+        detail = self.diverged_detail(tmp_path, ["solver.method=pg", "solver.precond=identity",
+                                                 "model.eta=1e300"])
+        assert detail == "the search direction's norm is inf, not finite"
 
     def test_set_override(self, tmp_path):
         cfg = write_cfg(tmp_path, HARMONIC_1D)

@@ -204,3 +204,24 @@ def test_one_home_per_fact():
     faults += ["imaginary_time_step holds an isinstance" for n in ast.walk(step)
                if isinstance(n, ast.Name) and n.id == "isinstance"]
     assert faults == []
+
+
+def test_the_engine_sums_in_its_block():
+    # the engine's pointwise sums are ndarray.dot products over its block of
+    # rows, one in _scalars and one in _arc: np.dot and np.vdot, each a
+    # dispatcher frame per call, appear nowhere in optim
+    tree = ast.parse((SRC / "optim.py").read_text())
+    faults = [f"optim.py:{n.lineno} names {dotted(n)}" for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute)
+              and dotted(n) in ("np.dot", "numpy.dot", "np.vdot", "numpy.vdot")]
+    faults += [f"optim.py:{n.lineno} imports {a.name} from numpy" for n in ast.walk(tree)
+               if isinstance(n, ast.ImportFrom) and n.module == "numpy"
+               for a in n.names if a.name in ("dot", "vdot")]
+    engine = class_def(tree, "_Engine")
+    for f in engine.body:
+        if isinstance(f, ast.FunctionDef) and f.name in ("_scalars", "_arc"):
+            dots = sum(isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+                       and c.func.attr == "dot" for c in ast.walk(f))
+            if dots != 1:
+                faults.append(f"_Engine.{f.name} makes {dots} dot calls")
+    assert faults == []

@@ -119,6 +119,16 @@ class TestPotentials:
         with pytest.raises(ValueError, match="positive"):
             PotentialSpec(gamma=(0.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field,value", [
+        ("gamma", (1.0, "bad", 1.0)), ("kappa", ("bad", 0.0, 0.0)), ("q", (0.0, 0.0, "bad")),
+        ("alpha", "bad"), ("kappa_quartic", "bad"), ("harmonic_coeffs", (1.0, "bad")),
+    ])
+    def test_non_finite_field_refused_by_name(self, field, value, bad):
+        value = tuple(bad if x == "bad" else x for x in value) if isinstance(value, tuple) else bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            PotentialSpec(**{field: value})
+
 
 @pytest.mark.parametrize("option,value", [
     ("eta", True), ("eta", "1.0"), ("eta", None), ("omega", False), ("omega", "0.5"),

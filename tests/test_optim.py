@@ -27,8 +27,11 @@ from gpesolve import (
 from gpesolve import classic, io, model, optim, precond, spectral
 from gpesolve.optim import IterationRecord, SolverConfig, check_stop, solve
 
-from oracles import (arc_from_fields, dense_hamiltonian_1d, kinetic_plain, lz_plain, step,
-                     tangent_project, theta_opt)
+from oracles import (arc_from_fields, dense_hamiltonian_1d, kinetic_plain, lz_plain,
+                     pointwise_sums_separate, step, tangent_project, theta_opt)
+
+
+EPS = np.finfo(np.float64).eps
 
 
 def random_normalized(grid, seed=0):
@@ -275,6 +278,65 @@ class TestLinesearch:
         for theta in np.linspace(-np.pi, np.pi, 13):
             expected = energy(step(phi, p, theta), params).total - e0
             assert arc.delta_energy(theta) == pytest.approx(expected, abs=1e-10 * (1.0 + abs(e0)))
+
+
+class TestBlockSums:
+    """The engine forms its nine pointwise sums as two BLAS products over
+    its block of rows; each must match its own dot product (the oracle) to
+    within the rounding of a length-n sum.  Summed in any order, a sum of n
+    products carries an error of at most gamma_n = n eps / (1 - n eps)
+    times the sum of their absolute values, so two orders differ by at most
+    twice that.  The scalars built from the sums get a few eps of their own
+    magnitude more for the adds that follow."""
+
+    @staticmethod
+    def bound(n, scale):
+        gamma = n * EPS / (1.0 - n * EPS)
+        return 2.0 * gamma * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(1, 64), (2, 16), (3, 8)]), st.booleans(),
+           st.sampled_from(precond.KINDS), st.integers(0, 2**32 - 1))
+    def test_block_sums_match_separate_dots(self, dims, complex_iterate, kind, seed):
+        d, m = dims
+        g = Grid(d, 8.0, m)
+        omega = 0.4 if complex_iterate and d > 1 else 0.0
+        params = ModelParams(eta=100.0, omega=omega, potential=harmonic(1.0))
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(g.shape)
+        if complex_iterate:
+            values = values + 1j * rng.standard_normal(g.shape)
+        engine = optim._Engine(WaveField(g, values), params, SolverConfig(precond=kind),
+                               spectral.FFTCounter())
+        assert engine.real != complex_iterate
+        p_hat = rng.standard_normal(g.shape).astype(engine.u.dtype)
+        if complex_iterate:
+            p_hat += 1j * rng.standard_normal(g.shape)
+        arc = engine._arc(p_hat, 0.0, 0.0)
+        sums = pointwise_sums_separate(engine.v, engine.u, p_hat)
+        hd, n, eta_hd = g.cell_volume, g.size, params.eta * g.cell_volume
+
+        def check(got, value, scale):
+            assert abs(got - value) <= self.bound(n, scale) + 4.0 * EPS * abs(value)
+
+        for name in ("q04", "q22a", "q22b", "q31", "q13"):
+            check(getattr(arc, name), *sums[name])
+        check(arc.qb, hd * sums["vp"][0], hd * sums["vp"][1])
+        check(arc.qc, hd * sums["vc"][0], hd * sums["vc"][1])
+        check(arc.q40, *sums["q40"])
+        check(engine.q40, *sums["q40"])
+        # the linear part is no pointwise sum: read it as the engine does
+        if engine.hu is None:
+            lin = engine.spec.kinetic(engine.uhat)
+        else:
+            lin = hd * spectral.rdot(engine.u, engine.hu)
+        kin = engine.spec.kinetic(engine.uhat) if engine.rotating else lin
+        (pot, pot_scale), (q40, q40_scale) = sums["pot"], sums["q40"]
+        check(engine.qa, lin + hd * pot, abs(lin) + hd * pot_scale)
+        check(engine.lam, lin + hd * pot + eta_hd * q40,
+              abs(lin) + hd * pot_scale + eta_hd * q40_scale)
+        check(engine.alpha, kin + hd * pot + eta_hd * q40,
+              abs(kin) + hd * pot_scale + eta_hd * q40_scale)
 
 
 class TestRecordFieldTypes:
@@ -544,10 +606,15 @@ class TestFailureStops:
             rejected.append(diverged)
             return None, 1.0, 1.0, 0.0
 
-        res = optim.drive(lambda: dict(fields), finish, 1.0, "energy_diff", 0.0, 5,
-                          spectral.FFTCounter(), 0.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = optim.drive(lambda: dict(fields), finish, 1.0, "energy_diff", 0.0, 5,
+                              spectral.FFTCounter(), 0.0)
         assert (res.stop_reason, res.iterations, rejected) == (reason, records,
                                                               [reason == "diverged"])
+        # a rejected step names its cause, in the detail and as a warning
+        assert bool(res.stop_detail) == (reason == "diverged")
+        assert [str(w.message) for w in caught] == ([res.stop_detail] if res.stop_detail else [])
 
     def test_every_stop_reason_has_a_table_entry(self):
         assert len(set(optim.STOP_REASONS)) == len(optim.STOP_REASONS)
@@ -563,8 +630,12 @@ class TestFailureStops:
         monkeypatch.setattr(precond.Preconditioner, "apply_pair",
                             lambda self, r, counter=None, transformed=False:
                             (np.full(r.shape, fill, dtype=r.dtype), None))
-        res = solve(phi0, params, SolverConfig(method="pcg", precond="sym"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = solve(phi0, params, SolverConfig(method="pcg", precond="sym"))
         assert (res.converged, res.stop_reason, res.iterations) == (converged, reason, 0)
+        assert res.stop_detail == ("the search direction's norm is nan, not finite"
+                                   if reason == "diverged" else "")
         assert np.isfinite(res.energy)
 
     @pytest.mark.parametrize("kind", precond.KINDS)
@@ -594,23 +665,28 @@ class TestPeakArrays:
     without rotation, from a real guess: the engine's float64 path, whose
     iterates take half a complex array and its transforms about as much.
     The grid holds its spectra from the first solve on, so neither table
-    counts them: the half spectrum's two weight arrays are about one unit."""
+    counts them: the half spectrum's two weight arrays are about one unit.
+    Nor do they count the cached potential, but they count the engine's
+    float64 block of four grid rows (two units), one row a copy of it.  The
+    other rows hold |u|^2, V + eta |u|^2 and V + eta |u|^2 - lambda, which
+    the engine would otherwise allocate, so the block raises the peaks by
+    about one unit."""
 
     PEAK = {
-        ("identity", "pg"): 14.26, ("identity", "pcg"): 13.27,
-        ("kinetic", "pg"): 14.25, ("kinetic", "pcg"): 14.26,
-        ("potential", "pg"): 14.26, ("potential", "pcg"): 13.27,
-        ("c1", "pg"): 13.24, ("c1", "pcg"): 14.28,
-        ("c2", "pg"): 14.26, ("c2", "pcg"): 13.27,
-        ("sym", "pg"): 14.26, ("sym", "pcg"): 13.27,
+        ("identity", "pg"): 15.32, ("identity", "pcg"): 14.29,
+        ("kinetic", "pg"): 15.27, ("kinetic", "pcg"): 15.29,
+        ("potential", "pg"): 15.28, ("potential", "pcg"): 14.29,
+        ("c1", "pg"): 14.27, ("c1", "pcg"): 15.30,
+        ("c2", "pg"): 15.28, ("c2", "pcg"): 14.29,
+        ("sym", "pg"): 15.28, ("sym", "pcg"): 14.29,
     }
     STILL = {
-        ("identity", "pg"): 6.35, ("identity", "pcg"): 5.83,
-        ("kinetic", "pg"): 6.34, ("kinetic", "pcg"): 6.35,
-        ("potential", "pg"): 6.31, ("potential", "pcg"): 5.83,
-        ("c1", "pg"): 6.10, ("c1", "pcg"): 7.14,
-        ("c2", "pg"): 7.87, ("c2", "pcg"): 7.62,
-        ("sym", "pg"): 6.58, ("sym", "pcg"): 6.59,
+        ("identity", "pg"): 7.31, ("identity", "pcg"): 6.83,
+        ("kinetic", "pg"): 6.86, ("kinetic", "pcg"): 6.88,
+        ("potential", "pg"): 7.31, ("potential", "pcg"): 6.83,
+        ("c1", "pg"): 7.10, ("c1", "pcg"): 8.14,
+        ("c2", "pg"): 8.87, ("c2", "pcg"): 8.85,
+        ("sym", "pg"): 7.58, ("sym", "pcg"): 7.59,
     }
 
     @staticmethod
@@ -646,6 +722,12 @@ def numpy_fft_frame(frame):
     return frame.f_code.co_filename == np.fft._pocketfft.__file__
 
 
+def numpy_multiarray_frame(frame):
+    """Whether a frame runs code of numpy's multiarray module: the
+    dispatchers that np.dot, np.vdot and the like pass through."""
+    return frame.f_code.co_filename == np._core.multiarray.__file__
+
+
 class TestCallsPerIteration:
     """Calls of gpesolve functions per pcg iteration on the 1D lattice trap
     (the float64 path), pinned per kind as the transform budget is: the
@@ -654,7 +736,8 @@ class TestCallsPerIteration:
     noise.  Only frames whose code lies in the gpesolve package count, so
     the pins do not depend on the numpy version.  Frames of numpy.fft's
     wrapper are counted apart: the 1D spectra call pocketfft's gufuncs
-    without it."""
+    without it, and so are those of numpy's multiarray dispatchers: the
+    engine's pointwise sums call ndarray.dot without them."""
 
     CEILING = {"identity": 36, "kinetic": 46, "potential": 37, "c1": 43, "c2": 39, "sym": 41}
 
@@ -695,6 +778,13 @@ class TestCallsPerIteration:
     def test_no_numpy_fft_wrapper(self, kind):
         per_iteration = (self.calls(kind, 30, numpy_fft_frame)
                          - self.calls(kind, 10, numpy_fft_frame)) / 20
+        assert per_iteration == 0
+
+    @pytest.mark.parametrize("kind", precond.KINDS)
+    def test_no_numpy_multiarray_dispatcher(self, kind):
+        # the pointwise sums are ndarray.dot calls on the engine's block
+        per_iteration = (self.calls(kind, 30, numpy_multiarray_frame)
+                         - self.calls(kind, 10, numpy_multiarray_frame)) / 20
         assert per_iteration == 0
 
 
